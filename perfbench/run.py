@@ -9,37 +9,48 @@ Workloads (see BENCHMARK.json for why each was chosen):
   n, q in {2, 3}: 1569 instances), in a seeded order.  An op is one
   (statement, instance) check, made as
   ``check_all_statements([instance], [statement])``; a latency sample is the
-  mean time of one instance's checks.
+  mean check time of the instances that share one labeled graph.
 - ``analyze-large``: ``lie_ncg.cli.main`` validate, analyze and export
   (dot, graphml, json) on seeded GL(n, q) basis changes of five families with
   80-255 vertices, in a seeded order.  An op is one ``main`` call.
 - ``iso-relabel``: ``orbit_partition`` for each shape, then, in a seeded
   order, ``canonical_certificate`` on each of the 25 orbit-representative and
-  catalog graphs and on a seeded relabeling of it, and ``isomorphism`` between
-  each graph and five seeded relabelings of itself and of every other graph
-  with the same vertex count.  An op is one call; the five relabelings of one
+  catalog graphs and on a seeded relabeling of it that the program was not
+  given before (where one exists), and ``isomorphism`` between
+  each graph and 20 seeded relabelings of itself and of every other graph
+  with the same vertex count.  An op is one call; the 20 relabelings of one
   isomorphism question give one latency sample, their mean.  Certificate and
   isomorphism ops run under a 0.5 s budget; an op that overruns it is not ok.
 
 Each pass runs in a fresh interpreter with one thread, one call at a time, so
 import-time work and module caches cost what a CLI user pays.  Passes repeat
 until --seconds have gone by; per-pass figures are reported as medians over
-passes.  ``setup_s`` is the median, over at least five fresh interpreters,
-of the time from starting the interpreter to its first timed call.  Outputs
-are checked against recorded results (expected.json) and against the
-independent code in oracle.py; a wrong output or an exception is a failed op
-(``failed``).  ``ok_ratio`` is the share of ops neither failed nor over budget.
+passes.  ``setup_s`` is the median, over five fresh interpreters that only
+set up, of the time from starting the interpreter to its first timed call.
+Outputs are checked against recorded results (expected.json) and against
+the independent code in oracle.py; a wrong output or an exception is a
+failed op (``failed``).  ``ok_ratio`` is the share of ops neither failed nor
+over budget.
+
+Every end-to-end time is scaled to a fixed host speed: a timer signal times
+a fixed reference computation every 50 ms of CPU time, and each timed call
+is multiplied by the reference's nominal time over its times during or
+around the call (speed.py says how).  The summary lines give each pass's
+wall time both scaled and as measured; an op over budget counts as the
+budget, unscaled.
 
 Metrics, per pass and then the median over passes: ``wall_s``, the time spent
 in calls into lie_ncg; ``ops_per_s``, ops over ``wall_s``; ``op_p50_ms``, the
-mean of the middle tenth of the latency samples; ``op_tail_ms``, the highest
-of p50/p75/p90/p99/p99.9/p99.99 with at least ten samples beyond it (the
-summary line names it and the sample count); ``peak_rss_mb``, the worker's
+median latency sample; ``op_tail_ms``, the highest of p50/p75/p90/p99/
+p99.9/p99.99 with at least ten samples beyond it (the summary line names it
+and the sample count), both estimated as a mean of the samples around that
+rank (``workloads._quantile``); ``peak_rss_mb``, the worker's
 peak resident memory before the checks run.
 
 With --trace 1 the untraced passes are followed by one traced pass, whose
-spans (written to .perfbench/) give each layer's self time; the metrics are
-then the per-layer ones, plus the traced wall time and its excess over the
+spans (written to .perfbench/) give each layer's self time, as measured
+less the time spent on reference times; the metrics are then the per-layer
+ones, plus the traced pass's scaled wall time and its excess over the
 untraced median.
 
 The last line of standard output is the JSON result.  The run exits with
@@ -57,6 +68,7 @@ import sys
 import time
 from pathlib import Path
 
+import speed
 import workloads
 
 HERE = Path(__file__).resolve().parent
@@ -95,6 +107,17 @@ def spawn(args, workdir, deadline):
     return out
 
 
+def setup_time(common, workdir, deadline):
+    """Set-up time of one fresh worker, scaled by reference times the parent
+    takes just before and just after it (see speed.py)."""
+    pacer = speed.Pacer()
+    pacer.take(speed.WINDOW // 2)
+    mark = time.perf_counter()
+    out = spawn(common + ["--setup-only"], workdir, deadline)
+    pacer.take(speed.WINDOW // 2)
+    return out["setup_s"] * pacer.factors([(mark, 0.0)])[0]
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", choices=WORKLOADS, required=True)
@@ -123,13 +146,11 @@ def main():
             elapsed = clock() - begin
             if elapsed >= args.seconds or clock() + elapsed / len(passes) > deadline - 30:
                 break
-        setups = [p["setup_s"] for p in passes]
         traced = None
         if args.trace:
             traced = spawn(common + ["--trace", "1"], workdir, deadline)
         else:
-            while len(setups) < SETUP_SAMPLES:
-                setups.append(spawn(common + ["--setup-only"], workdir, deadline)["setup_s"])
+            setups = [setup_time(common, workdir, deadline) for _ in range(SETUP_SAMPLES)]
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -142,6 +163,10 @@ def main():
     print(f"{args.workload} seed={args.seed}: {len(passes)} pass(es) of {first['ops']} ops; "
           f"op_p50_ms and op_tail_ms (p{first['tail_pct']}) over {first['latency_samples']} "
           f"samples per pass")
+    for k, p in enumerate(done):
+        print(f"{'traced pass' if p is traced else f'pass {k}'}: wall_s {p['wall_s']:.4f} at "
+              f"reference speed, {p['wall_measured_s']:.4f} as measured "
+              f"({p['references']} reference times, median {p['reference_ms']:.4f} ms)")
     if "digest" in first:
         print(f"verify-pool report digest: {first['digest']}")
     for p in done:

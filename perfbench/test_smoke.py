@@ -2,9 +2,11 @@
 
     python3 -m pytest perfbench/test_smoke.py -q
 
-Each test corrupts one output of the program and requires the pass to count
-it as a failed op (and so in ok_ratio); the last one requires run.py to fail
-without a result where the lie_ncg sources are missing.
+Most tests corrupt one output of the program and require the pass to count
+it as a failed op (and so in ok_ratio).  test_missing_sources_fail_without_result
+requires run.py to fail without a result where the lie_ncg sources are
+missing; test_scale_factor_follows_reference_times checks how speed.py
+scales a time by the reference times around it.
 """
 
 import json
@@ -92,3 +94,13 @@ def test_wrong_girth_fails_verify(monkeypatch):
     out = _run(p, workloads.verify_pool(lie_ncg, 0, p, EXPECTED))
     assert out["wrong"] == EXPECTED["verify_pool"]["instances"]
     assert all("Prop2.5" in line for line in out["wrong_detail"])
+
+
+def test_scale_factor_follows_reference_times():
+    import speed
+
+    pacer = speed.Pacer()
+    for k in range(20):
+        pacer.readings.extend((float(k), speed.NOMINAL_S * (1 if k < 10 else 2)))
+    short_fast, short_slow, long_mixed = pacer.factors([(2.0, 0.5), (15.0, 0.1), (0.0, 19.0)])
+    assert short_fast == 1.0 and short_slow == 0.5 and 0.5 < long_mixed < 1.0

@@ -54,6 +54,7 @@ def main():
             check = workloads.analyze_large(lib, args.seed, p, expected, specs)
         else:
             check = workloads.iso_relabel(lib, args.seed, p, expected)
+        p.finish()
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         if tracer is not None:
             tracer.op = "check"

@@ -14,6 +14,7 @@ import math
 import random
 import re
 import signal
+import statistics
 import xml.etree.ElementTree as ET
 from collections import defaultdict
 from hashlib import sha256
@@ -21,6 +22,7 @@ from itertools import combinations
 from time import perf_counter
 
 import oracle
+import speed
 
 # Shapes of the criterion-1 pool and of the GL-orbit enumeration.
 SHAPES = ((2, 2), (2, 3), (3, 2), (3, 3))
@@ -30,9 +32,9 @@ TAIL_LADDER = (50, 75, 90, 99, 99.9, 99.99)
 # are distinct seeded basis changes; smaller families get more of them so a
 # pass has enough ops for a tail percentile.
 FAMILIES = (
-    ("aff2_q3", 3, "abcd", (("a", "b", {"a": 1}), ("c", "d", {"c": 1})), 3),
-    ("heisenberg_q5", 5, "xyz", (("x", "y", {"z": 1}),), 2),
-    ("cross_q5", 5, "xyz", (("x", "y", {"z": 1}), ("y", "z", {"x": 1}), ("z", "x", {"y": 1})), 2),
+    ("aff2_q3", 3, "abcd", (("a", "b", {"a": 1}), ("c", "d", {"c": 1})), 6),
+    ("heisenberg_q5", 5, "xyz", (("x", "y", {"z": 1}),), 4),
+    ("cross_q5", 5, "xyz", (("x", "y", {"z": 1}), ("y", "z", {"x": 1}), ("z", "x", {"y": 1})), 4),
     ("heisenberg5_q3", 3, "abcdz", (("a", "b", {"z": 1}), ("c", "d", {"z": 1})), 1),
     ("aff2_q4", 4, "abcd", (("a", "b", {"a": 1}), ("c", "d", {"c": 1})), 1),
 )
@@ -41,7 +43,7 @@ EXPORTS = ("dot", "graphml", "json")
 # Per-op time budget on iso-relabel, enforced with SIGALRM.  The slowest
 # certificate that finishes takes about 0.14 s (split_pairs_f2, 2-core x86).
 BUDGET_S = 0.5
-RELABELINGS = 5
+RELABELINGS = 20
 
 
 class Overrun(BaseException):
@@ -89,18 +91,32 @@ class Pass:
 
     def __init__(self, tracer=None):
         self.tracer = tracer
+        self.pacer = speed.Pacer()
+        if tracer is not None:
+            tracer.clock = self.pacer.clock
         self.labels = []
+        self.starts = []
         self.samples = []
-        self.prep_s = 0.0
+        self.preps = []          # (start, duration) of each prep call
         self.wrong = {}
         self.overruns = set()
         self.groups = None
+        self.pacer.take(speed.WINDOW // 2)
+        self.pacer.start()
+        self.running = True
 
     def prep(self, fn, *args):
-        start = perf_counter()
+        start, net = perf_counter(), self.pacer.clock()
         out = fn(*args)
-        self.prep_s += perf_counter() - start
+        self.preps.append((start, self.pacer.clock() - net))
         return out
+
+    def finish(self):
+        """Stop taking reference times; call once the timed calls are done."""
+        if self.running:
+            self.running = False
+            self.pacer.stop()
+            self.pacer.take(speed.WINDOW // 2)
 
     def op(self, label, fn, *args, budget=None, span=None):
         """Time one op; returns (op index, result or None)."""
@@ -111,7 +127,8 @@ class Pass:
             if span is not None:
                 args = (span, fn) + args
                 fn = self.tracer.call
-        start = perf_counter()
+        start, net = perf_counter(), self.pacer.clock()
+        self.starts.append(start)
         try:
             if budget:
                 signal.setitimer(signal.ITIMER_REAL, budget)
@@ -121,61 +138,68 @@ class Pass:
                 if budget:
                     signal.setitimer(signal.ITIMER_REAL, 0)
         except Overrun:
-            self.samples.append(perf_counter() - start)
+            self.samples.append(self.pacer.clock() - net)
             self.overruns.add(idx)
             return idx, None
         except Exception as exc:  # the program raised: a failed op
-            self.samples.append(perf_counter() - start)
+            self.samples.append(self.pacer.clock() - net)
             self.fail(idx, f"{type(exc).__name__}: {exc}")
             return idx, None
-        self.samples.append(perf_counter() - start)
+        self.samples.append(self.pacer.clock() - net)
         return idx, result
 
     def fail(self, idx, reason):
         self.wrong.setdefault(idx, f"{self.labels[idx]}: {reason}")
 
     def summary(self):
-        """Pass figures.  A latency sample is one op's time, or, when
-        ``self.groups`` (lists of op indices) is set, the mean time of the
-        ops in one group."""
-        n = len(self.samples)
+        """Pass figures, from times scaled to the reference speed (see
+        speed.py); an op over budget counts as the budget it ran for.  A
+        latency sample is one op's time, or, when ``self.groups`` (lists of op
+        indices) is set, the mean time of the ops in one group."""
+        self.finish()
+        factors = self.pacer.factors(list(zip(self.starts, self.samples)) + self.preps)
+        scaled = [t if i in self.overruns else t * f
+                  for i, (t, f) in enumerate(zip(self.samples, factors))]
+        prep = sum(d * f for (_, d), f in zip(self.preps, factors[len(self.samples):]))
+        n = len(scaled)
         if self.groups:
-            lat = sorted(sum(self.samples[i] for i in g) / len(g) for g in self.groups)
+            lat = sorted(sum(scaled[i] for i in g) / len(g) for g in self.groups)
         else:
-            lat = sorted(self.samples)
+            lat = sorted(scaled)
         tail_pct = max((p for p in TAIL_LADDER if len(lat) * (1 - p / 100) >= 10), default=50)
-        wall = sum(self.samples) + self.prep_s
+        wall = sum(scaled) + prep
         return {
             "ops": n,
             "latency_samples": len(lat),
             "wrong": len(self.wrong),
             "overruns": len(self.overruns),
             "wall_s": wall,
+            "wall_measured_s": sum(self.samples) + sum(d for _, d in self.preps),
+            "references": len(self.pacer.ref),
             "ops_per_s": n / wall,
-            "op_p50_ms": 1e3 * _middle_mean(lat),
-            "op_tail_ms": 1e3 * _percentile(lat, tail_pct),
+            "op_p50_ms": 1e3 * _quantile(lat, 50),
+            "op_tail_ms": 1e3 * _quantile(lat, tail_pct),
+            "reference_ms": 1e3 * statistics.median(self.pacer.ref),
             "tail_pct": tail_pct,
             "wrong_detail": sorted(self.wrong.values())[:20],
             "overrun_detail": sorted({self.labels[i] for i in self.overruns}),
         }
 
 
-def _percentile(sorted_values, pct):
-    """Nearest-rank percentile."""
-    return sorted_values[max(0, math.ceil(pct / 100 * len(sorted_values)) - 1)]
-
-
-def _middle_mean(sorted_values):
-    """The median, estimated as the mean of the middle tenth of the samples.
+def _quantile(sorted_values, pct):
+    """The pct-th percentile, estimated as the mean of the samples within
+    n/20 ranks of its nearest rank, reaching above it over no more than half
+    of the samples beyond it.
 
     Latencies here come in clusters several times apart; a single order
-    statistic jumps between clusters when two ops near the middle swap
-    places, while this estimate moves by a fraction of the gap.
+    statistic jumps between clusters when two ops near it swap places, while
+    this estimate moves by a fraction of the gap.
     """
     n = len(sorted_values)
-    half = n // 20
-    mid = sorted_values[(n - 1) // 2 - half:n // 2 + half + 1]
-    return sum(mid) / len(mid)
+    k = max(0, math.ceil(pct / 100 * n) - 1)
+    half = min(n // 20, (n - 1 - k) // 2)
+    band = sorted_values[k - half:k + half + 1]
+    return sum(band) / len(band)
 
 
 # -- verify-pool ------------------------------------------------------------------
@@ -211,10 +235,16 @@ def verify_pool(lib, seed, p, expected):
             total.failures.extend(r.failures)
         merged[sid] = total
     fig_idx, figures = p.op("check_figures", verifier.check_figures)
-    # a latency sample is one instance's checks, averaged: a single check
-    # takes a few microseconds, too short to time steadily on a shared
-    # machine, and an instance's checks are spread over the whole pass
-    p.groups = list(ops.values())
+    # A latency sample is the mean check time of the instances that share a
+    # labeled graph (found with oracle.py, untimed).  A single check takes a
+    # few microseconds, too short to time steadily on a shared machine; and
+    # instances with one graph repeat the same graph work, while any one of
+    # them may be slowed by a burst on the host, so a per-instance tail
+    # would measure the host's bursts rather than the program.
+    classes = defaultdict(list)
+    for inst in pool:
+        classes[tuple(_own_graph(inst.L)[1])] += ops[id(inst)]
+    p.groups = list(classes.values())
     return lambda: _check_verify(p, pool, enumerated, ops, merged, fig_idx, figures, seed,
                                  expected)
 
@@ -389,14 +419,31 @@ def iso_relabel(lib, seed, p, expected, budget=BUDGET_S):
 
     rng = random.Random(seed)
 
-    def relabeled(g):
+    def relabeled(g, avoid=()):
         perm = list(range(g.n))
-        rng.shuffle(perm)
-        return lib.Graph(g.n, oracle.relabel(g.rows, perm))
+        for _ in range(100):
+            rng.shuffle(perm)
+            rows = tuple(oracle.relabel(g.rows, perm))
+            if rows not in avoid:
+                break
+        return lib.Graph(g.n, rows)
 
+    # A certificate is asked of each graph and of a relabeling of it that is
+    # new to the program where one exists: not a labeled graph it was given
+    # before or holds from import (the figure graphs).  Whether that
+    # certificate comes from the program's cache then does not hang on the
+    # seed.
+    seen = {g.rows for _, _, g in graphs}
+    seen |= {tuple(lib.refgraphs.figure_graph(f).rows) for f in lib.refgraphs.FIGURE_IDS}
+    calls = []
+    for gi, (name, _L, g) in enumerate(graphs):
+        h = relabeled(g, seen)
+        seen.add(h.rows)
+        calls += [(("cert", gi), f"certificate {name}", iso.canonical_certificate, (g,)),
+                  (("cert", gi), f"certificate relabeled {name}", iso.canonical_certificate,
+                   (h,))]
     # Each isomorphism question is asked on RELABELINGS seeded relabelings of
     # its second graph; its latency sample is their mean time.
-    calls = []
     questions = [(f"relabeled {name}", g, g) for name, _L, g in graphs]
     questions += [(f"{na} {nb}", ga, gb)
                   for (na, _, ga), (nb, _, gb) in combinations(graphs, 2) if ga.n == gb.n]
@@ -404,11 +451,6 @@ def iso_relabel(lib, seed, p, expected, budget=BUDGET_S):
         for _ in range(RELABELINGS):
             h = relabeled(g2)
             calls.append((("iso", qi, g1, h), f"isomorphism {label}", iso.isomorphism, (g1, h)))
-    for gi, (name, _L, g) in enumerate(graphs):
-        h = relabeled(g)
-        calls += [(("cert", gi), f"certificate {name}", iso.canonical_certificate, (g,)),
-                  (("cert", gi), f"certificate relabeled {name}", iso.canonical_certificate,
-                   (h,))]
     # spread each kind of call over the pass, as in analyze_large
     rng.shuffle(calls)
     certs = []      # (graph index, op index, certificate)

@@ -4,15 +4,23 @@ Vertices are ``0..n-1``; row ``i`` is an integer whose bit ``j`` is set when
 ``i`` and ``j`` are adjacent.  All decision procedures here are exact; sizes
 beyond the stated caps raise ``CapExceeded`` instead of falling back to
 heuristics.
+
+Every traversal runs on the rows through one breadth-first helper,
+``_bfs_layers``: each layer is a bitmask, and the next one is the OR of the
+current layer's rows minus the vertices already seen.  It gives the diameter
+(``connectivity``), the single-source connectedness test behind
+``is_eulerian`` and ``hamiltonian_cycle``, the 2-coloring in
+``is_complete_bipartite`` and the fallback of ``girth``.  ``girth`` first
+looks for an edge whose ends share a neighbour and returns 3 at the first
+one, which settles every non-commuting graph; only triangle-free graphs are
+searched.  networkx is imported only when ``is_planar`` gets past the
+3n - 6 edge bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-
-import networkx as nx
 
 from .errors import BadVertex, CapExceeded, EmptyGraph
 
@@ -70,6 +78,8 @@ class Graph:
         return [(u, v) for u in range(self.n) for v in range(u + 1, self.n) if self.has_edge(u, v)]
 
     def to_networkx(self):
+        import networkx as nx
+
         g = nx.Graph()
         g.add_nodes_from(range(self.n))
         g.add_edges_from(self.edges())
@@ -88,54 +98,76 @@ class Graph:
 # -- reachability and distances ----------------------------------------------
 
 
-def _bfs_dist(g, source):
-    dist = [-1] * g.n
-    dist[source] = 0
-    frontier = [source]
+def _bits(mask):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _bfs_layers(rows, source):
+    """Breadth-first layers from ``source`` as bitmasks, nearest first.
+
+    The next frontier is the OR of the frontier's rows minus the vertices
+    already seen, so layer ``k`` is the set of vertices at distance ``k``.
+    """
+    seen = frontier = 1 << source
     while frontier:
-        nxt = []
-        for u in frontier:
-            row = g.rows[u]
-            for v in range(g.n):
-                if row >> v & 1 and dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+        yield frontier
+        reach = 0
+        for u in _bits(frontier):
+            reach |= rows[u]
+        frontier = reach & ~seen
+        seen |= frontier
+
+
+def _is_connected(g):
+    """Single-source connectedness test; the graph must be nonempty."""
+    reached = 0
+    for layer in _bfs_layers(g.rows, 0):
+        reached |= layer
+    return reached == (1 << g.n) - 1
 
 
 def connectivity(g):
     """(is_connected, diameter); diameter is inf when disconnected."""
     if g.n == 0:
         raise EmptyGraph("connectivity of the empty graph is undefined")
-    diameter = 0
-    for s in range(g.n):
-        dist = _bfs_dist(g, s)
-        if min(dist) < 0:
-            return False, INF
-        diameter = max(diameter, max(dist))
-    return True, diameter
+    if not _is_connected(g):
+        return False, INF
+    # every source reaches every vertex; its eccentricity is its layer count - 1
+    return True, max(sum(1 for _ in _bfs_layers(g.rows, s)) - 1 for s in range(g.n))
 
 
 def girth(g):
-    """Length of a shortest cycle, or inf for an acyclic graph."""
+    """Length of a shortest cycle, or inf for an acyclic graph.
+
+    Two adjacent vertices with a common neighbour close a triangle, so the
+    girth is 3 as soon as one edge ``(u, v)`` has ``rows[u] & rows[v]``.
+    Only triangle-free graphs reach the breadth-first search: from each
+    source, a vertex of layer ``k`` with two neighbours in layer ``k - 1``
+    closes a cycle of length ``2k``, and an edge inside layer ``k`` one of
+    length ``2k + 1``; the shortest over all sources is the girth.
+    """
+    rows = g.rows
+    for u in range(g.n):
+        for v in _bits(rows[u]):
+            if rows[u] & rows[v]:
+                return 3
     best = INF
     for s in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[s] = 0
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in g.neighbors(u):
-                    if dist[v] < 0:
-                        dist[v] = dist[u] + 1
-                        parent[v] = u
-                        nxt.append(v)
-                    elif v != parent[u] and dist[v] >= dist[u]:
-                        best = min(best, dist[u] + dist[v] + 1)
-            frontier = nxt
+        prev = 0
+        for depth, layer in enumerate(_bfs_layers(rows, s)):
+            if 2 * depth >= best:
+                break
+            if any((rows[w] & prev).bit_count() >= 2 for w in _bits(layer)):
+                best = 2 * depth
+                break
+            if any(rows[u] & layer for u in _bits(layer)):
+                best = 2 * depth + 1
+                break
+            prev = layer
     return best
 
 
@@ -154,32 +186,26 @@ def is_complete(g):
 def is_eulerian(g):
     if g.n == 0:
         return False
-    connected, _ = connectivity(g)
-    return connected and all(d % 2 == 0 for d in g.degrees())
+    return _is_connected(g) and all(d % 2 == 0 for d in g.degrees())
 
 
 def is_complete_bipartite(g):
     """BFS 2-coloring, then check the part sizes multiply to the edge count."""
     if g.n == 0:
         return False
-    color = [-1] * g.n
+    # colors[0] holds the even BFS layers of every component, colors[1] the odd
+    colors = [0, 0]
+    seen = 0
     for s in range(g.n):
-        if color[s] >= 0:
+        if seen >> s & 1:
             continue
-        color[s] = 0
-        frontier = [s]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in g.neighbors(u):
-                    if color[v] < 0:
-                        color[v] = 1 - color[u]
-                        nxt.append(v)
-                    elif color[v] == color[u]:
-                        return False
-            frontier = nxt
-    a = color.count(0)
-    b = color.count(1)
+        for depth, layer in enumerate(_bfs_layers(g.rows, s)):
+            colors[depth & 1] |= layer
+            seen |= layer
+    for side in colors:
+        if any(g.rows[u] & side for u in _bits(side)):
+            return False
+    a, b = (side.bit_count() for side in colors)
     if a == 0 or b == 0:
         return False
     return g.edge_count() == a * b
@@ -197,8 +223,7 @@ def hamiltonian_cycle(g):
         return None
     if min(g.degrees()) < 2:
         return None
-    connected, _ = connectivity(g)
-    if not connected:
+    if not _is_connected(g):
         return None
     path = [0]
     visited = 1
@@ -247,6 +272,8 @@ def is_planar(g):
     """Exact planarity via the left-right criterion (networkx)."""
     if g.n >= 3 and g.edge_count() > 3 * g.n - 6:
         return False
+    import networkx as nx
+
     ok, _ = nx.check_planarity(g.to_networkx())
     return ok
 

@@ -20,6 +20,11 @@ SPEC_KEYS = {"q", "dim", "basis", "brackets"}
 BRACKET_KEYS = {"left", "right", "value"}
 
 
+def _is_int(value):
+    # JSON true/false decode to bool, which is a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_spec_dict(data):
     """Build an AlgebraSpec from a decoded JSON object."""
     if not isinstance(data, dict):
@@ -31,7 +36,7 @@ def parse_spec_dict(data):
     if missing:
         raise ParseError(f"missing spec keys: {sorted(missing)}")
     q, dim, basis, brackets = data["q"], data["dim"], data["basis"], data["brackets"]
-    if not isinstance(q, int) or not isinstance(dim, int):
+    if not _is_int(q) or not _is_int(dim):
         raise ParseError("q and dim must be integers")
     if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
         raise ParseError("basis must be a list of names")
@@ -43,7 +48,7 @@ def parse_spec_dict(data):
             raise ParseError("each bracket needs exactly the keys left, right, value")
         value = rec["value"]
         if not isinstance(value, dict) or not all(
-            isinstance(k, str) and isinstance(v, int) for k, v in value.items()
+            isinstance(k, str) and _is_int(v) for k, v in value.items()
         ):
             raise ParseError("bracket value must map names to integer coefficients")
         parsed.append((rec["left"], rec["right"], dict(value)))

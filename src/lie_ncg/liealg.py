@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, product
 
-from .errors import CapExceeded, JacobiViolation
+from .errors import CapExceeded, JacobiViolation, LieNcgError
 from .gf import Field, field_new
 from .linalg import Subspace, kernel_basis, mat_rank
 
@@ -20,9 +20,21 @@ DEFAULT_ELEMENT_CAP = 4096
 
 
 def element_cap():
-    """Size cap on q^dim, overridable via the LIE_NCG_CAP environment variable."""
+    """Size cap on q^dim, overridable via the LIE_NCG_CAP environment variable.
+
+    Raises LieNcgError when the variable is set to anything but a positive
+    integer.
+    """
     raw = os.environ.get("LIE_NCG_CAP")
-    return int(raw) if raw else DEFAULT_ELEMENT_CAP
+    if not raw:
+        return DEFAULT_ELEMENT_CAP
+    try:
+        cap = int(raw)
+        if cap > 0:
+            return cap
+    except ValueError:
+        pass
+    raise LieNcgError(f"LIE_NCG_CAP must be a positive integer, got {raw!r}")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 """Independent brute-force oracles used to cross-check library results.
 
 Everything here deliberately avoids the code paths it validates: centralizers
-and centers are found by scanning all elements, planarity by searching for a
-forbidden subdivision, domination by trying every subset.
+and centers are found by scanning all elements, non-commuting graphs by
+bracketing every pair of vertices, planarity by searching for a forbidden
+subdivision, domination by trying every subset.
 """
 
 from itertools import combinations
+
+from lie_ncg.ncg import NcGraph
 
 
 def brute_centralizer(L, x):
@@ -21,6 +24,23 @@ def brute_center(L):
         if all(L.bracket(x, L.basis_vector(i)) == zero for i in range(L.dim)):
             out.add(x)
     return out
+
+
+def graph_by_brackets(L):
+    """The non-commuting graph of L by bracketing every pair of non-central
+    elements, with the vertex order and labels of ``build_graph``."""
+    center = brute_center(L)
+    vertices = [v for v in L.enumerate_elements() if v not in center]
+    n = len(vertices)
+    rows = [0] * n
+    zero = L.zero()
+    for a in range(n):
+        for b in range(a + 1, n):
+            if L.bracket(vertices[a], vertices[b]) != zero:
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+    labels = [L.element_label(v) for v in vertices]
+    return NcGraph(n, rows, vertices, labels, L)
 
 
 def find_inverse(field, a):

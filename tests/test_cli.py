@@ -55,6 +55,14 @@ def test_analyze_json(capsys):
     assert payload["graph"]["domination_number"] == 2
 
 
+@pytest.mark.parametrize("cap", ["abc", "0", "-5", "1.5"])
+def test_bad_element_cap_env_is_a_one_line_error(capsys, monkeypatch, cap):
+    monkeypatch.setenv("LIE_NCG_CAP", cap)
+    code, out, err = run(capsys, "analyze", f"{SPECS}/aff1_f2.json")
+    assert code == 1 and out == ""
+    assert err == f"LieNcgError: LIE_NCG_CAP must be a positive integer, got {cap!r}\n"
+
+
 def test_analyze_text(capsys):
     code, out, _ = run(capsys, "analyze", f"{SPECS}/aff1_f2.json")
     assert code == 0

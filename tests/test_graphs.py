@@ -1,8 +1,12 @@
 """Graph invariants checked against hand-computed values and brute oracles."""
 
 import math
+import random
+from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lie_ncg.errors import BadVertex, CapExceeded, EmptyGraph
 from lie_ncg.graphs import (
@@ -89,6 +93,66 @@ def test_girth():
     assert girth(complete_bipartite(3, 3)) == 4
     assert girth(path(6)) == INF
     assert girth(disjoint_triangles()) == 3
+
+
+def assert_matches_networkx(n, edges):
+    g = Graph.from_edges(n, edges)
+    h = nx.empty_graph(n)
+    h.add_edges_from(edges)
+    connected = nx.is_connected(h)
+    assert connectivity(g) == (connected, nx.diameter(h) if connected else INF)
+    assert girth(g) == nx.girth(h)
+    assert is_eulerian(g) == nx.is_eulerian(h)
+    complete_bip = n >= 2 and connected and nx.is_bipartite(h)
+    if complete_bip:
+        left, right = nx.bipartite.sets(h)
+        complete_bip = len(left) * len(right) == len(edges)
+    assert is_complete_bipartite(g) == complete_bip
+
+
+def random_triangle_free(n, rng):
+    """Greedy random triangle-free graph: add each pair, in random order,
+    unless its ends already share a neighbour."""
+    pairs = list(combinations(range(n), 2))
+    rng.shuffle(pairs)
+    adj = [set() for _ in range(n)]
+    for u, v in pairs[: rng.randrange(len(pairs) + 1)]:
+        if not adj[u] & adj[v]:
+            adj[u].add(v)
+            adj[v].add(u)
+    return [(u, v) for u in range(n) for v in adj[u] if u < v]
+
+
+def test_invariants_match_networkx_on_seeded_graphs():
+    rng = random.Random(2024)
+    cases = [(1, []), (2, []), (5, [(0, 1), (2, 3)]), (10, petersen().edges())]
+    for n in range(1, 15):
+        if n >= 3:
+            cases.append((n, cycle(n).edges()))
+        for p in (0.1, 0.3, 0.5, 0.8):
+            for _ in range(4):
+                cases.append((n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+        for _ in range(6):
+            cases.append((n, random_triangle_free(n, rng)))
+    for n, edges in cases:
+        assert_matches_networkx(n, edges)
+    graphs = [Graph.from_edges(n, edges) for n, edges in cases]
+    assert sum(girth(g) > 3 for g in graphs) > 50
+    assert sum(not connectivity(g)[0] for g in graphs) > 50
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 14))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [e for e, k in zip(pairs, keep) if k]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_invariants_match_networkx_hypothesis(graph):
+    assert_matches_networkx(*graph)
 
 
 def test_degree_predicates():

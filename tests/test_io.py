@@ -42,6 +42,14 @@ def test_parse_rejects_malformed_payloads():
         parse_spec_dict({k: v for k, v in GOOD.items() if k != "dim"})
     with pytest.raises(ParseError):
         parse_spec_dict({**GOOD, "q": "2"})
+    # JSON true decodes to bool, a subclass of int
+    for key in ("q", "dim"):
+        with pytest.raises(ParseError):
+            parse_spec_dict({**GOOD, key: True})
+    with pytest.raises(ParseError):
+        parse_spec_dict(
+            {**GOOD, "brackets": [{"left": "x", "right": "y", "value": {"z": True}}]}
+        )
     with pytest.raises(ParseError):
         parse_spec_dict({**GOOD, "basis": [1, 2, 3]})
     with pytest.raises(ParseError):

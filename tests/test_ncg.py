@@ -1,13 +1,22 @@
 """Non-commuting graph construction."""
 
+import time
+from pathlib import Path
+
 import pytest
 
 from lie_ncg.catalog import catalog_entry
 from lie_ncg.errors import AbelianAlgebra, CapExceeded
 from lie_ncg.gf import field_new
 from lie_ncg.graphs import connectivity, girth, is_planar, is_regular
-from lie_ncg.liealg import LieAlgebra
+from lie_ncg.io import load_spec
+from lie_ncg.liealg import LieAlgebra, algebra_from_spec
 from lie_ncg.ncg import build_graph
+from lie_ncg.verifier import catalog_instances, enumeration_instances
+
+import oracles
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def graph_of(name):
@@ -64,6 +73,23 @@ def test_adjacency_matches_bracket_definition():
                 assert g.has_edge(a, b) == (L.bracket(g.vertices[a], g.vertices[b]) != zero)
 
 
+def test_build_graph_matches_bracket_oracle():
+    """Rows from centralizers equal rows from pairwise brackets, so Lem2.2
+    (deg = |L| - |C(x)|) is not checked against its own construction."""
+    algebras = [inst.L for inst in catalog_instances()]
+    for n in (2, 3):
+        for q in (2, 3):
+            algebras.extend(inst.L for inst in enumeration_instances(n, q))
+    assert len(algebras) == 1569
+    algebras.extend(algebra_from_spec(load_spec(path)) for path in sorted(SPECS.glob("*.json")))
+    heisenberg_f5 = LieAlgebra(field_new(5), 3, {(0, 1): (0, 0, 1)}, basis_names="xyz")
+    algebras.append(heisenberg_f5)
+    for L in algebras:
+        g, want = build_graph(L), oracles.graph_by_brackets(L)
+        assert (g.rows, g.vertices, g.labels) == (want.rows, want.vertices, want.labels), L
+    assert g.n == 120
+
+
 def test_abelian_algebra_rejected():
     L = LieAlgebra(field_new(2), 2, {})
     with pytest.raises(AbelianAlgebra):
@@ -75,3 +101,9 @@ def test_cap_respected():
     with pytest.raises(CapExceeded):
         build_graph(L, cap=8)
     assert build_graph(L, cap=27).n == 24
+    # refused before the 2^18-element center is listed, which takes seconds
+    big = LieAlgebra(field_new(2), 20, {(0, 1): (0, 0, 1) + (0,) * 17}, validate=False)
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        build_graph(big)
+    assert time.perf_counter() - start < 1

@@ -27,18 +27,6 @@ def _check_scope(n, field):
         )
 
 
-def _jacobi_ok(L):
-    zero = L.zero()
-    for i, j, k in combinations(range(L.dim), 3):
-        acc = zero
-        for a, (b, c) in ((i, (j, k)), (k, (i, j)), (j, (k, i))):
-            term = L.bracket(L.basis_vector(a), L.bracket_basis(b, c))
-            acc = tuple(L.field.add(x, y) for x, y in zip(acc, term))
-        if acc != zero:
-            return False
-    return True
-
-
 def structure_tensors(n, field):
     """All antisymmetric structure tensors, as pair->vector dicts, in a
     deterministic order."""
@@ -58,7 +46,7 @@ def jacobi_tensors(n, field):
     _check_scope(n, field)
     for table in structure_tensors(n, field):
         L = LieAlgebra(field, n, table, validate=False)
-        if _jacobi_ok(L):
+        if L.jacobi_failure() is None:
             yield L
 
 

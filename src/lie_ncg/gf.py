@@ -27,25 +27,30 @@ REDUCTION_POLYNOMIALS = {
 }
 
 
+def prime_factors(n):
+    """Yield ``(prime, exponent)`` for each prime dividing n, smallest prime
+    first, by trial division; nothing for n < 2."""
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            k = 0
+            while n % d == 0:
+                n //= d
+                k += 1
+            yield d, k
+        d += 1
+    if n > 1:
+        yield n, 1
+
+
 def prime_power_decomposition(q):
-    """Return ``(p, k)`` with ``q = p^k`` and p prime, or None."""
-    if q < 2:
-        return None
-    p = None
-    m = q
-    for d in range(2, q + 1):
-        if d * d > m:
-            p = m if p is None else p
-            break
-        if m % d == 0:
-            p = d
-            break
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        k += 1
-    if m != 1:
+    """Return ``(p, k)`` with ``q = p^k`` and p prime, or None.
+
+    Only the smallest prime factor is searched for, so a q with a small
+    factor is settled at once however large it is.
+    """
+    p, k = next(prime_factors(q), (None, 0))
+    if p is None or p**k != q:
         return None
     return p, k
 
@@ -145,19 +150,6 @@ class Field:
 
     def elements(self):
         return range(self.q)
-
-
-def arith(field, op, a, b=None):
-    """Dispatch a named field operation; ``b`` is ignored for ``neg``."""
-    if op == "add":
-        return field.add(a, b)
-    if op == "sub":
-        return field.sub(a, b)
-    if op == "mul":
-        return field.mul(a, b)
-    if op == "neg":
-        return field.neg(a)
-    raise ValueError(f"unknown field operation {op!r}")
 
 
 _FIELD_CACHE = {}

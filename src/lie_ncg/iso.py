@@ -1,9 +1,18 @@
-"""Graph isomorphism and canonical forms via color refinement plus backtracking.
+"""Graph isomorphism and canonical forms from one canonical labeling.
 
-``canonical_certificate`` returns a byte string such that two graphs get the
-same certificate exactly when they are isomorphic; it is the lexicographically
-minimal adjacency encoding over all vertex orderings compatible with the
-iterated-degree refinement, searched exhaustively with prefix pruning.
+``_canonical`` orders the vertices of a graph so that isomorphic graphs get
+the same adjacency code in that order.  ``canonical_certificate`` is ``G<n>:``
+followed by that code, so two graphs get the same certificate exactly when
+they are isomorphic, and ``isomorphism`` maps the i-th vertex of one labeling
+to the i-th vertex of the other.
+
+A complete multipartite graph (every non-commuting graph of dimension <= 3)
+is labeled directly: its parts smallest first, each part's vertices in
+ascending order.  Any other graph takes the lexicographically minimal code
+over all vertex orderings compatible with the iterated-degree refinement,
+searched exhaustively with prefix pruning.  Being complete multipartite is an
+isomorphism invariant, so the two paths never give one certificate to two
+non-isomorphic graphs.
 """
 
 from __future__ import annotations
@@ -41,21 +50,38 @@ def _partition_cells(colors):
     return [cells[c] for c in sorted(cells)]
 
 
-_CERT_CACHE = {}
+def _row(g, order, v):
+    """Adjacency of v to the vertices of ``order``, bit i for order[i]."""
+    row = 0
+    for i, u in enumerate(order):
+        if g.has_edge(u, v):
+            row |= 1 << i
+    return row
 
 
-def canonical_certificate(g):
-    """Canonical byte-string form of a graph; equality iff isomorphism."""
-    if g.n > ISO_CAP:
-        raise CapExceeded(f"canonical form capped at {ISO_CAP} vertices")
-    cached = _CERT_CACHE.get((g.n, g.rows))
-    if cached is not None:
-        return cached
+def _multipartite_order(g):
+    """The parts-smallest-first labeling if g is complete multipartite, else None.
+
+    g is complete multipartite when every vertex's closed non-neighbourhood is
+    the same set for all of its members; those sets are then the parts.
+    """
+    full = (1 << g.n) - 1
+    parts = {}
+    for v, row in enumerate(g.rows):
+        parts.setdefault(full & ~row, []).append(v)
+    if any(mask != sum(1 << v for v in members) for mask, members in parts.items()):
+        return None
+    order = []
+    for members in sorted(parts.values(), key=lambda m: (len(m), m[0])):
+        order.extend(members)
+    return order
+
+
+def _search_order(g):
+    """The ordering with the minimal adjacency code among those compatible
+    with refinement, found by individualization with prefix pruning."""
     n = g.n
-    if n == 0:
-        return b"G0:"
-    base = refine_colors(g)
-    best = {"code": None}
+    best = {"code": None, "order": None}
     order = []
     placed_rows = []  # adjacency of each placed vertex to earlier ones, as ints
 
@@ -65,6 +91,7 @@ def canonical_certificate(g):
             code = tuple(placed_rows)
             if best["code"] is None or code < best["code"]:
                 best["code"] = code
+                best["order"] = list(order)
             return
         cells = _partition_cells([colors[v] for v in range(n)])
         # choose the first cell (smallest color) containing an unplaced vertex
@@ -75,10 +102,7 @@ def canonical_certificate(g):
                 target = free
                 break
         for v in target:
-            row = 0
-            for i, u in enumerate(order):
-                if g.has_edge(u, v):
-                    row |= 1 << i
+            row = _row(g, order, v)
             # prefix pruning against the current best code
             if best["code"] is not None:
                 prefix = tuple(placed_rows) + (row,)
@@ -92,101 +116,51 @@ def canonical_certificate(g):
             order.pop()
             placed_rows.pop()
 
-    place(base)
-    body = ",".join(str(r) for r in best["code"])
-    cert = f"G{n}:{body}".encode()
+    place(refine_colors(g))
+    return best["order"]
+
+
+_CERT_CACHE = {}
+
+
+def _canonical(g):
+    """(certificate, canonical labeling) of g; the labeling lists vertices
+    in canonical position order."""
+    cached = _CERT_CACHE.get((g.n, g.rows))
+    if cached is not None:
+        return cached
+    order = _multipartite_order(g)
+    if order is None:
+        order = _search_order(g)
+    body = ",".join(str(_row(g, order[:k], v)) for k, v in enumerate(order))
+    result = (f"G{g.n}:{body}".encode(), order)
     if len(_CERT_CACHE) < 4096:
-        _CERT_CACHE[(g.n, g.rows)] = cert
-    return cert
+        _CERT_CACHE[(g.n, g.rows)] = result
+    return result
 
 
-def _screen_invariants(g):
-    """Cheap invariants that split most non-isomorphic regular graphs:
-    per-vertex triangle counts and complement component sizes."""
-    n = g.n
-    triangles = []
-    for v in range(n):
-        row = g.rows[v]
-        t = 0
-        rest = row
-        while rest:
-            u = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            t += (g.rows[u] & row).bit_count()
-        triangles.append(t // 2)
-    full = (1 << n) - 1
-    comp_sizes = []
-    seen = 0
-    for s in range(n):
-        if seen >> s & 1:
-            continue
-        comp = 1 << s
-        frontier = comp
-        while frontier:
-            nxt = 0
-            rest = frontier
-            while rest:
-                u = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                nxt |= (~g.rows[u] & full & ~(1 << u)) & ~comp
-            comp |= nxt
-            frontier = nxt
-        seen |= comp
-        comp_sizes.append(comp.bit_count())
-    return tuple(sorted(triangles)), tuple(sorted(comp_sizes))
+def canonical_certificate(g):
+    """Canonical byte-string form of a graph; equality iff isomorphism."""
+    if g.n > ISO_CAP:
+        raise CapExceeded(f"canonical form capped at {ISO_CAP} vertices")
+    return _canonical(g)[0]
 
 
 def isomorphism(g1, g2):
     """A vertex bijection preserving adjacency, or None.
 
-    Screens on vertex count, edge count and the refined color histogram, then
-    runs a backtracking match constrained by refinement colors.
+    Screens on vertex count and degree sequence, then compares canonical
+    certificates; the witness composes the two canonical labelings.
     """
     if g1.n > ISO_CAP or g2.n > ISO_CAP:
         raise CapExceeded(f"isomorphism search capped at {ISO_CAP} vertices")
-    if g1.n != g2.n or g1.edge_count() != g2.edge_count():
+    if g1.n != g2.n or sorted(g1.degrees()) != sorted(g2.degrees()):
         return None
-    if sorted(g1.degrees()) != sorted(g2.degrees()):
+    cert1, order1 = _canonical(g1)
+    cert2, order2 = _canonical(g2)
+    if cert1 != cert2:
         return None
-    if _screen_invariants(g1) != _screen_invariants(g2):
-        return None
-    c1 = refine_colors(g1)
-    c2 = refine_colors(g2)
-    if sorted(c1) != sorted(c2):
-        return None
-    n = g1.n
-    # match most-constrained colors first: order g1 vertices by cell size
-    cell_size = {}
-    for c in c1:
-        cell_size[c] = cell_size.get(c, 0) + 1
-    order = sorted(range(n), key=lambda v: (cell_size[c1[v]], c1[v], v))
-    mapping = [-1] * n
-    used = [False] * n
-
-    def match(k):
-        if k == n:
-            return True
-        v = order[k]
-        for w in range(n):
-            if used[w] or c2[w] != c1[v]:
-                continue
-            ok = True
-            for u in order[:k]:
-                if g1.has_edge(v, u) != g2.has_edge(w, mapping[u]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if match(k + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
-
-    if match(0):
-        return {v: mapping[v] for v in range(n)}
-    return None
+    return dict(zip(order1, order2))
 
 
 def graph_isomorphic(g1, g2):

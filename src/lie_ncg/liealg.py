@@ -67,7 +67,9 @@ class LieAlgebra:
             (i, j): tuple(structure.get((i, j), zero)) for i, j in combinations(range(dim), 2)
         }
         if validate:
-            self._check_jacobi()
+            triple = self.jacobi_failure()
+            if triple is not None:
+                raise JacobiViolation(triple)
 
     def __repr__(self):
         return f"LieAlgebra(dim={self.dim} over F_{self.field.q})"
@@ -103,15 +105,18 @@ class LieAlgebra:
                         out[k] = f.add(out[k], f.mul(s, c))
         return tuple(out)
 
-    def _check_jacobi(self):
+    def jacobi_failure(self):
+        """The first basis triple ``(i, j, k)`` on which the Jacobi identity
+        fails, or None when it holds everywhere."""
+        zero = self.zero()
         for i, j, k in combinations(range(self.dim), 3):
-            acc = [0] * self.dim
+            acc = zero
             for a, (b, c) in ((i, (j, k)), (k, (i, j)), (j, (k, i))):
-                inner = self.bracket_basis(b, c)
-                outer = self.bracket(self.basis_vector(a), inner)
-                acc = [self.field.add(x, y) for x, y in zip(acc, outer)]
-            if any(acc):
-                raise JacobiViolation((i, j, k))
+                term = self.bracket(self.basis_vector(a), self.bracket_basis(b, c))
+                acc = tuple(self.field.add(x, y) for x, y in zip(acc, term))
+            if acc != zero:
+                return (i, j, k)
+        return None
 
     # -- derived structure --------------------------------------------------
 
@@ -170,14 +175,6 @@ class LieAlgebra:
         for c in reversed(vec):
             idx = idx * self.field.q + c
         return idx
-
-    def element_from_index(self, idx):
-        q = self.field.q
-        out = []
-        for _ in range(self.dim):
-            out.append(idx % q)
-            idx //= q
-        return tuple(out)
 
     def enumerate_elements(self, cap=None):
         cap = element_cap() if cap is None else cap

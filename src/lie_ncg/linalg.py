@@ -66,19 +66,6 @@ def mat_vec(field, rows, vec):
     return tuple(out)
 
 
-def mat_mul(field, a, b):
-    bt = list(zip(*b))
-    return [tuple(sum_dot(field, row, col) for col in bt) for row in a]
-
-
-def sum_dot(field, u, v):
-    acc = 0
-    for a, x in zip(u, v):
-        if a and x:
-            acc = field.add(acc, field.mul(a, x))
-    return acc
-
-
 def mat_rank(field, rows):
     reduced, _ = rref(field, rows)
     return len(reduced)

@@ -19,7 +19,7 @@ from . import graphs
 from .catalog import builtin_catalog
 from .enumeration import algebras_equivalent, enumerate_algebras
 from .errors import UnknownStatement
-from .gf import field_new, prime_power_decomposition
+from .gf import field_new, prime_factors, prime_power_decomposition
 from .iso import canonical_certificate, isomorphism
 from .ncg import build_graph
 from .refgraphs import figure_graph
@@ -422,22 +422,9 @@ def check_figures():
 # -- isomorphism consequences (section 4 style checks) -------------------------
 
 
-def _prime_factorization(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def _degree_shapes(degree):
     """Which degree-shape hypotheses a vertex degree satisfies."""
-    fac = _prime_factorization(degree)
+    fac = dict(prime_factors(degree))
     shapes = set()
     if len(fac) == 1:
         shapes.add("prime_power")

@@ -141,3 +141,20 @@ def test_enumerate_defaults(capsys):
     payload = json.loads(out)
     assert payload["instances"] == 3
     assert payload["cells"]["iso/equal"] == 3
+
+
+def test_enumerate_q2_q3(capsys):
+    # every dim <= 3 graph is complete multipartite, so this table needs no
+    # exhaustive certificate search; the cells agree with sorted part sizes
+    # of the bracket-oracle graphs (tests/oracles.py::graph_by_brackets)
+    code, out, _ = run(capsys, "enumerate", "--n", "3", "--q", "2", "--q", "3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["instances"] == 1560
+    assert payload["pairs"] == 1216020
+    assert payload["cells"] == {
+        "iso/equal": 363053,
+        "iso/unequal": 0,
+        "non-iso/equal": 665734,
+        "non-iso/unequal": 187233,
+    }

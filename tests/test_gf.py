@@ -3,7 +3,7 @@
 import pytest
 
 from lie_ncg.errors import NotPrimePower, UnsupportedField
-from lie_ncg.gf import arith, field_new, prime_power_decomposition
+from lie_ncg.gf import field_new, prime_factors, prime_power_decomposition
 
 import oracles
 
@@ -18,6 +18,11 @@ def test_prime_power_decomposition():
     assert prime_power_decomposition(6) is None
     assert prime_power_decomposition(12) is None
     assert prime_power_decomposition(1) is None
+    # 2 times the Mersenne prime 2^61 - 1: settled by its factor 2 alone
+    assert prime_power_decomposition(2 * (2**61 - 1)) is None
+    assert list(prime_factors(1)) == []
+    assert list(prime_factors(360)) == [(2, 3), (3, 2), (5, 1)]
+    assert list(prime_factors(97)) == [(97, 1)]
 
 
 def test_field_new_basic():
@@ -92,13 +97,3 @@ def test_inverses_and_characteristic(q):
     assert acc == 0
     with pytest.raises(ZeroDivisionError):
         f.inverse(0)
-
-
-def test_arith_dispatch():
-    f3 = field_new(3)
-    assert arith(f3, "add", 1, 2) == 0
-    assert arith(f3, "sub", 0, 1) == 2
-    assert arith(f3, "mul", 2, 2) == 1
-    assert arith(f3, "neg", 1) == 2
-    with pytest.raises(ValueError):
-        arith(f3, "div", 1, 2)

@@ -1,12 +1,17 @@
 """Isomorphism testing and canonical certificates."""
 
 import random
+from functools import cache
+from itertools import combinations
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lie_ncg.errors import CapExceeded
 from lie_ncg.graphs import Graph
 from lie_ncg.iso import canonical_certificate, graph_isomorphic, isomorphism, refine_colors
+from lie_ncg.verifier import catalog_instances, enumeration_instances
 
 
 def cycle(n):
@@ -18,6 +23,24 @@ def petersen():
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     return Graph.from_edges(10, outer + inner + spokes)
+
+
+def complete_bipartite(a, b):
+    return Graph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+@cache
+def pool_graphs():
+    """The distinct labeled graphs of the catalog and of every enumerated
+    non-abelian algebra with dim <= 3 and q in {2, 3}."""
+    instances = catalog_instances()
+    for q in (2, 3):
+        for n in (2, 3):
+            instances.extend(enumeration_instances(n, q))
+    distinct = {}
+    for inst in instances:
+        distinct.setdefault(inst.graph.rows, (inst.name, inst.graph))
+    return list(distinct.values())
 
 
 def relabel(g, perm):
@@ -44,7 +67,7 @@ def test_refine_colors_splits_degree_classes():
 
 def test_isomorphic_relabelings():
     rng = random.Random(7)
-    for g in [cycle(7), petersen(), Graph.complete(5)]:
+    for g in [cycle(7), petersen(), Graph.complete(5), complete_bipartite(2, 3)]:
         perm = list(range(g.n))
         rng.shuffle(perm)
         h = relabel(g, perm)
@@ -52,6 +75,29 @@ def test_isomorphic_relabelings():
         assert iso
         check_witness(g, h, witness)
         assert canonical_certificate(g) == canonical_certificate(h)
+    # on one of these two labelings the search's first complete ordering does
+    # not have the minimal code, so a labeling kept from the wrong leaf shows
+    g = Graph(8, [134, 21, 163, 224, 98, 92, 56, 13])
+    h = relabel(g, [7, 5, 1, 3, 0, 2, 6, 4])
+    assert canonical_certificate(g) == canonical_certificate(h)
+    check_witness(g, h, isomorphism(g, h))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_pool_relabelings_keep_certificate_hypothesis(rng):
+    # 47 graphs, among them the non-multipartite split_pairs_f2, the 26-vertex
+    # graphs over F_3 and the 60-vertex heisenberg_f4
+    graphs = pool_graphs()
+    assert len(graphs) == 47
+    for name, g in graphs:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = relabel(g, perm)
+        assert canonical_certificate(h) == canonical_certificate(g), name
+        witness = isomorphism(g, h)
+        assert witness is not None, name
+        check_witness(g, h, witness)
 
 
 def test_non_isomorphic_same_degree_sequence():
@@ -68,6 +114,13 @@ def test_non_isomorphic_same_degree_sequence():
     )
     assert isomorphism(petersen(), prism) is None
     assert canonical_certificate(petersen()) != canonical_certificate(prism)
+    # K_{3,3} versus the triangular prism: both 3-regular on 6 vertices, and
+    # only K_{3,3} is complete multipartite
+    tri_prism = Graph.from_edges(
+        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    )
+    assert isomorphism(complete_bipartite(3, 3), tri_prism) is None
+    assert canonical_certificate(complete_bipartite(3, 3)) != canonical_certificate(tri_prism)
 
 
 def test_size_mismatches_rejected_quickly():
@@ -106,15 +159,17 @@ def test_caps():
 
 
 def test_certificates_separate_all_small_graphs():
-    # all graphs on 4 vertices: certificates agree exactly on isomorphic pairs
-    from itertools import combinations
-
-    pairs = list(combinations(range(4), 2))
-    graphs = []
-    for mask in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        graphs.append(Graph.from_edges(4, edges))
-    for g in graphs:
-        for h in graphs:
-            same = canonical_certificate(g) == canonical_certificate(h)
-            assert same == (isomorphism(g, h) is not None)
+    # all labeled graphs on 4 and 5 vertices: the certificate classes are
+    # exactly the 11 and 34 isomorphism classes, with networkx as the oracle
+    for n, classes in ((4, 11), (5, 34)):
+        pairs = list(combinations(range(n), 2))
+        by_cert = {}
+        for mask in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+            by_cert.setdefault(canonical_certificate(g), []).append(g)
+        assert len(by_cert) == classes
+        for members in by_cert.values():
+            first = members[0]
+            for g in members:
+                assert nx.is_isomorphic(first.to_networkx(), g.to_networkx())
+                check_witness(first, g, isomorphism(first, g))

@@ -9,7 +9,7 @@ import sys
 from . import graphs as graph_ops
 from . import io as ncg_io
 from . import verifier
-from .errors import LieNcgError, ParseError
+from .errors import LieNcgError
 from .iso import isomorphism
 from .liealg import algebra_from_spec
 from .ncg import build_graph
@@ -20,20 +20,8 @@ def _load_algebra(path):
     return algebra_from_spec(spec)
 
 
-def _emit_error(exc, as_json):
-    payload = {"error": type(exc).__name__, "message": str(exc)}
-    if as_json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"{payload['error']}: {payload['message']}", file=sys.stderr)
-
-
 def cmd_validate(args):
-    try:
-        _load_algebra(args.path)
-    except (LieNcgError, OSError) as exc:
-        _emit_error(exc, args.format == "json")
-        return 1
+    _load_algebra(args.path)
     if args.format == "json":
         print(json.dumps({"ok": True}))
     else:
@@ -59,13 +47,9 @@ def _algebra_facts(L, graph):
 
 
 def cmd_analyze(args):
-    try:
-        L = _load_algebra(args.path)
-        graph = build_graph(L)
-        report = graph_ops.property_report(graph)
-    except (LieNcgError, OSError) as exc:
-        _emit_error(exc, args.format == "json")
-        return 1
+    L = _load_algebra(args.path)
+    graph = build_graph(L)
+    report = graph_ops.property_report(graph)
     payload = {"algebra": _algebra_facts(L, graph), "graph": report.to_dict()}
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -78,12 +62,7 @@ def cmd_analyze(args):
 
 
 def cmd_export(args):
-    try:
-        L = _load_algebra(args.path)
-        graph = build_graph(L)
-    except (LieNcgError, OSError) as exc:
-        _emit_error(exc, False)
-        return 1
+    graph = build_graph(_load_algebra(args.path))
     render = {
         "dot": ncg_io.export_dot,
         "graphml": ncg_io.export_graphml,
@@ -99,16 +78,12 @@ def cmd_export(args):
 
 
 def cmd_verify(args):
-    try:
-        if args.scope == "catalog":
-            instances = verifier.catalog_instances()
-        else:
-            instances = verifier.enumeration_instances(args.n, args.q)
-        ids = None if args.statement == "all" else [args.statement]
-        reports = verifier.check_all_statements(instances, statement_ids=ids)
-    except LieNcgError as exc:
-        _emit_error(exc, args.format == "json")
-        return 1
+    if args.scope == "catalog":
+        instances = verifier.catalog_instances()
+    else:
+        instances = verifier.enumeration_instances(args.n, args.q)
+    ids = None if args.statement == "all" else [args.statement]
+    reports = verifier.check_all_statements(instances, statement_ids=ids)
     failed = False
     for report in reports:
         failed = failed or report.status != "pass"
@@ -125,15 +100,11 @@ def cmd_verify(args):
 
 
 def cmd_compare(args):
-    try:
-        L1 = _load_algebra(args.path_a)
-        L2 = _load_algebra(args.path_b)
-        g1, g2 = build_graph(L1), build_graph(L2)
-        witness = isomorphism(g1, g2)
-        report = verifier.check_iso_theorems([("A", L1, "B", L2)])
-    except (LieNcgError, OSError) as exc:
-        _emit_error(exc, True)
-        return 1
+    L1 = _load_algebra(args.path_a)
+    L2 = _load_algebra(args.path_b)
+    g1, g2 = build_graph(L1), build_graph(L2)
+    witness = isomorphism(g1, g2)
+    report = verifier.check_iso_theorems([("A", L1, "B", L2)])
     payload = {
         "isomorphic": witness is not None,
         "witness": {g1.labels[k]: g2.labels[v] for k, v in witness.items()} if witness else None,
@@ -148,11 +119,7 @@ def cmd_compare(args):
 
 
 def cmd_enumerate(args):
-    try:
-        summary = verifier.explore_conjecture(n_max=args.n, qs=tuple(args.q))
-    except LieNcgError as exc:
-        _emit_error(exc, True)
-        return 1
+    summary = verifier.explore_conjecture(n_max=args.n, qs=tuple(args.q))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -178,7 +145,7 @@ def build_parser():
     p.add_argument("path")
     p.add_argument("--out", choices=["dot", "graphml", "json"], default="dot")
     p.add_argument("--output", help="write to a file instead of stdout")
-    p.set_defaults(func=cmd_export)
+    p.set_defaults(func=cmd_export, format="text")
 
     p = sub.add_parser("verify", help="run registered statements over a scope")
     p.add_argument("--scope", choices=["catalog", "enumerate"], default="catalog")
@@ -191,22 +158,32 @@ def build_parser():
     p = sub.add_parser("compare", help="graph isomorphism and its consequences")
     p.add_argument("path_a")
     p.add_argument("path_b")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, format="json")
 
     p = sub.add_parser("enumerate", help="conjecture exploration table")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--q", type=int, action="append", default=None)
-    p.set_defaults(func=cmd_enumerate)
+    p.set_defaults(func=cmd_enumerate, format="json")
 
     return parser
 
 
 def main(argv=None):
+    """Run one command.  Every LieNcgError or OSError ends as one error line,
+    JSON on stdout under ``format`` "json" and text on stderr otherwise, and
+    exit code 1."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "enumerate" and args.q is None:
         args.q = [2]
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (LieNcgError, OSError) as exc:
+        if args.format == "json":
+            print(json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True))
+        else:
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .errors import CapExceeded
-from .gf import field_new
 from .liealg import LieAlgebra
 from .linalg import mat_inv, mat_vec
 
@@ -42,7 +41,9 @@ def tensor_key(table, n):
 
 
 def jacobi_tensors(n, field):
-    """All Jacobi-satisfying structure tensors (abelian included)."""
+    """Stream all Jacobi-satisfying structure tensors (abelian included), one
+    LieAlgebra each and not deduplicated; ``orbit_partition`` gives one
+    representative per GL(n, q) class."""
     _check_scope(n, field)
     for table in structure_tensors(n, field):
         L = LieAlgebra(field, n, table, validate=False)
@@ -103,17 +104,4 @@ def orbit_partition(n, field):
     return orbits
 
 
-def enumerate_algebras(n, field, dedupe=False):
-    """Stream all Jacobi-satisfying algebras of the given shape.
-
-    With ``dedupe`` only one representative per GL(n, q)-isomorphism class is
-    yielded; the default streams every raw tensor, which is what universally
-    quantified statement checks use.
-    """
-    if isinstance(field, int):
-        field = field_new(field)
-    if dedupe:
-        for L, _size in orbit_partition(n, field):
-            yield L
-    else:
-        yield from jacobi_tensors(n, field)
+enumerate_algebras = jacobi_tensors

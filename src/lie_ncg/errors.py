@@ -52,10 +52,6 @@ class AbelianAlgebra(LieNcgError):
     """The algebra is abelian, so its non-commuting graph has no vertices."""
 
 
-class BadVertex(LieNcgError):
-    """A vertex id is out of range for the graph."""
-
-
 class EmptyGraph(LieNcgError):
     """The operation needs at least one vertex."""
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .errors import NotPrimePower, UnsupportedField
 
-DEFAULT_CAP = 27
+FIELD_CAP = 27
 
 # Monic irreducible reduction polynomials, little-endian coefficients over F_p
 # (constant term first, leading coefficient last).
@@ -155,14 +155,18 @@ class Field:
 _FIELD_CACHE = {}
 
 
-def field_new(q, cap=DEFAULT_CAP):
-    """Build F_q, or raise NotPrimePower / UnsupportedField."""
-    if q in _FIELD_CACHE and q <= cap:
+def field_new(q):
+    """Build F_q, or raise NotPrimePower / UnsupportedField.
+
+    The cap comes before the prime-power test, so a huge q is refused without
+    trial division.
+    """
+    if q in _FIELD_CACHE:
         return _FIELD_CACHE[q]
-    if q < 2 or prime_power_decomposition(q) is None:
+    if q > FIELD_CAP:
+        raise UnsupportedField(f"field order {q} exceeds the cap {FIELD_CAP}")
+    if prime_power_decomposition(q) is None:
         raise NotPrimePower(f"{q} is not a prime power")
-    if q > cap:
-        raise UnsupportedField(f"field order {q} exceeds the cap {cap}")
     p, k = prime_power_decomposition(q)
     if k == 1:
         poly = ()

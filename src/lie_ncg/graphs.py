@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BadVertex, CapExceeded, EmptyGraph
+from .errors import CapExceeded, EmptyGraph
 
 HAMILTON_EXACT_CAP = 64
 DOMINATION_CAP = 32
@@ -52,14 +52,6 @@ class Graph:
     def complete(cls, n):
         full = (1 << n) - 1
         return cls(n, [full & ~(1 << i) for i in range(n)])
-
-    def check_vertex(self, v):
-        if not 0 <= v < self.n:
-            raise BadVertex(f"vertex {v} out of range [0, {self.n})")
-
-    def degree(self, v):
-        self.check_vertex(v)
-        return self.rows[v].bit_count()
 
     def degrees(self):
         return [r.bit_count() for r in self.rows]
@@ -258,9 +250,9 @@ def hamiltonian_cycle(g):
     return list(path) if extend() else None
 
 
-def is_hamiltonian(g, force_exact=False):
+def is_hamiltonian(g):
     """Dirac shortcut when it applies, exact backtracking otherwise."""
-    if not force_exact and g.n >= 3 and 2 * min(g.degrees()) >= g.n:
+    if g.n >= 3 and 2 * min(g.degrees()) >= g.n:
         return True
     return hamiltonian_cycle(g) is not None
 
@@ -289,12 +281,12 @@ def is_outerplanar(g):
 # -- domination ----------------------------------------------------------------
 
 
-def domination_number(g, cap=DOMINATION_CAP):
+def domination_number(g):
     """Smallest dominating-set size by increasing-size branch and bound."""
     if g.n == 0:
         raise EmptyGraph("domination number of the empty graph is undefined")
-    if g.n > cap:
-        raise CapExceeded(f"exact domination search capped at {cap} vertices")
+    if g.n > DOMINATION_CAP:
+        raise CapExceeded(f"exact domination search capped at {DOMINATION_CAP} vertices")
     closed = [g.rows[v] | (1 << v) for v in range(g.n)]
     all_mask = (1 << g.n) - 1
 
@@ -365,7 +357,7 @@ class PropertyReport:
         }
 
 
-def property_report(g, domination_cap=DOMINATION_CAP):
+def property_report(g):
     """Compute the full invariant summary for one graph.
 
     The domination number is reported as the string ``"skipped"`` when the
@@ -374,7 +366,7 @@ def property_report(g, domination_cap=DOMINATION_CAP):
     degs = g.degrees()
     connected, diameter = connectivity(g)
     try:
-        gamma = domination_number(g, cap=domination_cap)
+        gamma = domination_number(g)
     except CapExceeded:
         gamma = "skipped"
     return PropertyReport(

@@ -13,7 +13,6 @@ import json
 from xml.sax.saxutils import escape
 
 from .errors import ParseError
-from .graphs import Graph
 from .liealg import AlgebraSpec
 
 SPEC_KEYS = {"q", "dim", "basis", "brackets"}
@@ -46,6 +45,8 @@ def parse_spec_dict(data):
     for rec in brackets:
         if not isinstance(rec, dict) or set(rec) != BRACKET_KEYS:
             raise ParseError("each bracket needs exactly the keys left, right, value")
+        if not isinstance(rec["left"], str) or not isinstance(rec["right"], str):
+            raise ParseError("bracket left and right must be basis names")
         value = rec["value"]
         if not isinstance(value, dict) or not all(
             isinstance(k, str) and _is_int(v) for k, v in value.items()
@@ -59,21 +60,10 @@ def load_spec(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested past the interpreter's depth
         raise ParseError(f"invalid JSON: {exc}") from exc
     return parse_spec_dict(data)
-
-
-def spec_to_dict(spec):
-    return {
-        "q": spec.q,
-        "dim": spec.dim,
-        "basis": list(spec.basis),
-        "brackets": [
-            {"left": left, "right": right, "value": dict(value)}
-            for left, right, value in spec.brackets
-        ],
-    }
 
 
 # -- graph export --------------------------------------------------------------
@@ -123,15 +113,3 @@ def export_json(g):
         "edges": [[a, b] for a, b in _sorted_label_edges(g)],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def load_graph_json(text):
-    """Rebuild a Graph from the JSON export format."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    labels = data["vertices"]
-    index = {lab: i for i, lab in enumerate(labels)}
-    edges = [(index[a], index[b]) for a, b in data["edges"]]
-    return Graph.from_edges(len(labels), edges, labels=labels)

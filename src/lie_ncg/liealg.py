@@ -37,6 +37,14 @@ def element_cap():
     raise LieNcgError(f"LIE_NCG_CAP must be a positive integer, got {raw!r}")
 
 
+def check_element_cap(order):
+    """Raise CapExceeded when an algebra of ``order`` = q^dim elements is
+    past the element cap."""
+    cap = element_cap()
+    if order > cap:
+        raise CapExceeded(f"q^dim = {order} exceeds the element cap {cap}")
+
+
 @dataclass(frozen=True)
 class AlgebraSpec:
     """A textual presentation: basis names plus the nonzero basis brackets.
@@ -169,17 +177,8 @@ class LieAlgebra:
     def order(self):
         return self.field.q ** self.dim
 
-    def index_of(self, vec):
-        """Bijective base-q little-endian index of an element in [0, q^dim)."""
-        idx = 0
-        for c in reversed(vec):
-            idx = idx * self.field.q + c
-        return idx
-
-    def enumerate_elements(self, cap=None):
-        cap = element_cap() if cap is None else cap
-        if self.order > cap:
-            raise CapExceeded(f"q^dim = {self.order} exceeds the element cap {cap}")
+    def enumerate_elements(self):
+        check_element_cap(self.order)
         for coeffs in product(self.field.elements(), repeat=self.dim):
             # product varies the last coordinate fastest; re-order so the
             # stream is increasing in the little-endian index
@@ -199,7 +198,9 @@ def algebra_from_spec(spec):
     """Build and validate a LieAlgebra from an AlgebraSpec.
 
     Raises the spec-validation errors from :mod:`lie_ncg.errors`; Jacobi is
-    checked on every basis triple before the algebra is returned.
+    checked on every basis triple before the algebra is returned.  That check
+    costs about dim^5 steps, so an algebra past the element cap raises
+    CapExceeded before it runs.
     """
     from .errors import DuplicateBracket, ParseError, SelfBracketNonzero, UnknownBasisName
 
@@ -233,4 +234,5 @@ def algebra_from_spec(spec):
         if i > j:
             vec = [field.neg(c) for c in vec]
         structure[key] = tuple(vec)
+    check_element_cap(spec.q ** spec.dim)
     return LieAlgebra(field, spec.dim, structure, basis_names=names)

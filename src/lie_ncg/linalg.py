@@ -91,10 +91,6 @@ class Subspace:
         self.basis_matrix = tuple(reduced)
 
     @classmethod
-    def zero(cls, field, ambient_dim):
-        return cls(field, ambient_dim, [])
-
-    @classmethod
     def full(cls, field, ambient_dim):
         rows = [[1 if i == j else 0 for j in range(ambient_dim)] for i in range(ambient_dim)]
         return cls(field, ambient_dim, rows)
@@ -106,10 +102,6 @@ class Subspace:
     @property
     def cardinality(self):
         return self.field.q ** self.dim
-
-    def contains(self, vec):
-        rows = list(self.basis_matrix) + [tuple(vec)]
-        return mat_rank(self.field, rows) == self.dim
 
     def elements(self):
         """All q^dim vectors of the subspace, in a deterministic order."""

@@ -8,19 +8,17 @@ from __future__ import annotations
 
 from .errors import AbelianAlgebra
 from .graphs import Graph
-from .liealg import element_cap
 
 
 class NcGraph(Graph):
     """A Graph whose vertices carry the algebra elements that produced them."""
 
-    def __init__(self, n, rows, vertices, labels, algebra):
+    def __init__(self, n, rows, vertices, labels):
         super().__init__(n, rows, labels)
         self.vertices = tuple(vertices)
-        self.algebra = algebra
 
 
-def build_graph(L, cap=None):
+def build_graph(L):
     """Build the non-commuting graph of a non-abelian algebra.
 
     Row ``x`` is every vertex outside the centralizer: x commutes with y
@@ -33,9 +31,8 @@ def build_graph(L, cap=None):
     """
     if L.is_abelian():
         raise AbelianAlgebra("abelian algebra: the non-commuting graph has no vertices")
-    cap = element_cap() if cap is None else cap
     # list L first: the cap check there also bounds the size of the center
-    elements = list(L.enumerate_elements(cap=cap))
+    elements = list(L.enumerate_elements())
     center = set(L.center().elements())
     vertices = [v for v in elements if v not in center]
     position = {v: i for i, v in enumerate(vertices)}
@@ -54,4 +51,4 @@ def build_graph(L, cap=None):
         for c in scalars:
             rows[position[tuple(f.mul(c, a) for a in x)]] = full & ~commuting
     labels = [L.element_label(v) for v in vertices]
-    return NcGraph(n, rows, vertices, labels, L)
+    return NcGraph(n, rows, vertices, labels)

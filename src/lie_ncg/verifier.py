@@ -94,11 +94,11 @@ def catalog_instances():
     return [Instance(entry.name, entry.algebra()) for entry in builtin_catalog()]
 
 
-def enumeration_instances(n, q, dedupe=False):
+def enumeration_instances(n, q):
     """Every non-abelian Jacobi-satisfying structure of the given shape."""
     field = field_new(q)
     out = []
-    for idx, L in enumerate(enumerate_algebras(n, field, dedupe=dedupe)):
+    for idx, L in enumerate(enumerate_algebras(n, field)):
         if not L.is_abelian():
             out.append(Instance(f"enum(n={n},q={q})#{idx}", L))
     return out
@@ -445,20 +445,15 @@ def _degree_shapes(degree):
 def check_iso_theorems(pairs):
     """Consequence checks on pairs of algebras with isomorphic graphs.
 
-    ``pairs`` is a sequence of ``(name1, L1, name2, L2)`` or ``(L1, L2)``
-    tuples.  Pairs whose graphs are not isomorphic are vacuous.  The witness
-    of each graph isomorphism is re-verified edge by edge.
+    ``pairs`` is a sequence of ``(name1, L1, name2, L2)`` tuples.  Pairs
+    whose graphs are not isomorphic are vacuous.  The witness of each graph
+    isomorphism is re-verified edge by edge.
     """
     report = TheoremReport(
         statement_id="IsoTheorems",
         quote="graph isomorphism constrains field order and algebra order",
     )
-    for pair in pairs:
-        if len(pair) == 4:
-            name1, L1, name2, L2 = pair
-        else:
-            L1, L2 = pair
-            name1, name2 = repr(L1), repr(L2)
+    for name1, L1, name2, L2 in pairs:
         label = f"{name1} ~ {name2}"
         report.instances_checked += 1
         g1, g2 = build_graph(L1), build_graph(L2)

@@ -40,7 +40,7 @@ def graph_by_brackets(L):
                 rows[a] |= 1 << b
                 rows[b] |= 1 << a
     labels = [L.element_label(v) for v in vertices]
-    return NcGraph(n, rows, vertices, labels, L)
+    return NcGraph(n, rows, vertices, labels)
 
 
 def find_inverse(field, a):

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior through main(argv)."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -158,3 +159,42 @@ def test_enumerate_q2_q3(capsys):
         "non-iso/equal": 665734,
         "non-iso/unequal": 187233,
     }
+
+
+def _spec_file(tmp_path, **overrides):
+    spec = {"q": 2, "dim": 2, "basis": ["x", "y"], "brackets": [], **overrides}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("unwritable output", "FileNotFoundError"),
+        ("not UTF-8", "ParseError"),
+        ("list as bracket name", "ParseError"),
+        ("q = 2^61 - 1", "UnsupportedField"),
+        ("200-dim spec", "CapExceeded"),
+    ],
+)
+def test_bad_input_is_a_one_line_error(capsys, tmp_path, case, error):
+    if case == "unwritable output":
+        argv = ["export", f"{SPECS}/aff1_f2.json", "--output", str(tmp_path / "no" / "x.dot")]
+    elif case == "not UTF-8":
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"q": 2, "dim": 1, "basis": ["\xe9"], "brackets": []}')
+        argv = ["validate", str(path)]
+    elif case == "list as bracket name":
+        bracket = {"left": ["x"], "right": "y", "value": {"x": 1}}
+        argv = ["validate", _spec_file(tmp_path, brackets=[bracket])]
+    elif case == "q = 2^61 - 1":
+        argv = ["validate", _spec_file(tmp_path, q=2**61 - 1)]
+    else:
+        basis = [f"e{i}" for i in range(200)]
+        argv = ["validate", _spec_file(tmp_path, dim=200, basis=basis)]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.startswith(f"{error}: ") and err.count("\n") == 1

@@ -1,17 +1,24 @@
 """Exhaustive structure-tensor enumeration and GL-equivalence."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lie_ncg.catalog import catalog_entry
+from lie_ncg.catalog import builtin_catalog, catalog_entry
 from lie_ncg.enumeration import (
     algebras_equivalent,
     enumerate_algebras,
     gl_matrices,
     jacobi_tensors,
     orbit_partition,
+    transform_structure,
 )
 from lie_ncg.errors import CapExceeded
 from lie_ncg.gf import field_new
+from lie_ncg.graphs import property_report
+from lie_ncg.iso import canonical_certificate
+from lie_ncg.liealg import LieAlgebra
+from lie_ncg.linalg import mat_inv
+from lie_ncg.ncg import build_graph
 
 
 def test_dim2_counts():
@@ -23,8 +30,7 @@ def test_dim2_counts():
 
 
 def test_dim2_dedupe_single_nonabelian_class():
-    f2 = field_new(2)
-    reps = [L for L in enumerate_algebras(2, f2, dedupe=True) if not L.is_abelian()]
+    reps = [L for L, _size in orbit_partition(2, field_new(2)) if not L.is_abelian()]
     assert len(reps) == 1
 
 
@@ -69,5 +75,18 @@ def test_enumeration_scope_caps():
         list(enumerate_algebras(2, field_new(4)))
 
 
-def test_enumerate_accepts_plain_q():
-    assert len(list(enumerate_algebras(2, 2))) == 4
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([entry.name for entry in builtin_catalog()]), st.data())
+def test_gl_basis_change_keeps_certificate_and_report_hypothesis(name, data):
+    # a basis change permutes the elements, so it relabels the graph
+    L = catalog_entry(name).algebra()
+    f, n = L.field, L.dim
+    g = data.draw(
+        st.lists(st.sampled_from(range(f.q)), min_size=n * n, max_size=n * n)
+        .map(lambda e: tuple(tuple(e[i * n:(i + 1) * n]) for i in range(n)))
+        .filter(lambda m: mat_inv(f, m) is not None)
+    )
+    M = LieAlgebra(f, n, transform_structure(L, g, mat_inv(f, g)), basis_names=L.basis_names)
+    G, H = build_graph(L), build_graph(M)
+    assert canonical_certificate(H) == canonical_certificate(G)
+    assert property_report(H).to_dict() == property_report(G).to_dict()

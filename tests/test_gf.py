@@ -1,5 +1,7 @@
 """Field construction and arithmetic, checked exhaustively per order."""
 
+import time
+
 import pytest
 
 from lie_ncg.errors import NotPrimePower, UnsupportedField
@@ -44,6 +46,11 @@ def test_field_new_rejects_over_cap():
         field_new(32)
     with pytest.raises(UnsupportedField):
         field_new(29)
+    # the Mersenne prime 2^61 - 1: refused without trial division to 2^30.5
+    start = time.perf_counter()
+    with pytest.raises(UnsupportedField):
+        field_new(2**61 - 1)
+    assert time.perf_counter() - start < 1
 
 
 def test_spot_values():

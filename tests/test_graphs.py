@@ -8,7 +8,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lie_ncg.errors import BadVertex, CapExceeded, EmptyGraph
+from lie_ncg.errors import CapExceeded, EmptyGraph
 from lie_ncg.graphs import (
     Graph,
     connectivity,
@@ -63,12 +63,10 @@ def disjoint_triangles():
 def test_graph_basics():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 2)])
     assert g.edge_count() == 3
-    assert g.degree(1) == 2
+    assert g.degrees() == [1, 2, 2, 1]
     assert g.neighbors(2) == [1, 3]
     assert g.has_edge(0, 1) and not g.has_edge(0, 3)
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
-    with pytest.raises(BadVertex):
-        g.degree(4)
     assert Graph.complete(5).edge_count() == 10
     # self-loops are dropped
     assert Graph.from_edges(2, [(0, 0), (0, 1)]).edge_count() == 1
@@ -191,7 +189,7 @@ def test_hamiltonian_cycle_exact():
 
 def test_is_hamiltonian_dirac_consistent_with_exact():
     for g in [Graph.complete(6), cycle(7), octahedron(), complete_bipartite(3, 3)]:
-        assert is_hamiltonian(g) == is_hamiltonian(g, force_exact=True)
+        assert is_hamiltonian(g) == (hamiltonian_cycle(g) is not None)
     assert not is_hamiltonian(petersen())
 
 

@@ -1,6 +1,7 @@
 """Spec parsing and deterministic graph exports."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,13 +11,13 @@ from lie_ncg.io import (
     export_dot,
     export_graphml,
     export_json,
-    load_graph_json,
     load_spec,
     parse_spec_dict,
-    spec_to_dict,
 )
 from lie_ncg.liealg import algebra_from_spec
 from lie_ncg.ncg import build_graph
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 GOOD = {
     "q": 2,
@@ -30,7 +31,13 @@ def test_parse_round_trip():
     spec = parse_spec_dict(GOOD)
     assert spec.q == 2 and spec.dim == 3
     assert spec.brackets == (("x", "y", {"z": 1}),)
-    assert parse_spec_dict(spec_to_dict(spec)) == spec
+    for path in sorted(SPECS.glob("*.json")):
+        data = json.loads(path.read_text())
+        spec = parse_spec_dict(data)
+        assert (spec.q, spec.dim, spec.basis) == (data["q"], data["dim"], tuple(data["basis"]))
+        assert spec.brackets == tuple(
+            (rec["left"], rec["right"], rec["value"]) for rec in data["brackets"]
+        )
 
 
 def test_parse_rejects_malformed_payloads():
@@ -54,6 +61,11 @@ def test_parse_rejects_malformed_payloads():
         parse_spec_dict({**GOOD, "basis": [1, 2, 3]})
     with pytest.raises(ParseError):
         parse_spec_dict({**GOOD, "brackets": [{"left": "x", "right": "y"}]})
+    # a list is not a basis name (and is unhashable in the name lookup)
+    for side in ("left", "right"):
+        rec = {"left": "x", "right": "y", "value": {"z": 1}, side: ["x"]}
+        with pytest.raises(ParseError):
+            parse_spec_dict({**GOOD, "brackets": [rec]})
     with pytest.raises(ParseError):
         parse_spec_dict(
             {**GOOD, "brackets": [{"left": "x", "right": "y", "value": {"z": "1"}}]}
@@ -70,6 +82,15 @@ def test_load_spec_from_file(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(ParseError):
         load_spec(bad)
+    # a basis name written in Latin-1: byte 0xe9 does not decode as UTF-8
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"q": 2, "dim": 1, "basis": ["\xe9"], "brackets": []}')
+    with pytest.raises(ParseError):
+        load_spec(latin1)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(ParseError):
+        load_spec(deep)
 
 
 def test_exports_are_byte_deterministic():
@@ -100,11 +121,10 @@ def test_export_graphml_shape():
 
 def test_export_json_round_trip():
     g = build_graph(catalog_entry("heisenberg_f3").algebra())
-    loaded = load_graph_json(export_json(g))
-    assert loaded.n == g.n
-    assert loaded.edge_count() == g.edge_count()
-    relabel = {lab: i for i, lab in enumerate(loaded.labels)}
-    for u, v in g.edges():
-        assert loaded.has_edge(relabel[g.labels[u]], relabel[g.labels[v]])
-    with pytest.raises(ParseError):
-        load_graph_json("not json")
+    data = json.loads(export_json(g))
+    assert data["vertex_count"] == g.n
+    assert data["vertices"] == list(g.labels)
+    assert len(data["edges"]) == g.edge_count()
+    index = {lab: i for i, lab in enumerate(g.labels)}
+    for a, b in data["edges"]:
+        assert a < b and g.has_edge(index[a], index[b])

@@ -1,5 +1,6 @@
 """Lie algebra construction, brackets, subspaces and nilpotency."""
 
+import time
 from itertools import combinations
 
 import pytest
@@ -181,8 +182,9 @@ def test_centralizer_contains_center_and_self():
         center = L.center()
         for x in L.enumerate_elements():
             cent = L.centralizer(x)
-            assert cent.contains(x)
-            assert all(cent.contains(v) for v in center.basis_matrix)
+            members = set(cent.elements())
+            assert x in members
+            assert all(v in members for v in center.basis_matrix)
             assert L.order % cent.cardinality == 0
 
 
@@ -214,9 +216,9 @@ def test_derived_dim_one_forces_corank_one_centralizers():
     for name in ["heisenberg_f2", "heisenberg_f3", "heisenberg_f4", "aff1_f4"]:
         L = catalog_entry(name).algebra()
         assert L.derived_subalgebra().dim == 1
-        center = L.center()
+        central = set(L.center().elements())
         for x in L.enumerate_elements():
-            if not center.contains(x):
+            if x not in central:
                 assert L.centralizer(x).dim == L.dim - 1
 
 
@@ -231,7 +233,8 @@ def test_enumerate_elements_order_and_count():
     L = abelian(2, 2)
     els = list(L.enumerate_elements())
     assert len(els) == 4
-    assert [L.index_of(v) for v in els] == [0, 1, 2, 3]
+    # increasing little-endian index: the first coordinate varies fastest
+    assert els == [(0, 0), (1, 0), (0, 1), (1, 1)]
     assert len(list(heisenberg().enumerate_elements())) == 8
     assert len(list(abelian(3, 2).enumerate_elements())) == 9
     for idx, v in enumerate(catalog_entry("heisenberg_f3").algebra().enumerate_elements()):
@@ -239,18 +242,35 @@ def test_enumerate_elements_order_and_count():
     assert idx == 26
 
 
-def test_enumerate_elements_cap():
+def test_enumerate_elements_cap(monkeypatch):
     L = abelian(2, 4)
+    monkeypatch.setenv("LIE_NCG_CAP", "8")
     with pytest.raises(CapExceeded):
-        list(L.enumerate_elements(cap=8))
-    assert len(list(L.enumerate_elements(cap=16))) == 16
+        list(L.enumerate_elements())
+    monkeypatch.setenv("LIE_NCG_CAP", "16")
+    assert len(list(L.enumerate_elements())) == 16
 
 
 def test_element_cap_env_override(monkeypatch):
-    monkeypatch.setenv("LIE_NCG_CAP", "4")
     L = heisenberg()
+    monkeypatch.setenv("LIE_NCG_CAP", "4")
     with pytest.raises(CapExceeded):
         list(L.enumerate_elements())
+    with pytest.raises(CapExceeded):
+        heisenberg()
+
+
+def test_spec_past_element_cap_refused_before_jacobi():
+    def abelian_spec(dim):
+        return AlgebraSpec(q=2, dim=dim, basis=tuple(f"e{i}" for i in range(dim)))
+
+    assert algebra_from_spec(abelian_spec(12)).order == 4096
+    # the Jacobi check on 200 basis vectors alone would take minutes
+    start = time.perf_counter()
+    for dim in (13, 200):
+        with pytest.raises(CapExceeded):
+            algebra_from_spec(abelian_spec(dim))
+    assert time.perf_counter() - start < 1
 
 
 def test_element_labels():

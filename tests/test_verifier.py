@@ -161,13 +161,6 @@ def test_iso_theorems_vacuous_on_non_isomorphic_pair():
     assert report.vacuous_count == 1
 
 
-def test_iso_theorems_accepts_bare_pairs():
-    L = catalog_entry("heisenberg_f2").algebra()
-    report = check_iso_theorems([(L, L)])
-    assert report.status == "pass"
-    assert report.instances_checked == 1
-
-
 def test_explore_conjecture_dim2():
     summary = explore_conjecture(n_max=2, qs=(2,))
     assert summary["instances"] == 3

@@ -2,8 +2,10 @@
 
 A candidate structure assigns one coefficient vector to each basis pair
 ``i < j``; antisymmetry is then automatic and the only constraint left is the
-Jacobi identity on basis triples.  Deduplication reduces modulo the full
-GL(n, q) basis-change action by explicit orbit computation.
+Jacobi identity on basis triples.  Deduplication reduces modulo the
+GL(n, q) basis-change action: each new tensor's orbit is closed under a
+generating set of GL(n, q) (the transvections I + E_ij and the matrices
+diag(a, 1, ..., 1)), so the work grows with the orbit, not with |GL(n, q)|.
 """
 
 from __future__ import annotations
@@ -51,14 +53,18 @@ def jacobi_tensors(n, field):
             yield L
 
 
-def gl_matrices(n, field):
-    """All invertible n x n matrices over the field, as row-tuple tuples."""
-    mats = []
-    for entries in product(field.elements(), repeat=n * n):
-        rows = tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
-        if mat_inv(field, rows) is not None:
-            mats.append(rows)
-    return mats
+def _gl_generators(n, field):
+    """Generators of GL(n, q), as row-tuple tuples: the transvections
+    I + E_ij (i != j), which generate SL(n, q), and diag(a, 1, ..., 1) for
+    every a other than 0 and 1, among them a generator of F_q^*."""
+
+    def identity_but(i, j, a):
+        return tuple(
+            tuple(a if (r, c) == (i, j) else int(r == c) for c in range(n)) for r in range(n)
+        )
+
+    gens = [identity_but(i, j, 1) for i in range(n) for j in range(n) if i != j]
+    return gens + [identity_but(0, 0, a) for a in range(2, field.q)]
 
 
 def transform_structure(L, g, ginv):
@@ -74,31 +80,41 @@ def transform_structure(L, g, ginv):
     return table
 
 
+def _gl_orbit(L):
+    """Keys of every structure tensor that a GL(n, q) basis change carries
+    L's onto, found by closing {L} under the generators."""
+    n, f = L.dim, L.field
+    gens = [(g, mat_inv(f, g)) for g in _gl_generators(n, f)]
+    orbit = {tensor_key(L.structure, n)}
+    stack = [L]
+    while stack:
+        M = stack.pop()
+        for g, ginv in gens:
+            table = transform_structure(M, g, ginv)
+            key = tensor_key(table, n)
+            if key not in orbit:
+                orbit.add(key)
+                stack.append(LieAlgebra(f, n, table, validate=False))
+    return orbit
+
+
 def algebras_equivalent(L1, L2):
     """True iff some GL basis change carries L1's structure onto L2's."""
     if L1.field != L2.field or L1.dim != L2.dim:
         return False
-    n = L1.dim
-    target = tensor_key({p: L2.structure[p] for p in L2.structure}, n)
-    for g in gl_matrices(n, L1.field):
-        ginv = mat_inv(L1.field, g)
-        if tensor_key(transform_structure(L1, g, ginv), n) == target:
-            return True
-    return False
+    return tensor_key(L2.structure, L2.dim) in _gl_orbit(L1)
 
 
 def orbit_partition(n, field):
     """GL-orbits of the Jacobi tensors: list of (representative LieAlgebra,
     orbit_size), representatives in first-seen enumeration order."""
     _check_scope(n, field)
-    gls = [(g, mat_inv(field, g)) for g in gl_matrices(n, field)]
     seen = set()
     orbits = []
     for L in jacobi_tensors(n, field):
-        key = tensor_key(L.structure, n)
-        if key in seen:
+        if tensor_key(L.structure, n) in seen:
             continue
-        orbit = {tensor_key(transform_structure(L, g, ginv), n) for g, ginv in gls}
+        orbit = _gl_orbit(L)
         seen |= orbit
         orbits.append((L, len(orbit)))
     return orbits

@@ -10,7 +10,11 @@ A complete multipartite graph (every non-commuting graph of dimension <= 3)
 is labeled directly: its parts smallest first, each part's vertices in
 ascending order.  Any other graph takes the lexicographically minimal code
 over all vertex orderings compatible with the iterated-degree refinement,
-searched exhaustively with prefix pruning.  Being complete multipartite is an
+found by individualization-refinement with prefix pruning and automorphism
+pruning (McKay & Piperno, "Practical graph isomorphism II", 2014): two leaves
+with equal codes give an automorphism, and subtrees that an automorphism maps
+onto ones already searched are skipped.  The search stops with CapExceeded
+after ``ISO_NODE_BUDGET`` nodes.  Being complete multipartite is an
 isomorphism invariant, so the two paths never give one certificate to two
 non-isomorphic graphs.
 """
@@ -20,6 +24,8 @@ from __future__ import annotations
 from .errors import CapExceeded
 
 ISO_CAP = 64
+# search nodes per labeling: over 100 times what any pool, spec or figure graph needs
+ISO_NODE_BUDGET = 200_000
 
 
 def refine_colors(g, colors=None):
@@ -77,22 +83,64 @@ def _multipartite_order(g):
     return order
 
 
+def _orbit_reps(n, generators):
+    """The smallest member of each vertex's orbit under the given permutations."""
+    rep = list(range(n))
+
+    def find(v):
+        while rep[v] != v:
+            rep[v] = rep[rep[v]]
+            v = rep[v]
+        return v
+
+    for gamma in generators:
+        for v, w in enumerate(gamma):
+            a, b = find(v), find(w)
+            if a != b:
+                rep[max(a, b)] = min(a, b)
+    return [find(v) for v in range(n)]
+
+
 def _search_order(g):
-    """The ordering with the minimal adjacency code among those compatible
-    with refinement, found by individualization with prefix pruning."""
+    """The first ordering, in search order, with the minimal adjacency code
+    among those compatible with refinement.
+
+    Individualization-refinement with prefix pruning and automorphism
+    pruning.  A leaf with the same code as the best one gives the
+    automorphism best_order[i] -> order[i]; it maps the subtree where the
+    two leaves part onto the one searched before it, so the search unwinds
+    to that node.  A candidate in the orbit of an earlier sibling under the
+    automorphisms that fix the current prefix is skipped.  Every skipped
+    subtree is the image of one searched earlier, so the first leaf with the
+    minimal code is the same as in the exhaustive search.  Raises
+    CapExceeded after ISO_NODE_BUDGET search nodes.
+    """
     n = g.n
     best = {"code": None, "order": None}
+    automorphisms = []  # each as a list: vertex -> image
     order = []
     placed_rows = []  # adjacency of each placed vertex to earlier ones, as ints
+    nodes = 0
 
     def place(colors):
+        """Search below the current prefix; returns the depth to unwind to."""
+        nonlocal nodes
+        nodes += 1
+        if nodes > ISO_NODE_BUDGET:
+            raise CapExceeded(f"canonical search capped at {ISO_NODE_BUDGET} nodes")
         depth = len(order)
         if depth == n:
             code = tuple(placed_rows)
             if best["code"] is None or code < best["code"]:
                 best["code"] = code
                 best["order"] = list(order)
-            return
+            elif code == best["code"]:
+                gamma = [0] * n
+                for u, v in zip(best["order"], order):
+                    gamma[u] = v
+                automorphisms.append(gamma)
+                return next(i for i, u in enumerate(best["order"]) if u != order[i])
+            return n
         cells = _partition_cells([colors[v] for v in range(n)])
         # choose the first cell (smallest color) containing an unplaced vertex
         target = None
@@ -101,6 +149,8 @@ def _search_order(g):
             if free:
                 target = free
                 break
+        tried = []
+        reps, known = None, 0
         for v in target:
             row = _row(g, order, v)
             # prefix pruning against the current best code
@@ -108,13 +158,23 @@ def _search_order(g):
                 prefix = tuple(placed_rows) + (row,)
                 if prefix > best["code"][: depth + 1]:
                     continue
+            if tried and len(automorphisms) > known:
+                known = len(automorphisms)
+                fixing = [a for a in automorphisms if all(a[u] == u for u in order)]
+                reps = _orbit_reps(n, fixing)
+            if reps is not None and any(reps[v] == reps[u] for u in tried):
+                continue
+            tried.append(v)
             order.append(v)
             placed_rows.append(row)
             # individualize v and re-refine
             refined = refine_colors(g, [c * 2 + (1 if u == v else 0) for u, c in enumerate(colors)])
-            place(refined)
+            back = place(refined)
             order.pop()
             placed_rows.pop()
+            if back < depth:
+                return back
+        return n
 
     place(refine_colors(g))
     return best["order"]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from .errors import AbelianAlgebra
 from .graphs import Graph
+from .linalg import Subspace
 
 
 class NcGraph(Graph):
@@ -23,32 +24,52 @@ def build_graph(L):
 
     Row ``x`` is every vertex outside the centralizer: x commutes with y
     exactly when y lies in C(x) = ker ad(x) (Lem2.2).  Since [cx, y] = c[x, y],
-    every nonzero multiple of x has the same centralizer, so one kernel serves
-    the whole line {cx}.
+    every nonzero multiple of x has the same centralizer.  Since
+    [x + z, y] = [x, y] for z in the center Z, so has every element of
+    x + Z, and C(x) is a union of cosets of Z.  So one kernel serves each
+    line of L/Z, and the row is the OR of the vertex masks of the cosets in
+    C(x)/Z, not a scan of every element of C(x).
 
     Raises AbelianAlgebra when the center is all of L (the graph would be
     null) and CapExceeded when q^dim exceeds the element cap.
     """
     if L.is_abelian():
         raise AbelianAlgebra("abelian algebra: the non-commuting graph has no vertices")
-    # list L first: the cap check there also bounds the size of the center
+    # list L first, so the element cap applies before any other work
     elements = list(L.enumerate_elements())
-    center = set(L.center().elements())
-    vertices = [v for v in elements if v not in center]
-    position = {v: i for i, v in enumerate(vertices)}
-    n = len(vertices)
-    full = (1 << n) - 1
     f = L.field
+    center = L.center().basis_matrix
+    pivots = [next(i for i, a in enumerate(row) if a) for row in center]
+
+    def modulo_center(v):
+        """The member of v + Z that is zero on the pivot columns of Z."""
+        for row, p in zip(center, pivots):
+            a = v[p]
+            if a:
+                v = tuple(f.sub(x, f.mul(a, y)) for x, y in zip(v, row))
+        return v
+
+    vertices = []
+    reps = []  # each vertex's representative modulo Z
+    cosets = {}  # representative modulo Z -> mask of the vertices in that coset
+    for v in elements:
+        rep = modulo_center(v)
+        if any(rep):
+            cosets[rep] = cosets.get(rep, 0) | 1 << len(vertices)
+            vertices.append(v)
+            reps.append(rep)
+    full = (1 << len(vertices)) - 1
     scalars = [c for c in f.elements() if c]
-    rows = [None] * n
-    for i, x in enumerate(vertices):
-        if rows[i] is not None:
+    coset_rows = {}
+    for rep in cosets:
+        if rep in coset_rows:
             continue
+        quotient = Subspace(f, L.dim, [modulo_center(y) for y in L.centralizer(rep).basis_matrix])
         commuting = 0
-        for y in L.centralizer(x).elements():
-            if y in position:
-                commuting |= 1 << position[y]
+        for coset in quotient.elements():
+            commuting |= cosets.get(coset, 0)
         for c in scalars:
-            rows[position[tuple(f.mul(c, a) for a in x)]] = full & ~commuting
+            coset_rows[tuple(f.mul(c, a) for a in rep)] = full & ~commuting
+    rows = [coset_rows[rep] for rep in reps]
     labels = [L.element_label(v) for v in vertices]
-    return NcGraph(n, rows, vertices, labels)
+    return NcGraph(len(vertices), rows, vertices, labels)

@@ -3,11 +3,16 @@
 Everything here deliberately avoids the code paths it validates: centralizers
 and centers are found by scanning all elements, non-commuting graphs by
 bracketing every pair of vertices, planarity by searching for a forbidden
-subdivision, domination by trying every subset.
+subdivision, domination by trying every subset, GL(n, q) orbits by applying
+every invertible matrix, canonical labelings by searching every ordering the
+refinement allows.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
+from lie_ncg.enumeration import jacobi_tensors, tensor_key, transform_structure
+from lie_ncg.iso import refine_colors
+from lie_ncg.linalg import mat_inv
 from lie_ncg.ncg import NcGraph
 
 
@@ -41,6 +46,61 @@ def graph_by_brackets(L):
                 rows[b] |= 1 << a
     labels = [L.element_label(v) for v in vertices]
     return NcGraph(n, rows, vertices, labels)
+
+
+def gl_matrices(n, field):
+    """All invertible n x n matrices over the field, as row-tuple tuples."""
+    mats = []
+    for entries in product(field.elements(), repeat=n * n):
+        rows = tuple(tuple(entries[i * n:(i + 1) * n]) for i in range(n))
+        if mat_inv(field, rows) is not None:
+            mats.append(rows)
+    return mats
+
+
+def full_gl_orbits(n, field):
+    """GL(n, q)-orbits of the Jacobi tensors as (representative key, size),
+    representatives in first-seen enumeration order, each orbit found by
+    applying every matrix of GL(n, q)."""
+    gls = [(g, mat_inv(field, g)) for g in gl_matrices(n, field)]
+    seen = set()
+    orbits = []
+    for L in jacobi_tensors(n, field):
+        key = tensor_key(L.structure, n)
+        if key in seen:
+            continue
+        orbit = {tensor_key(transform_structure(L, g, ginv), n) for g, ginv in gls}
+        seen |= orbit
+        orbits.append((key, len(orbit)))
+    return orbits
+
+
+def exhaustive_canonical_order(g):
+    """The first ordering, in search order, with the minimal adjacency code
+    among all orderings compatible with ``refine_colors``, found without
+    automorphism pruning.  Only the refinement, which defines the
+    certificates, is shared with ``lie_ncg.iso``."""
+    n = g.n
+    best = [None, None]  # code, order
+
+    def search(order, code, colors):
+        if len(order) == n:
+            if best[0] is None or code < best[0]:
+                best[:] = [code, order]
+            return
+        # the first color class with a vertex not yet placed
+        target = min(colors[v] for v in range(n) if v not in order)
+        for v in range(n):
+            if colors[v] != target or v in order:
+                continue
+            row = sum(1 << i for i, u in enumerate(order) if g.has_edge(u, v))
+            if best[0] is not None and code + (row,) > best[0][: len(order) + 1]:
+                continue
+            individualized = [2 * c + (u == v) for u, c in enumerate(colors)]
+            search(order + [v], code + (row,), refine_colors(g, individualized))
+
+    search([], (), refine_colors(g))
+    return best[1]
 
 
 def find_inverse(field, a):

@@ -7,9 +7,9 @@ from lie_ncg.catalog import builtin_catalog, catalog_entry
 from lie_ncg.enumeration import (
     algebras_equivalent,
     enumerate_algebras,
-    gl_matrices,
     jacobi_tensors,
     orbit_partition,
+    tensor_key,
     transform_structure,
 )
 from lie_ncg.errors import CapExceeded
@@ -19,6 +19,8 @@ from lie_ncg.iso import canonical_certificate
 from lie_ncg.liealg import LieAlgebra
 from lie_ncg.linalg import mat_inv
 from lie_ncg.ncg import build_graph
+
+from oracles import full_gl_orbits, gl_matrices
 
 
 def test_dim2_counts():
@@ -52,6 +54,22 @@ def test_orbit_sizes_partition_dim2():
     assert sum(size for _, size in orbits) == 4
     sizes = sorted(size for _, size in orbits)
     assert sizes == [1, 3]  # abelian singleton + one non-abelian orbit
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+def test_orbit_partition_matches_full_gl_orbits(n, q):
+    # the generator closure finds the same orbits as applying all of GL(n, q)
+    f = field_new(q)
+    got = [(tensor_key(L.structure, n), size) for L, size in orbit_partition(n, f)]
+    assert got == full_gl_orbits(n, f)
+
+
+def test_orbit_sizes_dim3_f3_frozen():
+    # 11232 = |GL(3, 3)| matrices per orbit would take seconds; these sizes
+    # were checked against that full-GL computation
+    sizes = [size for _L, size in orbit_partition(3, field_new(3))]
+    assert sizes == [1, 312, 26, 156, 156, 78, 208, 26, 468]
+    assert sum(sizes) == len(list(jacobi_tensors(3, field_new(3))))
 
 
 def test_algebras_equivalent():

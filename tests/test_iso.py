@@ -1,6 +1,7 @@
 """Isomorphism testing and canonical certificates."""
 
 import random
+import time
 from functools import cache
 from itertools import combinations
 
@@ -8,10 +9,15 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lie_ncg import iso
+from lie_ncg.catalog import catalog_entry
 from lie_ncg.errors import CapExceeded
 from lie_ncg.graphs import Graph
 from lie_ncg.iso import canonical_certificate, graph_isomorphic, isomorphism, refine_colors
+from lie_ncg.ncg import build_graph
 from lie_ncg.verifier import catalog_instances, enumeration_instances
+
+import oracles
 
 
 def cycle(n):
@@ -23,6 +29,20 @@ def petersen():
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     return Graph.from_edges(10, outer + inner + spokes)
+
+
+def cube():
+    return Graph.from_edges(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b])
+
+
+def c12():
+    return cycle(12)
+
+
+def three_k4():
+    return Graph.from_edges(
+        12, [(4 * k + a, 4 * k + b) for k in range(3) for a, b in combinations(range(4), 2)]
+    )
 
 
 def complete_bipartite(a, b):
@@ -41,6 +61,16 @@ def pool_graphs():
     for inst in instances:
         distinct.setdefault(inst.graph.rows, (inst.name, inst.graph))
     return list(distinct.values())
+
+
+def random_cubic(n, rng):
+    """A random 3-regular graph on n vertices, by the pairing model."""
+    while True:
+        stubs = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {(min(a, b), max(a, b)) for a, b in zip(stubs[::2], stubs[1::2]) if a != b}
+        if len(edges) == len(stubs) // 2:
+            return sorted(edges)
 
 
 def relabel(g, perm):
@@ -100,6 +130,59 @@ def test_pool_relabelings_keep_certificate_hypothesis(rng):
         check_witness(g, h, witness)
 
 
+@pytest.mark.parametrize("make", [petersen, cube, c12, three_k4])
+def test_high_symmetry_graphs_are_fast(make, monkeypatch):
+    # vertex-transitive and not complete multipartite, so every labeling goes
+    # through the search; without automorphism pruning 3K_4 takes over 20 s
+    monkeypatch.setattr(iso, "_CERT_CACHE", {})
+    g = make()
+    assert iso._multipartite_order(g) is None
+    rng = random.Random(11)
+    cert = canonical_certificate(g)
+    for _ in range(10):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = relabel(g, perm)
+        start = time.perf_counter()
+        assert canonical_certificate(h) == cert
+        assert time.perf_counter() - start < 0.5
+        start = time.perf_counter()
+        check_witness(g, h, isomorphism(g, h))
+        assert time.perf_counter() - start < 0.5
+
+
+def test_labeling_matches_exhaustive_search():
+    # the pruned search must end on the same leaf as the unpruned one, so
+    # certificates and labelings do not change; K_4 plus a random cubic graph
+    # has automorphisms deep in the search, where unwinding too far loses
+    # the minimal leaf
+    rng = random.Random(2014)
+    pairs = list(combinations(range(5), 2))
+    graphs = [
+        Graph.from_edges(5, [pairs[i] for i in range(10) if mask >> i & 1]) for mask in range(1024)
+    ]
+    for _ in range(10):
+        edges = random_cubic(4, rng) + [(4 + u, 4 + v) for u, v in random_cubic(8, rng)]
+        perm = list(range(12))
+        rng.shuffle(perm)
+        graphs.append(relabel(Graph.from_edges(12, edges), perm))
+    split_pairs = build_graph(catalog_entry("split_pairs_f2").algebra())
+    for _ in range(3):
+        perm = list(range(split_pairs.n))
+        rng.shuffle(perm)
+        graphs.append(relabel(split_pairs, perm))
+    for g in graphs:
+        assert iso._search_order(g) == oracles.exhaustive_canonical_order(g), g.rows
+
+
+def test_node_budget(monkeypatch):
+    g = build_graph(catalog_entry("split_pairs_f2").algebra())
+    monkeypatch.setattr(iso, "_CERT_CACHE", {})
+    monkeypatch.setattr(iso, "ISO_NODE_BUDGET", 10)
+    with pytest.raises(CapExceeded):
+        canonical_certificate(g)
+
+
 def test_non_isomorphic_same_degree_sequence():
     # C6 versus two disjoint triangles: both 2-regular on 6 vertices
     tri2 = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
@@ -114,6 +197,13 @@ def test_non_isomorphic_same_degree_sequence():
     )
     assert isomorphism(petersen(), prism) is None
     assert canonical_certificate(petersen()) != canonical_certificate(prism)
+    # Petersen versus the Moebius ladder on 10 vertices, with networkx as the oracle
+    ladder = Graph.from_edges(
+        10, [(i, (i + 1) % 10) for i in range(10)] + [(i, i + 5) for i in range(5)]
+    )
+    assert not nx.is_isomorphic(petersen().to_networkx(), ladder.to_networkx())
+    assert isomorphism(petersen(), ladder) is None
+    assert canonical_certificate(petersen()) != canonical_certificate(ladder)
     # K_{3,3} versus the triangular prism: both 3-regular on 6 vertices, and
     # only K_{3,3} is complete multipartite
     tri_prism = Graph.from_edges(

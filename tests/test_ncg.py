@@ -9,7 +9,7 @@ from lie_ncg.catalog import catalog_entry
 from lie_ncg.errors import AbelianAlgebra, CapExceeded
 from lie_ncg.gf import field_new
 from lie_ncg.graphs import connectivity, girth, is_planar, is_regular
-from lie_ncg.io import load_spec
+from lie_ncg.io import load_spec, parse_spec_dict
 from lie_ncg.liealg import LieAlgebra, algebra_from_spec
 from lie_ncg.ncg import build_graph
 from lie_ncg.verifier import catalog_instances, enumeration_instances
@@ -88,6 +88,26 @@ def test_build_graph_matches_bracket_oracle():
         g, want = build_graph(L), oracles.graph_by_brackets(L)
         assert (g.rows, g.vertices, g.labels) == (want.rows, want.vertices, want.labels), L
     assert g.n == 120
+
+
+def _heisenberg_plus_abelian_f2(dim):
+    """The spec [e0, e1] = e2 over F_2 with dim - 3 abelian summands."""
+    spec = {"q": 2, "dim": dim, "basis": [f"e{i}" for i in range(dim)],
+            "brackets": [{"left": "e0", "right": "e1", "value": {"e2": 1}}]}
+    return algebra_from_spec(parse_spec_dict(spec))
+
+
+def test_build_graph_is_bounded_by_the_element_cap():
+    # 12 dims over F_2: 3072 vertices and q^dim = 4096, the default cap; a scan
+    # of every centralizer element did not finish in 100 s
+    L = _heisenberg_plus_abelian_f2(12)
+    start = time.perf_counter()
+    g = build_graph(L)
+    assert time.perf_counter() - start < 2
+    assert g.n == 3072 and g.degrees()[0] == 2048
+    L = _heisenberg_plus_abelian_f2(9)
+    g, want = build_graph(L), oracles.graph_by_brackets(L)
+    assert (g.rows, g.vertices, g.labels) == (want.rows, want.vertices, want.labels)
 
 
 def test_abelian_algebra_rejected():

@@ -55,8 +55,9 @@ def jacobi_tensors(n, field):
 
 def _gl_generators(n, field):
     """Generators of GL(n, q), as row-tuple tuples: the transvections
-    I + E_ij (i != j), which generate SL(n, q), and diag(a, 1, ..., 1) for
-    every a other than 0 and 1, among them a generator of F_q^*."""
+    I + E_ij (i != j) and diag(a, 1, ..., 1) for every a other than 0 and 1.
+    Conjugating by the diagonal matrices gives every I + cE_ij, which
+    generate SL(n, q), and a generator a of F_q^* then gives all of GL(n, q)."""
 
     def identity_but(i, j, a):
         return tuple(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import AbelianAlgebra
 from .graphs import Graph
-from .linalg import Subspace
+from .linalg import Subspace, kernel_basis
 
 
 class NcGraph(Graph):
@@ -59,12 +59,16 @@ def build_graph(L):
             vertices.append(v)
             reps.append(rep)
     full = (1 << len(vertices)) - 1
+    # C(x) contains Z, so its members that are zero on Z's pivot columns are
+    # the representatives of the cosets in C(x)/Z: the kernel of ad(x) with
+    # one unit row per pivot column added
+    units = [tuple(int(c == p) for c in range(L.dim)) for p in pivots]
     scalars = [c for c in f.elements() if c]
     coset_rows = {}
     for rep in cosets:
         if rep in coset_rows:
             continue
-        quotient = Subspace(f, L.dim, [modulo_center(y) for y in L.centralizer(rep).basis_matrix])
+        quotient = Subspace(f, L.dim, kernel_basis(f, L.ad_matrix(rep) + units, L.dim))
         commuting = 0
         for coset in quotient.elements():
             commuting |= cosets.get(coset, 0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import graphs as graph_ops
@@ -171,13 +172,24 @@ def build_parser():
 def main(argv=None):
     """Run one command.  Every LieNcgError or OSError ends as one error line,
     JSON on stdout under ``format`` "json" and text on stderr otherwise, and
-    exit code 1."""
+    exit code 1.  A reader that closes stdout early ends the run with exit
+    code 1 and no output."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "enumerate" and args.q is None:
         args.q = [2]
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here, so a closed pipe raises inside this handler and not at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout is closed: point it at devnull, so the flush at interpreter
+        # exit has somewhere to write and raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (LieNcgError, OSError) as exc:
         if args.format == "json":
             print(json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True))

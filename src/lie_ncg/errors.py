@@ -26,7 +26,8 @@ class ParseError(SpecError):
 
 
 class UnknownBasisName(SpecError):
-    """A bracket refers to a basis name that was never declared."""
+    """A basis name is malformed or repeated, or a bracket refers to a basis
+    name that was never declared."""
 
 
 class DuplicateBracket(SpecError):

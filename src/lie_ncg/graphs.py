@@ -67,7 +67,8 @@ class Graph:
         return [u for u in range(self.n) if row >> u & 1]
 
     def edges(self):
-        return [(u, v) for u in range(self.n) for v in range(u + 1, self.n) if self.has_edge(u, v)]
+        # the set bits of row u above bit u, lowest first
+        return [(u, v) for u, row in enumerate(self.rows) for v in _bits(row >> u + 1 << u + 1)]
 
     def to_networkx(self):
         import networkx as nx

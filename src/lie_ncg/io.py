@@ -2,14 +2,17 @@
 
 The spec file format is JSON only, with a fixed key set; unknown keys are
 rejected so malformed files fail loudly and identically everywhere.  Exports
-(DOT, GraphML, JSON) are byte-deterministic: vertex order follows element
-index order and each edge is listed once with the lexicographically smaller
-endpoint label first.
+(DOT, GraphML, JSON) are byte-deterministic: vertices are listed in element
+index order, then each edge once as (smaller label, larger label), the edges
+sorted by that pair.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import compress
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from xml.sax.saxutils import escape
 
 from .errors import ParseError
@@ -68,48 +71,75 @@ def load_spec(path):
 
 # -- graph export --------------------------------------------------------------
 
+# maps the ASCII digits of ``bin(row)`` to the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
-def _sorted_label_edges(g):
-    edges = []
-    for u, v in g.edges():
-        a, b = g.labels[u], g.labels[v]
-        if b < a:
-            a, b = b, a
-        edges.append((a, b))
-    return sorted(edges)
+
+def _edge_text(g, names, before, between, after, sep):
+    """Every edge of ``g`` as ``before + names[a] + between + names[b] + after``,
+    joined by ``sep``, with label a < label b and the edges sorted by (a, b).
+
+    The vertices are ranked by label once.  The bits of a row, reordered by
+    rank, pick the vertex's neighbours of higher rank in rank order, so each
+    vertex's edges come out sorted and are written with one join.  The
+    labels must be distinct, as they are for every ``NcGraph``.
+    """
+    n = g.n
+    if n < 2:  # no edges; and itemgetter returns a tuple only for two or more indices
+        return ""
+    order = sorted(range(n), key=g.labels.__getitem__)
+    ranked = [names[v] for v in order]
+    by_rank = itemgetter(*order)
+    blocks = []
+    for i, v in enumerate(order):
+        bits = by_rank(bin(g.rows[v])[:1:-1].encode().translate(_BIT_BYTES).ljust(n, b"\0"))
+        higher = list(compress(ranked[i + 1:], bits[i + 1:]))
+        if higher:
+            head = before + ranked[i] + between
+            blocks.append(head + (after + sep + head).join(higher) + after)
+    return sep.join(blocks)
 
 
 def export_dot(g):
     lines = ["graph ncg {"]
-    for label in g.labels:
-        lines.append(f'  "{label}";')
-    for a, b in _sorted_label_edges(g):
-        lines.append(f'  "{a}" -- "{b}";')
+    lines.extend(f'  "{label}";' for label in g.labels)
+    edges = _edge_text(g, g.labels, '  "', '" -- "', '";', "\n")
+    if edges:
+        lines.append(edges)
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def export_graphml(g):
+    names = [escape(label, {'"': "&quot;"}) for label in g.labels]
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
         '  <graph id="ncg" edgedefault="undirected">',
     ]
-    for label in g.labels:
-        lines.append(f'    <node id="{escape(label, {chr(34): "&quot;"})}"/>')
-    for a, b in _sorted_label_edges(g):
-        lines.append(
-            f'    <edge source="{escape(a, {chr(34): "&quot;"})}" '
-            f'target="{escape(b, {chr(34): "&quot;"})}"/>'
-        )
+    lines.extend(f'    <node id="{name}"/>' for name in names)
+    edges = _edge_text(g, names, '    <edge source="', '" target="', '"/>', "\n")
+    if edges:
+        lines.append(edges)
     lines.extend(["  </graph>", "</graphml>"])
     return "\n".join(lines) + "\n"
 
 
+def _json_list(items):
+    """A JSON array of encoded items, already joined by a comma, a newline
+    and four spaces, laid out as ``json.dumps(..., indent=2)`` lays out the
+    value of a top-level key."""
+    return "[\n    " + items + "\n  ]" if items else "[]"
+
+
 def export_json(g):
-    payload = {
-        "vertex_count": g.n,
-        "vertices": list(g.labels),
-        "edges": [[a, b] for a, b in _sorted_label_edges(g)],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The text of ``json.dumps(payload, indent=2, sort_keys=True)`` for the
+    keys edges, vertex_count and vertices, written directly."""
+    names = [encode_basestring_ascii(label) for label in g.labels]
+    edges = _edge_text(g, names, "[\n      ", ",\n      ", "\n    ]", ",\n    ")
+    return (
+        '{\n  "edges": ' + _json_list(edges)
+        + ',\n  "vertex_count": ' + str(g.n)
+        + ',\n  "vertices": ' + _json_list(",\n    ".join(names))
+        + "\n}\n"
+    )

@@ -5,10 +5,12 @@ and centers are found by scanning all elements, non-commuting graphs by
 bracketing every pair of vertices, planarity by searching for a forbidden
 subdivision, domination by trying every subset, GL(n, q) orbits by applying
 every invertible matrix, canonical labelings by searching every ordering the
-refinement allows.
+refinement allows, exports by sorting every edge by its label pair.
 """
 
+import json
 from itertools import combinations, product
+from xml.sax.saxutils import escape
 
 from lie_ncg.enumeration import jacobi_tensors, tensor_key, transform_structure
 from lie_ncg.iso import refine_colors
@@ -190,3 +192,53 @@ def planar_by_kuratowski(g):
     Exponential; intended for graphs with at most ~10 vertices.
     """
     return not (has_k5_subdivision(g) or has_k33_subdivision(g))
+
+
+# -- exports by sorting every edge ---------------------------------------------
+
+
+def sorted_label_edges(g):
+    """Every edge as (smaller label, larger label), found by testing every
+    pair of vertices, sorted."""
+    edges = []
+    for u, v in combinations(range(g.n), 2):
+        if g.has_edge(u, v):
+            a, b = sorted((g.labels[u], g.labels[v]))
+            edges.append((a, b))
+    return sorted(edges)
+
+
+def dot_by_sorting(g):
+    lines = ["graph ncg {"]
+    for label in g.labels:
+        lines.append(f'  "{label}";')
+    for a, b in sorted_label_edges(g):
+        lines.append(f'  "{a}" -- "{b}";')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def graphml_by_sorting(g):
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
+        '  <graph id="ncg" edgedefault="undirected">',
+    ]
+    for label in g.labels:
+        lines.append(f'    <node id="{escape(label, {chr(34): "&quot;"})}"/>')
+    for a, b in sorted_label_edges(g):
+        lines.append(
+            f'    <edge source="{escape(a, {chr(34): "&quot;"})}" '
+            f'target="{escape(b, {chr(34): "&quot;"})}"/>'
+        )
+    lines.extend(["  </graph>", "</graphml>"])
+    return "\n".join(lines) + "\n"
+
+
+def json_by_sorting(g):
+    payload = {
+        "vertex_count": g.n,
+        "vertices": list(g.labels),
+        "edges": [[a, b] for a, b in sorted_label_edges(g)],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -198,3 +198,37 @@ def test_bad_input_is_a_one_line_error(capsys, tmp_path, case, error):
     assert time.perf_counter() - start < 1
     assert code == 1 and out == ""
     assert err.startswith(f"{error}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", ["", "2x", "0", "x+y", 'a"b', "a\\b"])
+def test_ambiguous_basis_name_is_a_one_line_error(capsys, tmp_path, name):
+    # with "x+y" as a name, the element x + y and the basis element x+y
+    # would both be labeled "x+y"
+    bracket = {"left": "x", "right": name, "value": {"x": 1}}
+    spec = _spec_file(tmp_path, basis=["x", name], brackets=[bracket])
+    code, out, err = run(capsys, "export", spec)
+    assert code == 1 and out == ""
+    assert err.startswith("UnknownBasisName: ") and err.count("\n") == 1
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write and flush raises."""
+
+    def __init__(self, fileno):
+        self._fileno = fileno
+
+    def write(self, *text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    flush = write
+
+    def fileno(self):
+        return self._fileno
+
+
+@pytest.mark.parametrize("argv", [["analyze", "--format", "json"], ["export", "--out", "json"]])
+def test_closed_stdout_exits_1_without_raising(capsys, monkeypatch, tmp_path, argv):
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr("sys.stdout", _ClosedPipe(fh.fileno()))
+        assert main([argv[0], f"{SPECS}/aff1_f2.json", *argv[1:]]) == 1
+    assert capsys.readouterr().err == ""

@@ -1,12 +1,14 @@
 """Spec parsing and deterministic graph exports."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from lie_ncg.catalog import catalog_entry
+from lie_ncg.catalog import builtin_catalog, catalog_entry
 from lie_ncg.errors import ParseError
+from lie_ncg.graphs import Graph
 from lie_ncg.io import (
     export_dot,
     export_graphml,
@@ -14,8 +16,9 @@ from lie_ncg.io import (
     load_spec,
     parse_spec_dict,
 )
-from lie_ncg.liealg import algebra_from_spec
+from lie_ncg.liealg import AlgebraSpec, algebra_from_spec
 from lie_ncg.ncg import build_graph
+from oracles import dot_by_sorting, graphml_by_sorting, json_by_sorting
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -128,3 +131,49 @@ def test_export_json_round_trip():
     index = {lab: i for i, lab in enumerate(g.labels)}
     for a, b in data["edges"]:
         assert a < b and g.has_edge(index[a], index[b])
+
+
+# the five families of the analyze-large benchmark, in their original bases
+LARGE_FAMILIES = [
+    (3, "abcd", (("a", "b", {"a": 1}), ("c", "d", {"c": 1}))),
+    (5, "xyz", (("x", "y", {"z": 1}),)),
+    (5, "xyz", (("x", "y", {"z": 1}), ("y", "z", {"x": 1}), ("z", "x", {"y": 1}))),
+    (3, "abcdz", (("a", "b", {"z": 1}), ("c", "d", {"z": 1}))),
+    (4, "abcd", (("a", "b", {"a": 1}), ("c", "d", {"c": 1}))),
+]
+
+
+def _random_graphs():
+    """Seeded random graphs with n = 0..5, 20 and 40, half of them with
+    distinct labels that XML and JSON must escape."""
+    rng = random.Random(20)
+    alphabet = ["a", "b", "x", "<", ">", "&", "'", '"', "\u00e9", "\u2200"]
+    graphs = []
+    for n in [0, 1, 2, 3, 4, 5, 20, 40]:
+        for _ in range(4):
+            labels = set()
+            while len(labels) < n:
+                labels.add("".join(rng.choices(alphabet, k=rng.randint(1, 3))))
+            labels = sorted(labels)
+            rng.shuffle(labels)
+            p = rng.random()
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            graphs += [Graph.from_edges(n, edges), Graph.from_edges(n, edges, labels)]
+    return graphs
+
+
+def test_exports_match_the_sorting_oracle():
+    algebras = [algebra_from_spec(load_spec(path)) for path in sorted(SPECS.glob("*.json"))]
+    algebras += [entry.algebra() for entry in builtin_catalog()]
+    algebras += [
+        algebra_from_spec(AlgebraSpec(q=q, dim=len(basis), basis=tuple(basis), brackets=brackets))
+        for q, basis, brackets in LARGE_FAMILIES
+    ]
+    graphs = [build_graph(L) for L in algebras] + _random_graphs()
+    assert any(g.n == 0 for g in graphs) and any(g.n > 200 for g in graphs)
+    for g in graphs:
+        pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)]
+        assert g.edges() == pairs
+        assert export_dot(g) == dot_by_sorting(g)
+        assert export_graphml(g) == graphml_by_sorting(g)
+        assert export_json(g) == json_by_sorting(g)

@@ -1,7 +1,7 @@
 """Non-commuting graphs of finite-dimensional Lie algebras over small finite fields."""
 
 from .catalog import CatalogEntry, builtin_catalog, catalog_entry
-from .enumeration import enumerate_algebras
+from .enumeration import jacobi_tensors
 from .errors import (
     AbelianAlgebra,
     CapExceeded,
@@ -14,7 +14,7 @@ from .errors import (
 )
 from .gf import Field, field_new
 from .graphs import Graph, PropertyReport, property_report
-from .iso import canonical_certificate, graph_isomorphic, isomorphism
+from .iso import canonical_certificate, isomorphism
 from .liealg import AlgebraSpec, LieAlgebra, algebra_from_spec
 from .linalg import Subspace
 from .ncg import NcGraph, build_graph
@@ -54,10 +54,9 @@ __all__ = [
     "check_figures",
     "check_iso_theorems",
     "check_statement",
-    "enumerate_algebras",
     "explore_conjecture",
     "field_new",
-    "graph_isomorphic",
     "isomorphism",
+    "jacobi_tensors",
     "property_report",
 ]

@@ -6,6 +6,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from . import graphs as graph_ops
 from . import io as ncg_io
@@ -31,16 +32,13 @@ def cmd_validate(args):
 
 
 def _algebra_facts(L, graph):
-    center = L.center()
-    histogram = {}
-    for v in graph.vertices:
-        c = L.centralizer_order(v)
-        histogram[c] = histogram.get(c, 0) + 1
+    # the vertices are L \ Z(L), and deg x = |L| - |C_L(x)| (Lem2.2)
+    histogram = Counter(L.order - d for d in graph.degrees())
     return {
         "q": L.field.q,
         "dim": L.dim,
         "order": L.order,
-        "center_order": center.cardinality,
+        "center_order": L.order - graph.n,
         "derived_dim": L.derived_subalgebra().dim,
         "is_nilpotent": L.is_nilpotent(),
         "centralizer_order_histogram": {str(k): v for k, v in sorted(histogram.items())},
@@ -110,7 +108,7 @@ def cmd_compare(args):
         "isomorphic": witness is not None,
         "witness": {g1.labels[k]: g2.labels[v] for k, v in witness.items()} if witness else None,
         "orders": [L1.order, L2.order],
-        "center_orders": [L1.center().cardinality, L2.center().cardinality],
+        "center_orders": [L1.order - g1.n, L2.order - g2.n],
         "nilpotent": [L1.is_nilpotent(), L2.is_nilpotent()],
         "consequence_failures": [list(f) for f in report.failures],
         "notes": report.notes,

@@ -21,9 +21,10 @@ ENUM_MAX_Q = 3
 
 
 def _check_scope(n, field):
-    if n > ENUM_MAX_DIM or field.q > ENUM_MAX_Q:
+    """Raise CapExceeded unless 1 <= n <= ENUM_MAX_DIM and q <= ENUM_MAX_Q."""
+    if not 1 <= n <= ENUM_MAX_DIM or field.q > ENUM_MAX_Q:
         raise CapExceeded(
-            f"enumeration supports dim <= {ENUM_MAX_DIM} and q <= {ENUM_MAX_Q}; "
+            f"enumeration supports 1 <= dim <= {ENUM_MAX_DIM} and q <= {ENUM_MAX_Q}; "
             f"got dim={n}, q={field.q}"
         )
 
@@ -119,6 +120,3 @@ def orbit_partition(n, field):
         seen |= orbit
         orbits.append((L, len(orbit)))
     return orbits
-
-
-enumerate_algebras = jacobi_tensors

@@ -9,18 +9,20 @@ Every traversal runs on the rows through one breadth-first helper,
 ``_bfs_layers``: each layer is a bitmask, and the next one is the OR of the
 current layer's rows minus the vertices already seen.  It gives the diameter
 (``connectivity``), the single-source connectedness test behind
-``is_eulerian`` and ``hamiltonian_cycle``, the 2-coloring in
-``is_complete_bipartite`` and the fallback of ``girth``.  ``girth`` first
-looks for an edge whose ends share a neighbour and returns 3 at the first
-one, which settles every non-commuting graph; only triangle-free graphs are
-searched.  networkx is imported only when ``is_planar`` gets past the
-3n - 6 edge bound.
+``is_eulerian`` and ``hamiltonian_cycle``, and the fallback of ``girth``.
+``girth`` first looks for an edge whose ends share a neighbour and returns 3
+at the first one, which settles every non-commuting graph; only
+triangle-free graphs are searched.  ``multipartite_parts`` recognizes a
+complete multipartite graph (every non-commuting graph of dimension <= 3)
+from its rows alone; ``is_complete_bipartite`` and the canonical labeling in
+``iso`` both read its parts.  networkx is imported only when ``is_planar``
+gets past the 3n - 6 edge bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import CapExceeded, EmptyGraph
 
@@ -182,26 +184,26 @@ def is_eulerian(g):
     return _is_connected(g) and all(d % 2 == 0 for d in g.degrees())
 
 
+def multipartite_parts(g):
+    """The parts of g as ascending vertex lists, in order of their least
+    vertex, if g is complete multipartite; None otherwise.
+
+    g is complete multipartite when every vertex's closed non-neighbourhood
+    is the same set for all of its members; those sets are then the parts.
+    """
+    full = (1 << g.n) - 1
+    parts = {}
+    for v, row in enumerate(g.rows):
+        parts.setdefault(full & ~row, []).append(v)
+    if any(mask != sum(1 << v for v in members) for mask, members in parts.items()):
+        return None
+    return list(parts.values())
+
+
 def is_complete_bipartite(g):
-    """BFS 2-coloring, then check the part sizes multiply to the edge count."""
-    if g.n == 0:
-        return False
-    # colors[0] holds the even BFS layers of every component, colors[1] the odd
-    colors = [0, 0]
-    seen = 0
-    for s in range(g.n):
-        if seen >> s & 1:
-            continue
-        for depth, layer in enumerate(_bfs_layers(g.rows, s)):
-            colors[depth & 1] |= layer
-            seen |= layer
-    for side in colors:
-        if any(g.rows[u] & side for u in _bits(side)):
-            return False
-    a, b = (side.bit_count() for side in colors)
-    if a == 0 or b == 0:
-        return False
-    return g.edge_count() == a * b
+    """Complete multipartite with exactly two parts."""
+    parts = multipartite_parts(g)
+    return parts is not None and len(parts) == 2
 
 
 # -- Hamiltonicity -------------------------------------------------------------
@@ -335,27 +337,12 @@ class PropertyReport:
     domination_number: object
 
     def to_dict(self):
-        def enc(v):
-            return "inf" if v == INF else v
-
-        return {
-            "vertex_count": self.vertex_count,
-            "edge_count": self.edge_count,
-            "min_degree": self.min_degree,
-            "max_degree": self.max_degree,
-            "degree_sequence": list(self.degree_sequence),
-            "is_connected": self.is_connected,
-            "diameter": enc(self.diameter),
-            "girth": enc(self.girth),
-            "is_regular": self.is_regular,
-            "is_eulerian": self.is_eulerian,
-            "is_hamiltonian": self.is_hamiltonian,
-            "is_complete": self.is_complete,
-            "is_complete_bipartite": self.is_complete_bipartite,
-            "is_planar": self.is_planar,
-            "is_outerplanar": self.is_outerplanar,
-            "domination_number": enc(self.domination_number),
-        }
+        """The fields in declaration order; tuples become lists and inf "inf"."""
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            out[f.name] = list(v) if isinstance(v, tuple) else "inf" if v == INF else v
+        return out
 
 
 def property_report(g):

@@ -7,12 +7,13 @@ they are isomorphic, and ``isomorphism`` maps the i-th vertex of one labeling
 to the i-th vertex of the other.
 
 A complete multipartite graph (every non-commuting graph of dimension <= 3)
-is labeled directly: its parts smallest first, each part's vertices in
-ascending order.  Any other graph takes the lexicographically minimal code
-over all vertex orderings compatible with the iterated-degree refinement,
-found by individualization-refinement with prefix pruning and automorphism
-pruning (McKay & Piperno, "Practical graph isomorphism II", 2014): two leaves
-with equal codes give an automorphism, and subtrees that an automorphism maps
+is labeled directly from the parts ``graphs.multipartite_parts`` finds: the
+parts by (size, least vertex), each part's vertices in ascending order.  Any
+other graph takes the lexicographically minimal code over all vertex
+orderings compatible with the iterated-degree refinement, found by
+individualization-refinement with prefix pruning and automorphism pruning
+(McKay & Piperno, "Practical graph isomorphism II", 2014): two leaves with
+equal codes give an automorphism, and subtrees that an automorphism maps
 onto ones already searched are skipped.  The search stops with CapExceeded
 after ``ISO_NODE_BUDGET`` nodes.  Being complete multipartite is an
 isomorphism invariant, so the two paths never give one certificate to two
@@ -22,6 +23,7 @@ non-isomorphic graphs.
 from __future__ import annotations
 
 from .errors import CapExceeded
+from .graphs import multipartite_parts
 
 ISO_CAP = 64
 # search nodes per labeling: over 100 times what any pool, spec or figure graph needs
@@ -63,24 +65,6 @@ def _row(g, order, v):
         if g.has_edge(u, v):
             row |= 1 << i
     return row
-
-
-def _multipartite_order(g):
-    """The parts-smallest-first labeling if g is complete multipartite, else None.
-
-    g is complete multipartite when every vertex's closed non-neighbourhood is
-    the same set for all of its members; those sets are then the parts.
-    """
-    full = (1 << g.n) - 1
-    parts = {}
-    for v, row in enumerate(g.rows):
-        parts.setdefault(full & ~row, []).append(v)
-    if any(mask != sum(1 << v for v in members) for mask, members in parts.items()):
-        return None
-    order = []
-    for members in sorted(parts.values(), key=lambda m: (len(m), m[0])):
-        order.extend(members)
-    return order
 
 
 def _orbit_reps(n, generators):
@@ -189,9 +173,11 @@ def _canonical(g):
     cached = _CERT_CACHE.get((g.n, g.rows))
     if cached is not None:
         return cached
-    order = _multipartite_order(g)
-    if order is None:
+    parts = multipartite_parts(g)
+    if parts is None:
         order = _search_order(g)
+    else:
+        order = [v for part in sorted(parts, key=lambda p: (len(p), p[0])) for v in part]
     body = ",".join(str(_row(g, order[:k], v)) for k, v in enumerate(order))
     result = (f"G{g.n}:{body}".encode(), order)
     if len(_CERT_CACHE) < 4096:
@@ -221,9 +207,3 @@ def isomorphism(g1, g2):
     if cert1 != cert2:
         return None
     return dict(zip(order1, order2))
-
-
-def graph_isomorphic(g1, g2):
-    """(isomorphic, witness-or-None)."""
-    witness = isomorphism(g1, g2)
-    return witness is not None, witness

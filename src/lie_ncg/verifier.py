@@ -11,13 +11,14 @@ checked in both directions on every instance.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from itertools import combinations
 
 from . import graphs
 from .catalog import builtin_catalog
-from .enumeration import algebras_equivalent, enumerate_algebras
+from .enumeration import _check_scope, algebras_equivalent, jacobi_tensors
 from .errors import UnknownStatement
 from .gf import field_new, prime_factors, prime_power_decomposition
 from .iso import canonical_certificate, isomorphism
@@ -98,7 +99,7 @@ def enumeration_instances(n, q):
     """Every non-abelian Jacobi-satisfying structure of the given shape."""
     field = field_new(q)
     out = []
-    for idx, L in enumerate(enumerate_algebras(n, field)):
+    for idx, L in enumerate(jacobi_tensors(n, field)):
         if not L.is_abelian():
             out.append(Instance(f"enum(n={n},q={q})#{idx}", L))
     return out
@@ -520,24 +521,33 @@ def _verify_witness(g1, g2, witness):
 
 def explore_conjecture(n_max=3, qs=(2,)):
     """Tabulate (graphs isomorphic?, equal algebra orders?) over all pairs of
-    enumerated non-abelian algebras.  Data only; no truth claim."""
+    enumerated non-abelian algebras.  Data only; no truth claim.
+
+    Every scope is checked before any is enumerated.  The cells are counted,
+    not compared pair by pair: m instances sharing a key give m(m-1)/2 pairs,
+    so grouping by certificate, by order and by both gives every cell.
+    """
+    for q in qs:
+        _check_scope(n_max, field_new(q))
     instances = []
     for q in qs:
         for n in range(2, n_max + 1):
             instances.extend(enumeration_instances(n, q))
-    cells = {
-        ("iso", "equal"): 0,
-        ("iso", "unequal"): 0,
-        ("non-iso", "equal"): 0,
-        ("non-iso", "unequal"): 0,
-    }
-    certs = [inst.certificate for inst in instances]
-    for i, j in combinations(range(len(instances)), 2):
-        iso = "iso" if certs[i] == certs[j] else "non-iso"
-        equal = "equal" if instances[i].order == instances[j].order else "unequal"
-        cells[(iso, equal)] += 1
+
+    def pairs(keys):
+        return sum(m * (m - 1) // 2 for m in Counter(keys).values())
+
+    total = len(instances) * (len(instances) - 1) // 2
+    iso = pairs(inst.certificate for inst in instances)
+    equal = pairs(inst.order for inst in instances)
+    both = pairs((inst.certificate, inst.order) for inst in instances)
     return {
-        "pairs": len(instances) * (len(instances) - 1) // 2,
+        "pairs": total,
         "instances": len(instances),
-        "cells": {f"{a}/{b}": v for (a, b), v in cells.items()},
+        "cells": {
+            "iso/equal": both,
+            "iso/unequal": iso - both,
+            "non-iso/equal": equal - both,
+            "non-iso/unequal": total - iso - equal + both,
+        },
     }

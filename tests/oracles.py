@@ -5,7 +5,9 @@ and centers are found by scanning all elements, non-commuting graphs by
 bracketing every pair of vertices, planarity by searching for a forbidden
 subdivision, domination by trying every subset, GL(n, q) orbits by applying
 every invertible matrix, canonical labelings by searching every ordering the
-refinement allows, exports by sorting every edge by its label pair.
+refinement allows, exports by sorting every edge by its label pair,
+complete multipartite parts as the cliques of the complement, and the
+conjecture table by comparing every pair of instances.
 """
 
 import json
@@ -192,6 +194,51 @@ def planar_by_kuratowski(g):
     Exponential; intended for graphs with at most ~10 vertices.
     """
     return not (has_k5_subdivision(g) or has_k33_subdivision(g))
+
+
+# -- complete multipartite parts from the complement ---------------------------
+
+
+def multipartite_parts_by_complement(g):
+    """The parts of g if g is complete multipartite, else None.
+
+    g is complete multipartite exactly when its complement is a disjoint
+    union of cliques, and those cliques are the parts.  The components of
+    the complement are found by search over non-adjacent pairs; each must be
+    a clique of the complement, so no edge of g inside it.  Parts are
+    ascending vertex lists, in order of their least vertex.
+    """
+    seen = set()
+    parts = []
+    for s in range(g.n):
+        if s in seen:
+            continue
+        component, stack = {s}, [s]
+        while stack:
+            u = stack.pop()
+            for v in range(g.n):
+                if v != u and v not in component and not g.has_edge(u, v):
+                    component.add(v)
+                    stack.append(v)
+        if any(g.has_edge(u, v) for u, v in combinations(component, 2)):
+            return None
+        seen |= component
+        parts.append(sorted(component))
+    return parts
+
+
+# -- conjecture table by comparing pairs ---------------------------------------
+
+
+def conjecture_cells_by_pairs(instances):
+    """The (graphs isomorphic?, equal orders?) cells of
+    ``explore_conjecture``, by comparing every pair of instances."""
+    cells = {"iso/equal": 0, "iso/unequal": 0, "non-iso/equal": 0, "non-iso/unequal": 0}
+    for a, b in combinations(instances, 2):
+        iso = "iso" if a.certificate == b.certificate else "non-iso"
+        equal = "equal" if a.order == b.order else "unequal"
+        cells[f"{iso}/{equal}"] += 1
+    return cells
 
 
 # -- exports by sorting every edge ---------------------------------------------

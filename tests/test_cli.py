@@ -232,3 +232,24 @@ def test_closed_stdout_exits_1_without_raising(capsys, monkeypatch, tmp_path, ar
         monkeypatch.setattr("sys.stdout", _ClosedPipe(fh.fileno()))
         assert main([argv[0], f"{SPECS}/aff1_f2.json", *argv[1:]]) == 1
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, stream",
+    [
+        (["enumerate", "--n", "-3"], "out"),
+        (["verify", "--scope", "enumerate", "--n", "0"], "err"),
+        (["enumerate", "--n", "4", "--q", "3"], "out"),
+    ],
+)
+def test_empty_or_impossible_scope_is_refused_before_any_work(capsys, monkeypatch, argv, stream):
+    # no candidate tensor is generated: n = 4 is refused before n = 2 and 3
+    # are enumerated
+    def no_candidates(*args):
+        raise AssertionError("candidate tensors generated before the refusal")
+
+    monkeypatch.setattr("lie_ncg.enumeration.structure_tensors", no_candidates)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    line, other = (out, err) if stream == "out" else (err, out)
+    assert "CapExceeded" in line and line.count("\n") == 1 and other == ""

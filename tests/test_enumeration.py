@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from lie_ncg.catalog import builtin_catalog, catalog_entry
 from lie_ncg.enumeration import (
     algebras_equivalent,
-    enumerate_algebras,
     jacobi_tensors,
     orbit_partition,
     tensor_key,
@@ -26,7 +25,7 @@ from oracles import full_gl_orbits, gl_matrices
 def test_dim2_counts():
     f2 = field_new(2)
     # one pair, 4 coefficient vectors, Jacobi vacuous in dim 2
-    algebras = list(enumerate_algebras(2, f2))
+    algebras = list(jacobi_tensors(2, f2))
     assert len(algebras) == 4
     assert sum(1 for L in algebras if not L.is_abelian()) == 3
 
@@ -74,11 +73,11 @@ def test_orbit_sizes_dim3_f3_frozen():
 
 def test_algebras_equivalent():
     f2 = field_new(2)
-    nonab = [L for L in enumerate_algebras(2, f2) if not L.is_abelian()]
+    nonab = [L for L in jacobi_tensors(2, f2) if not L.is_abelian()]
     for L1 in nonab:
         for L2 in nonab:
             assert algebras_equivalent(L1, L2)
-    ab = next(L for L in enumerate_algebras(2, f2) if L.is_abelian())
+    ab = next(L for L in jacobi_tensors(2, f2) if L.is_abelian())
     assert not algebras_equivalent(ab, nonab[0])
     # different fields are never equivalent
     heis2 = catalog_entry("heisenberg_f2").algebra()
@@ -88,9 +87,12 @@ def test_algebras_equivalent():
 
 def test_enumeration_scope_caps():
     with pytest.raises(CapExceeded):
-        list(enumerate_algebras(4, field_new(2)))
+        list(jacobi_tensors(4, field_new(2)))
     with pytest.raises(CapExceeded):
-        list(enumerate_algebras(2, field_new(4)))
+        list(jacobi_tensors(2, field_new(4)))
+    for n in (0, -3):
+        with pytest.raises(CapExceeded):
+            list(jacobi_tensors(n, field_new(2)))
 
 
 @settings(max_examples=30, deadline=None)

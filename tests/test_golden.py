@@ -1,0 +1,67 @@
+"""Default CLI output, byte for byte, against files recorded under golden/.
+
+Covers ``analyze`` (JSON and text) and ``compare <spec> <spec>`` for every
+spec, ``compare heisenberg_f2 l2_f2``, ``verify --format json`` and
+``enumerate --n 3 --q 2``.  After a deliberate output change, rewrite the
+files with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+"""
+
+import os
+import sys
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import pytest
+
+from lie_ncg.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SPECS = sorted((ROOT / "specs").glob("*.json"))
+
+
+def _cases():
+    """(golden file name, argv) for every recorded output; paths are relative
+    to the repository root."""
+    cases = []
+    for spec in SPECS:
+        path = f"specs/{spec.name}"
+        cases.append((f"analyze_{spec.stem}.json", ["analyze", path, "--format", "json"]))
+        cases.append((f"analyze_{spec.stem}.txt", ["analyze", path]))
+        cases.append((f"compare_{spec.stem}.json", ["compare", path, path]))
+    cases.append(
+        ("compare_heisenberg_f2_l2_f2.json",
+         ["compare", "specs/heisenberg_f2.json", "specs/l2_f2.json"])
+    )
+    cases.append(("verify.jsonl", ["verify", "--format", "json"]))
+    cases.append(("enumerate_n3_q2.json", ["enumerate", "--n", "3", "--q", "2"]))
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(argv):
+    """(exit code, stdout) of one command."""
+    buf = StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
+def test_default_output_is_unchanged(monkeypatch, name, argv):
+    monkeypatch.chdir(ROOT)
+    assert _run(argv) == (0, (GOLDEN / name).read_text(encoding="utf-8"))
+
+
+if __name__ == "__main__":
+    os.chdir(ROOT)
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES:
+        code, out = _run(argv)
+        if code != 0:
+            sys.exit(f"{' '.join(argv)} exited {code}")
+        (GOLDEN / name).write_text(out, encoding="utf-8")
+    print(f"wrote {len(CASES)} files to {GOLDEN}")

@@ -22,6 +22,7 @@ from lie_ncg.graphs import (
     is_outerplanar,
     is_planar,
     is_regular,
+    multipartite_parts,
     property_report,
 )
 
@@ -101,11 +102,14 @@ def assert_matches_networkx(n, edges):
     assert connectivity(g) == (connected, nx.diameter(h) if connected else INF)
     assert girth(g) == nx.girth(h)
     assert is_eulerian(g) == nx.is_eulerian(h)
-    complete_bip = n >= 2 and connected and nx.is_bipartite(h)
-    if complete_bip:
-        left, right = nx.bipartite.sets(h)
-        complete_bip = len(left) * len(right) == len(edges)
-    assert is_complete_bipartite(g) == complete_bip
+    assert is_complete_bipartite(g) == nx_is_complete_bipartite(h)
+
+
+def nx_is_complete_bipartite(h):
+    if h.number_of_nodes() < 2 or not nx.is_connected(h) or not nx.is_bipartite(h):
+        return False
+    left, right = nx.bipartite.sets(h)
+    return len(left) * len(right) == h.number_of_edges()
 
 
 def random_triangle_free(n, rng):
@@ -162,6 +166,21 @@ def test_degree_predicates():
     assert not is_complete_bipartite(cycle(6))  # bipartite but edges missing
     assert not is_complete_bipartite(Graph.complete(3))
     assert not is_complete_bipartite(Graph(2, [0, 0]))  # no edges at all
+
+
+def test_multipartite_parts_on_every_small_graph():
+    # every labeled graph on at most 5 vertices; the complete multipartite
+    # ones correspond to the set partitions, so there are Bell(n) of them
+    for n, bell in enumerate((1, 1, 2, 5, 15, 52)):
+        pairs = list(combinations(range(n), 2))
+        found = 0
+        for mask in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
+            parts = multipartite_parts(g)
+            assert parts == oracles.multipartite_parts_by_complement(g)
+            assert is_complete_bipartite(g) == nx_is_complete_bipartite(g.to_networkx())
+            found += parts is not None
+        assert found == bell
 
 
 def test_eulerian():

@@ -24,6 +24,8 @@ from lie_ncg.verifier import (
     explore_conjecture,
 )
 
+import oracles
+
 
 def l2_f3():
     """dim-3 algebra over F_3 with [x, y] = x; same graph shape as Heisenberg."""
@@ -171,3 +173,12 @@ def test_explore_conjecture_dim2():
         "non-iso/equal": 0,
         "non-iso/unequal": 0,
     }
+
+
+def test_explore_conjecture_counts_match_pairwise_oracle():
+    # the table mixes dimensions 2 and 3, so pairs of unequal order occur
+    summary = explore_conjecture(n_max=3, qs=(2,))
+    instances = enumeration_instances(2, 2) + enumeration_instances(3, 2)
+    assert summary["instances"] == len(instances) == 122
+    assert summary["pairs"] == sum(summary["cells"].values())
+    assert summary["cells"] == oracles.conjecture_cells_by_pairs(instances)

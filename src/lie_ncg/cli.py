@@ -103,18 +103,20 @@ def cmd_compare(args):
     L2 = _load_algebra(args.path_b)
     g1, g2 = build_graph(L1), build_graph(L2)
     witness = isomorphism(g1, g2)
-    report = verifier.check_iso_theorems([("A", L1, "B", L2)])
+    failures, notes = [], []
+    if witness is not None:
+        failures, notes = verifier.iso_consequences("A ~ B", L1, g1, L2, g2, witness)
     payload = {
         "isomorphic": witness is not None,
         "witness": {g1.labels[k]: g2.labels[v] for k, v in witness.items()} if witness else None,
         "orders": [L1.order, L2.order],
         "center_orders": [L1.order - g1.n, L2.order - g2.n],
         "nilpotent": [L1.is_nilpotent(), L2.is_nilpotent()],
-        "consequence_failures": [list(f) for f in report.failures],
-        "notes": report.notes,
+        "consequence_failures": [list(f) for f in failures],
+        "notes": notes,
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
-    return 0 if not report.failures else 1
+    return 0 if not failures else 1
 
 
 def cmd_enumerate(args):

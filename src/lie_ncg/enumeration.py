@@ -1,11 +1,15 @@
 """Exhaustive enumeration of Lie algebra structures on F_q^n for tiny n, q.
 
-A candidate structure assigns one coefficient vector to each basis pair
-``i < j``; antisymmetry is then automatic and the only constraint left is the
-Jacobi identity on basis triples.  Deduplication reduces modulo the
-GL(n, q) basis-change action: each new tensor's orbit is closed under a
-generating set of GL(n, q) (the transvections I + E_ij and the matrices
-diag(a, 1, ..., 1)), so the work grows with the orbit, not with |GL(n, q)|.
+A structure assigns one coefficient vector c_ij to each basis pair ``i < j``;
+antisymmetry is then automatic and the only constraint left is the Jacobi
+identity on basis triples.  For n <= 2 there is no triple, so every tensor is
+a Lie structure.  For n = 3 there is one triple, and with c_01 and c_02 fixed
+its Jacobi sum is affine in c_12, so each of the q^6 pairs (c_01, c_02) gives
+its structures by one small linear solve, not by testing q^3 candidates.
+Deduplication reduces modulo the GL(n, q) basis-change action: each new
+tensor's orbit is closed under a generating set of GL(n, q) (the
+transvections I + E_ij and the matrices diag(a, 1, ..., 1)), so the work
+grows with the orbit, not with |GL(n, q)|.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from itertools import combinations, product
 
 from .errors import CapExceeded
 from .liealg import LieAlgebra
-from .linalg import mat_inv, mat_vec
+from .linalg import Subspace, kernel_basis, mat_inv, mat_vec, rref
 
 ENUM_MAX_DIM = 3
 ENUM_MAX_Q = 3
@@ -29,29 +33,54 @@ def _check_scope(n, field):
         )
 
 
-def structure_tensors(n, field):
-    """All antisymmetric structure tensors, as pair->vector dicts, in a
-    deterministic order."""
-    pairs = list(combinations(range(n), 2))
-    vectors = list(product(field.elements(), repeat=n))
-    for assignment in product(vectors, repeat=len(pairs)):
-        yield dict(zip(pairs, assignment))
-
-
 def tensor_key(table, n):
     """Hashable canonical encoding of a structure table."""
     return tuple(tuple(table[p]) for p in combinations(range(n), 2))
 
 
+def _c12_solutions(field, c01, c02):
+    """Every c_12 that makes (c_01, c_02, c_12) a Lie structure on F_q^3, in
+    ascending order.
+
+    The Jacobi sum J of the one triple is affine in c_12, J(c) = J(0) + Mc,
+    so J(0) and the columns M e_k = J(e_k) - J(0) are read off the sum
+    itself, and the solutions of Mc = -J(0) are one of them plus ker M.
+    """
+
+    def jacobi(c12):
+        table = {(0, 1): c01, (0, 2): c02, (1, 2): c12}
+        return LieAlgebra(field, 3, table, validate=False).jacobi_sum(0, 1, 2)
+
+    j0 = jacobi((0, 0, 0))
+    cols = [jacobi(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    m = [[field.sub(col[r], j0[r]) for col in cols] for r in range(3)]
+    reduced, pivots = rref(field, [row + [field.neg(j0[r])] for r, row in enumerate(m)])
+    if 3 in pivots:
+        return []
+    particular = [0, 0, 0]
+    for row, col in zip(reduced, pivots):
+        particular[col] = row[3]
+    kernel = Subspace(field, 3, kernel_basis(field, m, 3))
+    return sorted(
+        tuple(field.add(x, y) for x, y in zip(particular, k)) for k in kernel.elements()
+    )
+
+
 def jacobi_tensors(n, field):
     """Stream all Jacobi-satisfying structure tensors (abelian included), one
-    LieAlgebra each and not deduplicated; ``orbit_partition`` gives one
+    LieAlgebra each and not deduplicated, in ascending order of their
+    coefficient vectors c_01, c_02, ...; ``orbit_partition`` gives one
     representative per GL(n, q) class."""
     _check_scope(n, field)
-    for table in structure_tensors(n, field):
-        L = LieAlgebra(field, n, table, validate=False)
-        if L.jacobi_failure() is None:
-            yield L
+    vectors = list(product(field.elements(), repeat=n))
+    if n < 3:
+        pairs = list(combinations(range(n), 2))
+        for assignment in product(vectors, repeat=len(pairs)):
+            yield LieAlgebra(field, n, dict(zip(pairs, assignment)))
+        return
+    for c01, c02 in product(vectors, repeat=2):
+        for c12 in _c12_solutions(field, c01, c02):
+            yield LieAlgebra(field, n, {(0, 1): c01, (0, 2): c02, (1, 2): c12})
 
 
 def _gl_generators(n, field):

@@ -254,9 +254,17 @@ def hamiltonian_cycle(g):
 
 
 def is_hamiltonian(g):
-    """Dirac shortcut when it applies, exact backtracking otherwise."""
+    """Dirac shortcut when it applies, exact backtracking otherwise.
+
+    A complete multipartite graph that fails Dirac needs no search: either
+    n < 3, or a vertex of the largest part has degree n - n_k < n/2, so that
+    part is an independent set of more than n/2 vertices, which no Hamilton
+    cycle can hold.
+    """
     if g.n >= 3 and 2 * min(g.degrees()) >= g.n:
         return True
+    if multipartite_parts(g) is not None:
+        return False
     return hamiltonian_cycle(g) is not None
 
 

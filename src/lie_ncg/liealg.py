@@ -113,17 +113,22 @@ class LieAlgebra:
                         out[k] = f.add(out[k], f.mul(s, c))
         return tuple(out)
 
+    def jacobi_sum(self, i, j, k):
+        """[e_i, [e_j, e_k]] + [e_k, [e_i, e_j]] + [e_j, [e_k, e_i]]; the
+        Jacobi identity holds on the triple iff this is zero."""
+        acc = self.zero()
+        for a, (b, c) in ((i, (j, k)), (k, (i, j)), (j, (k, i))):
+            term = self.bracket(self.basis_vector(a), self.bracket_basis(b, c))
+            acc = tuple(self.field.add(x, y) for x, y in zip(acc, term))
+        return acc
+
     def jacobi_failure(self):
         """The first basis triple ``(i, j, k)`` on which the Jacobi identity
         fails, or None when it holds everywhere."""
         zero = self.zero()
-        for i, j, k in combinations(range(self.dim), 3):
-            acc = zero
-            for a, (b, c) in ((i, (j, k)), (k, (i, j)), (j, (k, i))):
-                term = self.bracket(self.basis_vector(a), self.bracket_basis(b, c))
-                acc = tuple(self.field.add(x, y) for x, y in zip(acc, term))
-            if acc != zero:
-                return (i, j, k)
+        for triple in combinations(range(self.dim), 3):
+            if self.jacobi_sum(*triple) != zero:
+                return triple
         return None
 
     # -- derived structure --------------------------------------------------

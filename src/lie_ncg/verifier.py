@@ -19,7 +19,7 @@ from itertools import combinations
 from . import graphs
 from .catalog import builtin_catalog
 from .enumeration import _check_scope, algebras_equivalent, jacobi_tensors
-from .errors import UnknownStatement
+from .errors import CapExceeded, UnknownStatement
 from .gf import field_new, prime_factors, prime_power_decomposition
 from .iso import canonical_certificate, isomorphism
 from .ncg import build_graph
@@ -447,64 +447,73 @@ def check_iso_theorems(pairs):
     """Consequence checks on pairs of algebras with isomorphic graphs.
 
     ``pairs`` is a sequence of ``(name1, L1, name2, L2)`` tuples.  Pairs
-    whose graphs are not isomorphic are vacuous.  The witness of each graph
-    isomorphism is re-verified edge by edge.
+    whose graphs are not isomorphic are vacuous; the others are checked by
+    ``iso_consequences``.
     """
     report = TheoremReport(
         statement_id="IsoTheorems",
         quote="graph isomorphism constrains field order and algebra order",
     )
     for name1, L1, name2, L2 in pairs:
-        label = f"{name1} ~ {name2}"
         report.instances_checked += 1
         g1, g2 = build_graph(L1), build_graph(L2)
         witness = isomorphism(g1, g2)
         if witness is None:
             report.vacuous_count += 1
             continue
-        bad = _verify_witness(g1, g2, witness)
-        if bad:
-            report.failures.append((label, bad))
-            continue
-        shapes = set()
-        for d in set(g1.degrees()):
-            shapes |= _degree_shapes(d)
-        q1, q2 = L1.field.q, L2.field.q
-        if "prime_power" in shapes:
-            if prime_power_decomposition(q1)[1] == 1 and prime_power_decomposition(q2)[1] == 1:
-                if q1 != q2:
-                    report.failures.append((label, f"prime-power degree but q {q1} != {q2}"))
-            else:
-                report.notes.append(
-                    f"{label}: prime-power degree with non-prime field order; "
-                    f"equal-q conclusion not asserted (q={q1},{q2})"
-                )
-        if shapes & {"prime", "p*q", "p^2*q", "p^n*q"} or (q1 == 2 and q2 == 2):
-            if L1.order != L2.order:
-                report.failures.append((label, f"|L1|={L1.order} != |L2|={L2.order}"))
-        for shape in ("p*q", "p^2*q"):
-            if shape not in shapes:
-                continue
-            if L1.order == L2.order == 9:
-                ok = (
-                    L1.dim == 2
-                    and L2.dim == 2
-                    and not L1.is_abelian()
-                    and not L2.is_abelian()
-                    and algebras_equivalent(L1, L2)
-                )
-                if not ok:
-                    report.failures.append(
-                        (label, f"degree shape {shape} with |L|=9 but algebras not the "
-                         "2-dimensional non-abelian class")
-                    )
-            else:
-                report.notes.append(
-                    f"{label}: degree shape {shape} with |L|={L1.order}, outside the "
-                    "|L|=9 case analysis; order equality verified, algebra "
-                    "isomorphism not asserted"
-                )
+        failures, notes = iso_consequences(f"{name1} ~ {name2}", L1, g1, L2, g2, witness)
+        report.failures.extend(failures)
+        report.notes.extend(notes)
     return report
+
+
+def iso_consequences(label, L1, g1, L2, g2, witness):
+    """Failures and notes, as two lists, of the consequence checks on L1 and
+    L2, given their graphs and an isomorphism ``witness`` from g1 to g2.  The
+    witness is re-verified edge by edge first."""
+    bad = _verify_witness(g1, g2, witness)
+    if bad:
+        return [(label, bad)], []
+    failures, notes = [], []
+    shapes = set()
+    for d in set(g1.degrees()):
+        shapes |= _degree_shapes(d)
+    q1, q2 = L1.field.q, L2.field.q
+    if "prime_power" in shapes:
+        if prime_power_decomposition(q1)[1] == 1 and prime_power_decomposition(q2)[1] == 1:
+            if q1 != q2:
+                failures.append((label, f"prime-power degree but q {q1} != {q2}"))
+        else:
+            notes.append(
+                f"{label}: prime-power degree with non-prime field order; "
+                f"equal-q conclusion not asserted (q={q1},{q2})"
+            )
+    if shapes & {"prime", "p*q", "p^2*q", "p^n*q"} or (q1 == 2 and q2 == 2):
+        if L1.order != L2.order:
+            failures.append((label, f"|L1|={L1.order} != |L2|={L2.order}"))
+    for shape in ("p*q", "p^2*q"):
+        if shape not in shapes:
+            continue
+        if L1.order == L2.order == 9:
+            ok = (
+                L1.dim == 2
+                and L2.dim == 2
+                and not L1.is_abelian()
+                and not L2.is_abelian()
+                and algebras_equivalent(L1, L2)
+            )
+            if not ok:
+                failures.append(
+                    (label, f"degree shape {shape} with |L|=9 but algebras not the "
+                     "2-dimensional non-abelian class")
+                )
+        else:
+            notes.append(
+                f"{label}: degree shape {shape} with |L|={L1.order}, outside the "
+                "|L|=9 case analysis; order equality verified, algebra "
+                "isomorphism not asserted"
+            )
+    return failures, notes
 
 
 def _verify_witness(g1, g2, witness):
@@ -523,12 +532,18 @@ def explore_conjecture(n_max=3, qs=(2,)):
     """Tabulate (graphs isomorphic?, equal algebra orders?) over all pairs of
     enumerated non-abelian algebras.  Data only; no truth claim.
 
-    Every scope is checked before any is enumerated.  The cells are counted,
+    Every scope is checked before any is enumerated, and ``n_max < 2``,
+    which would give an empty table, is refused.  The cells are counted,
     not compared pair by pair: m instances sharing a key give m(m-1)/2 pairs,
     so grouping by certificate, by order and by both gives every cell.
     """
     for q in qs:
         _check_scope(n_max, field_new(q))
+    if n_max < 2:
+        raise CapExceeded(
+            f"the table pairs the non-abelian algebras of dim 2 to n, so it needs "
+            f"n >= 2; got n={n_max}"
+        )
     instances = []
     for q in qs:
         for n in range(2, n_max + 1):

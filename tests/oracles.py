@@ -3,7 +3,8 @@
 Everything here deliberately avoids the code paths it validates: centralizers
 and centers are found by scanning all elements, non-commuting graphs by
 bracketing every pair of vertices, planarity by searching for a forbidden
-subdivision, domination by trying every subset, GL(n, q) orbits by applying
+subdivision, domination by trying every subset, Lie structures by testing
+the Jacobi identity on every structure tensor, GL(n, q) orbits by applying
 every invertible matrix, canonical labelings by searching every ordering the
 refinement allows, exports by sorting every edge by its label pair,
 complete multipartite parts as the cliques of the complement, and the
@@ -14,8 +15,9 @@ import json
 from itertools import combinations, product
 from xml.sax.saxutils import escape
 
-from lie_ncg.enumeration import jacobi_tensors, tensor_key, transform_structure
+from lie_ncg.enumeration import tensor_key, transform_structure
 from lie_ncg.iso import refine_colors
+from lie_ncg.liealg import LieAlgebra
 from lie_ncg.linalg import mat_inv
 from lie_ncg.ncg import NcGraph
 
@@ -52,6 +54,18 @@ def graph_by_brackets(L):
     return NcGraph(n, rows, vertices, labels)
 
 
+def jacobi_tensors_by_filter(n, field):
+    """Every Lie structure on F_q^n, found by testing the Jacobi identity on
+    each of the q^(n * n(n-1)/2) structure tensors, in product order of the
+    coefficient vectors c_01, c_02, ..."""
+    pairs = list(combinations(range(n), 2))
+    vectors = list(product(field.elements(), repeat=n))
+    for assignment in product(vectors, repeat=len(pairs)):
+        L = LieAlgebra(field, n, dict(zip(pairs, assignment)), validate=False)
+        if L.jacobi_failure() is None:
+            yield L
+
+
 def gl_matrices(n, field):
     """All invertible n x n matrices over the field, as row-tuple tuples."""
     mats = []
@@ -69,7 +83,7 @@ def full_gl_orbits(n, field):
     gls = [(g, mat_inv(field, g)) for g in gl_matrices(n, field)]
     seen = set()
     orbits = []
-    for L in jacobi_tensors(n, field):
+    for L in jacobi_tensors_by_filter(n, field):
         key = tensor_key(L.structure, n)
         if key in seen:
             continue

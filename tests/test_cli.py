@@ -2,6 +2,7 @@
 
 import json
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -128,6 +129,29 @@ def test_compare_identical_specs(capsys):
     assert sorted(payload["witness"]) == sorted(payload["witness"].values())
 
 
+def test_compare_builds_each_graph_once(capsys, monkeypatch):
+    # the consequence checks reuse compare's two graphs and its witness
+    import lie_ncg.cli
+    import lie_ncg.verifier
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    for mod in (lie_ncg.cli, lie_ncg.verifier):
+        for name in ("build_graph", "isomorphism"):
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    spec = f"{SPECS}/heisenberg_f4.json"
+    code, out, _ = run(capsys, "compare", spec, spec)
+    assert code == 0 and json.loads(out)["isomorphic"] is True
+    assert calls == {"build_graph": 2, "isomorphism": 1}
+
+
 def test_compare_different_specs(capsys):
     code, out, _ = run(capsys, "compare", f"{SPECS}/aff1_f2.json", f"{SPECS}/heisenberg_f2.json")
     assert code == 0
@@ -240,6 +264,7 @@ def test_closed_stdout_exits_1_without_raising(capsys, monkeypatch, tmp_path, ar
         (["enumerate", "--n", "-3"], "out"),
         (["verify", "--scope", "enumerate", "--n", "0"], "err"),
         (["enumerate", "--n", "4", "--q", "3"], "out"),
+        (["enumerate", "--n", "1"], "out"),
     ],
 )
 def test_empty_or_impossible_scope_is_refused_before_any_work(capsys, monkeypatch, argv, stream):
@@ -248,7 +273,7 @@ def test_empty_or_impossible_scope_is_refused_before_any_work(capsys, monkeypatc
     def no_candidates(*args):
         raise AssertionError("candidate tensors generated before the refusal")
 
-    monkeypatch.setattr("lie_ncg.enumeration.structure_tensors", no_candidates)
+    monkeypatch.setattr("lie_ncg.enumeration.LieAlgebra", no_candidates)
     code, out, err = run(capsys, *argv)
     assert code == 1
     line, other = (out, err) if stream == "out" else (err, out)

@@ -1,5 +1,7 @@
 """Exhaustive structure-tensor enumeration and GL-equivalence."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +21,15 @@ from lie_ncg.liealg import LieAlgebra
 from lie_ncg.linalg import mat_inv
 from lie_ncg.ncg import build_graph
 
-from oracles import full_gl_orbits, gl_matrices
+from oracles import full_gl_orbits, gl_matrices, jacobi_tensors_by_filter
+
+# every (n, q) the enumeration accepts
+SHAPES = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]
+
+
+def gl_order(n, q):
+    """|GL(n, q)|: the number of ordered bases of F_q^n."""
+    return math.prod(q**n - q**i for i in range(n))
 
 
 def test_dim2_counts():
@@ -42,10 +52,20 @@ def test_dim3_f2_jacobi_count_frozen():
     assert sum(1 for L in algebras if not L.is_abelian()) == 119
 
 
+@pytest.mark.parametrize("n,q", SHAPES)
+def test_jacobi_tensors_match_brute_force_filter(n, q):
+    # the solve for c_12 yields exactly the filter's tensors, in its order
+    f = field_new(q)
+    got = [tensor_key(L.structure, n) for L in jacobi_tensors(n, f)]
+    assert got == [tensor_key(L.structure, n) for L in jacobi_tensors_by_filter(n, f)]
+
+
 def test_gl_matrix_counts():
     # |GL(2, 2)| = 6, |GL(2, 3)| = 48
     assert len(gl_matrices(2, field_new(2))) == 6
     assert len(gl_matrices(2, field_new(3))) == 48
+    assert len(gl_matrices(3, field_new(2))) == gl_order(3, 2) == 168
+    assert gl_order(3, 3) == 11232
 
 
 def test_orbit_sizes_partition_dim2():
@@ -61,6 +81,16 @@ def test_orbit_partition_matches_full_gl_orbits(n, q):
     f = field_new(q)
     got = [(tensor_key(L.structure, n), size) for L, size in orbit_partition(n, f)]
     assert got == full_gl_orbits(n, f)
+
+
+@pytest.mark.parametrize("n,q", SHAPES)
+def test_orbit_sizes_obey_orbit_stabilizer(n, q):
+    # the orbits partition the Lie structures, and each orbit's size is
+    # |GL(n, q)| over the order of a stabilizer
+    f = field_new(q)
+    sizes = [size for _L, size in orbit_partition(n, f)]
+    assert sum(sizes) == sum(1 for _ in jacobi_tensors_by_filter(n, f))
+    assert all(gl_order(n, q) % size == 0 for size in sizes)
 
 
 def test_orbit_sizes_dim3_f3_frozen():

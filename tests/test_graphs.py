@@ -2,7 +2,8 @@
 
 import math
 import random
-from itertools import combinations
+import time
+from itertools import combinations, combinations_with_replacement
 
 import networkx as nx
 import pytest
@@ -39,8 +40,14 @@ def path(n):
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def complete_multipartite(sizes):
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    n = len(part)
+    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if part[u] != part[v]])
+
+
 def complete_bipartite(a, b):
-    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    return complete_multipartite((a, b))
 
 
 def octahedron():
@@ -210,6 +217,21 @@ def test_is_hamiltonian_dirac_consistent_with_exact():
     for g in [Graph.complete(6), cycle(7), octahedron(), complete_bipartite(3, 3)]:
         assert is_hamiltonian(g) == (hamiltonian_cycle(g) is not None)
     assert not is_hamiltonian(petersen())
+
+
+def test_is_hamiltonian_complete_multipartite_matches_exact():
+    # every multiset of 2 to 4 parts of 1 to 4 vertices, Dirac or not
+    for k in (2, 3, 4):
+        for sizes in combinations_with_replacement(range(1, 5), k):
+            g = complete_multipartite(sizes)
+            assert is_hamiltonian(g) == (hamiltonian_cycle(g) is not None), sizes
+
+
+def test_is_hamiltonian_large_complete_bipartite_is_fast():
+    # the exact search on K_{8,9} did not finish in 18 s
+    start = time.perf_counter()
+    assert not is_hamiltonian(complete_bipartite(8, 9))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_planarity_known_graphs():

@@ -18,7 +18,7 @@ from itertools import combinations, product
 
 from .errors import CapExceeded
 from .liealg import LieAlgebra
-from .linalg import Subspace, kernel_basis, mat_inv, mat_vec, rref
+from .linalg import kernel_basis, mat_inv, mat_vec, rref, span
 
 ENUM_MAX_DIM = 3
 ENUM_MAX_Q = 3
@@ -60,9 +60,9 @@ def _c12_solutions(field, c01, c02):
     particular = [0, 0, 0]
     for row, col in zip(reduced, pivots):
         particular[col] = row[3]
-    kernel = Subspace(field, 3, kernel_basis(field, m, 3))
     return sorted(
-        tuple(field.add(x, y) for x, y in zip(particular, k)) for k in kernel.elements()
+        tuple(field.add(x, y) for x, y in zip(particular, k))
+        for k in span(field, kernel_basis(field, m, 3), 3)
     )
 
 

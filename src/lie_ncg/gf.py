@@ -7,6 +7,12 @@ zero element and code 1 the multiplicative identity in every field.
 
 Extension fields use a fixed reduction polynomial per supported order so that
 element codes are reproducible across runs.
+
+A ``Field`` builds its addition, multiplication, negation and inverse tables
+once.  The hot kernels in :mod:`lie_ncg.linalg` and :mod:`lie_ncg.liealg`
+index those tables directly (``add_table[a][b]``, ``mul_table[a]`` as the
+map x -> a*x); the ``add``/``sub``/``mul``/``neg``/``inverse`` methods serve
+every other caller.
 """
 
 from __future__ import annotations
@@ -58,7 +64,9 @@ def prime_power_decomposition(q):
 class Field:
     """The finite field F_q with table-backed exact arithmetic.
 
-    Immutable after construction; safe to share between threads.
+    ``add_table[a][b]`` is a + b, ``mul_table[a][b]`` is a * b,
+    ``neg_table[a]`` is -a and ``inv_table[a]`` is 1/a (None for 0), all as
+    tuples.  Immutable after construction; safe to share between threads.
     """
 
     def __init__(self, q, p, k, reduction_polynomial):
@@ -98,19 +106,19 @@ class Field:
     def _build_tables(self):
         q, p, k = self.q, self.p, self.k
         if k == 1:
-            self._add = [[(a + b) % p for b in range(q)] for a in range(q)]
-            self._mul = [[(a * b) % p for b in range(q)] for a in range(q)]
+            add = [[(a + b) % p for b in range(q)] for a in range(q)]
+            mul = [[(a * b) % p for b in range(q)] for a in range(q)]
         else:
             digits = [self._digits(a) for a in range(q)]
-            self._add = [
+            add = [
                 [self._code([(x + y) % p for x, y in zip(digits[a], digits[b])]) for b in range(q)]
                 for a in range(q)
             ]
-            self._mul = [[self._poly_mul(digits[a], digits[b]) for b in range(q)] for a in range(q)]
-        self._neg = [self._add[a].index(0) for a in range(q)]
-        self._inv = [None] * q
-        for a in range(1, q):
-            self._inv[a] = self._mul[a].index(1)
+            mul = [[self._poly_mul(digits[a], digits[b]) for b in range(q)] for a in range(q)]
+        self.add_table = tuple(map(tuple, add))
+        self.mul_table = tuple(map(tuple, mul))
+        self.neg_table = tuple(row.index(0) for row in add)
+        self.inv_table = (None,) + tuple(row.index(1) for row in mul[1:])
 
     def _poly_mul(self, da, db):
         p, k = self.p, self.k
@@ -132,21 +140,21 @@ class Field:
     # -- arithmetic ---------------------------------------------------------
 
     def add(self, a, b):
-        return self._add[a][b]
+        return self.add_table[a][b]
 
     def sub(self, a, b):
-        return self._add[a][self._neg[b]]
+        return self.add_table[a][self.neg_table[b]]
 
     def mul(self, a, b):
-        return self._mul[a][b]
+        return self.mul_table[a][b]
 
     def neg(self, a):
-        return self._neg[a]
+        return self.neg_table[a]
 
     def inverse(self, a):
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self._inv[a]
+        return self.inv_table[a]
 
     def elements(self):
         return range(self.q)

@@ -4,12 +4,18 @@ An algebra element is a tuple of ``dim`` field codes (coefficients in the
 chosen basis).  Structure constants are stored only for basis pairs ``i < j``;
 the bracket of equal basis elements is zero and the ``i > j`` case is the
 negation, so antisymmetry holds by construction rather than by validation.
+
+The hot kernels read the field's tables (``Field.add_table`` and friends),
+not a ``Field`` method per coefficient: ``bracket`` walks the nonzero
+structure terms, built once per algebra, and ``ad_matrix(x)`` sums
+x_k ad(e_k) over the nonzero entries of each ad(e_k), built on first use.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import combinations, product
 
 from .errors import CapExceeded, JacobiViolation, LieNcgError
@@ -74,6 +80,13 @@ class LieAlgebra:
         self.structure = {
             (i, j): tuple(structure.get((i, j), zero)) for i, j in combinations(range(dim), 2)
         }
+        # the nonzero [e_i, e_j], i < j, as (i, j, ((k, c), ...)) over c != 0
+        self._terms = tuple(
+            (i, j, tuple((k, c) for k, c in enumerate(cij) if c))
+            for (i, j), cij in self.structure.items()
+            if any(cij)
+        )
+        self._center = None
         if validate:
             triple = self.jacobi_failure()
             if triple is not None:
@@ -100,17 +113,15 @@ class LieAlgebra:
 
     def bracket(self, u, v):
         """Bilinear extension of the structure constants to arbitrary elements."""
-        f = self.field
+        add, mul, neg = self.field.add_table, self.field.mul_table, self.field.neg_table
         out = [0] * self.dim
-        for (i, j), cij in self.structure.items():
-            if cij == (0,) * self.dim:
-                continue
+        for i, j, terms in self._terms:
             # coefficient of [e_i, e_j] in [u, v] is u_i v_j - u_j v_i
-            s = f.sub(f.mul(u[i], v[j]), f.mul(u[j], v[i]))
+            s = add[mul[u[i]][v[j]]][neg[mul[u[j]][v[i]]]]
             if s:
-                for k, c in enumerate(cij):
-                    if c:
-                        out[k] = f.add(out[k], f.mul(s, c))
+                m = mul[s]
+                for k, c in terms:
+                    out[k] = add[out[k]][m[c]]
         return tuple(out)
 
     def jacobi_sum(self, i, j, k):
@@ -133,10 +144,30 @@ class LieAlgebra:
 
     # -- derived structure --------------------------------------------------
 
+    @cached_property
+    def _ad_terms(self):
+        """Per basis index k, the nonzero entries (row, col, c) of ad(e_k):
+        column j holds [e_k, e_j], which is c_kj for k < j and -c_jk for k > j."""
+        neg = self.field.neg_table
+        terms = [[] for _ in range(self.dim)]
+        for i, j, cij in self._terms:
+            for k, c in cij:
+                terms[i].append((k, j, c))
+                terms[j].append((k, i, neg[c]))
+        return terms
+
     def ad_matrix(self, x):
-        """Matrix of y -> [x, y]; column j holds the coefficients of [x, e_j]."""
-        cols = [self.bracket(x, self.basis_vector(j)) for j in range(self.dim)]
-        return [tuple(col[i] for col in cols) for i in range(self.dim)]
+        """Matrix of y -> [x, y]; column j holds the coefficients of [x, e_j].
+        It is the sum of x_k ad(e_k) over the nonzero x_k."""
+        add, mul = self.field.add_table, self.field.mul_table
+        mat = [[0] * self.dim for _ in range(self.dim)]
+        for a, terms in zip(x, self._ad_terms):
+            if a:
+                m = mul[a]
+                for i, j, c in terms:
+                    row = mat[i]
+                    row[j] = add[row[j]][m[c]]
+        return [tuple(row) for row in mat]
 
     def centralizer(self, x):
         rows = self.ad_matrix(x)
@@ -148,10 +179,15 @@ class LieAlgebra:
         return self.field.q ** (self.dim - r)
 
     def center(self):
-        rows = []
-        for i in range(self.dim):
-            rows.extend(self.ad_matrix(self.basis_vector(i)))
-        return Subspace(self.field, self.dim, kernel_basis(self.field, rows, self.dim))
+        """Z(L), the common kernel of every ad(e_i).  The algebra is
+        immutable, so the first result is kept and returned on later calls."""
+        if self._center is None:
+            rows = []
+            for i in range(self.dim):
+                rows.extend(self.ad_matrix(self.basis_vector(i)))
+            kernel = kernel_basis(self.field, rows, self.dim)
+            self._center = Subspace(self.field, self.dim, kernel)
+        return self._center
 
     def derived_subalgebra(self):
         return Subspace(self.field, self.dim, list(self.structure.values()))

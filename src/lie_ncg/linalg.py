@@ -3,11 +3,14 @@
 Matrices are lists of row tuples/lists of element codes.  Everything is exact
 and deterministic; subspaces are canonicalized to reduced row echelon form so
 subspace equality is plain tuple equality.
+
+The kernels here index the field's tables (``Field.add_table`` and friends)
+instead of calling a ``Field`` method per coefficient: eliminating row ``r``
+by a multiple b of the pivot row is ``m = mul[neg[b]]`` followed by
+``add[x][m[y]]`` for each pair of entries.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 
 def rref(field, rows):
@@ -15,27 +18,30 @@ def rref(field, rows):
     mat = [list(r) for r in rows]
     if not mat:
         return [], []
-    ncols = len(mat[0])
+    add, mul, neg, inv = field.add_table, field.mul_table, field.neg_table, field.inv_table
+    nrows = len(mat)
     pivots = []
     r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c] != 0:
-                pivot = i
+    for c in range(len(mat[0])):
+        for i in range(r, nrows):
+            if mat[i][c]:
                 break
-        if pivot is None:
+        else:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = field.inverse(mat[r][c])
-        mat[r] = [field.mul(inv, x) for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+        prow = mat[i]
+        mat[i] = mat[r]
+        if prow[c] != 1:
+            m = mul[inv[prow[c]]]
+            prow = [m[x] for x in prow]
+        mat[r] = prow
+        for k, row in enumerate(mat):
+            b = row[c]
+            if b and k != r:
+                m = mul[neg[b]]
+                mat[k] = [add[x][m[y]] for x, y in zip(row, prow)]
         pivots.append(c)
         r += 1
-        if r == len(mat):
+        if r == nrows:
             break
     return [tuple(row) for row in mat[:r]], pivots
 
@@ -43,25 +49,38 @@ def rref(field, rows):
 def kernel_basis(field, rows, ncols):
     """RREF basis of the right kernel of the matrix with the given rows."""
     reduced, pivots = rref(field, rows)
+    neg = field.neg_table
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
         vec = [0] * ncols
         vec[fc] = 1
         for r, pc in zip(reduced, pivots):
-            vec[pc] = field.neg(r[fc])
-        basis.append(tuple(vec))
+            vec[pc] = neg[r[fc]]
+        basis.append(vec)
     reduced_basis, _ = rref(field, basis)
     return reduced_basis
 
 
+def span(field, basis, n):
+    """All q^k vectors of F_q^n spanned by the k rows of ``basis``, listed
+    in ``itertools.product`` order of their coefficient vectors (the first
+    row's coefficient varies slowest)."""
+    add, mul = field.add_table, field.mul_table
+    vecs = [(0,) * n]
+    for row in basis:
+        multiples = [tuple([m[y] for y in row]) for m in mul]
+        vecs = [tuple([add[x][y] for x, y in zip(v, w)]) for v in vecs for w in multiples]
+    return vecs
+
+
 def mat_vec(field, rows, vec):
+    add, mul = field.add_table, field.mul_table
     out = []
     for row in rows:
         acc = 0
         for a, x in zip(row, vec):
-            if a and x:
-                acc = field.add(acc, field.mul(a, x))
+            acc = add[acc][mul[a][x]]
         out.append(acc)
     return tuple(out)
 
@@ -105,14 +124,7 @@ class Subspace:
 
     def elements(self):
         """All q^dim vectors of the subspace, in a deterministic order."""
-        f = self.field
-        n = self.ambient_dim
-        for coeffs in product(f.elements(), repeat=self.dim):
-            vec = [0] * n
-            for c, row in zip(coeffs, self.basis_matrix):
-                if c:
-                    vec = [f.add(x, f.mul(c, y)) for x, y in zip(vec, row)]
-            yield tuple(vec)
+        return span(self.field, self.basis_matrix, self.ambient_dim)
 
     def __eq__(self, other):
         return (

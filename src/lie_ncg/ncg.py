@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .errors import AbelianAlgebra
 from .graphs import Graph
-from .linalg import Subspace, kernel_basis
+from .linalg import kernel_basis, span
 
 
 class NcGraph(Graph):
@@ -38,6 +38,7 @@ def build_graph(L):
     # list L first, so the element cap applies before any other work
     elements = list(L.enumerate_elements())
     f = L.field
+    add, mul, neg = f.add_table, f.mul_table, f.neg_table
     center = L.center().basis_matrix
     pivots = [next(i for i, a in enumerate(row) if a) for row in center]
 
@@ -46,7 +47,8 @@ def build_graph(L):
         for row, p in zip(center, pivots):
             a = v[p]
             if a:
-                v = tuple(f.sub(x, f.mul(a, y)) for x, y in zip(v, row))
+                m = mul[neg[a]]
+                v = tuple([add[x][m[y]] for x, y in zip(v, row)])
         return v
 
     vertices = []
@@ -63,17 +65,15 @@ def build_graph(L):
     # the representatives of the cosets in C(x)/Z: the kernel of ad(x) with
     # one unit row per pivot column added
     units = [tuple(int(c == p) for c in range(L.dim)) for p in pivots]
-    scalars = [c for c in f.elements() if c]
     coset_rows = {}
     for rep in cosets:
         if rep in coset_rows:
             continue
-        quotient = Subspace(f, L.dim, kernel_basis(f, L.ad_matrix(rep) + units, L.dim))
         commuting = 0
-        for coset in quotient.elements():
+        for coset in span(f, kernel_basis(f, L.ad_matrix(rep) + units, L.dim), L.dim):
             commuting |= cosets.get(coset, 0)
-        for c in scalars:
-            coset_rows[tuple(f.mul(c, a) for a in rep)] = full & ~commuting
+        for m in mul[1:]:
+            coset_rows[tuple([m[a] for a in rep])] = full & ~commuting
     rows = [coset_rows[rep] for rep in reps]
     labels = [L.element_label(v) for v in vertices]
     return NcGraph(len(vertices), rows, vertices, labels)

@@ -1,7 +1,9 @@
 """Independent brute-force oracles used to cross-check library results.
 
-Everything here deliberately avoids the code paths it validates: centralizers
-and centers are found by scanning all elements, non-commuting graphs by
+Everything here deliberately avoids the code paths it validates: row
+reduction and brackets go through ``Field`` method calls, not the field
+tables the library indexes, centralizers and centers are found by scanning
+all elements, non-commuting graphs by
 bracketing every pair of vertices, planarity by searching for a forbidden
 subdivision, domination by trying every subset, Lie structures by testing
 the Jacobi identity on every structure tensor, GL(n, q) orbits by applying
@@ -20,6 +22,44 @@ from lie_ncg.iso import refine_colors
 from lie_ncg.liealg import LieAlgebra
 from lie_ncg.linalg import mat_inv
 from lie_ncg.ncg import NcGraph
+
+
+def rref_by_methods(field, rows):
+    """Reduced row echelon form, returned as ``linalg.rref`` returns it,
+    computed with one ``Field`` method call per coefficient."""
+    mat = [list(r) for r in rows]
+    if not mat:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(mat[0])):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = field.inverse(mat[r][c])
+        mat[r] = [field.mul(inv, x) for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return [tuple(row) for row in mat[:r]], pivots
+
+
+def bracket_by_methods(L, u, v):
+    """[u, v] = sum over i < j of (u_i v_j - u_j v_i) c_ij, read straight
+    from ``L.structure`` with ``Field`` method calls."""
+    f = L.field
+    out = [0] * L.dim
+    for (i, j), cij in L.structure.items():
+        s = f.sub(f.mul(u[i], v[j]), f.mul(u[j], v[i]))
+        for k, c in enumerate(cij):
+            out[k] = f.add(out[k], f.mul(s, c))
+    return tuple(out)
 
 
 def brute_centralizer(L, x):

@@ -1,11 +1,16 @@
 """End-to-end CLI behavior through main(argv)."""
 
 import json
+import re
+import tempfile
 import time
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lie_ncg.cli import main
 
@@ -278,3 +283,97 @@ def test_empty_or_impossible_scope_is_refused_before_any_work(capsys, monkeypatc
     assert code == 1
     line, other = (out, err) if stream == "out" else (err, out)
     assert "CapExceeded" in line and line.count("\n") == 1 and other == ""
+
+
+NAMES = ["x", "y", "z", "w"]
+ODD = st.sampled_from([None, 1.5, "1", [], {}, True])
+BAD_NAMES = st.sampled_from(["", "2x", "x+y", 'a"b', "a\\b", "v", "x"])
+FAULTS = ["q", "dim", "basis", "name", "coefficient", "brackets", "bracket", "key"]
+
+
+@st.composite
+def spec_json(draw):
+    """A spec object of a small shape (dim <= 4, q <= 5, under the element
+    cap); half of them carry one fault: a wrong-typed or impossible q or
+    dim, a bad, repeated or undeclared name, an out-of-range or wrong-typed
+    coefficient, a malformed bracket list or bracket, or a missing or
+    unknown key."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    dim = draw(st.integers(1, 4))
+    name = st.sampled_from(NAMES[:dim])
+    value = st.dictionaries(name, st.integers(0, q - 1), min_size=1, max_size=2)
+    bracket = st.builds(
+        lambda pair, value: {"left": pair[0], "right": pair[1], "value": value},
+        st.permutations(NAMES[:max(dim, 2)]).map(lambda names: names[:2]), value,
+    )
+    # distinct pairs: a repeated pair is a DuplicateBracket
+    brackets = st.lists(
+        bracket, max_size=3 if dim > 1 else 0,
+        unique_by=lambda b: frozenset((b["left"], b["right"])),
+    )
+    spec = {"q": q, "dim": dim, "basis": NAMES[:dim], "brackets": draw(brackets)}
+    if draw(st.booleans()):
+        return spec
+    fault = draw(st.sampled_from(FAULTS))
+    if fault in ("name", "coefficient"):
+        if not spec["brackets"]:
+            spec["brackets"].append(draw(bracket))
+        target = draw(st.sampled_from(spec["brackets"]))
+    if fault == "q":
+        spec["q"] = draw(ODD | st.sampled_from([0, 1, 6, 2**61 - 1]))
+    elif fault == "dim":
+        spec["dim"] = draw(ODD | st.sampled_from([0, -1, dim + 1, 200]))
+    elif fault == "basis":
+        spec["basis"][draw(st.integers(0, dim - 1))] = draw(BAD_NAMES | ODD)
+    elif fault == "name":
+        if draw(st.booleans()):
+            target["value"][draw(BAD_NAMES)] = 1
+        else:
+            target[draw(st.sampled_from(["left", "right"]))] = draw(BAD_NAMES | ODD)
+    elif fault == "coefficient":
+        target["value"][draw(name)] = draw(ODD | st.sampled_from([-1, q, 2**70]))
+    elif fault == "brackets":
+        spec["brackets"] = draw(ODD)
+    elif fault == "bracket":
+        spec["brackets"].append(draw(ODD | st.just({"left": "x", "right": "x"})))
+    elif draw(st.booleans()):
+        del spec[draw(st.sampled_from(sorted(spec)))]
+    else:
+        spec["oops"] = 1
+    return spec
+
+
+def _run_quiet(argv):
+    """(exit code, stdout, stderr) of one command, captured without capsys,
+    which Hypothesis cannot reset between examples."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec_json())
+def test_generated_specs_end_in_output_or_one_error_line(spec):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "spec.json")
+        Path(path).write_text(json.dumps(spec), encoding="utf-8")
+        for argv in (
+            ["validate", path],
+            ["analyze", path],
+            ["export", path, "--out", "dot"],
+            ["export", path, "--out", "graphml"],
+            ["export", path, "--out", "json"],
+            ["compare", path, path],
+        ):
+            code, out, err = _run_quiet(argv)
+            if code == 0:
+                assert out and err == "", argv
+                continue
+            assert code == 1, argv
+            if out:
+                # a JSON-format command reports its error on stdout
+                assert err == "" and out.count("\n") == 1, argv
+                assert set(json.loads(out)) == {"error", "message"}, argv
+            else:
+                assert err.count("\n") == 1 and re.match(r"[A-Za-z]+: ", err), argv

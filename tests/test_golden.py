@@ -1,7 +1,9 @@
 """Default CLI output, byte for byte, against files recorded under golden/.
 
 Covers ``analyze`` (JSON and text) and ``compare <spec> <spec>`` for every
-spec, ``compare heisenberg_f2 l2_f2``, ``verify --format json`` and
+spec, ``compare heisenberg_f2 l2_f2``, ``verify --format json``,
+``verify --scope enumerate --n 3 --q 2 --format json``,
+``verify --scope enumerate --n 2 --q 3 --format json`` and
 ``enumerate --n 3 --q 2``.  After a deliberate output change, rewrite the
 files with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
@@ -35,6 +37,12 @@ def _cases():
          ["compare", "specs/heisenberg_f2.json", "specs/l2_f2.json"])
     )
     cases.append(("verify.jsonl", ["verify", "--format", "json"]))
+    for n, q in ((3, 2), (2, 3)):
+        cases.append(
+            (f"verify_enumerate_n{n}_q{q}.jsonl",
+             ["verify", "--scope", "enumerate", "--n", str(n), "--q", str(q),
+              "--format", "json"])
+        )
     cases.append(("enumerate_n3_q2.json", ["enumerate", "--n", "3", "--q", "2"]))
     return cases
 

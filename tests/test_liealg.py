@@ -4,6 +4,7 @@ import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lie_ncg.catalog import catalog_entry
 from lie_ncg.errors import (
@@ -13,7 +14,7 @@ from lie_ncg.errors import (
     SelfBracketNonzero,
     UnknownBasisName,
 )
-from lie_ncg.gf import field_new
+from lie_ncg.gf import FIELD_CAP, field_new, prime_power_decomposition
 from lie_ncg.liealg import AlgebraSpec, LieAlgebra, algebra_from_spec
 
 import oracles
@@ -279,3 +280,38 @@ def test_element_labels():
     assert L.element_label((0, 0, 0)) == "0"
     L3 = catalog_entry("aff1_f3").algebra()
     assert L3.element_label((2, 1)) == "2x+y"
+
+
+# every order field_new accepts
+FIELD_ORDERS = [q for q in range(2, FIELD_CAP + 1) if prime_power_decomposition(q)]
+
+
+@st.composite
+def tensors_and_elements(draw):
+    """(algebra, u, v): a random structure tensor of dim 1-4 over any
+    supported field, built with validate=False, and two random elements."""
+    f = field_new(draw(st.sampled_from(FIELD_ORDERS)))
+    dim = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.integers(0, f.q - 1))
+    vector = st.tuples(*[entry] * dim)
+    structure = {pair: draw(vector) for pair in combinations(range(dim), 2)}
+    L = LieAlgebra(f, dim, structure, validate=False)
+    return L, draw(vector), draw(vector)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tensors_and_elements())
+def test_bracket_matches_method_call_oracle(case):
+    L, u, v = case
+    assert L.bracket(u, v) == oracles.bracket_by_methods(L, u, v)
+    assert L.bracket(v, u) == oracles.bracket_by_methods(L, v, u)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tensors_and_elements())
+def test_ad_matrix_columns_are_brackets_with_basis_vectors(case):
+    L, x, _ = case
+    ad = L.ad_matrix(x)
+    for j in range(L.dim):
+        e_j = tuple(int(i == j) for i in range(L.dim))
+        assert tuple(row[j] for row in ad) == oracles.bracket_by_methods(L, x, e_j)

@@ -2,8 +2,37 @@
 
 from itertools import product
 
-from lie_ncg.gf import field_new
-from lie_ncg.linalg import Subspace, kernel_basis, mat_inv, mat_rank, mat_vec, rref
+from hypothesis import given, settings, strategies as st
+
+from lie_ncg.gf import FIELD_CAP, field_new, prime_power_decomposition
+from lie_ncg.linalg import Subspace, kernel_basis, mat_inv, mat_rank, mat_vec, rref, span
+
+import oracles
+
+# every order field_new accepts
+FIELD_ORDERS = [q for q in range(2, FIELD_CAP + 1) if prime_power_decomposition(q)]
+
+
+@st.composite
+def matrices(draw):
+    """(field, rows, ncols): up to 6 rows of 1-5 columns over any supported
+    field, with zero entries and whole zero rows drawn often."""
+    f = field_new(draw(st.sampled_from(FIELD_ORDERS)))
+    ncols = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(0), st.integers(0, f.q - 1))
+    row = st.one_of(st.just((0,) * ncols), st.tuples(*[entry] * ncols))
+    return f, draw(st.lists(row, max_size=6)), ncols
+
+
+def apply_by_methods(field, rows, vec):
+    """The matrix-vector product with one Field method call per term."""
+    out = []
+    for row in rows:
+        acc = 0
+        for a, x in zip(row, vec):
+            acc = field.add(acc, field.mul(a, x))
+        out.append(acc)
+    return tuple(out)
 
 
 def test_rref_and_rank():
@@ -58,3 +87,39 @@ def test_subspace_zero_and_full():
     full = Subspace.full(f3, 2)
     assert full.dim == 2 and full.cardinality == 9
     assert (2, 1) in set(full.elements())
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_rref_matches_method_call_oracle(case):
+    f, rows, _ = case
+    assert rref(f, rows) == oracles.rref_by_methods(f, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_kernel_basis_is_killed_and_has_nullity_rows(case):
+    f, rows, ncols = case
+    basis = kernel_basis(f, rows, ncols)
+    rank = len(oracles.rref_by_methods(f, rows)[0])
+    assert len(basis) == ncols - rank
+    for v in basis:
+        assert apply_by_methods(f, rows, v) == (0,) * len(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_span_lists_each_member_once_in_product_order(case):
+    f, rows, ncols = case
+    basis = oracles.rref_by_methods(f, rows)[0]
+    while f.q ** len(basis) > 729:
+        basis.pop()
+    members = span(f, basis, ncols)
+    expected = []
+    for coeffs in product(range(f.q), repeat=len(basis)):
+        vec = (0,) * ncols
+        for c, row in zip(coeffs, basis):
+            vec = tuple(f.add(x, f.mul(c, y)) for x, y in zip(vec, row))
+        expected.append(vec)
+    assert members == expected
+    assert len(set(members)) == f.q ** len(basis)

@@ -4,11 +4,13 @@ from types import SimpleNamespace
 
 import pytest
 
+from lie_ncg import liealg
 from lie_ncg.catalog import catalog_entry
 from lie_ncg.errors import UnknownStatement
 from lie_ncg.gf import field_new
 from lie_ncg.graphs import Graph
 from lie_ncg.liealg import LieAlgebra
+from lie_ncg.ncg import build_graph
 from lie_ncg.refgraphs import FIGURE_IDS, figure_graph
 from lie_ncg.verifier import (
     STATEMENT_IDS,
@@ -49,6 +51,20 @@ def test_catalog_instances():
     assert len(instances) == 9
     names = [inst.name for inst in instances]
     assert "heisenberg_f2" in names and "split_pairs_f2" in names
+
+
+def test_center_is_computed_once_per_algebra(monkeypatch):
+    # the center is the one kernel liealg computes on this path; build_graph's
+    # centralizer kernels go through its own kernel_basis reference
+    calls = []
+    real = liealg.kernel_basis
+    monkeypatch.setattr(liealg, "kernel_basis", lambda *args: calls.append(args) or real(*args))
+    L = catalog_entry("heisenberg_f3").algebra()
+    build_graph(L)
+    inst = Instance("heisenberg_f3", L)
+    assert inst.center is L.center()
+    assert inst.center_order == 3
+    assert len(calls) == 1
 
 
 def test_all_statements_pass_on_catalog():

@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .errors import CapExceeded
-from .liealg import LieAlgebra
+from .liealg import LieAlgebra, jacobi_sum
 from .linalg import kernel_basis, mat_inv, mat_vec, rref, span
 
 ENUM_MAX_DIM = 3
@@ -48,8 +48,7 @@ def _c12_solutions(field, c01, c02):
     """
 
     def jacobi(c12):
-        table = {(0, 1): c01, (0, 2): c02, (1, 2): c12}
-        return LieAlgebra(field, 3, table, validate=False).jacobi_sum(0, 1, 2)
+        return jacobi_sum(field, {(0, 1): c01, (0, 2): c02, (1, 2): c12}, 0, 1, 2)
 
     j0 = jacobi((0, 0, 0))
     cols = [jacobi(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]

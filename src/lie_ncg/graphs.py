@@ -5,24 +5,31 @@ Vertices are ``0..n-1``; row ``i`` is an integer whose bit ``j`` is set when
 beyond the stated caps raise ``CapExceeded`` instead of falling back to
 heuristics.
 
+Every non-commuting graph of dimension <= 3 is complete multipartite.
+``Graph.multipartite_parts`` recognizes that shape from the rows alone,
+once per graph, and the invariants answer from them: ``connectivity``
+and ``is_planar`` by closed forms in the part sizes, ``is_hamiltonian``
+without a search, ``is_complete_bipartite`` by counting parts, and the
+canonical labeling in ``iso`` by ordering them.
+
 Every traversal runs on the rows through one breadth-first helper,
 ``_bfs_layers``: each layer is a bitmask, and the next one is the OR of the
 current layer's rows minus the vertices already seen.  It gives the diameter
-(``connectivity``), the single-source connectedness test behind
+of any other graph (one search per distinct row: vertices with equal rows
+have equal eccentricity), the single-source connectedness test behind
 ``is_eulerian`` and ``hamiltonian_cycle``, and the fallback of ``girth``.
 ``girth`` first looks for an edge whose ends share a neighbour and returns 3
 at the first one, which settles every non-commuting graph; only
-triangle-free graphs are searched.  ``multipartite_parts`` recognizes a
-complete multipartite graph (every non-commuting graph of dimension <= 3)
-from its rows alone; ``is_complete_bipartite`` and the canonical labeling in
-``iso`` both read its parts.  networkx is imported only when ``is_planar``
-gets past the 3n - 6 edge bound.
+triangle-free graphs are searched.  networkx is imported only when
+``is_planar`` gets a graph that is not complete multipartite and has at most
+3n - 6 edges.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 from .errors import CapExceeded, EmptyGraph
 
@@ -54,6 +61,25 @@ class Graph:
     def complete(cls, n):
         full = (1 << n) - 1
         return cls(n, [full & ~(1 << i) for i in range(n)])
+
+    @cached_property
+    def multipartite_parts(self):
+        """The parts as ascending vertex lists, in order of their least
+        vertex, if the graph is complete multipartite; None otherwise.
+
+        The graph is complete multipartite when every vertex's closed
+        non-neighbourhood is the same set for all of its members; those sets
+        are then the parts.  Each vertex lies in its own closed
+        non-neighbourhood, so a set is a part iff it has as many members as
+        vertices that share it.
+        """
+        full = (1 << self.n) - 1
+        parts = {}
+        for v, row in enumerate(self.rows):
+            parts.setdefault(full & ~row, []).append(v)
+        if any(mask.bit_count() != len(members) for mask, members in parts.items()):
+            return None
+        return list(parts.values())
 
     def degrees(self):
         return [r.bit_count() for r in self.rows]
@@ -126,13 +152,27 @@ def _is_connected(g):
 
 
 def connectivity(g):
-    """(is_connected, diameter); diameter is inf when disconnected."""
+    """(is_connected, diameter); diameter is inf when disconnected.
+
+    A complete multipartite graph with one part has no edges; with two or
+    more it is connected, and two vertices of one part are at distance 2
+    through any vertex of another, so the diameter is 1 when every part is
+    a single vertex and 2 otherwise.  Any other graph takes one search per
+    distinct row: vertices with equal rows are non-adjacent twins, with equal
+    eccentricities.
+    """
     if g.n == 0:
         raise EmptyGraph("connectivity of the empty graph is undefined")
+    parts = g.multipartite_parts
+    if parts is not None:
+        if len(parts) == 1:
+            return (True, 0) if g.n == 1 else (False, INF)
+        return True, 1 if len(parts) == g.n else 2
     if not _is_connected(g):
         return False, INF
     # every source reaches every vertex; its eccentricity is its layer count - 1
-    return True, max(sum(1 for _ in _bfs_layers(g.rows, s)) - 1 for s in range(g.n))
+    sources = {row: s for s, row in enumerate(g.rows)}.values()
+    return True, max(sum(1 for _ in _bfs_layers(g.rows, s)) - 1 for s in sources)
 
 
 def girth(g):
@@ -184,25 +224,9 @@ def is_eulerian(g):
     return _is_connected(g) and all(d % 2 == 0 for d in g.degrees())
 
 
-def multipartite_parts(g):
-    """The parts of g as ascending vertex lists, in order of their least
-    vertex, if g is complete multipartite; None otherwise.
-
-    g is complete multipartite when every vertex's closed non-neighbourhood
-    is the same set for all of its members; those sets are then the parts.
-    """
-    full = (1 << g.n) - 1
-    parts = {}
-    for v, row in enumerate(g.rows):
-        parts.setdefault(full & ~row, []).append(v)
-    if any(mask != sum(1 << v for v in members) for mask, members in parts.items()):
-        return None
-    return list(parts.values())
-
-
 def is_complete_bipartite(g):
     """Complete multipartite with exactly two parts."""
-    parts = multipartite_parts(g)
+    parts = g.multipartite_parts
     return parts is not None and len(parts) == 2
 
 
@@ -263,7 +287,7 @@ def is_hamiltonian(g):
     """
     if g.n >= 3 and 2 * min(g.degrees()) >= g.n:
         return True
-    if multipartite_parts(g) is not None:
+    if g.multipartite_parts is not None:
         return False
     return hamiltonian_cycle(g) is not None
 
@@ -272,7 +296,25 @@ def is_hamiltonian(g):
 
 
 def is_planar(g):
-    """Exact planarity via the left-right criterion (networkx)."""
+    """Exact planarity.
+
+    A complete multipartite graph with part sizes n_1 <= ... <= n_k is
+    planar iff it has no K_5 or K_{3,3} subgraph (Kuratowski), that is iff
+    k <= 1, or k = 2 and n_1 <= 2, or k = 3 and (n_2 = 1 or n_3 <= 2), or
+    k = 4 and n_3 = 1 and n_4 <= 2.  Any other graph is refused past the
+    3n - 6 edge bound and otherwise decided by the left-right criterion
+    (networkx).
+    """
+    parts = g.multipartite_parts
+    if parts is not None:
+        sizes = sorted(len(part) for part in parts)
+        k = len(sizes)
+        return (
+            k <= 1
+            or k == 2 and sizes[0] <= 2
+            or k == 3 and (sizes[1] == 1 or sizes[2] <= 2)
+            or k == 4 and sizes[2] == 1 and sizes[3] <= 2
+        )
     if g.n >= 3 and g.edge_count() > 3 * g.n - 6:
         return False
     import networkx as nx

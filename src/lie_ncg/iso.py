@@ -7,23 +7,23 @@ they are isomorphic, and ``isomorphism`` maps the i-th vertex of one labeling
 to the i-th vertex of the other.
 
 A complete multipartite graph (every non-commuting graph of dimension <= 3)
-is labeled directly from the parts ``graphs.multipartite_parts`` finds: the
+is labeled directly from the parts ``Graph.multipartite_parts`` finds: the
 parts by (size, least vertex), each part's vertices in ascending order.  Any
 other graph takes the lexicographically minimal code over all vertex
 orderings compatible with the iterated-degree refinement, found by
 individualization-refinement with prefix pruning and automorphism pruning
 (McKay & Piperno, "Practical graph isomorphism II", 2014): two leaves with
 equal codes give an automorphism, and subtrees that an automorphism maps
-onto ones already searched are skipped.  The search stops with CapExceeded
-after ``ISO_NODE_BUDGET`` nodes.  Being complete multipartite is an
-isomorphism invariant, so the two paths never give one certificate to two
+onto ones already searched are skipped.  Only that search is capped: it
+refuses graphs over ``ISO_CAP`` vertices and stops with CapExceeded after
+``ISO_NODE_BUDGET`` nodes.  Being complete multipartite is an isomorphism
+invariant, so the two paths never give one certificate to two
 non-isomorphic graphs.
 """
 
 from __future__ import annotations
 
 from .errors import CapExceeded
-from .graphs import multipartite_parts
 
 ISO_CAP = 64
 # search nodes per labeling: over 100 times what any pool, spec or figure graph needs
@@ -173,7 +173,7 @@ def _canonical(g):
     cached = _CERT_CACHE.get((g.n, g.rows))
     if cached is not None:
         return cached
-    parts = multipartite_parts(g)
+    parts = g.multipartite_parts
     if parts is None:
         order = _search_order(g)
     else:
@@ -185,10 +185,15 @@ def _canonical(g):
     return result
 
 
+def _check_cap(g, what):
+    """Raise CapExceeded when g needs the search and is over ISO_CAP vertices."""
+    if g.n > ISO_CAP and g.multipartite_parts is None:
+        raise CapExceeded(f"{what} capped at {ISO_CAP} vertices")
+
+
 def canonical_certificate(g):
     """Canonical byte-string form of a graph; equality iff isomorphism."""
-    if g.n > ISO_CAP:
-        raise CapExceeded(f"canonical form capped at {ISO_CAP} vertices")
+    _check_cap(g, "canonical form")
     return _canonical(g)[0]
 
 
@@ -198,8 +203,8 @@ def isomorphism(g1, g2):
     Screens on vertex count and degree sequence, then compares canonical
     certificates; the witness composes the two canonical labelings.
     """
-    if g1.n > ISO_CAP or g2.n > ISO_CAP:
-        raise CapExceeded(f"isomorphism search capped at {ISO_CAP} vertices")
+    _check_cap(g1, "isomorphism search")
+    _check_cap(g2, "isomorphism search")
     if g1.n != g2.n or sorted(g1.degrees()) != sorted(g2.degrees()):
         return None
     cert1, order1 = _canonical(g1)

@@ -7,8 +7,10 @@ negation, so antisymmetry holds by construction rather than by validation.
 
 The hot kernels read the field's tables (``Field.add_table`` and friends),
 not a ``Field`` method per coefficient: ``bracket`` walks the nonzero
-structure terms, built once per algebra, and ``ad_matrix(x)`` sums
-x_k ad(e_k) over the nonzero entries of each ad(e_k), built on first use.
+structure terms, built once per algebra, ``ad_matrix(x)`` sums
+x_k ad(e_k) over the nonzero entries of each ad(e_k), built on first use,
+and ``jacobi_sum`` works on a bare structure table, so the enumeration can
+evaluate candidate tables without building an algebra for each.
 """
 
 from __future__ import annotations
@@ -49,6 +51,34 @@ def check_element_cap(order):
     cap = element_cap()
     if order > cap:
         raise CapExceeded(f"q^dim = {order} exceeds the element cap {cap}")
+
+
+def jacobi_sum(field, structure, i, j, k):
+    """[e_i, [e_j, e_k]] + [e_k, [e_i, e_j]] + [e_j, [e_k, e_i]] for the
+    structure constants ``structure``, which maps every basis pair a < b to
+    the coefficient tuple of [e_a, e_b]; the Jacobi identity holds on the
+    triple iff this is zero.
+
+    [e_a, w] is the sum of w_m [e_a, e_m] over the nonzero w_m, with
+    [e_a, e_m] = -[e_m, e_a] for a > m, read from the field tables.
+    """
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
+
+    def basis_bracket(a, b):
+        """[e_a, e_b] as (c_ab or c_ba, the sign map x -> +-x)."""
+        return (structure[a, b], mul[1]) if a < b else (structure[b, a], neg)
+
+    out = [0] * len(structure[min(i, j), max(i, j)])
+    for a, (b, c) in ((i, (j, k)), (k, (i, j)), (j, (k, i))):
+        w, sign_w = basis_bracket(b, c)
+        for m, wm in enumerate(w):
+            if wm and m != a:
+                col, sign_col = basis_bracket(a, m)
+                f = mul[sign_w[sign_col[wm]]]
+                for r, x in enumerate(col):
+                    if x:
+                        out[r] = add[out[r]][f[x]]
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -124,21 +154,12 @@ class LieAlgebra:
                     out[k] = add[out[k]][m[c]]
         return tuple(out)
 
-    def jacobi_sum(self, i, j, k):
-        """[e_i, [e_j, e_k]] + [e_k, [e_i, e_j]] + [e_j, [e_k, e_i]]; the
-        Jacobi identity holds on the triple iff this is zero."""
-        acc = self.zero()
-        for a, (b, c) in ((i, (j, k)), (k, (i, j)), (j, (k, i))):
-            term = self.bracket(self.basis_vector(a), self.bracket_basis(b, c))
-            acc = tuple(self.field.add(x, y) for x, y in zip(acc, term))
-        return acc
-
     def jacobi_failure(self):
         """The first basis triple ``(i, j, k)`` on which the Jacobi identity
         fails, or None when it holds everywhere."""
         zero = self.zero()
         for triple in combinations(range(self.dim), 3):
-            if self.jacobi_sum(*triple) != zero:
+            if jacobi_sum(self.field, self.structure, *triple) != zero:
                 return triple
         return None
 

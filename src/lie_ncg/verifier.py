@@ -58,7 +58,20 @@ class Instance:
 
     @cached_property
     def centralizer_orders(self):
-        return [self.L.centralizer_order(v) for v in self.graph.vertices]
+        """|C_L(v)| per vertex, one rank per line {cx : c != 0}: ad(cx) is
+        c ad(x), so each vertex is keyed by its multiple with leading
+        coefficient 1.  The key ignores the center, so Lem2.2 compares the
+        graph's rows with ranks that do not share build_graph's reduction."""
+        mul, inv = self.L.field.mul_table, self.L.field.inv_table
+        orders = {}
+        out = []
+        for v in self.graph.vertices:
+            m = mul[inv[next(a for a in v if a)]]
+            key = tuple([m[a] for a in v])
+            if key not in orders:
+                orders[key] = self.L.centralizer_order(key)
+            out.append(orders[key])
+        return out
 
     @cached_property
     def degrees(self):

@@ -1,7 +1,10 @@
 """End-to-end CLI behavior through main(argv)."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from collections import Counter
@@ -377,3 +380,18 @@ def test_generated_specs_end_in_output_or_one_error_line(spec):
                 assert set(json.loads(out)) == {"error", "message"}, argv
             else:
                 assert err.count("\n") == 1 and re.match(r"[A-Za-z]+: ", err), argv
+
+
+def test_verify_does_not_import_networkx():
+    # every verify graph is complete multipartite, so planarity needs no
+    # networkx; a fresh interpreter shows what the console entry point loads
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys\n"
+        "from lie_ncg.cli import main\n"
+        "assert main(['verify']) == 0\n"
+        "assert 'networkx' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -23,7 +23,6 @@ from lie_ncg.graphs import (
     is_outerplanar,
     is_planar,
     is_regular,
-    multipartite_parts,
     property_report,
 )
 
@@ -183,7 +182,7 @@ def test_multipartite_parts_on_every_small_graph():
         found = 0
         for mask in range(1 << len(pairs)):
             g = Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
-            parts = multipartite_parts(g)
+            parts = g.multipartite_parts
             assert parts == oracles.multipartite_parts_by_complement(g)
             assert is_complete_bipartite(g) == nx_is_complete_bipartite(g.to_networkx())
             found += parts is not None
@@ -225,6 +224,47 @@ def test_is_hamiltonian_complete_multipartite_matches_exact():
         for sizes in combinations_with_replacement(range(1, 5), k):
             g = complete_multipartite(sizes)
             assert is_hamiltonian(g) == (hamiltonian_cycle(g) is not None), sizes
+
+
+def test_complete_multipartite_closed_forms_match_networkx():
+    # every multiset of 1 to 6 parts of 1 to 5 vertices with n <= 16, each
+    # under a seeded relabeling; outerplanarity is planarity of the graph
+    # plus an apex vertex joined to every vertex
+    rng = random.Random(2024)
+    checked = 0
+    for k in range(1, 7):
+        for sizes in combinations_with_replacement(range(1, 6), k):
+            if sum(sizes) > 16:
+                continue
+            base = complete_multipartite(sizes)
+            perm = rng.sample(range(base.n), base.n)
+            g = Graph.from_edges(base.n, [(perm[u], perm[v]) for u, v in base.edges()])
+            assert g.multipartite_parts is not None
+            h = g.to_networkx()
+            connected = nx.is_connected(h)
+            assert connectivity(g) == (connected, nx.diameter(h) if connected else INF), sizes
+            assert is_planar(g) == nx.check_planarity(h)[0], sizes
+            h.add_edges_from((g.n, v) for v in range(g.n))
+            assert is_outerplanar(g) == nx.check_planarity(h)[0], sizes
+            checked += 1
+    assert checked == 278
+
+
+def test_connectivity_with_twin_rows_matches_networkx():
+    # graphs that are not complete multipartite but have many equal rows:
+    # a path with vertex 0 in the middle, a cycle and the Petersen graph with
+    # every vertex blown up into 1 to 3 twins
+    rng = random.Random(7)
+    middle_path = Graph.from_edges(5, [(4, 1), (1, 0), (0, 2), (2, 3)])
+    for base in (middle_path, cycle(6), petersen()):
+        copies = [rng.randint(1, 3) for _ in range(base.n)]
+        owner = [u for u, c in enumerate(copies) for _ in range(c)]
+        n = len(owner)
+        g = Graph.from_edges(
+            n, [(a, b) for a, b in combinations(range(n), 2) if base.has_edge(owner[a], owner[b])]
+        )
+        assert g.multipartite_parts is None
+        assert connectivity(g) == (True, nx.diameter(g.to_networkx()))
 
 
 def test_is_hamiltonian_large_complete_bipartite_is_fast():

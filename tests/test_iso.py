@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 from lie_ncg import iso
 from lie_ncg.catalog import catalog_entry
 from lie_ncg.errors import CapExceeded
-from lie_ncg.graphs import Graph, multipartite_parts
+from lie_ncg.gf import field_new
+from lie_ncg.graphs import Graph
 from lie_ncg.iso import canonical_certificate, isomorphism, refine_colors
+from lie_ncg.liealg import LieAlgebra
 from lie_ncg.ncg import build_graph
 from lie_ncg.verifier import catalog_instances, enumeration_instances
 
@@ -134,7 +136,7 @@ def test_high_symmetry_graphs_are_fast(make, monkeypatch):
     # through the search; without automorphism pruning 3K_4 takes over 20 s
     monkeypatch.setattr(iso, "_CERT_CACHE", {})
     g = make()
-    assert multipartite_parts(g) is None
+    assert g.multipartite_parts is None
     rng = random.Random(11)
     cert = canonical_certificate(g)
     for _ in range(10):
@@ -238,11 +240,28 @@ def test_empty_and_tiny_graphs():
 
 
 def test_caps():
-    big = Graph(65, [0] * 65)
+    # the cap applies to the search, so a graph over it that is not complete
+    # multipartite is refused
+    big = cycle(65)
+    assert big.multipartite_parts is None
     with pytest.raises(CapExceeded):
         canonical_certificate(big)
     with pytest.raises(CapExceeded):
         isomorphism(big, big)
+    with pytest.raises(CapExceeded):
+        isomorphism(Graph(65, [0] * 65), big)
+
+
+def test_complete_multipartite_graphs_over_the_cap_are_labeled():
+    # the Heisenberg algebra over F_5 has 120 vertices in 24 parts of 5;
+    # the edgeless graph on 65 vertices is one part
+    heisenberg_f5 = LieAlgebra(field_new(5), 3, {(0, 1): (0, 0, 1)})
+    for g in (build_graph(heisenberg_f5), Graph(65, [0] * 65)):
+        assert g.n > iso.ISO_CAP and g.multipartite_parts is not None
+        h = relabel(g, random.Random(g.n).sample(range(g.n), g.n))
+        assert canonical_certificate(g) == canonical_certificate(h)
+        check_witness(g, h, isomorphism(g, h))
+    assert isomorphism(Graph(65, [0] * 65), Graph.complete(65)) is None
 
 
 def test_certificates_separate_all_small_graphs():

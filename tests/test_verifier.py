@@ -67,6 +67,19 @@ def test_center_is_computed_once_per_algebra(monkeypatch):
     assert len(calls) == 1
 
 
+def test_centralizer_orders_match_one_rank_per_vertex():
+    # every instance of the criterion-1 pool: the catalog and every
+    # non-abelian structure tensor for n, q in {2, 3}
+    instances = catalog_instances()
+    for q in (2, 3):
+        for n in (2, 3):
+            instances.extend(enumeration_instances(n, q))
+    assert len(instances) == 1569
+    for inst in instances:
+        want = [inst.L.centralizer_order(v) for v in inst.graph.vertices]
+        assert inst.centralizer_orders == want, inst.name
+
+
 def test_all_statements_pass_on_catalog():
     instances = catalog_instances()
     for report in check_all_statements(instances):

@@ -6,10 +6,17 @@ identity on basis triples.  For n <= 2 there is no triple, so every tensor is
 a Lie structure.  For n = 3 there is one triple, and with c_01 and c_02 fixed
 its Jacobi sum is affine in c_12, so each of the q^6 pairs (c_01, c_02) gives
 its structures by one small linear solve, not by testing q^3 candidates.
-Deduplication reduces modulo the GL(n, q) basis-change action: each new
-tensor's orbit is closed under a generating set of GL(n, q) (the
-transvections I + E_ij and the matrices diag(a, 1, ..., 1)), so the work
-grows with the orbit, not with |GL(n, q)|.
+Deduplication reduces modulo the GL(n, q) basis-change action
+T -> g^-1 T(g., g.), which is linear in T.  ``_LinearAction`` turns each
+generator of GL(n, q) (the transvections I + E_ij and the matrices
+diag(a, 1, ..., 1)) into a linear map on the N = n * C(n, 2) coordinates of
+a tensor, built once per ``orbit_partition`` or ``algebras_equivalent`` call
+from the images of the N unit tensors under ``transform_structure``.  A
+tensor is coded as an int, and one generator's action is a table lookup per
+chunk of coordinates, a sum and a reduction modulo p.  Each new tensor's
+orbit is closed under the generators, so the work grows with the orbit, not
+with |GL(n, q)|, and only each orbit's representative is built as a
+``LieAlgebra``.
 """
 
 from __future__ import annotations
@@ -65,21 +72,27 @@ def _c12_solutions(field, c01, c02):
     )
 
 
+def _structure_tensors(n, field):
+    """Every Lie structure on F_q^n as its tuple of coefficient vectors
+    (c_01, c_02, ...), in ascending order; the scope is not checked."""
+    vectors = list(product(field.elements(), repeat=n))
+    if n < 3:
+        yield from product(vectors, repeat=n * (n - 1) // 2)
+        return
+    for c01, c02 in product(vectors, repeat=2):
+        for c12 in _c12_solutions(field, c01, c02):
+            yield c01, c02, c12
+
+
 def jacobi_tensors(n, field):
     """Stream all Jacobi-satisfying structure tensors (abelian included), one
     LieAlgebra each and not deduplicated, in ascending order of their
     coefficient vectors c_01, c_02, ...; ``orbit_partition`` gives one
     representative per GL(n, q) class."""
     _check_scope(n, field)
-    vectors = list(product(field.elements(), repeat=n))
-    if n < 3:
-        pairs = list(combinations(range(n), 2))
-        for assignment in product(vectors, repeat=len(pairs)):
-            yield LieAlgebra(field, n, dict(zip(pairs, assignment)))
-        return
-    for c01, c02 in product(vectors, repeat=2):
-        for c12 in _c12_solutions(field, c01, c02):
-            yield LieAlgebra(field, n, {(0, 1): c01, (0, 2): c02, (1, 2): c12})
+    pairs = list(combinations(range(n), 2))
+    for tensor in _structure_tensors(n, field):
+        yield LieAlgebra(field, n, dict(zip(pairs, tensor)))
 
 
 def _gl_generators(n, field):
@@ -110,41 +123,146 @@ def transform_structure(L, g, ginv):
     return table
 
 
-def _gl_orbit(L):
-    """Keys of every structure tensor that a GL(n, q) basis change carries
-    L's onto, found by closing {L} under the generators."""
-    n, f = L.dim, L.field
-    gens = [(g, mat_inv(f, g)) for g in _gl_generators(n, f)]
-    orbit = {tensor_key(L.structure, n)}
-    stack = [L]
-    while stack:
-        M = stack.pop()
-        for g, ginv in gens:
-            table = transform_structure(M, g, ginv)
-            key = tensor_key(table, n)
-            if key not in orbit:
-                orbit.add(key)
-                stack.append(LieAlgebra(f, n, table, validate=False))
-    return orbit
+# Bounds on the entries of one lookup table of ``_LinearAction``.
+_CHUNK_ENTRIES = 64
+_REDUCE_ENTRIES = 1024
+
+
+class _LinearAction:
+    """The generators of GL(n, q) as linear maps on structure tensors coded
+    as ints.
+
+    A tensor has N = n * C(n, 2) coordinates, in the order of ``tensor_key``.
+    Its key gives coordinate i the bits [i * k * w, (i + 1) * k * w): one
+    w-bit slot per base-p digit of the coordinate's code (q = p^k), so adding
+    two keys adds their F_p digits slot by slot.  A generator maps a tensor
+    to the sum of its coordinates' images, so its map is one table per chunk
+    of consecutive coordinates, from the chunk's bits to the image of those
+    coordinates alone.  One action is a lookup per chunk, a sum, and a
+    reduction of every slot modulo p: an AND with each slot's low bit for
+    p = 2, one lookup per group of slots otherwise.  The slots are wide
+    enough that the sum of one entry per chunk does not carry.
+
+    The tables are built from the images of the N unit tensors under
+    ``transform_structure``, once per instance.
+    """
+
+    def __init__(self, n, field):
+        q, p, k = field.q, field.p, field.k
+        pairs = list(combinations(range(n), 2))
+        size = n * len(pairs)
+        per_chunk = 1
+        while q ** (per_chunk + 1) <= _CHUNK_ENTRIES:
+            per_chunk += 1
+        starts = range(0, size, per_chunk)
+        top = max(len(starts), 2) * (p - 1)  # the largest slot of a sum
+        w = top.bit_length()
+        slots = size * k
+        self.pairs, self.width = pairs, k * w
+        # the slots of each element code hold its base-p digits
+        self.code_bits = [sum(c // p**j % p << j * w for j in range(k)) for c in range(q)]
+        self.shifts = [start * self.width for start in starts]
+        self.mask = (1 << per_chunk * self.width) - 1
+        self.groups = None
+        if p == 2:
+            self.low = sum(1 << j * w for j in range(slots))
+        else:
+            group = 1
+            while (top + 1) ** (group + 1) <= _REDUCE_ENTRIES:
+                group += 1
+            reduced = {0: 0}
+            for j in range(group):
+                reduced = {s << j * w | key: s % p << j * w | red
+                           for key, red in reduced.items() for s in range(top + 1)}
+            self.reduce_table, self.group_mask = reduced, (1 << group * w) - 1
+            self.groups = range(0, slots * w, group * w)
+        units = [
+            LieAlgebra(field, n, {pairs[i // n]: tuple(int(r == i % n) for r in range(n))},
+                       validate=False)
+            for i in range(size)
+        ]
+        self.maps = []
+        for g in _gl_generators(n, field):
+            ginv = mat_inv(field, g)
+            # singles[i][v]: the key of v times the image of unit tensor i
+            singles = []
+            for U in units:
+                moved = transform_structure(U, g, ginv)
+                singles.append([self.encode([[m[c] for c in moved[pair]] for pair in pairs])
+                                for m in field.mul_table])
+            tables = []
+            for start in starts:
+                table = {0: 0}
+                for i in range(start, min(start + per_chunk, size)):
+                    shift = (i - start) * self.width
+                    table = {self.code_bits[v] << shift | bits: self.reduce(image + single)
+                             for bits, image in table.items()
+                             for v, single in enumerate(singles[i])}
+                tables.append(table)
+            self.maps.append(tables)
+
+    def reduce(self, total):
+        """``total`` with every slot taken modulo p."""
+        if self.groups is None:
+            return total & self.low
+        table, mask = self.reduce_table, self.group_mask
+        out = 0
+        for shift in self.groups:
+            out |= table[total >> shift & mask] << shift
+        return out
+
+    def encode(self, tensor):
+        """The key of a tensor given as its coefficient vectors, in the order
+        of ``tensor_key``."""
+        key = 0
+        for i, c in enumerate([c for vec in tensor for c in vec]):
+            key |= self.code_bits[c] << i * self.width
+        return key
+
+    def images(self, key):
+        """The keys of the images of ``key`` under each generator, in the
+        order of ``_gl_generators``."""
+        chunks = [key >> s & self.mask for s in self.shifts]
+        reduce = self.reduce
+        return [reduce(sum([t[c] for t, c in zip(tables, chunks)])) for tables in self.maps]
+
+    def orbit(self, key):
+        """Keys of the GL(n, q) orbit of ``key``, found by closing {key}
+        under the generators."""
+        orbit = {key}
+        stack = [key]
+        while stack:
+            for image in self.images(stack.pop()):
+                if image not in orbit:
+                    orbit.add(image)
+                    stack.append(image)
+        return orbit
 
 
 def algebras_equivalent(L1, L2):
     """True iff some GL basis change carries L1's structure onto L2's."""
     if L1.field != L2.field or L1.dim != L2.dim:
         return False
-    return tensor_key(L2.structure, L2.dim) in _gl_orbit(L1)
+    n = L1.dim
+    action = _LinearAction(n, L1.field)
+    target = action.encode(tensor_key(L2.structure, n))
+    return target in action.orbit(action.encode(tensor_key(L1.structure, n)))
 
 
 def orbit_partition(n, field):
     """GL-orbits of the Jacobi tensors: list of (representative LieAlgebra,
-    orbit_size), representatives in first-seen enumeration order."""
+    orbit_size), representatives in first-seen enumeration order.  Only the
+    representatives are built as algebras."""
     _check_scope(n, field)
+    action = _LinearAction(n, field)
+    pairs = action.pairs
     seen = set()
     orbits = []
-    for L in jacobi_tensors(n, field):
-        if tensor_key(L.structure, n) in seen:
+    for tensor in _structure_tensors(n, field):
+        key = action.encode(tensor)
+        if key in seen:
             continue
-        orbit = _gl_orbit(L)
+        orbit = action.orbit(key)
         seen |= orbit
-        orbits.append((L, len(orbit)))
+        orbits.append((LieAlgebra(field, n, dict(zip(pairs, tensor))), len(orbit)))
     return orbits

@@ -7,10 +7,10 @@ heuristics.
 
 Every non-commuting graph of dimension <= 3 is complete multipartite.
 ``Graph.multipartite_parts`` recognizes that shape from the rows alone,
-once per graph, and the invariants answer from them: ``connectivity``
-and ``is_planar`` by closed forms in the part sizes, ``is_hamiltonian``
-without a search, ``is_complete_bipartite`` by counting parts, and the
-canonical labeling in ``iso`` by ordering them.
+once per graph, and the invariants answer from them: ``connectivity``,
+``is_planar`` and ``is_outerplanar`` by closed forms in the part sizes,
+``is_hamiltonian`` without a search, ``is_complete_bipartite`` by counting
+parts, and the canonical labeling in ``iso`` by ordering them.
 
 Every traversal runs on the rows through one breadth-first helper,
 ``_bfs_layers``: each layer is a bitmask, and the next one is the OR of the
@@ -45,7 +45,13 @@ class Graph:
     def __init__(self, n, rows, labels=None):
         self.n = n
         self.rows = tuple(rows)
-        self.labels = tuple(labels) if labels is not None else tuple(str(i) for i in range(n))
+        if labels is not None:
+            self.labels = tuple(labels)
+
+    @cached_property
+    def labels(self):
+        """The vertex names: those given, else the indices as strings."""
+        return tuple(str(i) for i in range(self.n))
 
     @classmethod
     def from_edges(cls, n, edges, labels=None):
@@ -295,6 +301,18 @@ def is_hamiltonian(g):
 # -- planarity -----------------------------------------------------------------
 
 
+def _multipartite_planar(sizes):
+    """Planarity of the complete multipartite graph with these part sizes."""
+    sizes = sorted(sizes)
+    k = len(sizes)
+    return (
+        k <= 1
+        or k == 2 and sizes[0] <= 2
+        or k == 3 and (sizes[1] == 1 or sizes[2] <= 2)
+        or k == 4 and sizes[2] == 1 and sizes[3] <= 2
+    )
+
+
 def is_planar(g):
     """Exact planarity.
 
@@ -307,14 +325,7 @@ def is_planar(g):
     """
     parts = g.multipartite_parts
     if parts is not None:
-        sizes = sorted(len(part) for part in parts)
-        k = len(sizes)
-        return (
-            k <= 1
-            or k == 2 and sizes[0] <= 2
-            or k == 3 and (sizes[1] == 1 or sizes[2] <= 2)
-            or k == 4 and sizes[2] == 1 and sizes[3] <= 2
-        )
+        return _multipartite_planar([len(part) for part in parts])
     if g.n >= 3 and g.edge_count() > 3 * g.n - 6:
         return False
     import networkx as nx
@@ -324,7 +335,15 @@ def is_planar(g):
 
 
 def is_outerplanar(g):
-    """Planarity of the graph plus an apex vertex adjacent to every vertex."""
+    """Planarity of the graph plus an apex vertex adjacent to every vertex.
+
+    When the graph is complete multipartite, so is the apex graph, with the
+    apex as one more single-vertex part, and the closed form of
+    ``is_planar`` answers from the part sizes.
+    """
+    parts = g.multipartite_parts
+    if parts is not None:
+        return _multipartite_planar([len(part) for part in parts] + [1])
     apex = g.n
     rows = [row | (1 << apex) for row in g.rows]
     rows.append((1 << g.n) - 1)

@@ -6,17 +6,27 @@ order, and two vertices are adjacent exactly when their bracket is nonzero.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import AbelianAlgebra
 from .graphs import Graph
 from .linalg import kernel_basis, span
 
 
 class NcGraph(Graph):
-    """A Graph whose vertices carry the algebra elements that produced them."""
+    """A Graph whose vertices carry the algebra elements that produced them.
 
-    def __init__(self, n, rows, vertices, labels):
-        super().__init__(n, rows, labels)
+    The labels are rendered from the algebra the first time they are read.
+    """
+
+    def __init__(self, n, rows, vertices, algebra):
+        super().__init__(n, rows)
         self.vertices = tuple(vertices)
+        self.algebra = algebra
+
+    @cached_property
+    def labels(self):
+        return tuple(self.algebra.element_label(v) for v in self.vertices)
 
 
 def build_graph(L):
@@ -75,5 +85,4 @@ def build_graph(L):
         for m in mul[1:]:
             coset_rows[tuple([m[a] for a in rep])] = full & ~commuting
     rows = [coset_rows[rep] for rep in reps]
-    labels = [L.element_label(v) for v in vertices]
-    return NcGraph(len(vertices), rows, vertices, labels)
+    return NcGraph(len(vertices), rows, vertices, L)

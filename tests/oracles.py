@@ -90,8 +90,7 @@ def graph_by_brackets(L):
             if L.bracket(vertices[a], vertices[b]) != zero:
                 rows[a] |= 1 << b
                 rows[b] |= 1 << a
-    labels = [L.element_label(v) for v in vertices]
-    return NcGraph(n, rows, vertices, labels)
+    return NcGraph(n, rows, vertices, L)
 
 
 def _jacobi_holds_by_methods(field, n, table):

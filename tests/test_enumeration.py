@@ -1,12 +1,20 @@
 """Exhaustive structure-tensor enumeration and GL-equivalence."""
 
 import math
+import os
+import random
+import subprocess
+import sys
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lie_ncg.catalog import builtin_catalog, catalog_entry
 from lie_ncg.enumeration import (
+    _gl_generators,
+    _LinearAction,
     algebras_equivalent,
     jacobi_tensors,
     orbit_partition,
@@ -75,7 +83,7 @@ def test_orbit_sizes_partition_dim2():
     assert sizes == [1, 3]  # abelian singleton + one non-abelian orbit
 
 
-@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_orbit_partition_matches_full_gl_orbits(n, q):
     # the generator closure finds the same orbits as applying all of GL(n, q)
     f = field_new(q)
@@ -94,8 +102,8 @@ def test_orbit_sizes_obey_orbit_stabilizer(n, q):
 
 
 def test_orbit_sizes_dim3_f3_frozen():
-    # 11232 = |GL(3, 3)| matrices per orbit would take seconds; these sizes
-    # were checked against that full-GL computation
+    # the same sizes as applying all 11232 matrices of GL(3, 3), which
+    # test_orbit_partition_matches_full_gl_orbits checks
     sizes = [size for _L, size in orbit_partition(3, field_new(3))]
     assert sizes == [1, 312, 26, 156, 156, 78, 208, 26, 468]
     assert sum(sizes) == len(list(jacobi_tensors(3, field_new(3))))
@@ -113,6 +121,93 @@ def test_algebras_equivalent():
     heis2 = catalog_entry("heisenberg_f2").algebra()
     heis3 = catalog_entry("heisenberg_f3").algebra()
     assert not algebras_equivalent(heis2, heis3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (2, 9)]), st.data())
+def test_linear_action_matches_transform_structure_hypothesis(shape, data):
+    # on any tensor, Lie or not, each generator's table-driven action is the
+    # basis change transform_structure makes with that generator
+    n, q = shape
+    f = field_new(q)
+    pairs = list(combinations(range(n), 2))
+    coords = data.draw(st.lists(st.sampled_from(range(q)), min_size=n * len(pairs),
+                                max_size=n * len(pairs)))
+    table = {pair: tuple(coords[i * n:(i + 1) * n]) for i, pair in enumerate(pairs)}
+    L = LieAlgebra(f, n, table, validate=False)
+    action = _LinearAction(n, f)
+    want = [
+        action.encode(tensor_key(transform_structure(L, g, mat_inv(f, g)), n))
+        for g in _gl_generators(n, f)
+    ]
+    assert action.images(action.encode(tensor_key(table, n))) == want
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (2, 4), (2, 9)])
+def test_tensor_keys_are_distinct(n, q):
+    # the int coding is one-to-one on every tensor, Lie or not
+    f = field_new(q)
+    action = _LinearAction(n, f)
+    vectors = list(product(range(q), repeat=n))
+    tensors = list(product(vectors, repeat=n * (n - 1) // 2))
+    assert len({action.encode(t) for t in tensors}) == len(tensors)
+
+
+def test_algebras_equivalent_matches_full_gl_orbits_dim2_f3():
+    # every ordered pair of the 9 structure tensors on F_3^2, against the
+    # orbits all 48 matrices of GL(2, 3) give
+    f = field_new(3)
+    orbit_of = {}
+    for index, (key, _size) in enumerate(full_gl_orbits(2, f)):
+        L = LieAlgebra(f, 2, {(0, 1): key[0]})
+        for g in gl_matrices(2, f):
+            orbit_of[tensor_key(transform_structure(L, g, mat_inv(f, g)), 2)] = index
+    algebras = list(jacobi_tensors(2, f))
+    assert len(algebras) == len(orbit_of) == 9
+    for L1, L2 in product(algebras, repeat=2):
+        same = orbit_of[tensor_key(L1.structure, 2)] == orbit_of[tensor_key(L2.structure, 2)]
+        assert algebras_equivalent(L1, L2) == same
+
+
+def test_algebras_equivalent_matches_full_gl_orbits_dim3_f2():
+    # each pair of the 7 orbit representatives on F_2^3, the second replaced
+    # by a seeded GL(3, 2) image of it, against the full-GL orbits
+    f = field_new(2)
+    rng = random.Random(3)
+    gls = gl_matrices(3, f)
+    reps = [LieAlgebra(f, 3, dict(zip([(0, 1), (0, 2), (1, 2)], key)))
+            for key, _size in full_gl_orbits(3, f)]
+    images = []
+    for L in reps:
+        g = rng.choice(gls)
+        images.append(LieAlgebra(f, 3, transform_structure(L, g, mat_inv(f, g))))
+    for i, L1 in enumerate(reps):
+        for j, L2 in enumerate(images):
+            assert algebras_equivalent(L1, L2) == (i == j)
+
+
+def test_import_builds_no_generator_tables():
+    # the generator maps are built per call: importing the package, which
+    # computes the verifier's certificates, neither lists a generator nor
+    # transforms a tensor
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys\n"
+        "calls = []\n"
+        "def watch(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_name in "
+        "('_gl_generators', 'transform_structure'):\n"
+        "        calls.append(frame.f_code.co_name)\n"
+        "sys.setprofile(watch)\n"
+        "import lie_ncg\n"
+        "sys.setprofile(None)\n"
+        "assert 'lie_ncg.enumeration' in sys.modules\n"
+        "print(calls)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_enumeration_scope_caps():

@@ -178,7 +178,7 @@ def test_labeling_matches_exhaustive_search():
 def test_node_budget(monkeypatch):
     g = build_graph(catalog_entry("split_pairs_f2").algebra())
     monkeypatch.setattr(iso, "_CERT_CACHE", {})
-    monkeypatch.setattr(iso, "ISO_NODE_BUDGET", 10)
+    monkeypatch.setattr(iso, "ISO_ROW_BUDGET", 10)
     with pytest.raises(CapExceeded):
         canonical_certificate(g)
 

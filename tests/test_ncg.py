@@ -12,7 +12,7 @@ from lie_ncg.graphs import connectivity, girth, is_planar, is_regular
 from lie_ncg.io import load_spec, parse_spec_dict
 from lie_ncg.liealg import LieAlgebra, algebra_from_spec
 from lie_ncg.ncg import build_graph
-from lie_ncg.verifier import catalog_instances, enumeration_instances
+from lie_ncg.verifier import catalog_instances, check_all_statements, enumeration_instances
 
 import oracles
 
@@ -129,3 +129,23 @@ def test_cap_respected(monkeypatch):
     with pytest.raises(CapExceeded):
         build_graph(big)
     assert time.perf_counter() - start < 1
+
+
+def test_labels_are_rendered_on_first_read(monkeypatch):
+    # verify reads a label only to word a Lem2.2 failure, so building the
+    # graphs and running every check on passing instances renders none
+    calls = []
+    render = LieAlgebra.element_label
+
+    def counted(self, vec):
+        calls.append(vec)
+        return render(self, vec)
+
+    monkeypatch.setattr(LieAlgebra, "element_label", counted)
+    instances = catalog_instances() + enumeration_instances(2, 3)
+    reports = check_all_statements(instances)
+    assert not any(report.failures for report in reports)
+    assert all(inst.graph.n for inst in instances) and calls == []
+    g = instances[0].graph
+    assert g.labels == tuple(render(g.algebra, v) for v in g.vertices)
+    assert len(calls) == g.n

@@ -24,8 +24,8 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .errors import CapExceeded
-from .liealg import LieAlgebra, jacobi_sum
-from .linalg import kernel_basis, mat_inv, mat_vec, rref, span
+from .liealg import LieAlgebra
+from .linalg import mat_inv, mat_vec, rref
 
 ENUM_MAX_DIM = 3
 ENUM_MAX_Q = 3
@@ -49,27 +49,37 @@ def _c12_solutions(field, c01, c02):
     """Every c_12 that makes (c_01, c_02, c_12) a Lie structure on F_q^3, in
     ascending order.
 
-    The Jacobi sum J of the one triple is affine in c_12, J(c) = J(0) + Mc,
-    so J(0) and the columns M e_k = J(e_k) - J(0) are read off the sum
-    itself, and the solutions of Mc = -J(0) are one of them plus ker M.
+    The Jacobi sum of the one triple (0, 1, 2) is bilinear in the structure
+    constants; with c = c_12 it is
+    J(c) = (c02_0 c01 - c01_0 c02) + c_1 c01 + c_2 c02 - (c01_1 + c02_2) c,
+    so J(c) = J(0) + Mc with M and J(0) read off this formula.  On the
+    reduced augmented matrix of Mc = -J(0), each free coordinate of a
+    solution takes every value and each pivot coordinate follows from them.
     """
-
-    def jacobi(c12):
-        return jacobi_sum(field, {(0, 1): c01, (0, 2): c02, (1, 2): c12}, 0, 1, 2)
-
-    j0 = jacobi((0, 0, 0))
-    cols = [jacobi(e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    m = [[field.sub(col[r], j0[r]) for col in cols] for r in range(3)]
-    reduced, pivots = rref(field, [row + [field.neg(j0[r])] for r, row in enumerate(m)])
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
+    t = neg[add[c01[1]][c02[2]]]
+    rows = []
+    for r in range(3):
+        j0 = add[mul[c02[0]][c01[r]]][neg[mul[c01[0]][c02[r]]]]
+        row = [0, c01[r], c02[r], neg[j0]]
+        row[r] = add[row[r]][t]
+        rows.append(row)
+    reduced, pivots = rref(field, rows)
     if 3 in pivots:
         return []
-    particular = [0, 0, 0]
-    for row, col in zip(reduced, pivots):
-        particular[col] = row[3]
-    return sorted(
-        tuple(field.add(x, y) for x, y in zip(particular, k))
-        for k in span(field, kernel_basis(field, m, 3), 3)
-    )
+    free = [k for k in range(3) if k not in pivots]
+    solutions = []
+    for values in product(field.elements(), repeat=len(free)):
+        c = [0, 0, 0]
+        for k, a in zip(free, values):
+            c[k] = a
+        for row, p in zip(reduced, pivots):
+            acc = row[3]
+            for k, a in zip(free, values):
+                acc = add[acc][neg[mul[row[k]][a]]]
+            c[p] = acc
+        solutions.append(tuple(c))
+    return sorted(solutions)
 
 
 def _structure_tensors(n, field):

@@ -5,12 +5,14 @@ chosen basis).  Structure constants are stored only for basis pairs ``i < j``;
 the bracket of equal basis elements is zero and the ``i > j`` case is the
 negation, so antisymmetry holds by construction rather than by validation.
 
-The hot kernels read the field's tables (``Field.add_table`` and friends),
-not a ``Field`` method per coefficient: ``bracket`` walks the nonzero
-structure terms, built once per algebra, ``ad_matrix(x)`` sums
-x_k ad(e_k) over the nonzero entries of each ad(e_k), built on first use,
-and ``jacobi_sum`` works on a bare structure table, so the enumeration can
-evaluate candidate tables without building an algebra for each.
+``bracket`` and ``jacobi_sum`` read the field's tables (``Field.add_table``
+and friends), not a ``Field`` method per coefficient, and ``bracket`` walks
+the nonzero structure terms, built once per algebra.  The centralizer
+kernels code each element as its index sum v_i q^i in F_q^dim
+(``linalg.VectorSpace``, reached through ``space`` once the element cap is
+checked): ``ad_rows[x]`` holds the rows of ad(x) as indices, tabulated per
+algebra from the rows of each ad(e_k), and ``center`` and
+``centralizer_order`` reduce those rows on ints.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations
 
 from .errors import CapExceeded, JacobiViolation, LieNcgError
 from .gf import Field, field_new
-from .linalg import Subspace, kernel_basis, mat_rank
+from .linalg import Subspace, vector_space
 
 DEFAULT_ELEMENT_CAP = 4096
 
@@ -166,48 +168,53 @@ class LieAlgebra:
     # -- derived structure --------------------------------------------------
 
     @cached_property
-    def _ad_terms(self):
-        """Per basis index k, the nonzero entries (row, col, c) of ad(e_k):
-        column j holds [e_k, e_j], which is c_kj for k < j and -c_jk for k > j."""
-        neg = self.field.neg_table
-        terms = [[] for _ in range(self.dim)]
-        for i, j, cij in self._terms:
-            for k, c in cij:
-                terms[i].append((k, j, c))
-                terms[j].append((k, i, neg[c]))
-        return terms
+    def space(self):
+        """The index tables of F_q^dim (``linalg.VectorSpace``), fetched
+        once per algebra after the element cap is checked."""
+        check_element_cap(self.order)
+        return vector_space(self.field, self.dim)
 
-    def ad_matrix(self, x):
-        """Matrix of y -> [x, y]; column j holds the coefficients of [x, e_j].
-        It is the sum of x_k ad(e_k) over the nonzero x_k."""
-        add, mul = self.field.add_table, self.field.mul_table
-        mat = [[0] * self.dim for _ in range(self.dim)]
-        for a, terms in zip(x, self._ad_terms):
-            if a:
-                m = mul[a]
-                for i, j, c in terms:
-                    row = mat[i]
-                    row[j] = add[row[j]][m[c]]
-        return [tuple(row) for row in mat]
+    @cached_property
+    def ad_rows(self):
+        """Per element index x, the rows of ad(x), the matrix of y -> [x, y],
+        as element indices.  Entry (r, j) of ad(e_k) is coefficient r of
+        [e_k, e_j], which is c_kj for k < j and -c_jk for k > j; the table is
+        built one coordinate at a time, as ad(x + a e_k) = ad(x) + a ad(e_k)."""
+        V = self.space
+        neg, units = self.field.neg_table, V.units
+        basis_rows = [[0] * self.dim for _ in range(self.dim)]
+        for i, j, cij in self._terms:
+            for r, c in cij:
+                basis_rows[i][r] += c * units[j]
+                basis_rows[j][r] += neg[c] * units[i]
+        tables = []
+        for r in range(self.dim):
+            table = [0]
+            for ad_k in basis_rows:
+                if not ad_k[r]:
+                    table *= self.field.q
+                    continue
+                table += V.sums([m[ad_k[r]] for m in V.scale[1:]], table)
+            tables.append(table)
+        return list(zip(*tables))
 
     def centralizer(self, x):
-        rows = self.ad_matrix(x)
-        return Subspace(self.field, self.dim, kernel_basis(self.field, rows, self.dim))
+        V = self.space
+        kernel = V.kernel(self.ad_rows[V.code(x)])
+        return Subspace(self.field, self.dim, [V.digits[v] for v in kernel])
 
     def centralizer_order(self, x):
         """|C_L(x)| via rank-nullity, cheaper than building the subspace."""
-        r = mat_rank(self.field, self.ad_matrix(x))
-        return self.field.q ** (self.dim - r)
+        V = self.space
+        return self.field.q ** (self.dim - V.rank(self.ad_rows[V.code(x)]))
 
     def center(self):
-        """Z(L), the common kernel of every ad(e_i).  The algebra is
+        """Z(L), the common kernel of every ad(e_k).  The algebra is
         immutable, so the first result is kept and returned on later calls."""
         if self._center is None:
-            rows = []
-            for i in range(self.dim):
-                rows.extend(self.ad_matrix(self.basis_vector(i)))
-            kernel = kernel_basis(self.field, rows, self.dim)
-            self._center = Subspace(self.field, self.dim, kernel)
+            V = self.space
+            kernel = V.kernel([row for w in V.units for row in self.ad_rows[w]])
+            self._center = Subspace(self.field, self.dim, [V.digits[v] for v in kernel])
         return self._center
 
     def derived_subalgebra(self):
@@ -240,11 +247,11 @@ class LieAlgebra:
         return self.field.q ** self.dim
 
     def enumerate_elements(self):
+        """Every element, in increasing little-endian index sum v_i q^i,
+        read from the digit table of ``space``; past the element cap this
+        raises CapExceeded."""
         check_element_cap(self.order)
-        for coeffs in product(self.field.elements(), repeat=self.dim):
-            # product varies the last coordinate fastest; re-order so the
-            # stream is increasing in the little-endian index
-            yield tuple(reversed(coeffs))
+        yield from self.space.digits
 
     def element_label(self, vec):
         """Render an element like ``x+y+z`` or ``2x+y`` in basis order."""

@@ -1,16 +1,151 @@
-"""Dense linear algebra over a small finite field.
+"""Exact linear algebra over a small finite field.
 
-Matrices are lists of row tuples/lists of element codes.  Everything is exact
-and deterministic; subspaces are canonicalized to reduced row echelon form so
-subspace equality is plain tuple equality.
+Two codings live here.
 
-The kernels here index the field's tables (``Field.add_table`` and friends)
-instead of calling a ``Field`` method per coefficient: eliminating row ``r``
-by a multiple b of the pivot row is ``m = mul[neg[b]]`` followed by
-``add[x][m[y]]`` for each pair of entries.
+* **Index-coded vectors of F_q^dim.**  A ``VectorSpace`` codes each vector v
+  as one int, its element index sum v_i q^i: the little-endian index in
+  which ``LieAlgebra.enumerate_elements`` lists the elements.  Its tables are
+  built once per (q, dim) by ``vector_space``: ``digits[v]``, the coordinate
+  tuple of v; ``scale[a][v]``, the index of a*v, with q * q^dim entries; and
+  addition split over the low ``half`` coordinates and the rest, so
+  u + v = ``low[u % split][v % split] + high[u // split][v // split]``, where
+  ``split`` = q^half and no table has more than about q * q^dim entries.
+  Row reduction eliminates with ``row = add(row, scale[-b][pivot_row])``, so a
+  kernel or span member is an int.  The Lie algebra kernels (``build_graph``,
+  ``LieAlgebra.center`` and ``LieAlgebra.centralizer_order``) run on these.
+* **Row tuples** of field codes, reduced by ``rref``, which indexes the field
+  tables (``m = mul[neg[b]]``, then ``add[x][m[y]]`` per entry).  It serves
+  the matrices that are not vectors of one F_q^dim: the canonical basis of a
+  ``Subspace``, the augmented matrix of ``mat_inv`` and the enumeration's
+  augmented Jacobi solve.
+
+Everything is exact and deterministic; subspaces are canonicalized to reduced
+row echelon form so subspace equality is plain tuple equality.
 """
 
 from __future__ import annotations
+
+from functools import cache
+from operator import mul
+
+
+def _index_sums(field, k):
+    """The q^k x q^k table of u + v over index-coded F_q^k, built one
+    coordinate at a time: u + w*a plus v + w*b is (u + v) + w*(a + b)."""
+    add = field.add_table
+    table = [[0]]
+    w = 1
+    for _ in range(k):
+        table = [
+            [x + w * s for s in add[a] for x in row] for a in field.elements() for row in table
+        ]
+        w *= field.q
+    return table
+
+
+class VectorSpace:
+    """F_q^dim with each vector coded as its element index sum v_i q^i.
+
+    Build it through ``vector_space``, which keeps one per (q, dim); its
+    tables hold about q * q^dim entries, so callers check the element cap
+    first.
+    """
+
+    def __init__(self, field, dim):
+        q = field.q
+        self.field = field
+        self.dim = dim
+        self.units = tuple(q**i for i in range(dim))
+        digits = [()]
+        scale = [[0] for _ in field.elements()]
+        for w in self.units:
+            digits = [d + (c,) for c in field.elements() for d in digits]
+            scale = [
+                [x + w * m[c] for c in field.elements() for x in row]
+                for m, row in zip(field.mul_table, scale)
+            ]
+        self.digits = tuple(digits)
+        self.scale = tuple(map(tuple, scale))
+        half = dim // 2
+        self.split = q**half
+        self.low = _index_sums(field, half)
+        self.high = [[self.split * s for s in row] for row in _index_sums(field, dim - half)]
+
+    def code(self, vec):
+        """The element index of the coordinate tuple ``vec``."""
+        return sum(map(mul, vec, self.units))
+
+    def add(self, u, v):
+        split = self.split
+        return self.low[u % split][v % split] + self.high[u // split][v // split]
+
+    def sums(self, us, vs):
+        """[u + v for u in us for v in vs]: the first list varies slowest."""
+        low, high, split = self.low, self.high, self.split
+        return [low[u % split][v % split] + high[u // split][v // split] for u in us for v in vs]
+
+    def rref(self, rows):
+        """Reduced row echelon form of index-coded rows, pivoting on the
+        coordinates in increasing order; returns (nonzero rows, pivot
+        coordinates), the coding of what ``rref`` returns on their tuples."""
+        digits, scale, add = self.digits, self.scale, self.add
+        neg, inv = self.field.neg_table, self.field.inv_table
+        mat = [v for v in rows if v]
+        nrows = len(mat)
+        pivots = []
+        r = 0
+        for c in range(self.dim):
+            if r == nrows:
+                break
+            for i in range(r, nrows):
+                a = digits[mat[i]][c]
+                if a:
+                    break
+            else:
+                continue
+            prow = mat[i] if a == 1 else scale[inv[a]][mat[i]]
+            mat[i] = mat[r]
+            mat[r] = prow
+            for k, x in enumerate(mat):
+                b = digits[x][c]
+                if b and k != r:
+                    mat[k] = add(x, scale[neg[b]][prow])
+            pivots.append(c)
+            r += 1
+        return mat[:r], pivots
+
+    def rank(self, rows):
+        return len(self.rref(rows)[0])
+
+    def kernel(self, rows):
+        """A basis of {y : row . y = 0 for every row}, one member per free
+        coordinate f of the reduced rows: 1 at f, 0 at the other free
+        coordinates and -row[f] at each row's pivot."""
+        reduced, pivots = self.rref(rows)
+        digits, neg, units = self.digits, self.field.neg_table, self.units
+        basis = []
+        for f in range(self.dim):
+            if f not in pivots:
+                v = units[f]
+                for row, p in zip(reduced, pivots):
+                    v += neg[digits[row][f]] * units[p]
+                basis.append(v)
+        return basis
+
+    def span(self, basis):
+        """All q^k members of the span of the k index-coded rows of
+        ``basis``, listed in ``itertools.product`` order of their coefficient
+        vectors (the first row's coefficient varies slowest)."""
+        vecs = [0]
+        for b in basis:
+            vecs = self.sums(vecs, [m[b] for m in self.scale])
+        return vecs
+
+
+@cache
+def vector_space(field, dim):
+    """The one ``VectorSpace`` of F_q^dim, built on first request."""
+    return VectorSpace(field, dim)
 
 
 def rref(field, rows):
@@ -46,34 +181,6 @@ def rref(field, rows):
     return [tuple(row) for row in mat[:r]], pivots
 
 
-def kernel_basis(field, rows, ncols):
-    """RREF basis of the right kernel of the matrix with the given rows."""
-    reduced, pivots = rref(field, rows)
-    neg = field.neg_table
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [0] * ncols
-        vec[fc] = 1
-        for r, pc in zip(reduced, pivots):
-            vec[pc] = neg[r[fc]]
-        basis.append(vec)
-    reduced_basis, _ = rref(field, basis)
-    return reduced_basis
-
-
-def span(field, basis, n):
-    """All q^k vectors of F_q^n spanned by the k rows of ``basis``, listed
-    in ``itertools.product`` order of their coefficient vectors (the first
-    row's coefficient varies slowest)."""
-    add, mul = field.add_table, field.mul_table
-    vecs = [(0,) * n]
-    for row in basis:
-        multiples = [tuple([m[y] for y in row]) for m in mul]
-        vecs = [tuple([add[x][y] for x, y in zip(v, w)]) for v in vecs for w in multiples]
-    return vecs
-
-
 def mat_vec(field, rows, vec):
     add, mul = field.add_table, field.mul_table
     out = []
@@ -83,11 +190,6 @@ def mat_vec(field, rows, vec):
             acc = add[acc][mul[a][x]]
         out.append(acc)
     return tuple(out)
-
-
-def mat_rank(field, rows):
-    reduced, _ = rref(field, rows)
-    return len(reduced)
 
 
 def mat_inv(field, rows):
@@ -121,10 +223,6 @@ class Subspace:
     @property
     def cardinality(self):
         return self.field.q ** self.dim
-
-    def elements(self):
-        """All q^dim vectors of the subspace, in a deterministic order."""
-        return span(self.field, self.basis_matrix, self.ambient_dim)
 
     def __eq__(self, other):
         return (

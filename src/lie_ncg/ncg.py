@@ -2,6 +2,9 @@
 
 Vertices are the elements of ``L`` outside the center, in increasing index
 order, and two vertices are adjacent exactly when their bracket is nonzero.
+The graph is built on index-coded vectors (``linalg.VectorSpace``): an
+element is its index sum v_i q^i, so cosets, kernels and spans are ints, and
+a vertex's coordinate tuple is read from the shared digit table.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from functools import cached_property
 
 from .errors import AbelianAlgebra
 from .graphs import Graph
-from .linalg import kernel_basis, span
+from .liealg import check_element_cap
 
 
 class NcGraph(Graph):
@@ -45,44 +48,44 @@ def build_graph(L):
     """
     if L.is_abelian():
         raise AbelianAlgebra("abelian algebra: the non-commuting graph has no vertices")
-    # list L first, so the element cap applies before any other work
-    elements = list(L.enumerate_elements())
-    f = L.field
-    add, mul, neg = f.add_table, f.mul_table, f.neg_table
-    center = L.center().basis_matrix
-    pivots = [next(i for i, a in enumerate(row) if a) for row in center]
-
-    def modulo_center(v):
-        """The member of v + Z that is zero on the pivot columns of Z."""
-        for row, p in zip(center, pivots):
-            a = v[p]
-            if a:
-                m = mul[neg[a]]
-                v = tuple([add[x][m[y]] for x, y in zip(v, row)])
-        return v
-
+    # the element cap applies before any other work
+    check_element_cap(L.order)
+    V = L.space
+    center_basis = L.center().basis_matrix
+    pivots = [next(i for i, a in enumerate(row) if a) for row in center_basis]
+    # each coset of Z is represented by its one member that is zero on the
+    # pivot coordinates of Z: a combination of the other unit vectors
+    free = [w for i, w in enumerate(V.units) if i not in pivots]
+    center_span = V.span([V.code(row) for row in center_basis])
+    rep_of = [0] * len(V.digits)
+    reps = V.span(free)
+    for rep in reps:
+        for z in center_span:
+            rep_of[V.add(rep, z)] = rep
     vertices = []
-    reps = []  # each vertex's representative modulo Z
-    cosets = {}  # representative modulo Z -> mask of the vertices in that coset
-    for v in elements:
-        rep = modulo_center(v)
-        if any(rep):
-            cosets[rep] = cosets.get(rep, 0) | 1 << len(vertices)
-            vertices.append(v)
-            reps.append(rep)
+    vertex_reps = []
+    cosets = [0] * len(V.digits)  # representative -> mask of its coset's vertices
+    for v, rep in enumerate(rep_of):
+        if rep:
+            cosets[rep] |= 1 << len(vertices)
+            vertices.append(V.digits[v])
+            vertex_reps.append(rep)
     full = (1 << len(vertices)) - 1
-    # C(x) contains Z, so its members that are zero on Z's pivot columns are
-    # the representatives of the cosets in C(x)/Z: the kernel of ad(x) with
-    # one unit row per pivot column added
-    units = [tuple(int(c == p) for c in range(L.dim)) for p in pivots]
-    coset_rows = {}
-    for rep in cosets:
-        if rep in coset_rows:
+    # C(x) contains Z, so its members that are zero on Z's pivot coordinates
+    # are the representatives of the cosets in C(x)/Z: the kernel of ad(x)
+    # with one unit row per pivot coordinate added
+    units = tuple(V.units[p] for p in pivots)
+    multipliers = V.scale[1:]
+    ad_rows = L.ad_rows
+    coset_rows = [0] * len(V.digits)  # no row of a non-central x is empty
+    for rep in reps:
+        if not rep or coset_rows[rep]:
             continue
         commuting = 0
-        for coset in span(f, kernel_basis(f, L.ad_matrix(rep) + units, L.dim), L.dim):
-            commuting |= cosets.get(coset, 0)
-        for m in mul[1:]:
-            coset_rows[tuple([m[a] for a in rep])] = full & ~commuting
-    rows = [coset_rows[rep] for rep in reps]
+        for c in V.span(V.kernel(ad_rows[rep] + units)):
+            commuting |= cosets[c]
+        row = full & ~commuting
+        for m in multipliers:
+            coset_rows[m[rep]] = row
+    rows = [coset_rows[rep] for rep in vertex_reps]
     return NcGraph(len(vertices), rows, vertices, L)

@@ -58,20 +58,19 @@ class Instance:
 
     @cached_property
     def centralizer_orders(self):
-        """|C_L(v)| per vertex, one rank per line {cx : c != 0}: ad(cx) is
-        c ad(x), so each vertex is keyed by its multiple with leading
-        coefficient 1.  The key ignores the center, so Lem2.2 compares the
-        graph's rows with ranks that do not share build_graph's reduction."""
-        mul, inv = self.L.field.mul_table, self.L.field.inv_table
+        """|C_L(v)| per vertex, one rank per line {cv : c != 0}: ad(cv) is
+        c ad(v), so the rank of ad(v) on the first vertex of a line serves
+        its every multiple.  Lines are keyed by vertex tuples, not by
+        build_graph's reduction modulo the center, so Lem2.2 compares the
+        graph's rows with ranks that do not share that reduction."""
+        multipliers = self.L.field.mul_table[1:]
         orders = {}
-        out = []
         for v in self.graph.vertices:
-            m = mul[inv[next(a for a in v if a)]]
-            key = tuple([m[a] for a in v])
-            if key not in orders:
-                orders[key] = self.L.centralizer_order(key)
-            out.append(orders[key])
-        return out
+            if v not in orders:
+                order = self.L.centralizer_order(v)
+                for m in multipliers:
+                    orders[tuple([m[a] for a in v])] = order
+        return [orders[v] for v in self.graph.vertices]
 
     @cached_property
     def degrees(self):
@@ -109,8 +108,17 @@ def catalog_instances():
 
 
 def enumeration_instances(n, q):
-    """Every non-abelian Jacobi-satisfying structure of the given shape."""
+    """Every non-abelian Jacobi-satisfying structure of the given shape.
+
+    The scope is checked first, and n < 2, which has no non-abelian
+    algebra and so no instance to check, is refused with CapExceeded.
+    """
     field = field_new(q)
+    _check_scope(n, field)
+    if n < 2:
+        raise CapExceeded(
+            f"every Lie algebra of dim < 2 is abelian, so there is nothing to check; got n={n}"
+        )
     out = []
     for idx, L in enumerate(jacobi_tensors(n, field)):
         if not L.is_abelian():

@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to cross-check library results.
 
 Everything here deliberately avoids the code paths it validates: row
-reduction and brackets go through ``Field`` method calls, not the field
-tables the library indexes, centralizers and centers are found by scanning
+reduction, spans, brackets and ad(x) go through ``Field`` method calls on
+coordinate tuples, not the field tables or the index-coded vectors the
+library uses, centralizers and centers are found by scanning
 all elements, non-commuting graphs by
 bracketing every pair of vertices, planarity by searching for a forbidden
 subdivision, domination by trying every subset, Lie structures by testing
@@ -50,6 +51,24 @@ def rref_by_methods(field, rows):
     return [tuple(row) for row in mat[:r]], pivots
 
 
+def span_by_methods(field, basis, n):
+    """Every vector of F_q^n spanned by the rows of ``basis``, in
+    ``itertools.product`` order of their coefficient vectors, with one
+    ``Field`` method call per coefficient."""
+    out = []
+    for coeffs in product(field.elements(), repeat=len(basis)):
+        vec = (0,) * n
+        for c, row in zip(coeffs, basis):
+            vec = tuple(field.add(x, field.mul(c, y)) for x, y in zip(vec, row))
+        out.append(vec)
+    return out
+
+
+def subspace_members(S):
+    """The set of vectors of the ``Subspace`` S."""
+    return set(span_by_methods(S.field, S.basis_matrix, S.ambient_dim))
+
+
 def bracket_by_methods(L, u, v):
     """[u, v] = sum over i < j of (u_i v_j - u_j v_i) c_ij, read straight
     from ``L.structure`` with ``Field`` method calls."""
@@ -62,16 +81,28 @@ def bracket_by_methods(L, u, v):
     return tuple(out)
 
 
+def ad_matrix_by_methods(L, x):
+    """The matrix of y -> [x, y] as row tuples: column j is [x, e_j]."""
+    units = [tuple(int(i == j) for i in range(L.dim)) for j in range(L.dim)]
+    return list(zip(*(bracket_by_methods(L, x, e) for e in units)))
+
+
+def elements(L):
+    """Every element of L as a coordinate tuple, in increasing little-endian
+    index sum v_i q^i: the first coordinate varies fastest."""
+    return [tuple(reversed(c)) for c in product(L.field.elements(), repeat=L.dim)]
+
+
 def brute_centralizer(L, x):
     """All elements commuting with x, by scanning the whole algebra."""
     zero = L.zero()
-    return {y for y in L.enumerate_elements() if L.bracket(x, y) == zero}
+    return {y for y in elements(L) if L.bracket(x, y) == zero}
 
 
 def brute_center(L):
     zero = L.zero()
     out = set()
-    for x in L.enumerate_elements():
+    for x in elements(L):
         if all(L.bracket(x, L.basis_vector(i)) == zero for i in range(L.dim)):
             out.add(x)
     return out
@@ -81,7 +112,7 @@ def graph_by_brackets(L):
     """The non-commuting graph of L by bracketing every pair of non-central
     elements, with the vertex order and labels of ``build_graph``."""
     center = brute_center(L)
-    vertices = [v for v in L.enumerate_elements() if v not in center]
+    vertices = [v for v in elements(L) if v not in center]
     n = len(vertices)
     rows = [0] * n
     zero = L.zero()

@@ -273,6 +273,7 @@ def test_closed_stdout_exits_1_without_raising(capsys, monkeypatch, tmp_path, ar
         (["verify", "--scope", "enumerate", "--n", "0"], "err"),
         (["enumerate", "--n", "4", "--q", "3"], "out"),
         (["enumerate", "--n", "1"], "out"),
+        (["verify", "--scope", "enumerate", "--n", "1", "--format", "json"], "out"),
     ],
 )
 def test_empty_or_impossible_scope_is_refused_before_any_work(capsys, monkeypatch, argv, stream):
@@ -286,6 +287,8 @@ def test_empty_or_impossible_scope_is_refused_before_any_work(capsys, monkeypatc
     assert code == 1
     line, other = (out, err) if stream == "out" else (err, out)
     assert "CapExceeded" in line and line.count("\n") == 1 and other == ""
+    if stream == "out":
+        assert json.loads(line)["error"] == "CapExceeded"
 
 
 NAMES = ["x", "y", "z", "w"]

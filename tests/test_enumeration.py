@@ -15,6 +15,7 @@ from lie_ncg.catalog import builtin_catalog, catalog_entry
 from lie_ncg.enumeration import (
     _gl_generators,
     _LinearAction,
+    _structure_tensors,
     algebras_equivalent,
     jacobi_tensors,
     orbit_partition,
@@ -29,7 +30,7 @@ from lie_ncg.liealg import LieAlgebra
 from lie_ncg.linalg import mat_inv
 from lie_ncg.ncg import build_graph
 
-from oracles import full_gl_orbits, gl_matrices, jacobi_tensors_by_filter
+from oracles import _jacobi_holds_by_methods, full_gl_orbits, gl_matrices, jacobi_tensors_by_filter
 
 # every (n, q) the enumeration accepts
 SHAPES = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]
@@ -66,6 +67,24 @@ def test_jacobi_tensors_match_brute_force_filter(n, q):
     f = field_new(q)
     got = [tensor_key(L.structure, n) for L in jacobi_tensors(n, f)]
     assert got == [tensor_key(L.structure, n) for L in jacobi_tensors_by_filter(n, f)]
+
+
+def test_structure_tensors_dim3_f4_match_filter_per_c01():
+    # the closed-form Jacobi solve over F_4, which jacobi_tensors does not
+    # accept: each sampled c_01 slice against testing the Jacobi identity on
+    # all 4^6 (c_02, c_12); the filter over all 4^9 tensors, about 6 s, also
+    # gives 8128 tensors in this order
+    f = field_new(4)
+    tensors = list(_structure_tensors(3, f))
+    assert len(tensors) == 8128 and tensors == sorted(tensors)
+    vectors = list(product(f.elements(), repeat=3))
+    for c01 in random.Random(12).sample(vectors, 6):
+        want = [
+            (c01, c02, c12)
+            for c02, c12 in product(vectors, repeat=2)
+            if _jacobi_holds_by_methods(f, 3, {(0, 1): c01, (0, 2): c02, (1, 2): c12})
+        ]
+        assert [t for t in tensors if t[0] == c01] == want
 
 
 def test_gl_matrix_counts():
@@ -187,21 +206,23 @@ def test_algebras_equivalent_matches_full_gl_orbits_dim3_f2():
 
 
 def test_import_builds_no_generator_tables():
-    # the generator maps are built per call: importing the package, which
-    # computes the verifier's certificates, neither lists a generator nor
-    # transforms a tensor
+    # the generator maps and the index tables of F_q^dim are built on first
+    # use: importing the package, which computes the verifier's certificates,
+    # neither lists a generator, transforms a tensor nor builds a vector
+    # space's tables (every VectorSpace build calls _index_sums)
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = (
         "import sys\n"
         "calls = []\n"
         "def watch(frame, event, arg):\n"
         "    if event == 'call' and frame.f_code.co_name in "
-        "('_gl_generators', 'transform_structure'):\n"
+        "('_gl_generators', 'transform_structure', '_index_sums'):\n"
         "        calls.append(frame.f_code.co_name)\n"
         "sys.setprofile(watch)\n"
         "import lie_ncg\n"
         "sys.setprofile(None)\n"
         "assert 'lie_ncg.enumeration' in sys.modules\n"
+        "assert sys.modules['lie_ncg.linalg'].vector_space.cache_info().currsize == 0\n"
         "print(calls)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

@@ -1,11 +1,12 @@
-"""Row reduction, kernels and canonical subspaces over small fields."""
+"""Row reduction, kernels and canonical subspaces over small fields, on row
+tuples and on index-coded vectors of F_q^dim."""
 
 from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
 from lie_ncg.gf import FIELD_CAP, field_new, prime_power_decomposition
-from lie_ncg.linalg import Subspace, kernel_basis, mat_inv, mat_rank, mat_vec, rref, span
+from lie_ncg.linalg import Subspace, mat_inv, mat_vec, rref, vector_space
 
 import oracles
 
@@ -24,6 +25,17 @@ def matrices(draw):
     return f, draw(st.lists(row, max_size=6)), ncols
 
 
+@st.composite
+def coded_matrices(draw):
+    """(space, rows): up to dim + 2 rows of a random F_q^dim with
+    q^dim <= 729, over any supported field, as coordinate tuples."""
+    f = field_new(draw(st.sampled_from(FIELD_ORDERS)))
+    dim = draw(st.integers(1, max(d for d in range(1, 10) if f.q**d <= 729)))
+    entry = st.one_of(st.just(0), st.integers(0, f.q - 1))
+    row = st.one_of(st.just((0,) * dim), st.tuples(*[entry] * dim))
+    return vector_space(f, dim), draw(st.lists(row, max_size=dim + 2))
+
+
 def apply_by_methods(field, rows, vec):
     """The matrix-vector product with one Field method call per term."""
     out = []
@@ -39,20 +51,24 @@ def test_rref_and_rank():
     f2 = field_new(2)
     rows, pivots = rref(f2, [(1, 1, 0), (0, 1, 1), (1, 0, 1)])
     assert pivots == [0, 1]
-    assert mat_rank(f2, [(1, 1, 0), (0, 1, 1), (1, 0, 1)]) == 2
+    V = vector_space(f2, 3)
+    assert V.rank([V.code(r) for r in [(1, 1, 0), (0, 1, 1), (1, 0, 1)]]) == 2
+    assert V.rank([0, 0]) == 0 and V.rank([]) == 0
     f3 = field_new(3)
-    assert mat_rank(f3, [(1, 2), (0, 1)]) == 2
-    assert mat_rank(f3, [(1, 2), (2, 1)]) == 1  # second row is 2 times the first
-    assert mat_rank(f2, [(0, 0), (0, 0)]) == 0
+    V = vector_space(f3, 2)
+    assert V.rank([V.code((1, 2)), V.code((0, 1))]) == 2
+    # the second row is 2 times the first
+    assert V.rank([V.code((1, 2)), V.code((2, 1))]) == 1
 
 
 def test_kernel_basis_members_annihilate():
     f3 = field_new(3)
+    V = vector_space(f3, 3)
     rows = [(1, 2, 0), (0, 0, 1)]
-    basis = kernel_basis(f3, rows, 3)
+    basis = V.kernel([V.code(r) for r in rows])
     assert len(basis) == 1
     for v in basis:
-        assert mat_vec(f3, rows, v) == (0, 0)
+        assert mat_vec(f3, rows, V.digits[v]) == (0, 0)
 
 
 def test_mat_inv_round_trip_exhaustive_2x2_f2():
@@ -75,7 +91,7 @@ def test_subspace_canonical_equality():
     s2 = Subspace(f2, 3, [(1, 1, 1), (0, 0, 1)])  # same span, different spanning set
     assert s1 == s2 and hash(s1) == hash(s2)
     assert s1.dim == 2 and s1.cardinality == 4
-    members = set(s1.elements())
+    members = oracles.subspace_members(s1)
     assert len(members) == 4
     assert (1, 1, 1) in members and (1, 0, 0) not in members
 
@@ -83,10 +99,10 @@ def test_subspace_canonical_equality():
 def test_subspace_zero_and_full():
     f3 = field_new(3)
     z = Subspace(f3, 2, [])
-    assert z.dim == 0 and list(z.elements()) == [(0, 0)]
+    assert z.dim == 0 and oracles.subspace_members(z) == {(0, 0)}
     full = Subspace.full(f3, 2)
     assert full.dim == 2 and full.cardinality == 9
-    assert (2, 1) in set(full.elements())
+    assert (2, 1) in oracles.subspace_members(full)
 
 
 @settings(max_examples=300, deadline=None)
@@ -97,29 +113,51 @@ def test_rref_matches_method_call_oracle(case):
 
 
 @settings(max_examples=300, deadline=None)
-@given(matrices())
+@given(coded_matrices(), st.data())
+def test_vector_space_tables_match_field_methods(case, data):
+    V, _ = case
+    f, dim = V.field, V.dim
+    assert len(V.digits) == f.q**dim
+    u, v = (data.draw(st.integers(0, f.q**dim - 1)) for _ in range(2))
+    a = data.draw(st.integers(0, f.q - 1))
+    # the digits list F_q^dim in increasing little-endian index
+    assert V.code(V.digits[u]) == u and sum(c * f.q**i for i, c in enumerate(V.digits[u])) == u
+    assert V.digits[V.add(u, v)] == tuple(map(f.add, V.digits[u], V.digits[v]))
+    assert V.digits[V.scale[a][u]] == tuple(f.mul(a, x) for x in V.digits[u])
+
+
+@settings(max_examples=300, deadline=None)
+@given(coded_matrices())
+def test_index_coded_rref_and_rank_match_method_call_oracle(case):
+    V, rows = case
+    reduced, pivots = V.rref([V.code(r) for r in rows])
+    want, want_pivots = oracles.rref_by_methods(V.field, rows)
+    assert ([V.digits[v] for v in reduced], pivots) == (want, want_pivots)
+    assert V.rank([V.code(r) for r in rows]) == len(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coded_matrices())
 def test_kernel_basis_is_killed_and_has_nullity_rows(case):
-    f, rows, ncols = case
-    basis = kernel_basis(f, rows, ncols)
+    V, rows = case
+    f = V.field
+    basis = [V.digits[v] for v in V.kernel([V.code(r) for r in rows])]
     rank = len(oracles.rref_by_methods(f, rows)[0])
-    assert len(basis) == ncols - rank
+    assert len(basis) == V.dim - rank
+    # independent, and each member is killed by every row
+    assert len(oracles.rref_by_methods(f, basis)[0]) == len(basis)
     for v in basis:
         assert apply_by_methods(f, rows, v) == (0,) * len(rows)
 
 
 @settings(max_examples=200, deadline=None)
-@given(matrices())
+@given(coded_matrices())
 def test_span_lists_each_member_once_in_product_order(case):
-    f, rows, ncols = case
+    V, rows = case
+    f = V.field
     basis = oracles.rref_by_methods(f, rows)[0]
     while f.q ** len(basis) > 729:
         basis.pop()
-    members = span(f, basis, ncols)
-    expected = []
-    for coeffs in product(range(f.q), repeat=len(basis)):
-        vec = (0,) * ncols
-        for c, row in zip(coeffs, basis):
-            vec = tuple(f.add(x, f.mul(c, y)) for x, y in zip(vec, row))
-        expected.append(vec)
-    assert members == expected
+    members = [V.digits[v] for v in V.span([V.code(r) for r in basis])]
+    assert members == oracles.span_by_methods(f, basis, V.dim)
     assert len(set(members)) == f.q ** len(basis)

@@ -4,13 +4,16 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lie_ncg.catalog import catalog_entry
 from lie_ncg.errors import AbelianAlgebra, CapExceeded
 from lie_ncg.gf import field_new
 from lie_ncg.graphs import connectivity, girth, is_planar, is_regular
 from lie_ncg.io import load_spec, parse_spec_dict
+from lie_ncg.enumeration import _c12_solutions
 from lie_ncg.liealg import LieAlgebra, algebra_from_spec
+from lie_ncg.linalg import vector_space
 from lie_ncg.ncg import build_graph
 from lie_ncg.verifier import catalog_instances, check_all_statements, enumeration_instances
 
@@ -90,6 +93,30 @@ def test_build_graph_matches_bracket_oracle():
     assert g.n == 120
 
 
+@st.composite
+def lie_tensors_over_extension_fields(draw):
+    """A random Lie structure of dim 2 or 3 over F_4, F_8 or F_9; in dim 3,
+    c_12 is drawn from the solutions of the Jacobi identity."""
+    f = field_new(draw(st.sampled_from([4, 8, 9])))
+    dim = draw(st.integers(2, 3))
+    vector = st.tuples(*[st.integers(0, f.q - 1)] * dim)
+    c01 = draw(vector)
+    if dim == 2:
+        return LieAlgebra(f, 2, {(0, 1): c01})
+    c02 = draw(vector)
+    solutions = _c12_solutions(f, c01, c02)
+    assume(solutions)
+    return LieAlgebra(f, 3, {(0, 1): c01, (0, 2): c02, (1, 2): draw(st.sampled_from(solutions))})
+
+
+@settings(max_examples=25, deadline=None)
+@given(lie_tensors_over_extension_fields())
+def test_build_graph_matches_bracket_oracle_over_extension_fields(L):
+    assume(not L.is_abelian())
+    g, want = build_graph(L), oracles.graph_by_brackets(L)
+    assert (g.rows, g.vertices) == (want.rows, want.vertices)
+
+
 def _heisenberg_plus_abelian_f2(dim):
     """The spec [e0, e1] = e2 over F_2 with dim - 3 abelian summands."""
     spec = {"q": 2, "dim": dim, "basis": [f"e{i}" for i in range(dim)],
@@ -123,12 +150,16 @@ def test_cap_respected(monkeypatch):
         build_graph(L)
     monkeypatch.setenv("LIE_NCG_CAP", "27")
     assert build_graph(L).n == 24
-    # refused before the 2^18-element center is listed, which takes seconds
+    # refused before the 2^18-element center is listed, which takes seconds,
+    # and before the index tables of F_2^20 are built
     big = LieAlgebra(field_new(2), 20, {(0, 1): (0, 0, 1) + (0,) * 17}, validate=False)
-    start = time.perf_counter()
-    with pytest.raises(CapExceeded):
-        build_graph(big)
-    assert time.perf_counter() - start < 1
+    built = vector_space.cache_info().currsize
+    for call in (build_graph, LieAlgebra.center, lambda L: L.centralizer_order((1,) + (0,) * 19)):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded):
+            call(big)
+        assert time.perf_counter() - start < 1
+    assert vector_space.cache_info().currsize == built
 
 
 def test_labels_are_rendered_on_first_read(monkeypatch):

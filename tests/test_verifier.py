@@ -54,11 +54,11 @@ def test_catalog_instances():
 
 
 def test_center_is_computed_once_per_algebra(monkeypatch):
-    # the center is the one kernel liealg computes on this path; build_graph's
-    # centralizer kernels go through its own kernel_basis reference
+    # the center is the one subspace liealg builds on this path; build_graph's
+    # centralizer kernels stay index-coded
     calls = []
-    real = liealg.kernel_basis
-    monkeypatch.setattr(liealg, "kernel_basis", lambda *args: calls.append(args) or real(*args))
+    real = liealg.Subspace
+    monkeypatch.setattr(liealg, "Subspace", lambda *args: calls.append(args) or real(*args))
     L = catalog_entry("heisenberg_f3").algebra()
     build_graph(L)
     inst = Instance("heisenberg_f3", L)

@@ -57,5 +57,10 @@ class EmptyGraph(LieNcgError):
     """The operation needs at least one vertex."""
 
 
+class Undecided(LieNcgError):
+    """A graph invariant was asked of a graph that none of the facts it is
+    answered from decides.  Every non-commuting graph is decided."""
+
+
 class UnknownStatement(LieNcgError):
     """No statement with this id is registered with the verifier."""

@@ -1,13 +1,13 @@
 """Undirected simple graphs on bitset adjacency rows, plus exact invariants.
 
 Vertices are ``0..n-1``; row ``i`` is an integer whose bit ``j`` is set when
-``i`` and ``j`` are adjacent.  All decision procedures here are exact; sizes
-beyond the stated caps raise ``CapExceeded`` instead of falling back to
-heuristics.
-
-Every non-commuting graph of dimension <= 3 is complete multipartite.
-``Graph.multipartite_parts`` recognizes that shape from the rows alone,
-once per graph, and the invariants answer from them: ``connectivity``,
+``i`` and ``j`` are adjacent.  Sizes beyond the stated caps raise
+``CapExceeded``.  Girth, planarity and outerplanarity are read from facts
+checked on the graph, which every non-commuting graph has: a triangle (x, y
+and x + y for [x, y] != 0), and a complete multipartite shape or more than
+3n - 6 edges.  A graph without them raises ``Undecided``.
+``Graph.multipartite_parts`` recognizes that shape from the rows alone, once
+per graph, and the invariants answer from the parts: ``connectivity``,
 ``is_planar`` and ``is_outerplanar`` by closed forms in the part sizes,
 ``is_hamiltonian`` without a search, ``is_complete_bipartite`` by counting
 parts, and the canonical labeling in ``iso`` by ordering them.
@@ -16,13 +16,8 @@ Every traversal runs on the rows through one breadth-first helper,
 ``_bfs_layers``: each layer is a bitmask, and the next one is the OR of the
 current layer's rows minus the vertices already seen.  It gives the diameter
 of any other graph (one search per distinct row: vertices with equal rows
-have equal eccentricity), the single-source connectedness test behind
-``is_eulerian`` and ``hamiltonian_cycle``, and the fallback of ``girth``.
-``girth`` first looks for an edge whose ends share a neighbour and returns 3
-at the first one, which settles every non-commuting graph; only
-triangle-free graphs are searched.  networkx is imported only when
-``is_planar`` gets a graph that is not complete multipartite and has at most
-3n - 6 edges.
+have equal eccentricity) and the single-source connectedness test behind
+``is_eulerian`` and ``hamiltonian_cycle``.
 """
 
 from __future__ import annotations
@@ -31,7 +26,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 
-from .errors import CapExceeded, EmptyGraph
+from .errors import CapExceeded, EmptyGraph, Undecided
 
 HAMILTON_EXACT_CAP = 64
 DOMINATION_CAP = 32
@@ -99,18 +94,6 @@ class Graph:
     def neighbors(self, v):
         row = self.rows[v]
         return [u for u in range(self.n) if row >> u & 1]
-
-    def edges(self):
-        # the set bits of row u above bit u, lowest first
-        return [(u, v) for u, row in enumerate(self.rows) for v in _bits(row >> u + 1 << u + 1)]
-
-    def to_networkx(self):
-        import networkx as nx
-
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n))
-        g.add_edges_from(self.edges())
-        return g
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
@@ -182,34 +165,18 @@ def connectivity(g):
 
 
 def girth(g):
-    """Length of a shortest cycle, or inf for an acyclic graph.
+    """3 when two adjacent vertices have a common neighbour.
 
-    Two adjacent vertices with a common neighbour close a triangle, so the
-    girth is 3 as soon as one edge ``(u, v)`` has ``rows[u] & rows[v]``.
-    Only triangle-free graphs reach the breadth-first search: from each
-    source, a vertex of layer ``k`` with two neighbours in layer ``k - 1``
-    closes a cycle of length ``2k``, and an edge inside layer ``k`` one of
-    length ``2k + 1``; the shortest over all sources is the girth.
+    Every non-commuting graph has such an edge: for [x, y] != 0, x, y and
+    x + y are pairwise non-commuting (Prop2.5).  A triangle-free graph
+    raises Undecided.
     """
     rows = g.rows
     for u in range(g.n):
         for v in _bits(rows[u]):
             if rows[u] & rows[v]:
                 return 3
-    best = INF
-    for s in range(g.n):
-        prev = 0
-        for depth, layer in enumerate(_bfs_layers(rows, s)):
-            if 2 * depth >= best:
-                break
-            if any((rows[w] & prev).bit_count() >= 2 for w in _bits(layer)):
-                best = 2 * depth
-                break
-            if any(rows[u] & layer for u in _bits(layer)):
-                best = 2 * depth + 1
-                break
-            prev = layer
-    return best
+    raise Undecided(f"girth of a triangle-free graph ({g!r})")
 
 
 # -- degree-based predicates ---------------------------------------------------
@@ -319,19 +286,15 @@ def is_planar(g):
     A complete multipartite graph with part sizes n_1 <= ... <= n_k is
     planar iff it has no K_5 or K_{3,3} subgraph (Kuratowski), that is iff
     k <= 1, or k = 2 and n_1 <= 2, or k = 3 and (n_2 = 1 or n_3 <= 2), or
-    k = 4 and n_3 = 1 and n_4 <= 2.  Any other graph is refused past the
-    3n - 6 edge bound and otherwise decided by the left-right criterion
-    (networkx).
+    k = 4 and n_3 = 1 and n_4 <= 2.  Any other graph is planar only with at
+    most 3n - 6 edges (Euler), and raises Undecided there.
     """
     parts = g.multipartite_parts
     if parts is not None:
         return _multipartite_planar([len(part) for part in parts])
     if g.n >= 3 and g.edge_count() > 3 * g.n - 6:
         return False
-    import networkx as nx
-
-    ok, _ = nx.check_planarity(g.to_networkx())
-    return ok
+    raise Undecided(f"planarity of a sparse graph not complete multipartite ({g!r})")
 
 
 def is_outerplanar(g):
@@ -339,15 +302,15 @@ def is_outerplanar(g):
 
     When the graph is complete multipartite, so is the apex graph, with the
     apex as one more single-vertex part, and the closed form of
-    ``is_planar`` answers from the part sizes.
+    ``is_planar`` answers from the part sizes.  Any other graph is
+    outerplanar only with at most 2n - 3 edges, and raises Undecided there.
     """
     parts = g.multipartite_parts
     if parts is not None:
         return _multipartite_planar([len(part) for part in parts] + [1])
-    apex = g.n
-    rows = [row | (1 << apex) for row in g.rows]
-    rows.append((1 << g.n) - 1)
-    return is_planar(Graph(g.n + 1, rows))
+    if g.n >= 2 and g.edge_count() > 2 * g.n - 3:
+        return False
+    raise Undecided(f"outerplanarity of a sparse graph not complete multipartite ({g!r})")
 
 
 # -- domination ----------------------------------------------------------------
@@ -418,7 +381,9 @@ def property_report(g):
     """Compute the full invariant summary for one graph.
 
     The domination number is reported as the string ``"skipped"`` when the
-    graph exceeds the exact-search cap; every other field is always exact.
+    graph exceeds the exact-search cap; every other field is exact.  A graph
+    without a triangle, or sparse and not complete multipartite, raises
+    Undecided; no non-commuting graph is either.
     """
     degs = g.degrees()
     connected, diameter = connectivity(g)

@@ -143,8 +143,18 @@ class LieAlgebra:
         f = self.field
         return tuple(f.neg(c) for c in self.structure[(j, i)])
 
+    def _check_element(self, x):
+        """Raise LieNcgError unless ``x`` is ``dim`` field codes in 0..q-1."""
+        if len(x) != self.dim or not self.field.codes.issuperset(x):
+            raise LieNcgError(
+                f"{tuple(x)} is not an element of {self!r}: need {self.dim} codes "
+                f"in 0..{self.field.q - 1}"
+            )
+
     def bracket(self, u, v):
         """Bilinear extension of the structure constants to arbitrary elements."""
+        self._check_element(u)
+        self._check_element(v)
         add, mul, neg = self.field.add_table, self.field.mul_table, self.field.neg_table
         out = [0] * self.dim
         for i, j, terms in self._terms:
@@ -199,12 +209,14 @@ class LieAlgebra:
         return list(zip(*tables))
 
     def centralizer(self, x):
+        self._check_element(x)
         V = self.space
         kernel = V.kernel(self.ad_rows[V.code(x)])
         return Subspace(self.field, self.dim, [V.digits[v] for v in kernel])
 
     def centralizer_order(self, x):
         """|C_L(x)| via rank-nullity, cheaper than building the subspace."""
+        self._check_element(x)
         V = self.space
         return self.field.q ** (self.dim - V.rank(self.ad_rows[V.code(x)]))
 

@@ -19,7 +19,7 @@ from itertools import combinations
 from . import graphs
 from .catalog import builtin_catalog
 from .enumeration import _check_scope, algebras_equivalent, jacobi_tensors
-from .errors import CapExceeded, UnknownStatement
+from .errors import CapExceeded, Undecided, UnknownStatement
 from .gf import field_new, prime_factors, prime_power_decomposition
 from .iso import canonical_certificate, isomorphism
 from .ncg import build_graph
@@ -378,13 +378,20 @@ STATEMENT_IDS = tuple(STATEMENTS)
 
 
 def check_statement(statement_id, instances):
-    """Run one registered statement over a list of Instance values."""
+    """Run one registered statement over a list of Instance values.
+
+    A check that raises Undecided, because its graph lacks the fact an
+    invariant is read from, fails on that instance with the error text.
+    """
     if statement_id not in STATEMENTS:
         raise UnknownStatement(f"no statement registered under id {statement_id!r}")
     quote, checker = STATEMENTS[statement_id]
     report = TheoremReport(statement_id=statement_id, quote=quote)
     for inst in instances:
-        outcome = checker(inst)
+        try:
+            outcome = checker(inst)
+        except Undecided as exc:
+            outcome = str(exc)
         report.instances_checked += 1
         if outcome == VACUOUS:
             report.vacuous_count += 1

@@ -11,12 +11,16 @@ the Jacobi identity on every structure tensor, GL(n, q) orbits by applying
 every invertible matrix, canonical labelings by searching every ordering the
 refinement allows, exports by sorting every edge by its label pair,
 complete multipartite parts as the cliques of the complement, and the
-conjecture table by comparing every pair of instances.
+conjecture table by comparing every pair of instances.  ``edges`` and
+``to_networkx`` hand a graph to networkx, the oracle for the other graph
+invariants.
 """
 
 import json
 from itertools import combinations, product
 from xml.sax.saxutils import escape
+
+import networkx as nx
 
 from lie_ncg.enumeration import tensor_key, transform_structure
 from lie_ncg.iso import refine_colors
@@ -240,6 +244,22 @@ def gf4_mul(a, b):
     c2 = a1 & b1
     # t^2 = t + 1
     return ((c1 ^ c2) << 1) | (c0 ^ c2)
+
+
+# -- edge lists and networkx --------------------------------------------------
+
+
+def edges(g):
+    """The edges (u, v), u < v, in order of u then v."""
+    return [(u, v) for u, row in enumerate(g.rows) for v in range(u + 1, g.n) if row >> v & 1]
+
+
+def to_networkx(g):
+    """g as a networkx Graph on the vertices 0..n-1."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(edges(g))
+    return h
 
 
 def domination_bruteforce(g):

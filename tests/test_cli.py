@@ -385,16 +385,60 @@ def test_generated_specs_end_in_output_or_one_error_line(spec):
                 assert err.count("\n") == 1 and re.match(r"[A-Za-z]+: ", err), argv
 
 
-def test_verify_does_not_import_networkx():
-    # every verify graph is complete multipartite, so planarity needs no
-    # networkx; a fresh interpreter shows what the console entry point loads
+# Run in a fresh interpreter: a sys.meta_path finder makes every networkx
+# import fail, as if it were not installed, then each command runs in-process
+# and its exit code is printed.
+_WITHOUT_NETWORKX = """
+import contextlib, io, json, sys
+
+class BlockNetworkx:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "networkx":
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockNetworkx())
+try:
+    import networkx
+except ImportError:
+    pass
+else:
+    sys.exit("networkx was imported through the block")
+from lie_ncg.cli import main
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(main(argv))
+assert "networkx" not in sys.modules
+print(json.dumps(codes))
+"""
+
+
+def test_cli_runs_without_networkx():
+    # networkx is a test oracle only: no command may need it
+    argvs = [
+        ["verify"],
+        ["verify", "--scope", "enumerate", "--n", "3", "--q", "3"],
+        ["enumerate", "--n", "3", "--q", "2", "--q", "3"],
+    ]
+    for path in sorted(Path(SPECS).glob("*.json")):
+        path = str(path)
+        argvs += [
+            ["validate", path],
+            ["analyze", path],
+            ["analyze", path, "--format", "json"],
+            ["export", path, "--out", "dot"],
+            ["export", path, "--out", "graphml"],
+            ["export", path, "--out", "json"],
+            ["compare", path, path],
+        ]
     src = str(Path(__file__).resolve().parent.parent / "src")
-    code = (
-        "import sys\n"
-        "from lie_ncg.cli import main\n"
-        "assert main(['verify']) == 0\n"
-        "assert 'networkx' not in sys.modules\n"
-    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NETWORKX, json.dumps(argvs)],
+        env=env, capture_output=True, text=True,
+    )
     assert proc.returncode == 0, proc.stderr
+    assert dict(zip(map(tuple, argvs), json.loads(proc.stdout))) == {
+        tuple(argv): 0 for argv in argvs
+    }

@@ -9,7 +9,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lie_ncg.errors import CapExceeded, EmptyGraph
+from lie_ncg.errors import CapExceeded, EmptyGraph, Undecided
 from lie_ncg.graphs import (
     Graph,
     connectivity,
@@ -67,13 +67,29 @@ def disjoint_triangles():
     return Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 
 
+def complete_minus_path(n):
+    """K_n without the edges 0-1 and 1-2: not complete multipartite, since
+    0 and 1 are non-adjacent but 0 and 2 are adjacent."""
+    return Graph.from_edges(
+        n, [(u, v) for u, v in combinations(range(n), 2) if (u, v) not in ((0, 1), (1, 2))]
+    )
+
+
+def decided(invariant, g):
+    """invariant(g), or None when it raises Undecided."""
+    try:
+        return invariant(g)
+    except Undecided:
+        return None
+
+
 def test_graph_basics():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 2)])
     assert g.edge_count() == 3
     assert g.degrees() == [1, 2, 2, 1]
     assert g.neighbors(2) == [1, 3]
     assert g.has_edge(0, 1) and not g.has_edge(0, 3)
-    assert g.edges() == [(0, 1), (1, 2), (2, 3)]
+    assert oracles.edges(g) == [(0, 1), (1, 2), (2, 3)]
     assert Graph.complete(5).edge_count() == 10
     # self-loops are dropped
     assert Graph.from_edges(2, [(0, 0), (0, 1)]).edge_count() == 1
@@ -92,12 +108,12 @@ def test_connectivity_and_diameter():
 
 def test_girth():
     assert girth(Graph.complete(4)) == 3
-    assert girth(cycle(5)) == 5
-    assert girth(cycle(8)) == 8
-    assert girth(petersen()) == 5
-    assert girth(complete_bipartite(3, 3)) == 4
-    assert girth(path(6)) == INF
     assert girth(disjoint_triangles()) == 3
+    assert girth(complete_minus_path(5)) == 3
+    # a triangle-free graph, with or without a cycle, is undecided
+    for g in (cycle(5), cycle(8), petersen(), complete_bipartite(3, 3), path(6), Graph(1, [0])):
+        with pytest.raises(Undecided):
+            girth(g)
 
 
 def assert_matches_networkx(n, edges):
@@ -106,9 +122,20 @@ def assert_matches_networkx(n, edges):
     h.add_edges_from(edges)
     connected = nx.is_connected(h)
     assert connectivity(g) == (connected, nx.diameter(h) if connected else INF)
-    assert girth(g) == nx.girth(h)
+    assert decided(girth, g) == (3 if nx.girth(h) == 3 else None)
     assert is_eulerian(g) == nx.is_eulerian(h)
     assert is_complete_bipartite(g) == nx_is_complete_bipartite(h)
+    # planarity is decided for every complete multipartite graph and every
+    # graph past 3n - 6 edges, outerplanarity past 2n - 3 edges, where an
+    # outerplanar graph is one that stays planar with an apex vertex added
+    other, m = oracles.multipartite_parts_by_complement(g) is None, h.number_of_edges()
+    assert decided(is_planar, g) == (
+        None if other and m <= 3 * n - 6 else nx.check_planarity(h)[0]
+    )
+    h.add_edges_from((n, v) for v in range(n))
+    assert decided(is_outerplanar, g) == (
+        None if other and m <= 2 * n - 3 else nx.check_planarity(h)[0]
+    )
 
 
 def nx_is_complete_bipartite(h):
@@ -133,10 +160,10 @@ def random_triangle_free(n, rng):
 
 def test_invariants_match_networkx_on_seeded_graphs():
     rng = random.Random(2024)
-    cases = [(1, []), (2, []), (5, [(0, 1), (2, 3)]), (10, petersen().edges())]
+    cases = [(1, []), (2, []), (5, [(0, 1), (2, 3)]), (10, oracles.edges(petersen()))]
     for n in range(1, 15):
         if n >= 3:
-            cases.append((n, cycle(n).edges()))
+            cases.append((n, oracles.edges(cycle(n))))
         for p in (0.1, 0.3, 0.5, 0.8):
             for _ in range(4):
                 cases.append((n, [e for e in combinations(range(n), 2) if rng.random() < p]))
@@ -145,8 +172,10 @@ def test_invariants_match_networkx_on_seeded_graphs():
     for n, edges in cases:
         assert_matches_networkx(n, edges)
     graphs = [Graph.from_edges(n, edges) for n, edges in cases]
-    assert sum(girth(g) > 3 for g in graphs) > 50
+    assert sum(decided(girth, g) is None for g in graphs) > 50
     assert sum(not connectivity(g)[0] for g in graphs) > 50
+    dense = [g for g in graphs if decided(is_planar, g) is False and g.multipartite_parts is None]
+    assert len(dense) > 40
 
 
 @st.composite
@@ -184,7 +213,7 @@ def test_multipartite_parts_on_every_small_graph():
             g = Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
             parts = g.multipartite_parts
             assert parts == oracles.multipartite_parts_by_complement(g)
-            assert is_complete_bipartite(g) == nx_is_complete_bipartite(g.to_networkx())
+            assert is_complete_bipartite(g) == nx_is_complete_bipartite(oracles.to_networkx(g))
             found += parts is not None
         assert found == bell
 
@@ -238,9 +267,9 @@ def test_complete_multipartite_closed_forms_match_networkx():
                 continue
             base = complete_multipartite(sizes)
             perm = rng.sample(range(base.n), base.n)
-            g = Graph.from_edges(base.n, [(perm[u], perm[v]) for u, v in base.edges()])
+            g = Graph.from_edges(base.n, [(perm[u], perm[v]) for u, v in oracles.edges(base)])
             assert g.multipartite_parts is not None
-            h = g.to_networkx()
+            h = oracles.to_networkx(g)
             connected = nx.is_connected(h)
             assert connectivity(g) == (connected, nx.diameter(h) if connected else INF), sizes
             assert is_planar(g) == nx.check_planarity(h)[0], sizes
@@ -264,7 +293,7 @@ def test_connectivity_with_twin_rows_matches_networkx():
             n, [(a, b) for a, b in combinations(range(n), 2) if base.has_edge(owner[a], owner[b])]
         )
         assert g.multipartite_parts is None
-        assert connectivity(g) == (True, nx.diameter(g.to_networkx()))
+        assert connectivity(g) == (True, nx.diameter(oracles.to_networkx(g)))
 
 
 def test_is_hamiltonian_large_complete_bipartite_is_fast():
@@ -277,15 +306,17 @@ def test_is_hamiltonian_large_complete_bipartite_is_fast():
 def test_planarity_known_graphs():
     assert is_planar(Graph.complete(4))
     assert is_planar(octahedron())
-    assert is_planar(cycle(9))
     assert not is_planar(Graph.complete(5))
     assert not is_planar(complete_bipartite(3, 3))
-    assert not is_planar(petersen())
-    # K5 with one edge subdivided is still nonplanar
+    assert not is_planar(complete_minus_path(6))  # 13 > 3n - 6 edges
+    # K5 with one edge subdivided is nonplanar, C9 planar and Petersen
+    # nonplanar; none is complete multipartite or past 3n - 6 edges
     k5sub = Graph.from_edges(
         6, [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (0, 1)] + [(0, 5), (5, 1)]
     )
-    assert not is_planar(k5sub)
+    for g in (cycle(9), petersen(), k5sub):
+        with pytest.raises(Undecided):
+            is_planar(g)
 
 
 def test_planarity_matches_kuratowski_oracle():
@@ -296,22 +327,27 @@ def test_planarity_matches_kuratowski_oracle():
         complete_bipartite(3, 3),
         complete_bipartite(2, 4),
         octahedron(),
-        petersen(),
-        cycle(8),
-        path(7),
-        disjoint_triangles(),
+        complete_minus_path(6),
+        complete_minus_path(7),
     ]
     for g in samples:
         assert is_planar(g) == oracles.planar_by_kuratowski(g)
+    for g in (petersen(), cycle(8), path(7), disjoint_triangles()):
+        with pytest.raises(Undecided):
+            is_planar(g)
 
 
 def test_outerplanarity():
-    assert is_outerplanar(cycle(6))
-    assert is_outerplanar(path(5))
     assert is_outerplanar(Graph.complete(3))
+    assert is_outerplanar(complete_bipartite(1, 4))
     assert not is_outerplanar(Graph.complete(4))  # planar but not outerplanar
     assert not is_outerplanar(complete_bipartite(2, 3))
     assert not is_outerplanar(octahedron())
+    assert not is_outerplanar(complete_minus_path(5))  # 8 > 2n - 3 edges
+    # outerplanar, but neither complete multipartite nor past 2n - 3 edges
+    for g in (cycle(6), path(5)):
+        with pytest.raises(Undecided):
+            is_outerplanar(g)
 
 
 def test_domination_number_known_values():
@@ -363,9 +399,16 @@ def test_property_report_octahedron():
 
 
 def test_property_report_disconnected_and_capped():
-    rep = property_report(disjoint_triangles()).to_dict()
+    # two disjoint K_7: a triangle, and 42 > 3n - 6 edges
+    two_k7 = Graph.from_edges(
+        14, [(u, v) for u, v in combinations(range(14), 2) if u // 7 == v // 7]
+    )
+    rep = property_report(two_k7).to_dict()
     assert rep["is_connected"] is False
     assert rep["diameter"] == "inf"
+    assert rep["is_planar"] is False and rep["is_outerplanar"] is False
     assert rep["domination_number"] == 2
-    big = Graph(40, [0] * 40)
+    big = complete_multipartite((11, 11, 11))
     assert property_report(big).domination_number == "skipped"
+    with pytest.raises(Undecided):
+        property_report(disjoint_triangles())

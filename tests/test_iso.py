@@ -76,7 +76,7 @@ def random_cubic(n, rng):
 
 
 def relabel(g, perm):
-    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in oracles.edges(g)])
 
 
 def check_witness(g1, g2, witness):
@@ -201,7 +201,7 @@ def test_non_isomorphic_same_degree_sequence():
     ladder = Graph.from_edges(
         10, [(i, (i + 1) % 10) for i in range(10)] + [(i, i + 5) for i in range(5)]
     )
-    assert not nx.is_isomorphic(petersen().to_networkx(), ladder.to_networkx())
+    assert not nx.is_isomorphic(oracles.to_networkx(petersen()), oracles.to_networkx(ladder))
     assert isomorphism(petersen(), ladder) is None
     assert canonical_certificate(petersen()) != canonical_certificate(ladder)
     # K_{3,3} versus the triangular prism: both 3-regular on 6 vertices, and
@@ -277,5 +277,5 @@ def test_certificates_separate_all_small_graphs():
         for members in by_cert.values():
             first = members[0]
             for g in members:
-                assert nx.is_isomorphic(first.to_networkx(), g.to_networkx())
+                assert nx.is_isomorphic(oracles.to_networkx(first), oracles.to_networkx(g))
                 check_witness(first, g, isomorphism(first, g))

@@ -11,6 +11,7 @@ from lie_ncg.errors import (
     CapExceeded,
     DuplicateBracket,
     JacobiViolation,
+    LieNcgError,
     SelfBracketNonzero,
     UnknownBasisName,
 )
@@ -166,6 +167,24 @@ def test_centralizer_and_center_match_brute_force(name):
         brute = oracles.brute_centralizer(L, x)
         assert oracles.subspace_members(cent) == brute
         assert cent.cardinality == L.centralizer_order(x)
+
+
+def test_bad_element_is_refused():
+    # too short, too long, or a coordinate outside 0..q-1 on a dim-3 F_3 algebra
+    L = heisenberg(3)
+    cases = [
+        (L.centralizer_order, (1,)),
+        (L.centralizer_order, (1, 0, 0, 2)),
+        (L.centralizer_order, (3, 0, 0)),
+        (L.centralizer, (1,)),
+        (L.centralizer, (0, 0, 9)),
+        (L.bracket, (1,), (1, 0, 0)),
+        (L.bracket, (1, 0, 0), (0, 0, 9)),
+    ]
+    for method, *args in cases:
+        with pytest.raises(LieNcgError, match="is not an element"):
+            method(*args)
+    assert L.centralizer_order((1, 0, 0)) == 9
 
 
 def test_center_examples():

@@ -128,6 +128,18 @@ def test_failure_is_recorded_for_a_star_shaped_counterexample():
     assert report.failures[0][1] in ("graph is a tree", "graph is a star")
 
 
+def test_undecided_graph_fails_its_statements_instead_of_raising():
+    # C6 has no triangle, is not complete multipartite and has few edges, so
+    # girth, planarity and outerplanarity are not read from it
+    inst = Instance("c6-control", catalog_entry("heisenberg_f2").algebra())
+    inst.graph = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+    for sid, words in (("Prop2.5", "girth"), ("Thm3.7", "planarity"), ("Thm3.8", "outerplanarity")):
+        report = check_statement(sid, [inst])
+        assert report.status == "fail" and report.instances_checked == 1
+        [(name, detail)] = report.failures
+        assert name == "c6-control" and detail.startswith(words), detail
+
+
 def test_gamma_one_iff_both_directions():
     # aff1_f2: K_3, gamma 1, and |C(x)| = 2 for every vertex
     inst = Instance("aff1_f2", catalog_entry("aff1_f2").algebra())

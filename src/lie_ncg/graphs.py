@@ -292,7 +292,7 @@ def is_planar(g):
     parts = g.multipartite_parts
     if parts is not None:
         return _multipartite_planar([len(part) for part in parts])
-    if g.n >= 3 and g.edge_count() > 3 * g.n - 6:
+    if g.edge_count() > 3 * g.n - 6:
         return False
     raise Undecided(f"planarity of a sparse graph not complete multipartite ({g!r})")
 
@@ -308,7 +308,7 @@ def is_outerplanar(g):
     parts = g.multipartite_parts
     if parts is not None:
         return _multipartite_planar([len(part) for part in parts] + [1])
-    if g.n >= 2 and g.edge_count() > 2 * g.n - 3:
+    if g.edge_count() > 2 * g.n - 3:
         return False
     raise Undecided(f"outerplanarity of a sparse graph not complete multipartite ({g!r})")
 

@@ -14,11 +14,14 @@ orderings compatible with the iterated-degree refinement, found by
 individualization-refinement with prefix pruning and automorphism pruning
 (McKay & Piperno, "Practical graph isomorphism II", 2014): two leaves with
 equal codes give an automorphism, and subtrees that an automorphism maps
-onto ones already searched are skipped.  Only that search is capped: it
-refuses graphs over ``ISO_CAP`` vertices and stops with CapExceeded once its
-refinements have scanned ``ISO_ROW_BUDGET`` rows.  Being complete
-multipartite is an isomorphism invariant, so the two paths never give one
-certificate to two non-isomorphic graphs.
+onto ones already searched are skipped.  A discrete colouring (one vertex
+per colour) ends the descent: below it the search has a single leaf, the
+unplaced vertices in ascending colour, and that leaf is coded without
+further refinements.  Only that search is capped: it refuses graphs over
+``ISO_CAP`` vertices and stops with CapExceeded once its refinements have
+scanned ``ISO_ROW_BUDGET`` rows.  Being complete multipartite is an
+isomorphism invariant, so the two paths never give one certificate to two
+non-isomorphic graphs.
 """
 
 from __future__ import annotations
@@ -28,9 +31,13 @@ from .errors import CapExceeded
 ISO_CAP = 64
 # Refinement rows per labeling.  A refinement round scans one row per vertex,
 # and the search time follows the rows: the 60-vertex ``heisenberg_f4`` graph
-# forced through ``_search_order`` takes 223,800 rows (1826 refinements) in
-# 3.0-3.9 s, 14-17 us a row on a 2-vCPU Xeon at 2.1 GHz.  So the budget
-# leaves that graph 10x headroom and is spent in 32-40 s.
+# forced through ``_search_order`` is charged 223,800 rows (1769 refinements)
+# in 2.6-2.7 s, 12 us a row on a 2-vCPU Xeon at 2.1 GHz.  So the budget
+# leaves that graph 10x headroom and is spent in under 30 s.  A leaf finished
+# below a discrete colouring is charged the 2n rows per level that the
+# refinements it replaces were charged, so the budget raises exactly where
+# refining every level would exceed it; it over-counts the time of such
+# leaves and never under-counts it.
 ISO_ROW_BUDGET = 2_300_000
 
 
@@ -42,11 +49,11 @@ def refine_colors(g, colors=None):
     """
     n = g.n
     colors = [0] * n if colors is None else list(colors)
+    neighbors = [g.neighbors(v) for v in range(n)]
     while True:
-        signatures = []
-        for v in range(n):
-            neigh = sorted(colors[u] for u in g.neighbors(v))
-            signatures.append((colors[v], tuple(neigh)))
+        signatures = [
+            (colors[v], tuple(sorted(colors[u] for u in neighbors[v]))) for v in range(n)
+        ]
         order = sorted(set(signatures))
         ranks = {sig: i for i, sig in enumerate(order)}
         new = [ranks[sig] for sig in signatures]
@@ -64,9 +71,10 @@ def _partition_cells(colors):
 
 def _row(g, order, v):
     """Adjacency of v to the vertices of ``order``, bit i for order[i]."""
+    adjacent = g.rows[v]
     row = 0
     for i, u in enumerate(order):
-        if g.has_edge(u, v):
+        if adjacent >> u & 1:
             row |= 1 << i
     return row
 
@@ -110,33 +118,63 @@ def _search_order(g):
     placed_rows = []  # adjacency of each placed vertex to earlier ones, as ints
     scanned = 0
 
+    def charge(rows):
+        nonlocal scanned
+        scanned += rows
+        if scanned > ISO_ROW_BUDGET:
+            raise CapExceeded(f"canonical search capped at {ISO_ROW_BUDGET} refinement rows")
+
     def refine(colors):
         """refine_colors, charged n rows for each round it can have run.
         Every round but the first and the last adds a colour class, so there
         are at most two more rounds than classes added."""
-        nonlocal scanned
         refined = refine_colors(g, colors)
-        scanned += n * (len(set(refined)) - len(set(colors)) + 2)
-        if scanned > ISO_ROW_BUDGET:
-            raise CapExceeded(f"canonical search capped at {ISO_ROW_BUDGET} refinement rows")
+        charge(n * (len(set(refined)) - len(set(colors)) + 2))
         return refined
 
-    def place(colors):
-        """Search below the current prefix; returns the depth to unwind to."""
+    def finish(colors):
+        """Finish the one leaf below a discrete colouring.
+
+        Individualizing a vertex of a discrete colouring and refining only
+        renumbers the colours in their order, so the leaf places the
+        unplaced vertices in ascending colour.  Each level is charged the 2n
+        rows its refinement was charged, up to the first row that prefix
+        pruning rejects, or to n.  Returns the depth to unwind to: an equal
+        code can only come from a leaf outside this one-leaf subtree.
+        """
         depth = len(order)
-        if depth == n:
-            code = tuple(placed_rows)
-            if best["code"] is None or code < best["code"]:
-                best["code"] = code
+        code = best["code"]
+        # once the code is below the best one, prefix pruning rejects no row
+        below = code is None or tuple(placed_rows) < code[:depth]
+        for v in sorted((v for v in range(n) if v not in order), key=colors.__getitem__):
+            row = _row(g, order, v)
+            if not below:
+                if row > code[len(order)]:
+                    break
+                below = row < code[len(order)]
+            order.append(v)
+            placed_rows.append(row)
+        charge(2 * n * (len(order) - depth))
+        back = n
+        if len(order) == n:
+            if below:
+                best["code"] = tuple(placed_rows)
                 best["order"] = list(order)
-            elif code == best["code"]:
+            else:
                 gamma = [0] * n
                 for u, v in zip(best["order"], order):
                     gamma[u] = v
                 automorphisms.append(gamma)
-                return next(i for i, u in enumerate(best["order"]) if u != order[i])
-            return n
-        cells = _partition_cells([colors[v] for v in range(n)])
+                back = next(i for i, u in enumerate(best["order"]) if u != order[i])
+        del order[depth:], placed_rows[depth:]
+        return back
+
+    def place(colors):
+        """Search below the current prefix; returns the depth to unwind to."""
+        cells = _partition_cells(colors)
+        if len(cells) == n:
+            return finish(colors)
+        depth = len(order)
         # choose the first cell (smallest color) containing an unplaced vertex
         target = None
         for cell in cells:
@@ -187,9 +225,14 @@ def _canonical(g):
     parts = g.multipartite_parts
     if parts is None:
         order = _search_order(g)
+        codes = [str(_row(g, order[:k], v)) for k, v in enumerate(order)]
     else:
-        order = [v for part in sorted(parts, key=lambda p: (len(p), p[0])) for v in part]
-    body = ",".join(str(_row(g, order[:k], v)) for k, v in enumerate(order))
+        # a vertex is adjacent to exactly the vertices of the earlier parts
+        order, codes = [], []
+        for part in sorted(parts, key=lambda p: (len(p), p[0])):
+            codes += [str((1 << len(order)) - 1)] * len(part)
+            order += part
+    body = ",".join(codes)
     result = (f"G{g.n}:{body}".encode(), order)
     if len(_CERT_CACHE) < 4096:
         _CERT_CACHE[(g.n, g.rows)] = result

@@ -27,6 +27,7 @@ from .gf import Field, field_new
 from .linalg import Subspace, vector_space
 
 DEFAULT_ELEMENT_CAP = 4096
+_INT = frozenset([int])
 
 
 def element_cap():
@@ -144,10 +145,15 @@ class LieAlgebra:
         return tuple(f.neg(c) for c in self.structure[(j, i)])
 
     def _check_element(self, x):
-        """Raise LieNcgError unless ``x`` is ``dim`` field codes in 0..q-1."""
-        if len(x) != self.dim or not self.field.codes.issuperset(x):
+        """Raise LieNcgError unless ``x`` is ``dim`` field codes in 0..q-1,
+        each of type exactly int (a bool or an integral float is refused)."""
+        if (
+            len(x) != self.dim
+            or not _INT.issuperset(map(type, x))
+            or not self.field.codes.issuperset(x)
+        ):
             raise LieNcgError(
-                f"{tuple(x)} is not an element of {self!r}: need {self.dim} codes "
+                f"{tuple(x)} is not an element of {self!r}: need {self.dim} int codes "
                 f"in 0..{self.field.q - 1}"
             )
 

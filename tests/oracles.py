@@ -9,7 +9,8 @@ bracketing every pair of vertices, planarity by searching for a forbidden
 subdivision, domination by trying every subset, Lie structures by testing
 the Jacobi identity on every structure tensor, GL(n, q) orbits by applying
 every invertible matrix, canonical labelings by searching every ordering the
-refinement allows, exports by sorting every edge by its label pair,
+refinement allows, complete multipartite certificates by coding each vertex's
+adjacency to the vertices before it, exports by sorting every edge by its label pair,
 complete multipartite parts as the cliques of the complement, and the
 conjecture table by comparing every pair of instances.  ``edges`` and
 ``to_networkx`` hand a graph to networkx, the oracle for the other graph
@@ -222,6 +223,20 @@ def exhaustive_canonical_order(g):
 
     search([], (), refine_colors(g))
     return best[1]
+
+
+def multipartite_certificate_by_rows(g):
+    """The certificate of a complete multipartite graph, one row at a time:
+    the parts are the cliques of the complement, ordered by (size, least
+    vertex), and each vertex is coded by ``has_edge`` on every vertex placed
+    before it."""
+    parts = multipartite_parts_by_complement(g)
+    order = [v for part in sorted(parts, key=lambda p: (len(p), p[0])) for v in part]
+    rows = [
+        sum(1 << i for i, u in enumerate(order[:k]) if g.has_edge(u, v))
+        for k, v in enumerate(order)
+    ]
+    return f"G{g.n}:{','.join(map(str, rows))}".encode()
 
 
 def find_inverse(field, a):

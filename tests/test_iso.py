@@ -47,8 +47,10 @@ def three_k4():
     )
 
 
-def complete_bipartite(a, b):
-    return Graph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+def complete_multipartite(*sizes):
+    part = [k for k, size in enumerate(sizes) for _ in range(size)]
+    n = len(part)
+    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if part[u] != part[v]])
 
 
 @cache
@@ -99,7 +101,7 @@ def test_refine_colors_splits_degree_classes():
 
 def test_isomorphic_relabelings():
     rng = random.Random(7)
-    for g in [cycle(7), petersen(), Graph.complete(5), complete_bipartite(2, 3)]:
+    for g in [cycle(7), petersen(), Graph.complete(5), complete_multipartite(2, 3)]:
         perm = list(range(g.n))
         rng.shuffle(perm)
         h = relabel(g, perm)
@@ -155,7 +157,9 @@ def test_labeling_matches_exhaustive_search():
     # the pruned search must end on the same leaf as the unpruned one, so
     # certificates and labelings do not change; K_4 plus a random cubic graph
     # has automorphisms deep in the search, where unwinding too far loses
-    # the minimal leaf
+    # the minimal leaf; on the symmetric and the random graphs the colouring
+    # turns discrete above the leaves, so the search finishes those leaves
+    # without refining
     rng = random.Random(2014)
     pairs = list(combinations(range(5), 2))
     graphs = [
@@ -167,10 +171,15 @@ def test_labeling_matches_exhaustive_search():
         rng.shuffle(perm)
         graphs.append(relabel(Graph.from_edges(12, edges), perm))
     split_pairs = build_graph(catalog_entry("split_pairs_f2").algebra())
-    for _ in range(3):
-        perm = list(range(split_pairs.n))
-        rng.shuffle(perm)
-        graphs.append(relabel(split_pairs, perm))
+    # the exhaustive search meets all 82,944 automorphisms of 3K_4, so it
+    # gets one relabeling
+    for g, count in [(split_pairs, 3), (petersen(), 3), (cube(), 3), (c12(), 3), (three_k4(), 1)]:
+        for _ in range(count):
+            graphs.append(relabel(g, rng.sample(range(g.n), g.n)))
+    for _ in range(200):
+        n, p = rng.randint(6, 10), rng.uniform(0.3, 0.7)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < p]
+        graphs.append(Graph.from_edges(n, edges))
     for g in graphs:
         assert iso._search_order(g) == oracles.exhaustive_canonical_order(g), g.rows
 
@@ -181,6 +190,40 @@ def test_node_budget(monkeypatch):
     monkeypatch.setattr(iso, "ISO_ROW_BUDGET", 10)
     with pytest.raises(CapExceeded):
         canonical_certificate(g)
+
+
+def test_row_budget_boundary(monkeypatch):
+    # the least budget that lets the search finish when every level below a
+    # discrete colouring is refined; finishing such a leaf directly is charged
+    # what those refinements were charged, so the boundary does not move
+    g = build_graph(catalog_entry("split_pairs_f2").algebra())
+    rng = random.Random(3)
+    graphs = [g] + [relabel(g, rng.sample(range(g.n), g.n)) for _ in range(2)]
+    for h, least in zip(graphs, (3165, 3165, 2580)):
+        monkeypatch.setattr(iso, "ISO_ROW_BUDGET", least - 1)
+        with pytest.raises(CapExceeded):
+            iso._search_order(h)
+        monkeypatch.setattr(iso, "ISO_ROW_BUDGET", least)
+        assert iso._search_order(h) == oracles.exhaustive_canonical_order(h)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        complete_multipartite(1, 2, 3),
+        complete_multipartite(3, 3),
+        Graph.complete(5),
+        Graph(4, [0] * 4),
+        Graph(0, []),
+    ],
+    ids=["K_1,2,3", "K_3,3", "K_5", "empty_4", "empty_0"],
+)
+def test_multipartite_certificate_matches_row_code(g, monkeypatch):
+    monkeypatch.setattr(iso, "_CERT_CACHE", {})
+    assert g.multipartite_parts is not None
+    h = relabel(g, random.Random(g.n).sample(range(g.n), g.n))
+    for graph in (g, h):
+        assert canonical_certificate(graph) == oracles.multipartite_certificate_by_rows(graph)
 
 
 def test_non_isomorphic_same_degree_sequence():
@@ -209,8 +252,8 @@ def test_non_isomorphic_same_degree_sequence():
     tri_prism = Graph.from_edges(
         6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
     )
-    assert isomorphism(complete_bipartite(3, 3), tri_prism) is None
-    assert canonical_certificate(complete_bipartite(3, 3)) != canonical_certificate(tri_prism)
+    assert isomorphism(complete_multipartite(3, 3), tri_prism) is None
+    assert canonical_certificate(complete_multipartite(3, 3)) != canonical_certificate(tri_prism)
 
 
 def test_size_mismatches_rejected_quickly():

@@ -170,7 +170,8 @@ def test_centralizer_and_center_match_brute_force(name):
 
 
 def test_bad_element_is_refused():
-    # too short, too long, or a coordinate outside 0..q-1 on a dim-3 F_3 algebra
+    # too short, too long, a coordinate outside 0..q-1, or one that equals a
+    # code but is not an int, on a dim-3 F_3 algebra
     L = heisenberg(3)
     cases = [
         (L.centralizer_order, (1,)),
@@ -180,6 +181,9 @@ def test_bad_element_is_refused():
         (L.centralizer, (0, 0, 9)),
         (L.bracket, (1,), (1, 0, 0)),
         (L.bracket, (1, 0, 0), (0, 0, 9)),
+        (L.centralizer_order, (True, 0, 0)),
+        (L.centralizer_order, (1.0, 0, 0)),
+        (L.bracket, (1.0, 0, 0), (0, 1, 0)),
     ]
     for method, *args in cases:
         with pytest.raises(LieNcgError, match="is not an element"):

@@ -21,11 +21,11 @@ with |GL(n, q)|, and only each orbit's representative is built as a
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 from .errors import CapExceeded
 from .liealg import LieAlgebra
-from .linalg import mat_inv, mat_vec, rref
+from .linalg import mat_vec, vector_space
 
 ENUM_MAX_DIM = 3
 ENUM_MAX_Q = 3
@@ -52,34 +52,21 @@ def _c12_solutions(field, c01, c02):
     The Jacobi sum of the one triple (0, 1, 2) is bilinear in the structure
     constants; with c = c_12 it is
     J(c) = (c02_0 c01 - c01_0 c02) + c_1 c01 + c_2 c02 - (c01_1 + c02_2) c,
-    so J(c) = J(0) + Mc with M and J(0) read off this formula.  On the
-    reduced augmented matrix of Mc = -J(0), each free coordinate of a
-    solution takes every value and each pivot coordinate follows from them.
+    so J(c) = J(0) + Mc with M and J(0) read off this formula.  The solutions
+    are the c with (c, 1) in the kernel of the augmented matrix [M | J(0)],
+    whose rows are vectors of F_q^4.
     """
     add, mul, neg = field.add_table, field.mul_table, field.neg_table
+    V = vector_space(field, 4)
     t = neg[add[c01[1]][c02[2]]]
     rows = []
     for r in range(3):
         j0 = add[mul[c02[0]][c01[r]]][neg[mul[c01[0]][c02[r]]]]
-        row = [0, c01[r], c02[r], neg[j0]]
+        row = [0, c01[r], c02[r], j0]
         row[r] = add[row[r]][t]
-        rows.append(row)
-    reduced, pivots = rref(field, rows)
-    if 3 in pivots:
-        return []
-    free = [k for k in range(3) if k not in pivots]
-    solutions = []
-    for values in product(field.elements(), repeat=len(free)):
-        c = [0, 0, 0]
-        for k, a in zip(free, values):
-            c[k] = a
-        for row, p in zip(reduced, pivots):
-            acc = row[3]
-            for k, a in zip(free, values):
-                acc = add[acc][neg[mul[row[k]][a]]]
-            c[p] = acc
-        solutions.append(tuple(c))
-    return sorted(solutions)
+        rows.append(V.code(row))
+    members = [V.digits[v] for v in V.span(V.kernel(rows))]
+    return sorted(c[:3] for c in members if c[3] == 1)
 
 
 def _structure_tensors(n, field):
@@ -106,18 +93,22 @@ def jacobi_tensors(n, field):
 
 
 def _gl_generators(n, field):
-    """Generators of GL(n, q), as row-tuple tuples: the transvections
-    I + E_ij (i != j) and diag(a, 1, ..., 1) for every a other than 0 and 1.
-    Conjugating by the diagonal matrices gives every I + cE_ij, which
-    generate SL(n, q), and a generator a of F_q^* then gives all of GL(n, q)."""
+    """Generators of GL(n, q) as (g, g^-1) pairs of row-tuple tuples: the
+    transvections I + E_ij (i != j), inverted by I - E_ij, and
+    diag(a, 1, ..., 1) for every a other than 0 and 1, inverted by
+    diag(1/a, 1, ..., 1).  Conjugating by the diagonal matrices gives every
+    I + cE_ij, which generate SL(n, q), and a generator a of F_q^* then gives
+    all of GL(n, q)."""
 
     def identity_but(i, j, a):
         return tuple(
             tuple(a if (r, c) == (i, j) else int(r == c) for c in range(n)) for r in range(n)
         )
 
-    gens = [identity_but(i, j, 1) for i in range(n) for j in range(n) if i != j]
-    return gens + [identity_but(0, 0, a) for a in range(2, field.q)]
+    neg, inv = field.neg_table, field.inv_table
+    pairs = permutations(range(n), 2)
+    gens = [(identity_but(i, j, 1), identity_but(i, j, neg[1])) for i, j in pairs]
+    return gens + [(identity_but(0, 0, a), identity_but(0, 0, inv[a])) for a in range(2, field.q)]
 
 
 def transform_structure(L, g, ginv):
@@ -192,8 +183,7 @@ class _LinearAction:
             for i in range(size)
         ]
         self.maps = []
-        for g in _gl_generators(n, field):
-            ginv = mat_inv(field, g)
+        for g, ginv in _gl_generators(n, field):
             # singles[i][v]: the key of v times the image of unit tensor i
             singles = []
             for U in units:

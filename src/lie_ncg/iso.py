@@ -98,8 +98,10 @@ def _orbit_reps(n, generators):
 
 
 def _search_order(g):
-    """The first ordering, in search order, with the minimal adjacency code
-    among those compatible with refinement.
+    """(code, order): the first ordering, in search order, with the minimal
+    adjacency code among those compatible with refinement, and that code,
+    one int per position k with bit i set when order[k] is adjacent to
+    order[i].
 
     Individualization-refinement with prefix pruning and automorphism
     pruning.  A leaf with the same code as the best one gives the
@@ -210,7 +212,7 @@ def _search_order(g):
         return n
 
     place(refine([0] * n))
-    return best["order"]
+    return best["code"], best["order"]
 
 
 _CERT_CACHE = {}
@@ -224,8 +226,8 @@ def _canonical(g):
         return cached
     parts = g.multipartite_parts
     if parts is None:
-        order = _search_order(g)
-        codes = [str(_row(g, order[:k], v)) for k, v in enumerate(order)]
+        code, order = _search_order(g)
+        codes = map(str, code)
     else:
         # a vertex is adjacent to exactly the vertices of the earlier parts
         order, codes = [], []

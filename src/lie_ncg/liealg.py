@@ -136,14 +136,6 @@ class LieAlgebra:
     def basis_vector(self, i):
         return tuple(1 if j == i else 0 for j in range(self.dim))
 
-    def bracket_basis(self, i, j):
-        if i == j:
-            return self.zero()
-        if i < j:
-            return self.structure[(i, j)]
-        f = self.field
-        return tuple(f.neg(c) for c in self.structure[(j, i)])
-
     def _check_element(self, x):
         """Raise LieNcgError unless ``x`` is ``dim`` field codes in 0..q-1,
         each of type exactly int (a bool or an integral float is refused)."""
@@ -217,8 +209,7 @@ class LieAlgebra:
     def centralizer(self, x):
         self._check_element(x)
         V = self.space
-        kernel = V.kernel(self.ad_rows[V.code(x)])
-        return Subspace(self.field, self.dim, [V.digits[v] for v in kernel])
+        return Subspace(V, V.kernel(self.ad_rows[V.code(x)]))
 
     def centralizer_order(self, x):
         """|C_L(x)| via rank-nullity, cheaper than building the subspace."""
@@ -231,12 +222,12 @@ class LieAlgebra:
         immutable, so the first result is kept and returned on later calls."""
         if self._center is None:
             V = self.space
-            kernel = V.kernel([row for w in V.units for row in self.ad_rows[w]])
-            self._center = Subspace(self.field, self.dim, [V.digits[v] for v in kernel])
+            self._center = Subspace(V, V.kernel([row for w in V.units for row in self.ad_rows[w]]))
         return self._center
 
     def derived_subalgebra(self):
-        return Subspace(self.field, self.dim, list(self.structure.values()))
+        V = self.space
+        return Subspace(V, [V.code(c) for c in self.structure.values()])
 
     def is_abelian(self):
         zero = self.zero()
@@ -244,13 +235,15 @@ class LieAlgebra:
 
     def is_nilpotent(self):
         """True iff the lower central series reaches the zero subspace."""
-        current = Subspace.full(self.field, self.dim)
+        V = self.space
+        current = Subspace(V, V.units)
         for _ in range(self.dim + 1):
-            rows = []
-            for i in range(self.dim):
-                for b in current.basis_matrix:
-                    rows.append(self.bracket(self.basis_vector(i), b))
-            nxt = Subspace(self.field, self.dim, rows)
+            rows = [
+                V.code(self.bracket(self.basis_vector(i), b))
+                for i in range(self.dim)
+                for b in current.basis_matrix
+            ]
+            nxt = Subspace(V, rows)
             if nxt.dim == 0:
                 return True
             if nxt.dim == current.dim:

@@ -1,23 +1,17 @@
-"""Exact linear algebra over a small finite field.
+"""Exact linear algebra over a small finite field, on index-coded vectors.
 
-Two codings live here.
-
-* **Index-coded vectors of F_q^dim.**  A ``VectorSpace`` codes each vector v
-  as one int, its element index sum v_i q^i: the little-endian index in
-  which ``LieAlgebra.enumerate_elements`` lists the elements.  Its tables are
-  built once per (q, dim) by ``vector_space``: ``digits[v]``, the coordinate
-  tuple of v; ``scale[a][v]``, the index of a*v, with q * q^dim entries; and
-  addition split over the low ``half`` coordinates and the rest, so
-  u + v = ``low[u % split][v % split] + high[u // split][v // split]``, where
-  ``split`` = q^half and no table has more than about q * q^dim entries.
-  Row reduction eliminates with ``row = add(row, scale[-b][pivot_row])``, so a
-  kernel or span member is an int.  The Lie algebra kernels (``build_graph``,
-  ``LieAlgebra.center`` and ``LieAlgebra.centralizer_order``) run on these.
-* **Row tuples** of field codes, reduced by ``rref``, which indexes the field
-  tables (``m = mul[neg[b]]``, then ``add[x][m[y]]`` per entry).  It serves
-  the matrices that are not vectors of one F_q^dim: the canonical basis of a
-  ``Subspace``, the augmented matrix of ``mat_inv`` and the enumeration's
-  augmented Jacobi solve.
+A ``VectorSpace`` codes each vector v of F_q^dim as one int, its element
+index sum v_i q^i: the little-endian index in which
+``LieAlgebra.enumerate_elements`` lists the elements.  Its tables are built
+once per (q, dim) by ``vector_space``: ``digits[v]``, the coordinate tuple of
+v; ``scale[a][v]``, the index of a*v, with q * q^dim entries; and addition
+split over the low ``half`` coordinates and the rest, so
+u + v = ``low[u % split][v % split] + high[u // split][v // split]``, where
+``split`` = q^half and no table has more than about q * q^dim entries.
+``VectorSpace.rref`` is the one row reduction: it eliminates with
+``row = add(row, scale[-b][pivot_row])``, so a kernel or span member is an
+int.  The Lie algebra kernels, the canonical bases of ``Subspace`` and the
+enumeration's Jacobi solve all run on it.
 
 Everything is exact and deterministic; subspaces are canonicalized to reduced
 row echelon form so subspace equality is plain tuple equality.
@@ -87,7 +81,7 @@ class VectorSpace:
     def rref(self, rows):
         """Reduced row echelon form of index-coded rows, pivoting on the
         coordinates in increasing order; returns (nonzero rows, pivot
-        coordinates), the coding of what ``rref`` returns on their tuples."""
+        coordinates)."""
         digits, scale, add = self.digits, self.scale, self.add
         neg, inv = self.field.neg_table, self.field.inv_table
         mat = [v for v in rows if v]
@@ -148,39 +142,6 @@ def vector_space(field, dim):
     return VectorSpace(field, dim)
 
 
-def rref(field, rows):
-    """Reduced row echelon form; returns (rows_without_zero_rows, pivot_cols)."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return [], []
-    add, mul, neg, inv = field.add_table, field.mul_table, field.neg_table, field.inv_table
-    nrows = len(mat)
-    pivots = []
-    r = 0
-    for c in range(len(mat[0])):
-        for i in range(r, nrows):
-            if mat[i][c]:
-                break
-        else:
-            continue
-        prow = mat[i]
-        mat[i] = mat[r]
-        if prow[c] != 1:
-            m = mul[inv[prow[c]]]
-            prow = [m[x] for x in prow]
-        mat[r] = prow
-        for k, row in enumerate(mat):
-            b = row[c]
-            if b and k != r:
-                m = mul[neg[b]]
-                mat[k] = [add[x][m[y]] for x, y in zip(row, prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return [tuple(row) for row in mat[:r]], pivots
-
-
 def mat_vec(field, rows, vec):
     add, mul = field.add_table, field.mul_table
     out = []
@@ -192,33 +153,24 @@ def mat_vec(field, rows, vec):
     return tuple(out)
 
 
-def mat_inv(field, rows):
-    """Inverse of a square matrix, or None if singular."""
-    n = len(rows)
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(rows)]
-    reduced, pivots = rref(field, aug)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [tuple(row[n:]) for row in reduced]
-
-
 class Subspace:
-    """A subspace of F_q^n held as a canonical RREF basis."""
+    """A subspace of F_q^dim, held as the reduced index-coded rows and pivot
+    coordinates that ``space.rref`` gives for any spanning set, so two
+    subspaces are equal exactly when their rows are."""
 
-    def __init__(self, field, ambient_dim, rows):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        reduced, _ = rref(field, rows)
-        self.basis_matrix = tuple(reduced)
+    def __init__(self, space, rows):
+        self.space, self.field, self.ambient_dim = space, space.field, space.dim
+        rows, self.pivots = space.rref(rows)
+        self.rows = tuple(rows)
 
-    @classmethod
-    def full(cls, field, ambient_dim):
-        rows = [[1 if i == j else 0 for j in range(ambient_dim)] for i in range(ambient_dim)]
-        return cls(field, ambient_dim, rows)
+    @property
+    def basis_matrix(self):
+        """The reduced rows as coordinate tuples."""
+        return tuple(self.space.digits[v] for v in self.rows)
 
     @property
     def dim(self):
-        return len(self.basis_matrix)
+        return len(self.rows)
 
     @property
     def cardinality(self):
@@ -229,11 +181,11 @@ class Subspace:
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis_matrix == other.basis_matrix
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.field.q, self.ambient_dim, self.basis_matrix))
+        return hash((self.field.q, self.ambient_dim, self.rows))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of F_{self.field.q}^{self.ambient_dim})"

@@ -51,12 +51,11 @@ def build_graph(L):
     # the element cap applies before any other work
     check_element_cap(L.order)
     V = L.space
-    center_basis = L.center().basis_matrix
-    pivots = [next(i for i, a in enumerate(row) if a) for row in center_basis]
+    Z = L.center()
     # each coset of Z is represented by its one member that is zero on the
     # pivot coordinates of Z: a combination of the other unit vectors
-    free = [w for i, w in enumerate(V.units) if i not in pivots]
-    center_span = V.span([V.code(row) for row in center_basis])
+    free = [w for i, w in enumerate(V.units) if i not in Z.pivots]
+    center_span = V.span(Z.rows)
     rep_of = [0] * len(V.digits)
     reps = V.span(free)
     for rep in reps:
@@ -74,7 +73,7 @@ def build_graph(L):
     # C(x) contains Z, so its members that are zero on Z's pivot coordinates
     # are the representatives of the cosets in C(x)/Z: the kernel of ad(x)
     # with one unit row per pivot coordinate added
-    units = tuple(V.units[p] for p in pivots)
+    units = tuple(V.units[p] for p in Z.pivots)
     multipliers = V.scale[1:]
     ad_rows = L.ad_rows
     coset_rows = [0] * len(V.digits)  # no row of a non-central x is empty

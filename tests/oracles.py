@@ -9,8 +9,8 @@ bracketing every pair of vertices, planarity by searching for a forbidden
 subdivision, domination by trying every subset, Lie structures by testing
 the Jacobi identity on every structure tensor, GL(n, q) orbits by applying
 every invertible matrix, canonical labelings by searching every ordering the
-refinement allows, complete multipartite certificates by coding each vertex's
-adjacency to the vertices before it, exports by sorting every edge by its label pair,
+refinement allows, certificates by coding each vertex's adjacency to the
+vertices before it, exports by sorting every edge by its label pair,
 complete multipartite parts as the cliques of the complement, and the
 conjecture table by comparing every pair of instances.  ``edges`` and
 ``to_networkx`` hand a graph to networkx, the oracle for the other graph
@@ -26,13 +26,13 @@ import networkx as nx
 from lie_ncg.enumeration import tensor_key, transform_structure
 from lie_ncg.iso import refine_colors
 from lie_ncg.liealg import LieAlgebra
-from lie_ncg.linalg import mat_inv
 from lie_ncg.ncg import NcGraph
 
 
 def rref_by_methods(field, rows):
-    """Reduced row echelon form, returned as ``linalg.rref`` returns it,
-    computed with one ``Field`` method call per coefficient."""
+    """Reduced row echelon form of row tuples, returned as (nonzero rows,
+    pivot columns), computed with one ``Field`` method call per
+    coefficient."""
     mat = [list(r) for r in rows]
     if not mat:
         return [], []
@@ -54,6 +54,17 @@ def rref_by_methods(field, rows):
         if r == len(mat):
             break
     return [tuple(row) for row in mat[:r]], pivots
+
+
+def mat_inv(field, rows):
+    """The inverse of a square matrix of row tuples, or None if it is
+    singular: the right half of the reduced [rows | I]."""
+    n = len(rows)
+    aug = [tuple(r) + tuple(int(i == j) for j in range(n)) for i, r in enumerate(rows)]
+    reduced, pivots = rref_by_methods(field, aug)
+    if pivots[:n] != list(range(n)):
+        return None
+    return tuple(row[n:] for row in reduced)
 
 
 def span_by_methods(field, basis, n):
@@ -225,13 +236,9 @@ def exhaustive_canonical_order(g):
     return best[1]
 
 
-def multipartite_certificate_by_rows(g):
-    """The certificate of a complete multipartite graph, one row at a time:
-    the parts are the cliques of the complement, ordered by (size, least
-    vertex), and each vertex is coded by ``has_edge`` on every vertex placed
-    before it."""
-    parts = multipartite_parts_by_complement(g)
-    order = [v for part in sorted(parts, key=lambda p: (len(p), p[0])) for v in part]
+def certificate_by_rows(g, order):
+    """The certificate of g in the labeling ``order``, one row at a time:
+    each vertex is coded by ``has_edge`` on every vertex placed before it."""
     rows = [
         sum(1 << i for i, u in enumerate(order[:k]) if g.has_edge(u, v))
         for k, v in enumerate(order)

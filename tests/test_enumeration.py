@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from lie_ncg.catalog import builtin_catalog, catalog_entry
 from lie_ncg.enumeration import (
+    _c12_solutions,
     _gl_generators,
     _LinearAction,
     _structure_tensors,
@@ -23,17 +24,24 @@ from lie_ncg.enumeration import (
     transform_structure,
 )
 from lie_ncg.errors import CapExceeded
-from lie_ncg.gf import field_new
+from lie_ncg.gf import FIELD_CAP, field_new, prime_power_decomposition
 from lie_ncg.graphs import property_report
 from lie_ncg.iso import canonical_certificate
 from lie_ncg.liealg import LieAlgebra
-from lie_ncg.linalg import mat_inv
 from lie_ncg.ncg import build_graph
 
-from oracles import _jacobi_holds_by_methods, full_gl_orbits, gl_matrices, jacobi_tensors_by_filter
+from oracles import (
+    _jacobi_holds_by_methods,
+    full_gl_orbits,
+    gl_matrices,
+    jacobi_tensors_by_filter,
+    mat_inv,
+)
 
 # every (n, q) the enumeration accepts
 SHAPES = [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3)]
+# every order field_new accepts
+FIELD_ORDERS = [q for q in range(2, FIELD_CAP + 1) if prime_power_decomposition(q)]
 
 
 def gl_order(n, q):
@@ -85,6 +93,35 @@ def test_structure_tensors_dim3_f4_match_filter_per_c01():
             if _jacobi_holds_by_methods(f, 3, {(0, 1): c01, (0, 2): c02, (1, 2): c12})
         ]
         assert [t for t in tensors if t[0] == c01] == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 4, 5, 7, 8, 9]), st.data())
+def test_c12_solutions_match_jacobi_filter_hypothesis(q, data):
+    # the kernel of [M | J(0)] gives exactly the c_12 among all q^3 that pass
+    # the Jacobi identity, in ascending order, over fields past the
+    # enumeration scope too
+    f = field_new(q)
+    entry = st.one_of(st.just(0), st.integers(0, q - 1))
+    c01, c02 = (data.draw(st.tuples(entry, entry, entry)) for _ in range(2))
+    want = [
+        c12
+        for c12 in product(f.elements(), repeat=3)
+        if _jacobi_holds_by_methods(f, 3, {(0, 1): c01, (0, 2): c02, (1, 2): c12})
+    ]
+    assert _c12_solutions(f, c01, c02) == want
+
+
+@pytest.mark.parametrize("q", FIELD_ORDERS)
+def test_gl_generators_times_their_inverses_are_identity(q):
+    f = field_new(q)
+    for n in (1, 2, 3):
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        for g, ginv in _gl_generators(n, f):
+            prod = [[0] * n for _ in range(n)]
+            for i, j, k in product(range(n), repeat=3):
+                prod[i][j] = f.add(prod[i][j], f.mul(g[i][k], ginv[k][j]))
+            assert prod == identity, (n, g, ginv)
 
 
 def test_gl_matrix_counts():
@@ -157,7 +194,7 @@ def test_linear_action_matches_transform_structure_hypothesis(shape, data):
     action = _LinearAction(n, f)
     want = [
         action.encode(tensor_key(transform_structure(L, g, mat_inv(f, g)), n))
-        for g in _gl_generators(n, f)
+        for g, _ginv in _gl_generators(n, f)
     ]
     assert action.images(action.encode(tensor_key(table, n))) == want
 

@@ -181,7 +181,11 @@ def test_labeling_matches_exhaustive_search():
         edges = [e for e in combinations(range(n), 2) if rng.random() < p]
         graphs.append(Graph.from_edges(n, edges))
     for g in graphs:
-        assert iso._search_order(g) == oracles.exhaustive_canonical_order(g), g.rows
+        code, order = iso._search_order(g)
+        assert order == oracles.exhaustive_canonical_order(g), g.rows
+        # the search's own code is the certificate body _canonical joins
+        certificate = f"G{g.n}:{','.join(map(str, code))}".encode()
+        assert certificate == oracles.certificate_by_rows(g, order), g.rows
 
 
 def test_node_budget(monkeypatch):
@@ -204,7 +208,7 @@ def test_row_budget_boundary(monkeypatch):
         with pytest.raises(CapExceeded):
             iso._search_order(h)
         monkeypatch.setattr(iso, "ISO_ROW_BUDGET", least)
-        assert iso._search_order(h) == oracles.exhaustive_canonical_order(h)
+        assert iso._search_order(h)[1] == oracles.exhaustive_canonical_order(h)
 
 
 @pytest.mark.parametrize(
@@ -223,7 +227,11 @@ def test_multipartite_certificate_matches_row_code(g, monkeypatch):
     assert g.multipartite_parts is not None
     h = relabel(g, random.Random(g.n).sample(range(g.n), g.n))
     for graph in (g, h):
-        assert canonical_certificate(graph) == oracles.multipartite_certificate_by_rows(graph)
+        # the parts are the cliques of the complement, ordered by (size,
+        # least vertex)
+        parts = oracles.multipartite_parts_by_complement(graph)
+        order = [v for part in sorted(parts, key=lambda p: (len(p), p[0])) for v in part]
+        assert canonical_certificate(graph) == oracles.certificate_by_rows(graph, order)
 
 
 def test_non_isomorphic_same_degree_sequence():

@@ -151,10 +151,20 @@ def test_cap_respected(monkeypatch):
     monkeypatch.setenv("LIE_NCG_CAP", "27")
     assert build_graph(L).n == 24
     # refused before the 2^18-element center is listed, which takes seconds,
-    # and before the index tables of F_2^20 are built
+    # and before the index tables of F_2^20 are built; so are the derived
+    # algebra, the lower central series and a centralizer
     big = LieAlgebra(field_new(2), 20, {(0, 1): (0, 0, 1) + (0,) * 17}, validate=False)
     built = vector_space.cache_info().currsize
-    for call in (build_graph, LieAlgebra.center, lambda L: L.centralizer_order((1,) + (0,) * 19)):
+    x = (1,) + (0,) * 19
+    calls = (
+        build_graph,
+        LieAlgebra.center,
+        LieAlgebra.derived_subalgebra,
+        LieAlgebra.is_nilpotent,
+        lambda L: L.centralizer_order(x),
+        lambda L: L.centralizer(x),
+    )
+    for call in calls:
         start = time.perf_counter()
         with pytest.raises(CapExceeded):
             call(big)

@@ -11,12 +11,12 @@ T -> g^-1 T(g., g.), which is linear in T.  ``_LinearAction`` turns each
 generator of GL(n, q) (the transvections I + E_ij and the matrices
 diag(a, 1, ..., 1)) into a linear map on the N = n * C(n, 2) coordinates of
 a tensor, built once per ``orbit_partition`` or ``algebras_equivalent`` call
-from the images of the N unit tensors under ``transform_structure``.  A
-tensor is coded as an int, and one generator's action is a table lookup per
-chunk of coordinates, a sum and a reduction modulo p.  Each new tensor's
-orbit is closed under the generators, so the work grows with the orbit, not
-with |GL(n, q)|, and only each orbit's representative is built as a
-``LieAlgebra``.
+from the images of the N unit tensors, each read off the 2 x 2 minors of
+the generator and a column of its inverse.  A tensor is coded as an int, and
+one generator's action is a table lookup per chunk of coordinates, a sum and
+a reduction modulo p.  Each new tensor's orbit is closed under the
+generators, so the work grows with the orbit, not with |GL(n, q)|, and only
+each orbit's representative is built as a ``LieAlgebra``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from itertools import combinations, permutations, product
 
 from .errors import CapExceeded
 from .liealg import LieAlgebra
-from .linalg import mat_vec, vector_space
+from .linalg import vector_space
 
 ENUM_MAX_DIM = 3
 ENUM_MAX_Q = 3
@@ -54,7 +54,10 @@ def _c12_solutions(field, c01, c02):
     J(c) = (c02_0 c01 - c01_0 c02) + c_1 c01 + c_2 c02 - (c01_1 + c02_2) c,
     so J(c) = J(0) + Mc with M and J(0) read off this formula.  The solutions
     are the c with (c, 1) in the kernel of the augmented matrix [M | J(0)],
-    whose rows are vectors of F_q^4.
+    whose rows are vectors of F_q^4.  ``kernel`` lists one member per free
+    coordinate, ascending, with 1 there and 0 at the other free coordinates.
+    So a solution exists iff coordinate 3 is free; the last member is then
+    one, and adding the span of the others gives them all.
     """
     add, mul, neg = field.add_table, field.mul_table, field.neg_table
     V = vector_space(field, 4)
@@ -65,8 +68,10 @@ def _c12_solutions(field, c01, c02):
         row = [0, c01[r], c02[r], j0]
         row[r] = add[row[r]][t]
         rows.append(V.code(row))
-    members = [V.digits[v] for v in V.span(V.kernel(rows))]
-    return sorted(c[:3] for c in members if c[3] == 1)
+    *rest, last = V.kernel(rows)
+    if V.digits[last][3] == 0:
+        return []
+    return sorted(V.digits[v][:3] for v in V.sums([last], V.span(rest)))
 
 
 def _structure_tensors(n, field):
@@ -111,19 +116,6 @@ def _gl_generators(n, field):
     return gens + [(identity_but(0, 0, a), identity_but(0, 0, inv[a])) for a in range(2, field.q)]
 
 
-def transform_structure(L, g, ginv):
-    """Structure table of L rewritten in the basis whose vectors are the
-    columns of g (old coordinates)."""
-    n = L.dim
-    f = L.field
-    cols = [tuple(g[r][c] for r in range(n)) for c in range(n)]
-    table = {}
-    for i, j in combinations(range(n), 2):
-        w = L.bracket(cols[i], cols[j])
-        table[(i, j)] = mat_vec(f, ginv, w)
-    return table
-
-
 # Bounds on the entries of one lookup table of ``_LinearAction``.
 _CHUNK_ENTRIES = 64
 _REDUCE_ENTRIES = 1024
@@ -144,8 +136,11 @@ class _LinearAction:
     p = 2, one lookup per group of slots otherwise.  The slots are wide
     enough that the sum of one entry per chunk does not carry.
 
-    The tables are built from the images of the N unit tensors under
-    ``transform_structure``, once per instance.
+    The tables are built once per instance from the images of the N unit
+    tensors under each generator g, which rewrites a tensor in the basis of
+    g's columns.  Unit tensor i sets [e_a, e_b] = e_r, with (a, b) =
+    ``pairs[i // n]`` and r = i % n.  Its image has [g_c, g_d] = det g[a, b;
+    c, d] e_r, and e_r in the new basis is column r of g^-1.
     """
 
     def __init__(self, n, field):
@@ -177,19 +172,17 @@ class _LinearAction:
                            for key, red in reduced.items() for s in range(top + 1)}
             self.reduce_table, self.group_mask = reduced, (1 << group * w) - 1
             self.groups = range(0, slots * w, group * w)
-        units = [
-            LieAlgebra(field, n, {pairs[i // n]: tuple(int(r == i % n) for r in range(n))},
-                       validate=False)
-            for i in range(size)
-        ]
+        add, mul, neg = field.add_table, field.mul_table, field.neg_table
         self.maps = []
         for g, ginv in _gl_generators(n, field):
             # singles[i][v]: the key of v times the image of unit tensor i
             singles = []
-            for U in units:
-                moved = transform_structure(U, g, ginv)
-                singles.append([self.encode([[m[c] for c in moved[pair]] for pair in pairs])
-                                for m in field.mul_table])
+            for a, b in pairs:
+                minors = [add[mul[g[a][c]][g[b][d]]][neg[mul[g[b][c]][g[a][d]]]] for c, d in pairs]
+                for r in range(n):
+                    moved = [[mul[det][row[r]] for row in ginv] for det in minors]
+                    singles.append([self.encode([[m[x] for x in vec] for vec in moved])
+                                    for m in mul])
             tables = []
             for start in starts:
                 table = {0: 0}

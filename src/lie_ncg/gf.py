@@ -17,6 +17,8 @@ every other caller.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import NotPrimePower, UnsupportedField
 
 FIELD_CAP = 27
@@ -106,17 +108,14 @@ class Field:
     # -- tables -------------------------------------------------------------
 
     def _build_tables(self):
-        q, p, k = self.q, self.p, self.k
-        if k == 1:
-            add = [[(a + b) % p for b in range(q)] for a in range(q)]
-            mul = [[(a * b) % p for b in range(q)] for a in range(q)]
-        else:
-            digits = [self._digits(a) for a in range(q)]
-            add = [
-                [self._code([(x + y) % p for x, y in zip(digits[a], digits[b])]) for b in range(q)]
-                for a in range(q)
-            ]
-            mul = [[self._poly_mul(digits[a], digits[b]) for b in range(q)] for a in range(q)]
+        # a prime field is the case k = 1: one digit, nothing to reduce
+        q, p = self.q, self.p
+        digits = [self._digits(a) for a in range(q)]
+        add = [
+            [self._code([(x + y) % p for x, y in zip(digits[a], digits[b])]) for b in range(q)]
+            for a in range(q)
+        ]
+        mul = [[self._poly_mul(digits[a], digits[b]) for b in range(q)] for a in range(q)]
         self.add_table = tuple(map(tuple, add))
         self.mul_table = tuple(map(tuple, mul))
         self.neg_table = tuple(row.index(0) for row in add)
@@ -162,17 +161,14 @@ class Field:
         return range(self.q)
 
 
-_FIELD_CACHE = {}
-
-
+@cache
 def field_new(q):
-    """Build F_q, or raise NotPrimePower / UnsupportedField.
+    """The one F_q, built on first request, or raise NotPrimePower /
+    UnsupportedField.
 
     The cap comes before the prime-power test, so a huge q is refused without
     trial division.
     """
-    if q in _FIELD_CACHE:
-        return _FIELD_CACHE[q]
     if q > FIELD_CAP:
         raise UnsupportedField(f"field order {q} exceeds the cap {FIELD_CAP}")
     if prime_power_decomposition(q) is None:
@@ -184,6 +180,4 @@ def field_new(q):
         if q not in REDUCTION_POLYNOMIALS:
             raise UnsupportedField(f"no reduction polynomial shipped for q={q}")
         poly = REDUCTION_POLYNOMIALS[q]
-    field = Field(q, p, k, poly)
-    _FIELD_CACHE[q] = field
-    return field
+    return Field(q, p, k, poly)

@@ -142,17 +142,6 @@ def vector_space(field, dim):
     return VectorSpace(field, dim)
 
 
-def mat_vec(field, rows, vec):
-    add, mul = field.add_table, field.mul_table
-    out = []
-    for row in rows:
-        acc = 0
-        for a, x in zip(row, vec):
-            acc = add[acc][mul[a][x]]
-        out.append(acc)
-    return tuple(out)
-
-
 class Subspace:
     """A subspace of F_q^dim, held as the reduced index-coded rows and pivot
     coordinates that ``space.rref`` gives for any spanning set, so two

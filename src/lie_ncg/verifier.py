@@ -560,11 +560,13 @@ def explore_conjecture(n_max=3, qs=(2,)):
     """Tabulate (graphs isomorphic?, equal algebra orders?) over all pairs of
     enumerated non-abelian algebras.  Data only; no truth claim.
 
-    Every scope is checked before any is enumerated, and ``n_max < 2``,
-    which would give an empty table, is refused.  The cells are counted,
-    not compared pair by pair: m instances sharing a key give m(m-1)/2 pairs,
-    so grouping by certificate, by order and by both gives every cell.
+    A repeated q counts once.  Every scope is checked before any is
+    enumerated, and ``n_max < 2``, which would give an empty table, is
+    refused.  The cells are counted, not compared pair by pair: m instances
+    sharing a key give m(m-1)/2 pairs, so grouping by certificate, by order
+    and by both gives every cell.
     """
+    qs = list(dict.fromkeys(qs))
     for q in qs:
         _check_scope(n_max, field_new(q))
     if n_max < 2:

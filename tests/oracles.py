@@ -8,7 +8,9 @@ all elements, non-commuting graphs by
 bracketing every pair of vertices, planarity by searching for a forbidden
 subdivision, domination by trying every subset, Lie structures by testing
 the Jacobi identity on every structure tensor, GL(n, q) orbits by applying
-every invertible matrix, canonical labelings by searching every ordering the
+every invertible matrix through ``transform_by_methods`` (each new basis
+pair bracketed with ``bracket_by_methods``, then rewritten in the new
+coordinates by ``Field`` method calls), canonical labelings by searching every ordering the
 refinement allows, certificates by coding each vertex's adjacency to the
 vertices before it, exports by sorting every edge by its label pair,
 complete multipartite parts as the cliques of the complement, and the
@@ -18,12 +20,13 @@ invariants.
 """
 
 import json
+from functools import reduce
 from itertools import combinations, product
 from xml.sax.saxutils import escape
 
 import networkx as nx
 
-from lie_ncg.enumeration import tensor_key, transform_structure
+from lie_ncg.enumeration import tensor_key
 from lie_ncg.iso import refine_colors
 from lie_ncg.liealg import LieAlgebra
 from lie_ncg.ncg import NcGraph
@@ -95,6 +98,19 @@ def bracket_by_methods(L, u, v):
         for k, c in enumerate(cij):
             out[k] = f.add(out[k], f.mul(s, c))
     return tuple(out)
+
+
+def transform_by_methods(L, g, ginv):
+    """The structure table of L rewritten in the basis whose vectors are the
+    columns of g: [g_i, g_j] by ``bracket_by_methods``, then its coordinates
+    in that basis as g^-1 times it, with ``Field`` method calls."""
+    f, n = L.field, L.dim
+    cols = [tuple(row[c] for row in g) for c in range(n)]
+    table = {}
+    for i, j in combinations(range(n), 2):
+        w = bracket_by_methods(L, cols[i], cols[j])
+        table[i, j] = tuple(reduce(f.add, map(f.mul, row, w), 0) for row in ginv)
+    return table
 
 
 def ad_matrix_by_methods(L, x):
@@ -202,7 +218,7 @@ def full_gl_orbits(n, field):
         key = tensor_key(L.structure, n)
         if key in seen:
             continue
-        orbit = {tensor_key(transform_structure(L, g, ginv), n) for g, ginv in gls}
+        orbit = {tensor_key(transform_by_methods(L, g, ginv), n) for g, ginv in gls}
         seen |= orbit
         orbits.append((key, len(orbit)))
     return orbits

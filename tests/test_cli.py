@@ -176,6 +176,16 @@ def test_enumerate_defaults(capsys):
     assert payload["cells"]["iso/equal"] == 3
 
 
+def test_enumerate_repeated_q_counts_once(capsys):
+    # a q given twice adds no copy of its algebras to the table
+    _, once, _ = run(capsys, "enumerate", "--n", "2", "--q", "2")
+    code, twice, _ = run(capsys, "enumerate", "--n", "2", "--q", "2", "--q", "2")
+    assert code == 0 and twice == once
+    assert json.loads(once)["instances"] == 3 and json.loads(once)["pairs"] == 3
+    _, mixed, _ = run(capsys, "enumerate", "--n", "2", "--q", "3", "--q", "2", "--q", "3")
+    assert mixed == run(capsys, "enumerate", "--n", "2", "--q", "3", "--q", "2")[1]
+
+
 def test_enumerate_q2_q3(capsys):
     # every dim <= 3 graph is complete multipartite, so this table needs no
     # exhaustive certificate search; the cells agree with sorted part sizes

@@ -3,9 +3,13 @@
 Covers ``analyze`` (JSON and text) and ``compare <spec> <spec>`` for every
 spec, ``compare heisenberg_f2 l2_f2``, ``verify --format json``,
 ``verify --scope enumerate --n 3 --q 2 --format json``,
-``verify --scope enumerate --n 2 --q 3 --format json`` and
-``enumerate --n 3 --q 2``.  After a deliberate output change, rewrite the
-files with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+``verify --scope enumerate --n 2 --q 3 --format json``,
+``verify --scope enumerate --n 3 --q 3 --format json``,
+``enumerate --n 3 --q 2`` and ``enumerate --n 3 --q 2 --q 3``.  The
+enumeration outputs name instances by their enumeration index, so they also
+pin the order in which the structure tensors are listed.  After a deliberate
+output change, rewrite the files with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
 import os
@@ -37,13 +41,16 @@ def _cases():
          ["compare", "specs/heisenberg_f2.json", "specs/l2_f2.json"])
     )
     cases.append(("verify.jsonl", ["verify", "--format", "json"]))
-    for n, q in ((3, 2), (2, 3)):
+    for n, q in ((3, 2), (2, 3), (3, 3)):
         cases.append(
             (f"verify_enumerate_n{n}_q{q}.jsonl",
              ["verify", "--scope", "enumerate", "--n", str(n), "--q", str(q),
               "--format", "json"])
         )
     cases.append(("enumerate_n3_q2.json", ["enumerate", "--n", "3", "--q", "2"]))
+    cases.append(
+        ("enumerate_n3_q2_q3.json", ["enumerate", "--n", "3", "--q", "2", "--q", "3"])
+    )
     return cases
 
 

@@ -4,7 +4,7 @@ index-coded vectors of F_q^dim."""
 from hypothesis import given, settings, strategies as st
 
 from lie_ncg.gf import FIELD_CAP, field_new, prime_power_decomposition
-from lie_ncg.linalg import Subspace, mat_vec, vector_space
+from lie_ncg.linalg import Subspace, vector_space
 
 import oracles
 
@@ -56,7 +56,8 @@ def test_kernel_basis_members_annihilate():
     basis = V.kernel([V.code(r) for r in rows])
     assert len(basis) == 1
     for v in basis:
-        assert mat_vec(f3, rows, V.digits[v]) == (0, 0)
+        y = V.digits[v]
+        assert [sum(a * b for a, b in zip(row, y)) % 3 for row in rows] == [0, 0]
 
 
 def test_subspace_canonical_equality():

@@ -7,6 +7,7 @@ import json
 import os
 import sys
 from collections import Counter
+from functools import cache
 
 from . import graphs as graph_ops
 from . import io as ncg_io
@@ -125,7 +126,11 @@ def cmd_enumerate(args):
     return 0
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process.  It keeps no state
+    between parses: ``--q`` appends to a fresh list, as its default is
+    None."""
     parser = argparse.ArgumentParser(
         prog="lie-ncg",
         description="Non-commuting graphs of finite-dimensional Lie algebras over F_q",

@@ -11,7 +11,10 @@ u + v = ``low[u % split][v % split] + high[u // split][v // split]``, where
 ``VectorSpace.rref`` is the one row reduction: it eliminates with
 ``row = add(row, scale[-b][pivot_row])``, so a kernel or span member is an
 int.  The Lie algebra kernels, the canonical bases of ``Subspace`` and the
-enumeration's Jacobi solve all run on it.
+enumeration's Jacobi solve all run on it.  ``VectorSpace.perp`` gives the
+hyperplane {y : a . y = 0} of a row a as a bitmask over element indices,
+built from the field tables and kept per line of a, so the non-commuting
+graph intersects centralizers with ANDs and no row reduction.
 
 Everything is exact and deterministic; subspaces are canonicalized to reduced
 row echelon form so subspace equality is plain tuple equality.
@@ -64,6 +67,7 @@ class VectorSpace:
         self.split = q**half
         self.low = _index_sums(field, half)
         self.high = [[self.split * s for s in row] for row in _index_sums(field, dim - half)]
+        self._perps = {}
 
     def code(self, vec):
         """The element index of the coordinate tuple ``vec``."""
@@ -125,6 +129,44 @@ class VectorSpace:
                     v += neg[digits[row][f]] * units[p]
                 basis.append(v)
         return basis
+
+    def perp(self, a):
+        """The bitmask, bit y set for every element index y with a . y = 0.
+
+        The mask is built once per line {ca : c != 0}, which shares it, and
+        kept under both a and the line's representative (a scaled so its
+        first nonzero coordinate is 1): at most (q^dim - 1)/(q - 1) masks of
+        q^dim bits, 2 MB at q^dim = 4096.  It grows one coordinate at a time:
+        ``sums[s]`` masks the vectors y of the first k coordinates with
+        a . y = s, and y_k = c moves index y by c q^k, so by a shift.
+        """
+        mask = self._perps.get(a)
+        if mask is not None:
+            return mask
+        field = self.field
+        lead = next((c for c in self.digits[a] if c), 1)
+        rep = self.scale[field.inv_table[lead]][a]
+        mask = self._perps.get(rep)
+        if mask is None:
+            add, mul, neg = field.add_table, field.mul_table, field.neg_table
+            *head, last = self.digits[rep]
+            sums = [1] + [0] * (field.q - 1)
+            w = 1
+            for ak in head:
+                nxt = [0] * field.q
+                for s, m in enumerate(sums):
+                    if m:
+                        for c, b in enumerate(mul[ak]):
+                            nxt[add[s][b]] |= m << c * w
+                sums = nxt
+                w *= field.q
+            # the last coordinate only has to bring the sum to 0
+            mask = 0
+            for c, b in enumerate(mul[last]):
+                mask |= sums[neg[b]] << c * w
+            self._perps[rep] = mask
+        self._perps[a] = mask
+        return mask
 
     def span(self, basis):
         """All q^k members of the span of the k index-coded rows of

@@ -60,9 +60,9 @@ class Instance:
     def centralizer_orders(self):
         """|C_L(v)| per vertex, one rank per line {cv : c != 0}: ad(cv) is
         c ad(v), so the rank of ad(v) on the first vertex of a line serves
-        its every multiple.  Lines are keyed by vertex tuples, not by
-        build_graph's reduction modulo the center, so Lem2.2 compares the
-        graph's rows with ranks that do not share that reduction."""
+        its every multiple.  The ranks come from row reduction, while
+        build_graph intersects hyperplane bitmasks, so Lem2.2 compares the
+        graph's rows with centralizers found another way."""
         multipliers = self.L.field.mul_table[1:]
         orders = {}
         for v in self.graph.vertices:

@@ -1,9 +1,9 @@
 """Independent brute-force oracles used to cross-check library results.
 
 Everything here deliberately avoids the code paths it validates: row
-reduction, spans, brackets and ad(x) go through ``Field`` method calls on
-coordinate tuples, not the field tables or the index-coded vectors the
-library uses, centralizers and centers are found by scanning
+reduction, spans, hyperplanes, brackets and ad(x) go through ``Field``
+method calls on coordinate tuples, not the field tables or the index-coded
+vectors the library uses, centralizers and centers are found by scanning
 all elements, non-commuting graphs by
 bracketing every pair of vertices, planarity by searching for a forbidden
 subdivision, domination by trying every subset, Lie structures by testing
@@ -81,6 +81,17 @@ def span_by_methods(field, basis, n):
             vec = tuple(field.add(x, field.mul(c, y)) for x, y in zip(vec, row))
         out.append(vec)
     return out
+
+
+def perp_by_methods(field, dim, a):
+    """The bitmask of {y in F_q^dim : a . y = 0}, bit k for the k-th vector
+    in little-endian index order, found by scanning every y with ``Field``
+    method calls."""
+    mask = 0
+    for k, c in enumerate(product(field.elements(), repeat=dim)):
+        if reduce(field.add, map(field.mul, a, reversed(c)), 0) == 0:
+            mask |= 1 << k
+    return mask
 
 
 def subspace_members(S):

@@ -186,6 +186,13 @@ def test_enumerate_repeated_q_counts_once(capsys):
     assert mixed == run(capsys, "enumerate", "--n", "2", "--q", "3", "--q", "2")[1]
 
 
+def test_enumerate_twice_in_one_process_prints_the_same(capsys):
+    # the parser is built once per process, so no --q value may carry over
+    first = run(capsys, "enumerate", "--q", "2")
+    assert run(capsys, "enumerate", "--q", "2") == first
+    assert first[0] == 0 and json.loads(first[1])["instances"] > 0
+
+
 def test_enumerate_q2_q3(capsys):
     # every dim <= 3 graph is complete multipartite, so this table needs no
     # exhaustive certificate search; the cells agree with sorted part sizes

@@ -1,7 +1,9 @@
 """Default CLI output, byte for byte, against files recorded under golden/.
 
-Covers ``analyze`` (JSON and text) and ``compare <spec> <spec>`` for every
-spec, ``compare heisenberg_f2 l2_f2``, ``verify --format json``,
+Covers ``analyze`` (JSON and text), ``compare <spec> <spec>`` and
+``export --out dot|graphml|json`` for every spec, ``compare heisenberg_f2
+l2_f2``, ``compare aff1_f3 heisenberg_f2`` (two non-isomorphic graphs),
+``verify --format json``,
 ``verify --scope enumerate --n 3 --q 2 --format json``,
 ``verify --scope enumerate --n 2 --q 3 --format json``,
 ``verify --scope enumerate --n 3 --q 3 --format json``,
@@ -36,9 +38,15 @@ def _cases():
         cases.append((f"analyze_{spec.stem}.json", ["analyze", path, "--format", "json"]))
         cases.append((f"analyze_{spec.stem}.txt", ["analyze", path]))
         cases.append((f"compare_{spec.stem}.json", ["compare", path, path]))
+        for fmt in ("dot", "graphml", "json"):
+            cases.append((f"export_{spec.stem}.{fmt}", ["export", path, "--out", fmt]))
     cases.append(
         ("compare_heisenberg_f2_l2_f2.json",
          ["compare", "specs/heisenberg_f2.json", "specs/l2_f2.json"])
+    )
+    cases.append(
+        ("compare_aff1_f3_heisenberg_f2.json",
+         ["compare", "specs/aff1_f3.json", "specs/heisenberg_f2.json"])
     )
     cases.append(("verify.jsonl", ["verify", "--format", "json"]))
     for n, q in ((3, 2), (2, 3), (3, 3)):

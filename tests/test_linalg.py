@@ -134,3 +134,28 @@ def test_span_lists_each_member_once_in_product_order(case):
     members = [V.digits[v] for v in V.span([V.code(r) for r in basis])]
     assert members == oracles.span_by_methods(f, basis, V.dim)
     assert len(set(members)) == f.q ** len(basis)
+
+
+# every (q, dim) with q^dim <= 4096 over primes up to 7 and the powers of 2
+# and 3 up to 27
+PERP_SHAPES = [
+    (q, dim)
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 27)
+    for dim in range(1, 13)
+    if q**dim <= 4096
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PERP_SHAPES), st.data())
+def test_perp_masks_match_method_call_scan(shape, data):
+    q, dim = shape
+    f = field_new(q)
+    V = vector_space(f, dim)
+    a = data.draw(st.tuples(*[st.integers(0, q - 1)] * dim))
+    c = data.draw(st.integers(1, q - 1))
+    want = oracles.perp_by_methods(f, dim, a)
+    # a multiple first, so a can be served from its line's entry
+    multiple = V.scale[c][V.code(a)]
+    assert V.perp(multiple) == want
+    assert V.perp(V.code(a)) == want

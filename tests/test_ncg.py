@@ -1,5 +1,6 @@
 """Non-commuting graph construction."""
 
+import random
 import time
 from pathlib import Path
 
@@ -85,8 +86,14 @@ def test_build_graph_matches_bracket_oracle():
             algebras.extend(inst.L for inst in enumeration_instances(n, q))
     assert len(algebras) == 1569
     algebras.extend(algebra_from_spec(load_spec(path)) for path in sorted(SPECS.glob("*.json")))
+    # F_3^2 on e0, e1 and [x, y] = z on e2, e3, e4: the center, spanned by
+    # e0, e1 and e4, has indices in three runs of 9, so the runs of vertices
+    # between them move down by different numbers of central bits
+    scattered = LieAlgebra(field_new(3), 5, {(2, 3): (0, 0, 0, 0, 1)}, basis_names="abxyz")
+    center = sorted(scattered.space.span(scattered.center().rows))
+    assert center == [r + 81 * k for k in range(3) for r in range(9)]
     heisenberg_f5 = LieAlgebra(field_new(5), 3, {(0, 1): (0, 0, 1)}, basis_names="xyz")
-    algebras.append(heisenberg_f5)
+    algebras += [scattered, heisenberg_f5]
     for L in algebras:
         g, want = build_graph(L), oracles.graph_by_brackets(L)
         assert (g.rows, g.vertices, g.labels) == (want.rows, want.vertices, want.labels), L
@@ -135,6 +142,24 @@ def test_build_graph_is_bounded_by_the_element_cap():
     L = _heisenberg_plus_abelian_f2(9)
     g, want = build_graph(L), oracles.graph_by_brackets(L)
     assert (g.rows, g.vertices, g.labels) == (want.rows, want.vertices, want.labels)
+
+
+def test_build_graph_at_the_element_cap_with_every_row_distinct():
+    # aff1 summed 6 times over F_2: [x_i, y_i] = y_i, dim 12, trivial center,
+    # and 4095 vertices with 4095 different centralizers
+    structure = {}
+    for i in range(6):
+        value = [0] * 12
+        value[2 * i + 1] = 1
+        structure[2 * i, 2 * i + 1] = tuple(value)
+    L = LieAlgebra(field_new(2), 12, structure)
+    start = time.perf_counter()
+    g = build_graph(L)
+    assert time.perf_counter() - start < 0.5
+    assert g.n == 4095 and len(set(g.rows)) == 4095
+    degrees = g.degrees()
+    for i in random.Random(2024).sample(range(g.n), 50):
+        assert degrees[i] == L.order - L.centralizer_order(g.vertices[i])
 
 
 def test_abelian_algebra_rejected():

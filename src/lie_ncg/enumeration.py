@@ -5,7 +5,8 @@ antisymmetry is then automatic and the only constraint left is the Jacobi
 identity on basis triples.  For n <= 2 there is no triple, so every tensor is
 a Lie structure.  For n = 3 there is one triple, and with c_01 and c_02 fixed
 its Jacobi sum is affine in c_12, so each of the q^6 pairs (c_01, c_02) gives
-its structures by one small linear solve, not by testing q^3 candidates.
+its structures as an AND of three hyperplane masks on F_q^4, not by testing
+q^3 candidates.
 Deduplication reduces modulo the GL(n, q) basis-change action
 T -> g^-1 T(g., g.), which is linear in T.  ``_LinearAction`` turns each
 generator of GL(n, q) (the transvections I + E_ij and the matrices
@@ -25,7 +26,7 @@ from itertools import combinations, permutations, product
 
 from .errors import CapExceeded
 from .liealg import LieAlgebra
-from .linalg import vector_space
+from .linalg import bits, vector_space
 
 ENUM_MAX_DIM = 3
 ENUM_MAX_Q = 3
@@ -54,10 +55,8 @@ def _c12_solutions(field, c01, c02):
     J(c) = (c02_0 c01 - c01_0 c02) + c_1 c01 + c_2 c02 - (c01_1 + c02_2) c,
     so J(c) = J(0) + Mc with M and J(0) read off this formula.  The solutions
     are the c with (c, 1) in the kernel of the augmented matrix [M | J(0)],
-    whose rows are vectors of F_q^4.  ``kernel`` lists one member per free
-    coordinate, ascending, with 1 there and 0 at the other free coordinates.
-    So a solution exists iff coordinate 3 is free; the last member is then
-    one, and adding the span of the others gives them all.
+    whose rows are vectors of F_q^4: the members of that kernel's mask with
+    index c + q^3, bits q^3 to 2q^3 - 1.
     """
     add, mul, neg = field.add_table, field.mul_table, field.neg_table
     V = vector_space(field, 4)
@@ -68,10 +67,9 @@ def _c12_solutions(field, c01, c02):
         row = [0, c01[r], c02[r], j0]
         row[r] = add[row[r]][t]
         rows.append(V.code(row))
-    *rest, last = V.kernel(rows)
-    if V.digits[last][3] == 0:
-        return []
-    return sorted(V.digits[v][:3] for v in V.sums([last], V.span(rest)))
+    cube = field.q**3
+    found = V.solutions(rows) >> cube & (1 << cube) - 1
+    return sorted(V.digits[c][:3] for c in bits(found))
 
 
 def _structure_tensors(n, field):
@@ -188,8 +186,8 @@ class _LinearAction:
                 table = {0: 0}
                 for i in range(start, min(start + per_chunk, size)):
                     shift = (i - start) * self.width
-                    table = {self.code_bits[v] << shift | bits: self.reduce(image + single)
-                             for bits, image in table.items()
+                    table = {self.code_bits[v] << shift | chunk: self.reduce(image + single)
+                             for chunk, image in table.items()
                              for v, single in enumerate(singles[i])}
                 tables.append(table)
             self.maps.append(tables)

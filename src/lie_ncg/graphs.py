@@ -27,6 +27,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .errors import CapExceeded, EmptyGraph, Undecided
+from .linalg import bits
 
 HAMILTON_EXACT_CAP = 64
 DOMINATION_CAP = 32
@@ -108,14 +109,6 @@ class Graph:
 # -- reachability and distances ----------------------------------------------
 
 
-def _bits(mask):
-    """Indices of the set bits of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _bfs_layers(rows, source):
     """Breadth-first layers from ``source`` as bitmasks, nearest first.
 
@@ -126,7 +119,7 @@ def _bfs_layers(rows, source):
     while frontier:
         yield frontier
         reach = 0
-        for u in _bits(frontier):
+        for u in bits(frontier):
             reach |= rows[u]
         frontier = reach & ~seen
         seen |= frontier
@@ -173,7 +166,7 @@ def girth(g):
     """
     rows = g.rows
     for u in range(g.n):
-        for v in _bits(rows[u]):
+        for v in bits(rows[u]):
             if rows[u] & rows[v]:
                 return 3
     raise Undecided(f"girth of a triangle-free graph ({g!r})")

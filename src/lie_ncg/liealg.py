@@ -7,12 +7,14 @@ negation, so antisymmetry holds by construction rather than by validation.
 
 ``bracket`` and ``jacobi_sum`` read the field's tables (``Field.add_table``
 and friends), not a ``Field`` method per coefficient, and ``bracket`` walks
-the nonzero structure terms, built once per algebra.  The centralizer
-kernels code each element as its index sum v_i q^i in F_q^dim
-(``linalg.VectorSpace``, reached through ``space`` once the element cap is
-checked): ``ad_rows[x]`` holds the rows of ad(x) as indices, tabulated per
-algebra from the rows of each ad(e_k), and ``center`` and
-``centralizer_order`` reduce those rows on ints.
+the nonzero structure terms, built once per algebra.  Kernels code each
+element as its index sum v_i q^i in F_q^dim (``linalg.VectorSpace``,
+reached through ``space`` once the element cap is checked): ``ad_rows[x]``
+holds the rows of ad(x) as indices, tabulated per algebra from the rows of
+each ad(e_k).  ``center_mask`` is the AND of the hyperplane masks of every
+ad(e_k) row, kept per algebra, while ``centralizer_order`` reduces the rows
+of ad(x) to a rank, so the graph's rows and the centralizer orders that
+Lem2.2 compares them with come from different algorithms.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from itertools import combinations
 
 from .errors import CapExceeded, JacobiViolation, LieNcgError
 from .gf import Field, field_new
-from .linalg import Subspace, vector_space
+from .linalg import Subspace, bits, vector_space
 
 DEFAULT_ELEMENT_CAP = 4096
 _INT = frozenset([int])
@@ -119,7 +121,6 @@ class LieAlgebra:
             for (i, j), cij in self.structure.items()
             if any(cij)
         )
-        self._center = None
         if validate:
             triple = self.jacobi_failure()
             if triple is not None:
@@ -206,24 +207,22 @@ class LieAlgebra:
             tables.append(table)
         return list(zip(*tables))
 
-    def centralizer(self, x):
-        self._check_element(x)
-        V = self.space
-        return Subspace(V, V.kernel(self.ad_rows[V.code(x)]))
-
     def centralizer_order(self, x):
         """|C_L(x)| via rank-nullity, cheaper than building the subspace."""
         self._check_element(x)
         V = self.space
         return self.field.q ** (self.dim - V.rank(self.ad_rows[V.code(x)]))
 
+    @cached_property
+    def center_mask(self):
+        """Z(L), the common kernel of every ad(e_k), as a bitmask over
+        element indices."""
+        V = self.space
+        return V.solutions([row for w in V.units for row in self.ad_rows[w]])
+
     def center(self):
-        """Z(L), the common kernel of every ad(e_k).  The algebra is
-        immutable, so the first result is kept and returned on later calls."""
-        if self._center is None:
-            V = self.space
-            self._center = Subspace(V, V.kernel([row for w in V.units for row in self.ad_rows[w]]))
-        return self._center
+        """Z(L) as the ``Subspace`` of the members of ``center_mask``."""
+        return Subspace(self.space, list(bits(self.center_mask)))
 
     def derived_subalgebra(self):
         V = self.space
@@ -251,18 +250,11 @@ class LieAlgebra:
             current = nxt
         return False
 
-    # -- element enumeration -------------------------------------------------
+    # -- elements -----------------------------------------------------------
 
     @property
     def order(self):
         return self.field.q ** self.dim
-
-    def enumerate_elements(self):
-        """Every element, in increasing little-endian index sum v_i q^i,
-        read from the digit table of ``space``; past the element cap this
-        raises CapExceeded."""
-        check_element_cap(self.order)
-        yield from self.space.digits
 
     def element_label(self, vec):
         """Render an element like ``x+y+z`` or ``2x+y`` in basis order."""

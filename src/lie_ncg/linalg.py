@@ -1,29 +1,39 @@
 """Exact linear algebra over a small finite field, on index-coded vectors.
 
 A ``VectorSpace`` codes each vector v of F_q^dim as one int, its element
-index sum v_i q^i: the little-endian index in which
-``LieAlgebra.enumerate_elements`` lists the elements.  Its tables are built
-once per (q, dim) by ``vector_space``: ``digits[v]``, the coordinate tuple of
-v; ``scale[a][v]``, the index of a*v, with q * q^dim entries; and addition
-split over the low ``half`` coordinates and the rest, so
+index sum v_i q^i, so the first coordinate varies fastest.  Its tables are
+built once per (q, dim) by ``vector_space``: ``digits[v]``, the coordinate
+tuple of v, listing F_q^dim in index order; ``scale[a][v]``, the index of
+a*v, with q * q^dim entries; and addition split over the low ``half``
+coordinates and the rest, so
 u + v = ``low[u % split][v % split] + high[u // split][v // split]``, where
 ``split`` = q^half and no table has more than about q * q^dim entries.
-``VectorSpace.rref`` is the one row reduction: it eliminates with
-``row = add(row, scale[-b][pivot_row])``, so a kernel or span member is an
-int.  The Lie algebra kernels, the canonical bases of ``Subspace`` and the
-enumeration's Jacobi solve all run on it.  ``VectorSpace.perp`` gives the
-hyperplane {y : a . y = 0} of a row a as a bitmask over element indices,
-built from the field tables and kept per line of a, so the non-commuting
-graph intersects centralizers with ANDs and no row reduction.
 
-Everything is exact and deterministic; subspaces are canonicalized to reduced
-row echelon form so subspace equality is plain tuple equality.
+A set of vectors is a bitmask over their indices, and every kernel is one:
+``VectorSpace.perp`` gives the hyperplane {y : a . y = 0} of a row a, built
+from the field tables and kept per line of a, and ``VectorSpace.solutions``
+ANDs those of a matrix's rows, so centralizers, the center and the
+enumeration's Jacobi solve need no row reduction; ``bits`` lists a mask's
+members.  ``VectorSpace.rref`` is the one row reduction, for where a rank or
+a row basis is the answer: it eliminates with
+``row = add(row, scale[-b][pivot_row])`` and gives the canonical bases of
+``Subspace``, whose equality is then plain tuple equality.
+
+Everything is exact and deterministic.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from operator import mul
+
+
+def bits(mask):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _index_sums(field, k):
@@ -67,6 +77,7 @@ class VectorSpace:
         self.split = q**half
         self.low = _index_sums(field, half)
         self.high = [[self.split * s for s in row] for row in _index_sums(field, dim - half)]
+        self.everything = (1 << len(digits)) - 1
         self._perps = {}
 
     def code(self, vec):
@@ -115,21 +126,6 @@ class VectorSpace:
     def rank(self, rows):
         return len(self.rref(rows)[0])
 
-    def kernel(self, rows):
-        """A basis of {y : row . y = 0 for every row}, one member per free
-        coordinate f of the reduced rows: 1 at f, 0 at the other free
-        coordinates and -row[f] at each row's pivot."""
-        reduced, pivots = self.rref(rows)
-        digits, neg, units = self.digits, self.field.neg_table, self.units
-        basis = []
-        for f in range(self.dim):
-            if f not in pivots:
-                v = units[f]
-                for row, p in zip(reduced, pivots):
-                    v += neg[digits[row][f]] * units[p]
-                basis.append(v)
-        return basis
-
     def perp(self, a):
         """The bitmask, bit y set for every element index y with a . y = 0.
 
@@ -168,14 +164,14 @@ class VectorSpace:
         self._perps[a] = mask
         return mask
 
-    def span(self, basis):
-        """All q^k members of the span of the k index-coded rows of
-        ``basis``, listed in ``itertools.product`` order of their coefficient
-        vectors (the first row's coefficient varies slowest)."""
-        vecs = [0]
-        for b in basis:
-            vecs = self.sums(vecs, [m[b] for m in self.scale])
-        return vecs
+    def solutions(self, rows):
+        """The bitmask of {y : r . y = 0 for every r in ``rows``}, the AND of
+        the hyperplane masks of the nonzero rows."""
+        mask = self.everything
+        for r in rows:
+            if r:
+                mask &= self.perp(r)
+        return mask
 
 
 @cache

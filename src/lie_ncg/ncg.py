@@ -4,9 +4,10 @@ Vertices are the elements of ``L`` outside the center, in increasing index
 order, and two vertices are adjacent exactly when their bracket is nonzero.
 The graph is built on index-coded vectors (``linalg.VectorSpace``): an
 element is its index sum v_i q^i, so a set of elements is a bitmask over
-those indices.  A centralizer is an AND of hyperplane masks
-(``VectorSpace.perp``), a row is its complement moved to vertex positions,
-and a vertex's coordinate tuple is read from the shared digit table.
+those indices.  A centralizer, like the center, is an AND of hyperplane
+masks (``VectorSpace.solutions``), a row is its complement moved to vertex
+positions, and a vertex's coordinate tuple is read from the shared digit
+table.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from functools import cached_property
 from .errors import AbelianAlgebra
 from .graphs import Graph
 from .liealg import check_element_cap
+from .linalg import bits
 
 
 class NcGraph(Graph):
@@ -38,14 +40,14 @@ def build_graph(L):
     """Build the non-commuting graph of a non-abelian algebra.
 
     Row ``x`` is every vertex outside the centralizer: x commutes with y
-    exactly when y lies in C(x) = ker ad(x) (Lem2.2).  C(x) is the AND of
-    the hyperplane masks ``space.perp(r)`` of the nonzero rows r of ad(x),
-    each kept per line of r, so no row reduction runs once the center is
-    known.  Every row of ad(x) annihilates the center Z, so C(x) contains
-    Z; the row is the complement of C(x) with the central bits dropped, one
-    shift per run of vertices between consecutive central indices.  Every
-    nonzero multiple of x and every member of x + Z has the same C(x), so
-    rows are kept per centralizer mask.
+    exactly when y lies in C(x) = ker ad(x) (Lem2.2).  C(x) is
+    ``space.solutions`` of the rows of ad(x), an AND of hyperplane masks,
+    and the center Z is ``L.center_mask``, so no row reduction runs.  Every
+    row of ad(x) annihilates Z, so C(x) contains Z; the row is the
+    complement of C(x) with the central bits dropped, one shift per run of
+    vertices between consecutive central indices.  Every nonzero multiple of
+    x and every member of x + Z has the same C(x), so rows are kept per
+    centralizer mask.
 
     Raises AbelianAlgebra when the center is all of L (the graph would be
     null) and CapExceeded when q^dim exceeds the element cap.
@@ -55,7 +57,7 @@ def build_graph(L):
     # the element cap applies before any other work
     check_element_cap(L.order)
     V = L.space
-    center = sorted(V.span(L.center().rows))
+    center = list(bits(L.center_mask))
     # each run of vertices between central indices z < z' as (first index,
     # mask of its length, its offset among the vertices)
     runs = []
@@ -64,22 +66,17 @@ def build_graph(L):
         if z_next > z + 1:
             runs.append((z + 1, (1 << (z_next - z - 1)) - 1, offset))
             offset += z_next - z - 1
-    everything = (1 << L.order) - 1
-    perp, ad_rows = V.perp, L.ad_rows
+    solutions, ad_rows = V.solutions, L.ad_rows
     rows_by_centralizer = {}
     vertices, rows = [], []
     for first, run, _ in runs:
         for x in range(first, first + run.bit_length()):
-            commuting = everything
-            for r in ad_rows[x]:
-                if r:
-                    commuting &= perp(r)
+            commuting = solutions(ad_rows[x])
             row = rows_by_centralizer.get(commuting)
             if row is None:
-                outside = everything ^ commuting
                 row = 0
                 for start, mask, shift in runs:
-                    row |= (outside >> start & mask) << shift
+                    row |= (~commuting >> start & mask) << shift
                 rows_by_centralizer[commuting] = row
             vertices.append(V.digits[x])
             rows.append(row)

@@ -1,7 +1,7 @@
 """Independent brute-force oracles used to cross-check library results.
 
 Everything here deliberately avoids the code paths it validates: row
-reduction, spans, hyperplanes, brackets and ad(x) go through ``Field``
+reduction, spans, kernel masks, brackets and ad(x) go through ``Field``
 method calls on coordinate tuples, not the field tables or the index-coded
 vectors the library uses, centralizers and centers are found by scanning
 all elements, non-commuting graphs by
@@ -83,15 +83,21 @@ def span_by_methods(field, basis, n):
     return out
 
 
-def perp_by_methods(field, dim, a):
-    """The bitmask of {y in F_q^dim : a . y = 0}, bit k for the k-th vector
-    in little-endian index order, found by scanning every y with ``Field``
-    method calls."""
+def solutions_by_methods(field, dim, rows):
+    """The bitmask of {y in F_q^dim : r . y = 0 for every r in ``rows``},
+    bit k for the k-th vector in little-endian index order, found by
+    scanning every y with ``Field`` method calls."""
     mask = 0
     for k, c in enumerate(product(field.elements(), repeat=dim)):
-        if reduce(field.add, map(field.mul, a, reversed(c)), 0) == 0:
+        y = tuple(reversed(c))
+        if all(reduce(field.add, map(field.mul, r, y), 0) == 0 for r in rows):
             mask |= 1 << k
     return mask
+
+
+def mask_members(L, mask):
+    """The elements of L whose little-endian index bits are set in ``mask``."""
+    return {v for k, v in enumerate(elements(L)) if mask >> k & 1}
 
 
 def subspace_members(S):

@@ -214,8 +214,9 @@ def test_criterion_7_oracle_equivalence():
     for inst in cat:
         assert inst.order <= 512
         assert oracles.subspace_members(inst.L.center()) == oracles.brute_center(inst.L)
-        for x in inst.L.enumerate_elements():
-            assert oracles.subspace_members(inst.L.centralizer(x)) == oracles.brute_centralizer(
+        V = inst.L.space
+        for x, ad_x in zip(V.digits, inst.L.ad_rows):
+            assert oracles.mask_members(inst.L, V.solutions(ad_x)) == oracles.brute_centralizer(
                 inst.L, x
             )
     print(

@@ -1,4 +1,4 @@
-"""Row reduction, kernels and canonical subspaces over small fields, on
+"""Row reduction, kernel masks and canonical subspaces over small fields, on
 index-coded vectors of F_q^dim."""
 
 from hypothesis import given, settings, strategies as st
@@ -23,17 +23,6 @@ def coded_matrices(draw):
     return vector_space(f, dim), draw(st.lists(row, max_size=dim + 2))
 
 
-def apply_by_methods(field, rows, vec):
-    """The matrix-vector product with one Field method call per term."""
-    out = []
-    for row in rows:
-        acc = 0
-        for a, x in zip(row, vec):
-            acc = field.add(acc, field.mul(a, x))
-        out.append(acc)
-    return tuple(out)
-
-
 def test_rref_and_rank():
     f2 = field_new(2)
     V = vector_space(f2, 3)
@@ -47,17 +36,6 @@ def test_rref_and_rank():
     assert V.rank([V.code((1, 2)), V.code((0, 1))]) == 2
     # the second row is 2 times the first
     assert V.rank([V.code((1, 2)), V.code((2, 1))]) == 1
-
-
-def test_kernel_basis_members_annihilate():
-    f3 = field_new(3)
-    V = vector_space(f3, 3)
-    rows = [(1, 2, 0), (0, 0, 1)]
-    basis = V.kernel([V.code(r) for r in rows])
-    assert len(basis) == 1
-    for v in basis:
-        y = V.digits[v]
-        assert [sum(a * b for a, b in zip(row, y)) % 3 for row in rows] == [0, 0]
 
 
 def test_subspace_canonical_equality():
@@ -109,33 +87,6 @@ def test_index_coded_rref_and_rank_match_method_call_oracle(case):
     assert (S.basis_matrix, S.pivots) == (tuple(want), want_pivots)
 
 
-@settings(max_examples=300, deadline=None)
-@given(coded_matrices())
-def test_kernel_basis_is_killed_and_has_nullity_rows(case):
-    V, rows = case
-    f = V.field
-    basis = [V.digits[v] for v in V.kernel([V.code(r) for r in rows])]
-    rank = len(oracles.rref_by_methods(f, rows)[0])
-    assert len(basis) == V.dim - rank
-    # independent, and each member is killed by every row
-    assert len(oracles.rref_by_methods(f, basis)[0]) == len(basis)
-    for v in basis:
-        assert apply_by_methods(f, rows, v) == (0,) * len(rows)
-
-
-@settings(max_examples=200, deadline=None)
-@given(coded_matrices())
-def test_span_lists_each_member_once_in_product_order(case):
-    V, rows = case
-    f = V.field
-    basis = oracles.rref_by_methods(f, rows)[0]
-    while f.q ** len(basis) > 729:
-        basis.pop()
-    members = [V.digits[v] for v in V.span([V.code(r) for r in basis])]
-    assert members == oracles.span_by_methods(f, basis, V.dim)
-    assert len(set(members)) == f.q ** len(basis)
-
-
 # every (q, dim) with q^dim <= 4096 over primes up to 7 and the powers of 2
 # and 3 up to 27
 PERP_SHAPES = [
@@ -154,8 +105,23 @@ def test_perp_masks_match_method_call_scan(shape, data):
     V = vector_space(f, dim)
     a = data.draw(st.tuples(*[st.integers(0, q - 1)] * dim))
     c = data.draw(st.integers(1, q - 1))
-    want = oracles.perp_by_methods(f, dim, a)
+    want = oracles.solutions_by_methods(f, dim, [a])
     # a multiple first, so a can be served from its line's entry
     multiple = V.scale[c][V.code(a)]
     assert V.perp(multiple) == want
     assert V.perp(V.code(a)) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PERP_SHAPES), st.data())
+def test_solutions_match_method_call_scan(shape, data):
+    # 0 to 4 rows drawn from at most 3 vectors and their multiples, so zero
+    # rows, repeated rows and rows on one line all occur
+    q, dim = shape
+    f = field_new(q)
+    V = vector_space(f, dim)
+    vector = st.one_of(st.just((0,) * dim), st.tuples(*[st.integers(0, q - 1)] * dim))
+    pool = data.draw(st.lists(vector, min_size=1, max_size=3))
+    picks = st.tuples(st.sampled_from(pool), st.integers(1, q - 1))
+    rows = [tuple(f.mul(c, x) for x in r) for r, c in data.draw(st.lists(picks, max_size=4))]
+    assert V.solutions([V.code(r) for r in rows]) == oracles.solutions_by_methods(f, dim, rows)

@@ -54,17 +54,19 @@ def test_catalog_instances():
 
 
 def test_center_is_computed_once_per_algebra(monkeypatch):
-    # the center is the one subspace liealg builds on this path; build_graph's
-    # centralizer kernels stay index-coded
+    # build_graph reads the center as the algebra's kept mask and builds no
+    # subspace; the instance builds the center's subspace once and keeps it
     calls = []
     real = liealg.Subspace
     monkeypatch.setattr(liealg, "Subspace", lambda *args: calls.append(args) or real(*args))
     L = catalog_entry("heisenberg_f3").algebra()
     build_graph(L)
+    assert calls == []
+    mask = L.center_mask
     inst = Instance("heisenberg_f3", L)
-    assert inst.center is L.center()
-    assert inst.center_order == 3
-    assert len(calls) == 1
+    assert inst.center is inst.center and inst.center == L.center()
+    assert inst.center_order == 3 and L.center_mask is mask
+    assert len(calls) == 2
 
 
 def test_centralizer_orders_match_one_rank_per_vertex():

@@ -12,6 +12,8 @@ lie-ncg compare specs/heisenberg_f2.json specs/l2_f2.json
 lie-ncg compare specs/aff1_f3.json specs/heisenberg_f2.json
 lie-ncg verify --scope enumerate --n 2 --q 3
 lie-ncg analyze specs/heisenberg_f5.json --format json
+lie-ncg validate specs/l2_f2.json
+lie-ncg export specs/split_pairs_f2.json --out graphml
 # must exit 1; keep it last: bash -e ignores a "!" command's status, so only
 # the script's final status catches an unexpected exit 0
 ! lie-ncg verify --scope enumerate --n 1 --q 2

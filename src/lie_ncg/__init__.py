@@ -16,7 +16,6 @@ from .gf import Field, field_new
 from .graphs import Graph, PropertyReport, property_report
 from .iso import canonical_certificate, isomorphism
 from .liealg import AlgebraSpec, LieAlgebra, algebra_from_spec
-from .linalg import Subspace
 from .ncg import NcGraph, build_graph
 from .verifier import (
     TheoremReport,
@@ -41,7 +40,6 @@ __all__ = [
     "NotPrimePower",
     "ParseError",
     "PropertyReport",
-    "Subspace",
     "TheoremReport",
     "UnknownStatement",
     "UnsupportedField",

@@ -40,7 +40,7 @@ def _algebra_facts(L, graph):
         "dim": L.dim,
         "order": L.order,
         "center_order": L.order - graph.n,
-        "derived_dim": L.derived_subalgebra().dim,
+        "derived_dim": len(L.derived_subalgebra()),
         "is_nilpotent": L.is_nilpotent(),
         "centralizer_order_histogram": {str(k): v for k, v in sorted(histogram.items())},
     }

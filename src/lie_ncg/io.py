@@ -40,6 +40,8 @@ def parse_spec_dict(data):
     q, dim, basis, brackets = data["q"], data["dim"], data["basis"], data["brackets"]
     if not _is_int(q) or not _is_int(dim):
         raise ParseError("q and dim must be integers")
+    if dim < 0:
+        raise ParseError(f"dim must not be negative, got {dim}")
     if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
         raise ParseError("basis must be a list of names")
     if not isinstance(brackets, list):

@@ -11,10 +11,13 @@ the nonzero structure terms, built once per algebra.  Kernels code each
 element as its index sum v_i q^i in F_q^dim (``linalg.VectorSpace``,
 reached through ``space`` once the element cap is checked): ``ad_rows[x]``
 holds the rows of ad(x) as indices, tabulated per algebra from the rows of
-each ad(e_k).  ``center_mask`` is the AND of the hyperplane masks of every
-ad(e_k) row, kept per algebra, while ``centralizer_order`` reduces the rows
-of ad(x) to a rank, so the graph's rows and the centralizer orders that
-Lem2.2 compares them with come from different algorithms.
+each ad(e_k).  Subspaces are masks too: ``center_mask`` is the AND of the
+hyperplane masks of every ad(e_k) row, kept per algebra, ``center`` and
+``derived_subalgebra`` read a basis off a mask (``VectorSpace.basis``), and
+``is_nilpotent`` walks the lower central series as ``VectorSpace.span``
+masks.  Only ``centralizer_order`` eliminates, reducing the rows of ad(x) to
+a rank, so the graph's rows and the centralizer orders that Lem2.2 compares
+them with come from different algorithms.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from itertools import combinations
 
 from .errors import CapExceeded, JacobiViolation, LieNcgError
 from .gf import Field, field_new
-from .linalg import Subspace, bits, vector_space
+from .linalg import vector_space
 
 DEFAULT_ELEMENT_CAP = 4096
 _INT = frozenset([int])
@@ -221,34 +224,34 @@ class LieAlgebra:
         return V.solutions([row for w in V.units for row in self.ad_rows[w]])
 
     def center(self):
-        """Z(L) as the ``Subspace`` of the members of ``center_mask``."""
-        return Subspace(self.space, list(bits(self.center_mask)))
+        """A basis of Z(L), read off ``center_mask``, as coordinate tuples."""
+        V = self.space
+        return tuple(V.digits[v] for v in V.basis(self.center_mask))
 
     def derived_subalgebra(self):
+        """A basis of [L, L], the span of the structure constants, as
+        coordinate tuples."""
         V = self.space
-        return Subspace(V, [V.code(c) for c in self.structure.values()])
+        span = V.span([V.code(c) for c in self.structure.values()])
+        return tuple(V.digits[v] for v in V.basis(span))
 
     def is_abelian(self):
         zero = self.zero()
         return all(c == zero for c in self.structure.values())
 
     def is_nilpotent(self):
-        """True iff the lower central series reaches the zero subspace."""
+        """True iff the lower central series L, [L, L], [L, [L, L]], ...,
+        each a mask, reaches the zero subspace (mask 1) before it repeats."""
         V = self.space
-        current = Subspace(V, V.units)
-        for _ in range(self.dim + 1):
-            rows = [
-                V.code(self.bracket(self.basis_vector(i), b))
-                for i in range(self.dim)
-                for b in current.basis_matrix
-            ]
-            nxt = Subspace(V, rows)
-            if nxt.dim == 0:
-                return True
-            if nxt.dim == current.dim:
+        current = V.everything
+        while current != 1:
+            basis = [V.digits[b] for b in V.basis(current)]
+            units = map(self.basis_vector, range(self.dim))
+            nxt = V.span([V.code(self.bracket(e, b)) for e in units for b in basis])
+            if nxt == current:
                 return False
             current = nxt
-        return False
+        return True
 
     # -- elements -----------------------------------------------------------
 

@@ -9,15 +9,16 @@ coordinates and the rest, so
 u + v = ``low[u % split][v % split] + high[u // split][v // split]``, where
 ``split`` = q^half and no table has more than about q * q^dim entries.
 
-A set of vectors is a bitmask over their indices, and every kernel is one:
-``VectorSpace.perp`` gives the hyperplane {y : a . y = 0} of a row a, built
-from the field tables and kept per line of a, and ``VectorSpace.solutions``
-ANDs those of a matrix's rows, so centralizers, the center and the
-enumeration's Jacobi solve need no row reduction; ``bits`` lists a mask's
-members.  ``VectorSpace.rref`` is the one row reduction, for where a rank or
-a row basis is the answer: it eliminates with
-``row = add(row, scale[-b][pivot_row])`` and gives the canonical bases of
-``Subspace``, whose equality is then plain tuple equality.
+A subspace is a bitmask over its members' indices, and every kernel is
+one: ``VectorSpace.perp`` gives the hyperplane {y : a . y = 0} of a row a,
+built from the field tables and kept per line of a, and
+``VectorSpace.solutions`` ANDs those of a matrix's rows, so centralizers, the
+center and the enumeration's Jacobi solve need no row reduction.
+``VectorSpace.basis`` reads at most dim members off a mask, one per last
+nonzero coordinate, and ``VectorSpace.span`` is the solutions of a basis of
+the solutions; ``bits`` lists a mask's members.  ``VectorSpace.rank``, the
+one elimination, is left for Lem2.2's centralizer orders, so those are found
+another way than the graph's rows.
 
 Everything is exact and deterministic.
 """
@@ -93,20 +94,17 @@ class VectorSpace:
         low, high, split = self.low, self.high, self.split
         return [low[u % split][v % split] + high[u // split][v // split] for u in us for v in vs]
 
-    def rref(self, rows):
-        """Reduced row echelon form of index-coded rows, pivoting on the
-        coordinates in increasing order; returns (nonzero rows, pivot
-        coordinates)."""
+    def rank(self, rows):
+        """The rank of index-coded rows, eliminating below each pivot with
+        ``row = add(row, scale[-b][pivot_row])``."""
         digits, scale, add = self.digits, self.scale, self.add
         neg, inv = self.field.neg_table, self.field.inv_table
         mat = [v for v in rows if v]
-        nrows = len(mat)
-        pivots = []
         r = 0
         for c in range(self.dim):
-            if r == nrows:
+            if r == len(mat):
                 break
-            for i in range(r, nrows):
+            for i in range(r, len(mat)):
                 a = digits[mat[i]][c]
                 if a:
                     break
@@ -114,17 +112,12 @@ class VectorSpace:
                 continue
             prow = mat[i] if a == 1 else scale[inv[a]][mat[i]]
             mat[i] = mat[r]
-            mat[r] = prow
-            for k, x in enumerate(mat):
-                b = digits[x][c]
-                if b and k != r:
-                    mat[k] = add(x, scale[neg[b]][prow])
-            pivots.append(c)
             r += 1
-        return mat[:r], pivots
-
-    def rank(self, rows):
-        return len(self.rref(rows)[0])
+            for k in range(r, len(mat)):
+                b = digits[mat[k]][c]
+                if b:
+                    mat[k] = add(mat[k], scale[neg[b]][prow])
+        return r
 
     def perp(self, a):
         """The bitmask, bit y set for every element index y with a . y = 0.
@@ -173,46 +166,26 @@ class VectorSpace:
                 mask &= self.perp(r)
         return mask
 
+    def basis(self, mask):
+        """A basis of the subspace whose members ``mask`` sets: per coordinate
+        c, its least member with last nonzero coordinate c, i.e. with index in
+        [q^c, q^(c+1)).  These are in echelon form, at most dim of them, and
+        depend on the subspace alone."""
+        out = []
+        for lo in self.units:
+            window = mask >> lo & (1 << (self.field.q - 1) * lo) - 1
+            if window:
+                out.append(lo + (window & -window).bit_length() - 1)
+        return out
+
+    def span(self, rows):
+        """The bitmask of the span of index-coded rows: (W^perp)^perp = W for
+        the standard form, so the solutions of a basis of their solutions."""
+        return self.solutions(self.basis(self.solutions(rows)))
+
 
 @cache
 def vector_space(field, dim):
     """The one ``VectorSpace`` of F_q^dim, built on first request."""
     return VectorSpace(field, dim)
 
-
-class Subspace:
-    """A subspace of F_q^dim, held as the reduced index-coded rows and pivot
-    coordinates that ``space.rref`` gives for any spanning set, so two
-    subspaces are equal exactly when their rows are."""
-
-    def __init__(self, space, rows):
-        self.space, self.field, self.ambient_dim = space, space.field, space.dim
-        rows, self.pivots = space.rref(rows)
-        self.rows = tuple(rows)
-
-    @property
-    def basis_matrix(self):
-        """The reduced rows as coordinate tuples."""
-        return tuple(self.space.digits[v] for v in self.rows)
-
-    @property
-    def dim(self):
-        return len(self.rows)
-
-    @property
-    def cardinality(self):
-        return self.field.q ** self.dim
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subspace)
-            and self.field == other.field
-            and self.ambient_dim == other.ambient_dim
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash((self.field.q, self.ambient_dim, self.rows))
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim} of F_{self.field.q}^{self.ambient_dim})"

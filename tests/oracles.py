@@ -4,7 +4,8 @@ Everything here deliberately avoids the code paths it validates: row
 reduction, spans, kernel masks, brackets and ad(x) go through ``Field``
 method calls on coordinate tuples, not the field tables or the index-coded
 vectors the library uses, centralizers and centers are found by scanning
-all elements, non-commuting graphs by
+all elements, [L, L] and the lower central series by reducing
+``bracket_by_methods`` brackets, non-commuting graphs by
 bracketing every pair of vertices, planarity by searching for a forbidden
 subdivision, domination by trying every subset, Lie structures by testing
 the Jacobi identity on every structure tensor, GL(n, q) orbits by applying
@@ -100,9 +101,9 @@ def mask_members(L, mask):
     return {v for k, v in enumerate(elements(L)) if mask >> k & 1}
 
 
-def subspace_members(S):
-    """The set of vectors of the ``Subspace`` S."""
-    return set(span_by_methods(S.field, S.basis_matrix, S.ambient_dim))
+def subspace_members(L, basis):
+    """The set of elements of L spanned by the coordinate tuples ``basis``."""
+    return set(span_by_methods(L.field, basis, L.dim))
 
 
 def bracket_by_methods(L, u, v):
@@ -115,6 +116,29 @@ def bracket_by_methods(L, u, v):
         for k, c in enumerate(cij):
             out[k] = f.add(out[k], f.mul(s, c))
     return tuple(out)
+
+
+def derived_by_methods(L):
+    """The members of [L, L]: the span of every [e_i, e_j], each bracketed
+    with ``bracket_by_methods`` and the set reduced by ``rref_by_methods``."""
+    units = [tuple(int(i == j) for i in range(L.dim)) for j in range(L.dim)]
+    rows = [bracket_by_methods(L, u, v) for u, v in combinations(units, 2)]
+    return subspace_members(L, rref_by_methods(L.field, rows)[0])
+
+
+def nilpotent_by_methods(L):
+    """True iff the lower central series L^1 = L, L^(k+1) = [L, L^k] reaches
+    0, each term reduced by ``rref_by_methods`` from the brackets of the
+    unit vectors with the last term's rows, by ``bracket_by_methods``."""
+    units = [tuple(int(i == j) for i in range(L.dim)) for j in range(L.dim)]
+    current = units
+    while current:
+        rows = [bracket_by_methods(L, u, b) for u in units for b in current]
+        nxt = rref_by_methods(L.field, rows)[0]
+        if len(nxt) == len(current):
+            return False
+        current = nxt
+    return True
 
 
 def transform_by_methods(L, g, ginv):

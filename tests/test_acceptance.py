@@ -213,7 +213,7 @@ def test_criterion_7_oracle_equivalence():
         ), inst.name
     for inst in cat:
         assert inst.order <= 512
-        assert oracles.subspace_members(inst.L.center()) == oracles.brute_center(inst.L)
+        assert oracles.subspace_members(inst.L, inst.L.center()) == oracles.brute_center(inst.L)
         V = inst.L.space
         for x, ad_x in zip(V.digits, inst.L.ad_rows):
             assert oracles.mask_members(inst.L, V.solutions(ad_x)) == oracles.brute_centralizer(

@@ -63,6 +63,8 @@ def test_parse_rejects_malformed_payloads():
     with pytest.raises(ParseError):
         parse_spec_dict({**GOOD, "basis": [1, 2, 3]})
     with pytest.raises(ParseError):
+        parse_spec_dict({**GOOD, "dim": -1})
+    with pytest.raises(ParseError):
         parse_spec_dict({**GOOD, "brackets": [{"left": "x", "right": "y"}]})
     # a list is not a basis name (and is unhashable in the name lookup)
     for side in ("left", "right"):

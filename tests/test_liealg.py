@@ -1,7 +1,8 @@
-"""Lie algebra construction, brackets, subspaces and nilpotency."""
+"""Lie algebra construction, brackets, center, derived algebra and nilpotency."""
 
 import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,9 +17,13 @@ from lie_ncg.errors import (
     UnknownBasisName,
 )
 from lie_ncg.gf import FIELD_CAP, field_new, prime_power_decomposition
+from lie_ncg.io import load_spec
 from lie_ncg.liealg import AlgebraSpec, LieAlgebra, algebra_from_spec
+from lie_ncg.verifier import catalog_instances, enumeration_instances
 
 import oracles
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def heisenberg(q=2):
@@ -58,7 +63,7 @@ def test_jacobi_violation_reported_with_triple():
 def test_empty_bracket_list_is_abelian():
     L = algebra_from_spec(AlgebraSpec(q=2, dim=2, basis=("a", "b"), brackets=()))
     assert L.is_abelian()
-    assert L.center().dim == 2
+    assert len(L.center()) == 2
 
 
 def test_spec_validation_errors():
@@ -166,7 +171,7 @@ def test_centralizer_examples():
 def test_centralizer_and_center_match_brute_force(name):
     L = catalog_entry(name).algebra()
     assert L.order <= 512
-    assert oracles.subspace_members(L.center()) == oracles.brute_center(L)
+    assert oracles.subspace_members(L, L.center()) == oracles.brute_center(L)
     assert oracles.mask_members(L, L.center_mask) == oracles.brute_center(L)
     for x in L.space.digits:
         cent = centralizer_mask(L, x)
@@ -198,11 +203,10 @@ def test_bad_element_is_refused():
 
 def test_center_examples():
     L = heisenberg()
-    z = L.center()
-    assert z.cardinality == 2
-    assert oracles.subspace_members(z) == {(0, 0, 0), (0, 0, 1)}
-    assert cross_product_f2().center().dim == 0
-    assert abelian(3, 2).center().dim == 2
+    assert L.center() == ((0, 0, 1),)
+    assert oracles.subspace_members(L, L.center()) == {(0, 0, 0), (0, 0, 1)}
+    assert cross_product_f2().center() == ()
+    assert abelian(3, 2).center() == ((1, 0), (0, 1))
 
 
 def test_centralizer_contains_center_and_self():
@@ -213,21 +217,20 @@ def test_centralizer_contains_center_and_self():
             cent = centralizer_mask(L, x)
             members = oracles.mask_members(L, cent)
             assert x in members
-            assert all(v in members for v in center.basis_matrix)
+            assert all(v in members for v in center)
             assert L.order % cent.bit_count() == 0
 
 
 def test_derived_subalgebra():
-    assert heisenberg().derived_subalgebra().dim == 1
-    assert heisenberg().derived_subalgebra().basis_matrix == ((0, 0, 1),)
-    assert cross_product_f2().derived_subalgebra().dim == 3
-    assert abelian(2, 2).derived_subalgebra().dim == 0
+    assert heisenberg().derived_subalgebra() == ((0, 0, 1),)
+    assert len(cross_product_f2().derived_subalgebra()) == 3
+    assert abelian(2, 2).derived_subalgebra() == ()
 
 
 def test_ad_matrix_rank_nullity():
     for name in ["heisenberg_f2", "heisenberg_f3", "l2_f2", "cross_product_f2"]:
         L = catalog_entry(name).algebra()
-        d2 = L.derived_subalgebra().dim
+        d2 = len(L.derived_subalgebra())
         for x in L.space.digits:
             rank = len(oracles.rref_by_methods(L.field, oracles.ad_matrix_by_methods(L, x))[0])
             assert centralizer_mask(L, x).bit_count() == L.field.q ** (L.dim - rank)
@@ -241,8 +244,8 @@ def test_ad_matrix_rank_nullity():
 def test_derived_dim_one_forces_corank_one_centralizers():
     for name in ["heisenberg_f2", "heisenberg_f3", "heisenberg_f4", "aff1_f4"]:
         L = catalog_entry(name).algebra()
-        assert L.derived_subalgebra().dim == 1
-        central = oracles.subspace_members(L.center())
+        assert len(L.derived_subalgebra()) == 1
+        central = oracles.subspace_members(L, L.center())
         for x in L.space.digits:
             if x not in central:
                 assert centralizer_mask(L, x).bit_count() == L.order // L.field.q
@@ -253,6 +256,31 @@ def test_is_nilpotent():
     assert not catalog_entry("l2_f2").algebra().is_nilpotent()
     assert abelian(2, 3).is_nilpotent()
     assert not cross_product_f2().is_nilpotent()
+
+
+def test_center_derived_and_nilpotency_match_method_call_oracles():
+    # the 1569-algebra pool of criterion 1 and every spec
+    algebras = [inst.L for inst in catalog_instances()]
+    for n in (2, 3):
+        for q in (2, 3):
+            algebras.extend(inst.L for inst in enumeration_instances(n, q))
+    assert len(algebras) == 1569
+    algebras.extend(algebra_from_spec(load_spec(path)) for path in sorted(SPECS.glob("*.json")))
+    nilpotent = []
+    for L in algebras:
+        for basis, members in (
+            (L.center(), oracles.brute_center(L)),
+            (L.derived_subalgebra(), oracles.derived_by_methods(L)),
+        ):
+            # an echelon basis: one vector per last nonzero coordinate
+            lasts = {max(i for i, c in enumerate(b) if c) for b in basis}
+            assert len(lasts) == len(basis) and len(members) == L.field.q ** len(basis), L
+            assert oracles.subspace_members(L, basis) == members, L
+        nilpotent.append(L.is_nilpotent())
+        assert nilpotent[-1] == oracles.nilpotent_by_methods(L), L
+    # the three catalog Heisenberg algebras and 7 + 26 dim-3 tensors over
+    # F_2 and F_3; the pool holds no abelian tensor
+    assert sum(nilpotent[:1569]) == 36
 
 
 def test_enumerate_elements_order_and_count():

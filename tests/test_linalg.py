@@ -1,10 +1,10 @@
-"""Row reduction, kernel masks and canonical subspaces over small fields, on
+"""Rank, kernel masks, bases and spans over small fields, on
 index-coded vectors of F_q^dim."""
 
 from hypothesis import given, settings, strategies as st
 
 from lie_ncg.gf import FIELD_CAP, field_new, prime_power_decomposition
-from lie_ncg.linalg import Subspace, vector_space
+from lie_ncg.linalg import vector_space
 
 import oracles
 
@@ -23,12 +23,10 @@ def coded_matrices(draw):
     return vector_space(f, dim), draw(st.lists(row, max_size=dim + 2))
 
 
-def test_rref_and_rank():
+def test_rank():
     f2 = field_new(2)
     V = vector_space(f2, 3)
     coded = [V.code(r) for r in [(1, 1, 0), (0, 1, 1), (1, 0, 1)]]
-    rows, pivots = V.rref(coded)
-    assert [V.digits[v] for v in rows] == [(1, 0, 1), (0, 1, 1)] and pivots == [0, 1]
     assert V.rank(coded) == 2
     assert V.rank([0, 0]) == 0 and V.rank([]) == 0
     f3 = field_new(3)
@@ -38,27 +36,25 @@ def test_rref_and_rank():
     assert V.rank([V.code((1, 2)), V.code((2, 1))]) == 1
 
 
-def test_subspace_canonical_equality():
+def test_basis_is_canonical():
     V = vector_space(field_new(2), 3)
-    s1 = Subspace(V, [V.code((1, 1, 0)), V.code((0, 0, 1))])
+    s1 = V.span([V.code((1, 1, 0)), V.code((0, 0, 1))])
     # same span, different spanning set
-    s2 = Subspace(V, [V.code((1, 1, 1)), V.code((0, 0, 1))])
-    assert s1 == s2 and hash(s1) == hash(s2)
-    assert s1.dim == 2 and s1.cardinality == 4
-    assert s1.basis_matrix == ((1, 1, 0), (0, 0, 1)) and s1.pivots == [0, 2]
-    assert s1 != Subspace(V, [V.code((1, 0, 0))])
-    members = oracles.subspace_members(s1)
-    assert len(members) == 4
+    s2 = V.span([V.code((1, 1, 1)), V.code((0, 0, 1)), V.code((1, 1, 1))])
+    assert s1 == s2 and s1.bit_count() == 4
+    # per last nonzero coordinate, the least member
+    assert [V.digits[v] for v in V.basis(s1)] == [(1, 1, 0), (0, 0, 1)]
+    assert s1 != V.span([V.code((1, 0, 0))])
+    members = oracles.mask_members(V, s1)
     assert (1, 1, 1) in members and (1, 0, 0) not in members
 
 
-def test_subspace_zero_and_full():
+def test_basis_of_zero_and_full():
     V = vector_space(field_new(3), 2)
-    z = Subspace(V, [])
-    assert z.dim == 0 and oracles.subspace_members(z) == {(0, 0)}
-    full = Subspace(V, V.units)
-    assert full.dim == 2 and full.cardinality == 9
-    assert (2, 1) in oracles.subspace_members(full)
+    assert V.span([]) == V.span([0, 0]) == 1 and V.basis(1) == []
+    full = V.span(V.units)
+    assert full == V.everything and full.bit_count() == 9
+    assert [V.digits[v] for v in V.basis(full)] == [(1, 0), (0, 1)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -77,14 +73,9 @@ def test_vector_space_tables_match_field_methods(case, data):
 
 @settings(max_examples=300, deadline=None)
 @given(coded_matrices())
-def test_index_coded_rref_and_rank_match_method_call_oracle(case):
+def test_rank_matches_method_call_oracle(case):
     V, rows = case
-    reduced, pivots = V.rref([V.code(r) for r in rows])
-    want, want_pivots = oracles.rref_by_methods(V.field, rows)
-    assert ([V.digits[v] for v in reduced], pivots) == (want, want_pivots)
-    assert V.rank([V.code(r) for r in rows]) == len(want)
-    S = Subspace(V, [V.code(r) for r in rows])
-    assert (S.basis_matrix, S.pivots) == (tuple(want), want_pivots)
+    assert V.rank([V.code(r) for r in rows]) == len(oracles.rref_by_methods(V.field, rows)[0])
 
 
 # every (q, dim) with q^dim <= 4096 over primes up to 7 and the powers of 2
@@ -112,16 +103,41 @@ def test_perp_masks_match_method_call_scan(shape, data):
     assert V.perp(V.code(a)) == want
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(PERP_SHAPES), st.data())
-def test_solutions_match_method_call_scan(shape, data):
-    # 0 to 4 rows drawn from at most 3 vectors and their multiples, so zero
-    # rows, repeated rows and rows on one line all occur
-    q, dim = shape
+@st.composite
+def shaped_rows(draw):
+    """(space, rows): F_q^dim for a shape of PERP_SHAPES and 0 to 4 rows
+    drawn from at most 3 vectors and their multiples, so zero rows, repeated
+    rows and rows on one line all occur."""
+    q, dim = draw(st.sampled_from(PERP_SHAPES))
     f = field_new(q)
-    V = vector_space(f, dim)
     vector = st.one_of(st.just((0,) * dim), st.tuples(*[st.integers(0, q - 1)] * dim))
-    pool = data.draw(st.lists(vector, min_size=1, max_size=3))
+    pool = draw(st.lists(vector, min_size=1, max_size=3))
     picks = st.tuples(st.sampled_from(pool), st.integers(1, q - 1))
-    rows = [tuple(f.mul(c, x) for x in r) for r, c in data.draw(st.lists(picks, max_size=4))]
-    assert V.solutions([V.code(r) for r in rows]) == oracles.solutions_by_methods(f, dim, rows)
+    rows = [tuple(f.mul(c, x) for x in r) for r, c in draw(st.lists(picks, max_size=4))]
+    return vector_space(f, dim), rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(shaped_rows())
+def test_solutions_match_method_call_scan(case):
+    V, rows = case
+    assert V.solutions([V.code(r) for r in rows]) == oracles.solutions_by_methods(
+        V.field, V.dim, rows
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(shaped_rows())
+def test_basis_span_and_rank_match_method_call_oracles(case):
+    V, rows = case
+    coded = [V.code(r) for r in rows]
+    reduced = oracles.rref_by_methods(V.field, rows)[0]
+    assert V.rank(coded) == len(reduced)
+    # the basis of a mask spans exactly its members, one per last nonzero
+    # coordinate
+    mask = V.solutions(coded)
+    basis = [V.digits[v] for v in V.basis(mask)]
+    assert oracles.subspace_members(V, basis) == oracles.mask_members(V, mask)
+    assert len(basis) == V.dim - len(reduced)
+    assert len({max(i for i, c in enumerate(b) if c) for b in basis}) == len(basis)
+    assert oracles.mask_members(V, V.span(coded)) == oracles.subspace_members(V, reduced)

@@ -4,12 +4,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from lie_ncg import liealg
 from lie_ncg.catalog import catalog_entry
 from lie_ncg.errors import UnknownStatement
 from lie_ncg.gf import field_new
 from lie_ncg.graphs import Graph
 from lie_ncg.liealg import LieAlgebra
+from lie_ncg.linalg import VectorSpace
 from lie_ncg.ncg import build_graph
 from lie_ncg.refgraphs import FIGURE_IDS, figure_graph
 from lie_ncg.verifier import (
@@ -54,19 +54,19 @@ def test_catalog_instances():
 
 
 def test_center_is_computed_once_per_algebra(monkeypatch):
-    # build_graph reads the center as the algebra's kept mask and builds no
-    # subspace; the instance builds the center's subspace once and keeps it
+    # build_graph reads the center as the algebra's kept mask and reads no
+    # basis off it; the instance reads the center's basis once and keeps it
     calls = []
-    real = liealg.Subspace
-    monkeypatch.setattr(liealg, "Subspace", lambda *args: calls.append(args) or real(*args))
+    real = VectorSpace.basis
+    monkeypatch.setattr(VectorSpace, "basis", lambda V, mask: calls.append(mask) or real(V, mask))
     L = catalog_entry("heisenberg_f3").algebra()
     build_graph(L)
     assert calls == []
     mask = L.center_mask
     inst = Instance("heisenberg_f3", L)
-    assert inst.center is inst.center and inst.center == L.center()
+    assert inst.center is inst.center and inst.center == L.center() == ((0, 0, 1),)
     assert inst.center_order == 3 and L.center_mask is mask
-    assert len(calls) == 2
+    assert calls == [mask, mask]
 
 
 def test_centralizer_orders_match_one_rank_per_vertex():
@@ -125,9 +125,8 @@ def test_failure_is_recorded_for_a_star_shaped_counterexample():
     )
     report = check_statement("Cor2.11", [fake])
     assert report.status == "fail"
-    # a star is also a tree; either wording is a correct rejection
-    assert report.failures[0][0] == "star-control"
-    assert report.failures[0][1] in ("graph is a tree", "graph is a star")
+    # a star K_{1,m} is a tree: connected, with m edges on m + 1 vertices
+    assert report.failures == [("star-control", "graph is a tree")]
 
 
 def test_undecided_graph_fails_its_statements_instead_of_raising():

@@ -175,9 +175,10 @@ def build_parser():
 
 
 def main(argv=None):
-    """Run one command.  Every LieNcgError or OSError ends as one error line,
-    JSON on stdout under ``format`` "json" and text on stderr otherwise, and
-    exit code 1.  A reader that closes stdout early ends the run with exit
+    """Run one command.  Every LieNcgError, OSError or UnicodeEncodeError (a
+    label stdout's encoding cannot write) ends as one error line, JSON on
+    stdout under ``format`` "json" and text on stderr otherwise, and exit
+    code 1.  A reader that closes stdout early ends the run with exit
     code 1 and no output."""
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -195,7 +196,7 @@ def main(argv=None):
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (LieNcgError, OSError) as exc:
+    except (LieNcgError, OSError, UnicodeEncodeError) as exc:
         if args.format == "json":
             print(json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True))
         else:

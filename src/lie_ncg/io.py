@@ -13,7 +13,6 @@ import json
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from xml.sax.saxutils import escape
 
 from .errors import ParseError
 from .liealg import AlgebraSpec
@@ -113,7 +112,8 @@ def export_dot(g):
 
 
 def export_graphml(g):
-    names = [escape(label, {'"': "&quot;"}) for label in g.labels]
+    refs = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+    names = [label.translate(refs) for label in g.labels]
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',

@@ -226,6 +226,8 @@ def _canonical(g):
         return cached
     parts = g.multipartite_parts
     if parts is None:
+        if g.n > ISO_CAP:
+            raise CapExceeded(f"canonical search capped at {ISO_CAP} vertices")
         code, order = _search_order(g)
         codes = map(str, code)
     else:
@@ -241,15 +243,8 @@ def _canonical(g):
     return result
 
 
-def _check_cap(g, what):
-    """Raise CapExceeded when g needs the search and is over ISO_CAP vertices."""
-    if g.n > ISO_CAP and g.multipartite_parts is None:
-        raise CapExceeded(f"{what} capped at {ISO_CAP} vertices")
-
-
 def canonical_certificate(g):
     """Canonical byte-string form of a graph; equality iff isomorphism."""
-    _check_cap(g, "canonical form")
     return _canonical(g)[0]
 
 
@@ -257,10 +252,10 @@ def isomorphism(g1, g2):
     """A vertex bijection preserving adjacency, or None.
 
     Screens on vertex count and degree sequence, then compares canonical
-    certificates; the witness composes the two canonical labelings.
+    certificates; the witness composes the two canonical labelings.  So a
+    pair the screen separates is answered at any size, and only a pair that
+    needs the search is refused over ISO_CAP vertices.
     """
-    _check_cap(g1, "isomorphism search")
-    _check_cap(g2, "isomorphism search")
     if g1.n != g2.n or sorted(g1.degrees()) != sorted(g2.degrees()):
         return None
     cert1, order1 = _canonical(g1)

@@ -5,19 +5,20 @@ chosen basis).  Structure constants are stored only for basis pairs ``i < j``;
 the bracket of equal basis elements is zero and the ``i > j`` case is the
 negation, so antisymmetry holds by construction rather than by validation.
 
-``bracket`` and ``jacobi_sum`` read the field's tables (``Field.add_table``
-and friends), not a ``Field`` method per coefficient, and ``bracket`` walks
-the nonzero structure terms, built once per algebra.  Kernels code each
-element as its index sum v_i q^i in F_q^dim (``linalg.VectorSpace``,
-reached through ``space`` once the element cap is checked): ``ad_rows[x]``
-holds the rows of ad(x) as indices, tabulated per algebra from the rows of
-each ad(e_k).  Subspaces are masks too: ``center_mask`` is the AND of the
-hyperplane masks of every ad(e_k) row, kept per algebra, ``center`` and
-``derived_subalgebra`` read a basis off a mask (``VectorSpace.basis``), and
-``is_nilpotent`` walks the lower central series as ``VectorSpace.span``
-masks.  Only ``centralizer_order`` eliminates, reducing the rows of ad(x) to
-a rank, so the graph's rows and the centralizer orders that Lem2.2 compares
-them with come from different algorithms.
+``bracket`` reads the field's tables (``Field.add_table`` and friends), not
+a ``Field`` method per coefficient, and walks the nonzero structure terms,
+built once per algebra; ``jacobi_failure`` and ``is_nilpotent`` bracket
+through its unchecked core ``_bracket``.  Kernels code each element as its
+index sum v_i q^i in F_q^dim (``linalg.VectorSpace``, reached through
+``space`` once the element cap is checked): ``ad_rows[x]`` holds the rows of
+ad(x) as indices, tabulated per algebra from the rows of each ad(e_k).
+Subspaces are masks too: ``center_mask`` is the AND of the hyperplane masks
+of every ad(e_k) row, kept per algebra, ``center`` and ``derived_subalgebra``
+read a basis off a mask (``VectorSpace.basis``), and ``is_nilpotent`` walks
+the lower central series as ``VectorSpace.span`` masks.  Only
+``centralizer_order`` eliminates, reducing the rows of ad(x) to a rank, so
+the graph's rows and the centralizer orders that Lem2.2 compares them with
+come from different algorithms.
 """
 
 from __future__ import annotations
@@ -59,34 +60,6 @@ def check_element_cap(order):
     cap = element_cap()
     if order > cap:
         raise CapExceeded(f"q^dim = {order} exceeds the element cap {cap}")
-
-
-def jacobi_sum(field, structure, i, j, k):
-    """[e_i, [e_j, e_k]] + [e_k, [e_i, e_j]] + [e_j, [e_k, e_i]] for the
-    structure constants ``structure``, which maps every basis pair a < b to
-    the coefficient tuple of [e_a, e_b]; the Jacobi identity holds on the
-    triple iff this is zero.
-
-    [e_a, w] is the sum of w_m [e_a, e_m] over the nonzero w_m, with
-    [e_a, e_m] = -[e_m, e_a] for a > m, read from the field tables.
-    """
-    add, mul, neg = field.add_table, field.mul_table, field.neg_table
-
-    def basis_bracket(a, b):
-        """[e_a, e_b] as (c_ab or c_ba, the sign map x -> +-x)."""
-        return (structure[a, b], mul[1]) if a < b else (structure[b, a], neg)
-
-    out = [0] * len(structure[min(i, j), max(i, j)])
-    for a, (b, c) in ((i, (j, k)), (k, (i, j)), (j, (k, i))):
-        w, sign_w = basis_bracket(b, c)
-        for m, wm in enumerate(w):
-            if wm and m != a:
-                col, sign_col = basis_bracket(a, m)
-                f = mul[sign_w[sign_col[wm]]]
-                for r, x in enumerate(col):
-                    if x:
-                        out[r] = add[out[r]][f[x]]
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -157,6 +130,10 @@ class LieAlgebra:
         """Bilinear extension of the structure constants to arbitrary elements."""
         self._check_element(u)
         self._check_element(v)
+        return self._bracket(u, v)
+
+    def _bracket(self, u, v):
+        """``bracket`` without the element checks."""
         add, mul, neg = self.field.add_table, self.field.mul_table, self.field.neg_table
         out = [0] * self.dim
         for i, j, terms in self._terms:
@@ -170,11 +147,16 @@ class LieAlgebra:
 
     def jacobi_failure(self):
         """The first basis triple ``(i, j, k)`` on which the Jacobi identity
-        fails, or None when it holds everywhere."""
-        zero = self.zero()
-        for triple in combinations(range(self.dim), 3):
-            if jacobi_sum(self.field, self.structure, *triple) != zero:
-                return triple
+        fails, or None when it holds everywhere.  With c_ab = [e_a, e_b], a
+        triple's Jacobi sum is [e_i, c_jk] + [e_k, c_ij] + [c_ik, e_j], the
+        last term being [e_j, [e_k, e_i]] by antisymmetry."""
+        add, c = self.field.add_table, self.structure
+        e = [self.basis_vector(i) for i in range(self.dim)]
+        for i, j, k in combinations(range(self.dim), 3):
+            terms = zip(self._bracket(e[i], c[j, k]), self._bracket(e[k], c[i, j]),
+                        self._bracket(c[i, k], e[j]))
+            if any(add[add[x][y]][z] for x, y, z in terms):
+                return i, j, k
         return None
 
     # -- derived structure --------------------------------------------------
@@ -247,7 +229,7 @@ class LieAlgebra:
         while current != 1:
             basis = [V.digits[b] for b in V.basis(current)]
             units = map(self.basis_vector, range(self.dim))
-            nxt = V.span([V.code(self.bracket(e, b)) for e in units for b in basis])
+            nxt = V.span([V.code(self._bracket(e, b)) for e in units for b in basis])
             if nxt == current:
                 return False
             current = nxt

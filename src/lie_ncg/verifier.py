@@ -407,40 +407,27 @@ def check_all_statements(instances, statement_ids=None):
 
 
 def check_figures():
-    """Reproduce the reference drawings from enumeration over F_2, dim 3."""
+    """Reproduce the reference drawings from enumeration over F_2, dim 3:
+    Lem3.1, Prop3.2-3.4 and Thm3.5 over its instances, each figure realized
+    by the instances its proposition is not vacuous on, then two reference
+    checks: the octahedra F3 and F5 agree, and F2 is K_7."""
     report = TheoremReport(
         statement_id="Figures",
         quote="the transcribed reference graphs are reproduced by enumeration",
     )
     instances = enumeration_instances(3, 2)
-    found = {"F1": 0, "F2": 0, "F3": 0}
-    for inst in instances:
-        key = (inst.dim_derived, inst.dim_center)
-        report.instances_checked += 1
-        if key == (1, 0):
-            report.failures.append((inst.name, "derived dim 1 with trivial center exists"))
-        elif key == (2, 0):
-            found["F1"] += 1
-            if not _MATCH_F1(inst.graph):
-                report.failures.append((inst.name, "expected the F1 graph"))
-        elif key == (3, 0):
-            found["F2"] += 1
-            if not _MATCH_F2(inst.graph):
-                report.failures.append((inst.name, "expected K_7"))
-        elif key == (1, 1):
-            found["F3"] += 1
-            if not _MATCH_F3(inst.graph):
-                report.failures.append((inst.name, "expected the F3 graph"))
-        else:
-            report.failures.append((inst.name, f"unexpected shape {key}"))
-    for fig, count in sorted(found.items()):
-        if count == 0:
-            report.failures.append((fig, "no algebra realizes this reference graph"))
-        report.notes.append(f"{fig}: realized by {count} structure tensors")
-    report.instances_checked += 1
+    report.instances_checked = len(instances) + 2
+    figures = {"Prop3.2": "F1", "Prop3.3": "F2", "Prop3.4": "F3"}
+    for sub in check_all_statements(instances, ["Lem3.1", *figures, "Thm3.5"]):
+        report.failures += [(name, f"{sub.statement_id}: {why}") for name, why in sub.failures]
+        fig = figures.get(sub.statement_id)
+        if fig:
+            count = sub.instances_checked - sub.vacuous_count
+            if count == 0:
+                report.failures.append((fig, "no algebra realizes this reference graph"))
+            report.notes.append(f"{fig}: realized by {count} structure tensors")
     if not _MATCH_F5(figure_graph("F3")):
         report.failures.append(("F3/F5", "the two octahedron drawings are not isomorphic"))
-    report.instances_checked += 1
     if canonical_certificate(figure_graph("F2")) != canonical_certificate(graphs.Graph.complete(7)):
         report.failures.append(("F2", "reference graph is not K_7"))
     return report

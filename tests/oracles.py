@@ -197,10 +197,10 @@ def graph_by_brackets(L):
     return NcGraph(n, rows, vertices, L)
 
 
-def _jacobi_holds_by_methods(field, n, table):
-    """The Jacobi identity on every basis triple of the structure ``table``
-    ((a, b) -> [e_a, e_b] for a < b), with one ``Field`` method call per
-    coefficient."""
+def jacobi_failure_by_methods(field, n, table):
+    """The first basis triple (i, j, k), in ``combinations`` order, on which
+    the Jacobi identity of the structure ``table`` ((a, b) -> [e_a, e_b] for
+    a < b) fails, or None; with one ``Field`` method call per coefficient."""
 
     def bracket_basis(a, b):
         if a == b:
@@ -222,8 +222,8 @@ def _jacobi_holds_by_methods(field, n, table):
         for a, (b, c) in ((i, (j, k)), (k, (i, j)), (j, (k, i))):
             acc = [field.add(x, y) for x, y in zip(acc, bracket_with(a, bracket_basis(b, c)))]
         if any(acc):
-            return False
-    return True
+            return i, j, k
+    return None
 
 
 def jacobi_tensors_by_filter(n, field):
@@ -234,7 +234,7 @@ def jacobi_tensors_by_filter(n, field):
     vectors = list(product(field.elements(), repeat=n))
     for assignment in product(vectors, repeat=len(pairs)):
         table = dict(zip(pairs, assignment))
-        if _jacobi_holds_by_methods(field, n, table):
+        if jacobi_failure_by_methods(field, n, table) is None:
             yield LieAlgebra(field, n, table, validate=False)
 
 

@@ -260,6 +260,35 @@ def test_ambiguous_basis_name_is_a_one_line_error(capsys, tmp_path, name):
     assert err.startswith("UnknownBasisName: ") and err.count("\n") == 1
 
 
+def test_iso_cap_applies_only_past_the_screen(capsys, tmp_path):
+    # aff1 + aff1 over F_3: 80 vertices, not complete multipartite, so past
+    # ISO_CAP; a 6-vertex graph is told apart by the screen, while the
+    # graph against itself needs the canonical search
+    brackets = [
+        {"left": "a", "right": "b", "value": {"a": 1}},
+        {"left": "c", "right": "d", "value": {"c": 1}},
+    ]
+    spec = _spec_file(tmp_path, q=3, dim=4, basis=list("abcd"), brackets=brackets)
+    code, out, _ = run(capsys, "compare", spec, f"{SPECS}/heisenberg_f2.json")
+    assert code == 0 and json.loads(out)["isomorphic"] is False
+    code, out, _ = run(capsys, "compare", spec, spec)
+    assert code == 1 and json.loads(out)["error"] == "CapExceeded"
+
+
+@pytest.mark.parametrize("out", ["dot", "graphml"])
+def test_label_that_stdout_cannot_encode_is_a_one_line_error(tmp_path, out):
+    bracket = {"left": "\u03b1", "right": "y", "value": {"\u03b1": 1}}
+    spec = _spec_file(tmp_path, basis=["\u03b1", "y"], brackets=[bracket])
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONIOENCODING": "ascii", "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "lie_ncg.cli", "export", spec, "--out", out],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.startswith("UnicodeEncodeError: ") and proc.stderr.count("\n") == 1
+
+
 class _ClosedPipe:
     """A stdout whose reader has gone: every write and flush raises."""
 

@@ -30,9 +30,9 @@ from lie_ncg.liealg import LieAlgebra
 from lie_ncg.ncg import build_graph
 
 from oracles import (
-    _jacobi_holds_by_methods,
     full_gl_orbits,
     gl_matrices,
+    jacobi_failure_by_methods,
     jacobi_tensors_by_filter,
     mat_inv,
     transform_by_methods,
@@ -90,7 +90,7 @@ def test_structure_tensors_dim3_f4_match_filter_per_c01():
         want = [
             (c01, c02, c12)
             for c02, c12 in product(vectors, repeat=2)
-            if _jacobi_holds_by_methods(f, 3, {(0, 1): c01, (0, 2): c02, (1, 2): c12})
+            if jacobi_failure_by_methods(f, 3, {(0, 1): c01, (0, 2): c02, (1, 2): c12}) is None
         ]
         assert [t for t in tensors if t[0] == c01] == want
 
@@ -107,7 +107,7 @@ def test_c12_solutions_match_jacobi_filter_hypothesis(q, data):
     want = [
         c12
         for c12 in product(f.elements(), repeat=3)
-        if _jacobi_holds_by_methods(f, 3, {(0, 1): c01, (0, 2): c02, (1, 2): c12})
+        if jacobi_failure_by_methods(f, 3, {(0, 1): c01, (0, 2): c02, (1, 2): c12}) is None
     ]
     assert _c12_solutions(f, c01, c02) == want
 

@@ -1,7 +1,10 @@
 """Spec parsing and deterministic graph exports."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -167,9 +170,11 @@ def _random_graphs():
 def test_exports_match_the_sorting_oracle():
     algebras = [algebra_from_spec(load_spec(path)) for path in sorted(SPECS.glob("*.json"))]
     algebras += [entry.algebra() for entry in builtin_catalog()]
+    # the large families, and one with basis names that GraphML escapes
+    families = LARGE_FAMILIES + [(3, ("a&b", "<x>", "y>"), (("a&b", "<x>", {"y>": 1}),))]
     algebras += [
         algebra_from_spec(AlgebraSpec(q=q, dim=len(basis), basis=tuple(basis), brackets=brackets))
-        for q, basis, brackets in LARGE_FAMILIES
+        for q, basis, brackets in families
     ]
     graphs = [build_graph(L) for L in algebras] + _random_graphs()
     assert any(g.n == 0 for g in graphs) and any(g.n > 200 for g in graphs)
@@ -179,3 +184,19 @@ def test_exports_match_the_sorting_oracle():
         assert export_dot(g) == dot_by_sorting(g)
         assert export_graphml(g) == graphml_by_sorting(g)
         assert export_json(g) == json_by_sorting(g)
+
+
+def test_cli_import_loads_no_network_modules():
+    # xml.sax.saxutils, once used to escape GraphML, imports urllib.request,
+    # which imports http.client and email
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        "import sys, lie_ncg.cli; "
+        "print(sorted({'urllib.request', 'http.client', 'email', 'xml.sax'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

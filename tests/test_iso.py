@@ -292,15 +292,16 @@ def test_empty_and_tiny_graphs():
 
 def test_caps():
     # the cap applies to the search, so a graph over it that is not complete
-    # multipartite is refused
+    # multipartite is refused, unless the degree screen answers the pair
     big = cycle(65)
     assert big.multipartite_parts is None
     with pytest.raises(CapExceeded):
         canonical_certificate(big)
     with pytest.raises(CapExceeded):
         isomorphism(big, big)
+    assert isomorphism(Graph(65, [0] * 65), big) is None
     with pytest.raises(CapExceeded):
-        isomorphism(Graph(65, [0] * 65), big)
+        isomorphism(big, relabel(big, random.Random(65).sample(range(65), 65)))
 
 
 def test_complete_multipartite_graphs_over_the_cap_are_labeled():

@@ -133,6 +133,19 @@ def test_basis_jacobi_implies_elementwise_jacobi():
             assert acc == L.zero()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 5), st.sampled_from([2, 3, 4, 5, 7, 8, 9]), st.data())
+def test_jacobi_failure_matches_method_call_oracle(n, q, data):
+    # sparse structure constants, so the identity holds on some tensors and
+    # fails first on a later triple on others
+    f = field_new(q)
+    coefficient = st.one_of(st.just(0), st.integers(0, q - 1))
+    vector = st.one_of(st.just((0,) * n), st.tuples(*[coefficient] * n))
+    table = {pair: data.draw(vector) for pair in combinations(range(n), 2)}
+    L = LieAlgebra(f, n, table, validate=False)
+    assert L.jacobi_failure() == oracles.jacobi_failure_by_methods(f, n, table)
+
+
 def centralizer_mask(L, x):
     """C(x) as the mask of the solutions of the rows of ad(x)."""
     V = L.space

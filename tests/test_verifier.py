@@ -1,9 +1,11 @@
 """Statement registry, figure reproduction and isomorphism consequences."""
 
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
+from lie_ncg import verifier
 from lie_ncg.catalog import catalog_entry
 from lie_ncg.errors import UnknownStatement
 from lie_ncg.gf import field_new
@@ -161,6 +163,17 @@ def test_figures_are_reproduced_by_enumeration():
     assert "F1: realized by 42 structure tensors" in notes
     assert "F2: realized by 28 structure tensors" in notes
     assert "F3: realized by 49 structure tensors" in notes
+
+
+def test_figures_fail_with_the_proposition_failures(monkeypatch):
+    # the figure counts and failures are Prop3.2-3.4's, so an F1 reference
+    # that matches nothing fails Prop3.2, and Thm3.5, on each F1 instance
+    monkeypatch.setattr(verifier, "_MATCH_F1", lambda g: False)
+    report = check_figures()
+    assert report.status == "fail" and report.instances_checked == 119 + 2
+    failed = Counter(detail.partition(":")[0] for _, detail in report.failures)
+    assert failed == {"Prop3.2": 42, "Thm3.5": 42}
+    assert "F1: realized by 42 structure tensors" in report.notes
 
 
 def test_figure_graphs_basic_shapes():

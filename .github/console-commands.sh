@@ -1,5 +1,18 @@
 # The console entry point on every command; run with `bash -e` from the
 # repository root after installing the package.
+
+# Runs a command that must be refused: exit status 1 and exactly one line of
+# output.  A traceback also exits 1, so the status alone cannot tell a crash
+# from a refusal.
+refused() {
+  local out status=0
+  out=$("$@" 2>&1) || status=$?
+  if [ "$status" -ne 1 ] || [ -z "$out" ] || [ "$(printf '%s\n' "$out" | wc -l)" -ne 1 ]; then
+    printf 'expected a one-line refusal (exit %s) from: %s\n%s\n' "$status" "$*" "$out" >&2
+    return 1
+  fi
+}
+
 lie-ncg verify
 lie-ncg verify --scope enumerate --n 3 --q 3
 lie-ncg enumerate --n 3 --q 2 --q 3
@@ -14,6 +27,10 @@ lie-ncg verify --scope enumerate --n 2 --q 3
 lie-ncg analyze specs/heisenberg_f5.json --format json
 lie-ncg validate specs/l2_f2.json
 lie-ncg export specs/split_pairs_f2.json --out graphml
-# must exit 1; keep it last: bash -e ignores a "!" command's status, so only
-# the script's final status catches an unexpected exit 0
-! lie-ncg verify --scope enumerate --n 1 --q 2
+refused lie-ncg verify --scope enumerate --n 1 --q 2
+# q has 5000 digits, past the interpreter's int-string digit limit
+spec=$(mktemp)
+printf '{"q": %s, "dim": 1, "basis": ["x"], "brackets": []}\n' \
+  "$(head -c 5000 /dev/zero | tr '\0' 7)" > "$spec"
+refused lie-ncg validate "$spec"
+rm -f "$spec"

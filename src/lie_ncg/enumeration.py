@@ -6,7 +6,8 @@ identity on basis triples.  For n <= 2 there is no triple, so every tensor is
 a Lie structure.  For n = 3 there is one triple, and with c_01 and c_02 fixed
 its Jacobi sum is affine in c_12, so each of the q^6 pairs (c_01, c_02) gives
 its structures as an AND of three hyperplane masks on F_q^4, not by testing
-q^3 candidates.
+q^3 candidates.  That solve is the Jacobi check, so the algebras are built
+with ``validate=False``.
 Deduplication reduces modulo the GL(n, q) basis-change action
 T -> g^-1 T(g., g.), which is linear in T.  ``_LinearAction`` turns each
 generator of GL(n, q) (the transvections I + E_ij and the matrices
@@ -92,7 +93,7 @@ def jacobi_tensors(n, field):
     _check_scope(n, field)
     pairs = list(combinations(range(n), 2))
     for tensor in _structure_tensors(n, field):
-        yield LieAlgebra(field, n, dict(zip(pairs, tensor)))
+        yield LieAlgebra(field, n, dict(zip(pairs, tensor)), validate=False)
 
 
 def _gl_generators(n, field):
@@ -255,5 +256,6 @@ def orbit_partition(n, field):
             continue
         orbit = action.orbit(key)
         seen |= orbit
-        orbits.append((LieAlgebra(field, n, dict(zip(pairs, tensor))), len(orbit)))
+        orbits.append((LieAlgebra(field, n, dict(zip(pairs, tensor)), validate=False),
+                       len(orbit)))
     return orbits

@@ -7,17 +7,18 @@ checked on the graph, which every non-commuting graph has: a triangle (x, y
 and x + y for [x, y] != 0), and a complete multipartite shape or more than
 3n - 6 edges.  A graph without them raises ``Undecided``.
 ``Graph.multipartite_parts`` recognizes that shape from the rows alone, once
-per graph, and the invariants answer from the parts: ``connectivity``,
+per graph, and the invariants answer from the parts: ``Graph.diameter``,
 ``is_planar`` and ``is_outerplanar`` by closed forms in the part sizes,
 ``is_hamiltonian`` without a search, ``is_complete_bipartite`` by counting
 parts, and the canonical labeling in ``iso`` by ordering them.
 
-Every traversal runs on the rows through one breadth-first helper,
-``_bfs_layers``: each layer is a bitmask, and the next one is the OR of the
-current layer's rows minus the vertices already seen.  It gives the diameter
-of any other graph (one search per distinct row: vertices with equal rows
-have equal eccentricity) and the single-source connectedness test behind
-``is_eulerian`` and ``hamiltonian_cycle``.
+``Graph.diameter``, also once per graph, is the one place connectedness is
+decided: ``connectivity``, ``is_eulerian`` and ``hamiltonian_cycle`` read
+it, and it is inf when the graph is disconnected.  Every traversal runs on
+the rows through one breadth-first helper, ``_bfs_layers``: each layer is a
+bitmask, and the next one is the OR of the current layer's rows minus the
+vertices already seen.  A graph that is not complete multipartite takes one
+search per distinct row (vertices with equal rows have equal eccentricity).
 """
 
 from __future__ import annotations
@@ -83,6 +84,32 @@ class Graph:
             return None
         return list(parts.values())
 
+    @cached_property
+    def diameter(self):
+        """The largest distance between two vertices, inf when the graph is
+        disconnected; the graph must be nonempty.
+
+        A complete multipartite graph with one part has no edges; with two or
+        more it is connected, and two vertices of one part are at distance 2
+        through any vertex of another, so the diameter is 1 when every part
+        is a single vertex and 2 otherwise.  Any other graph takes one search
+        per distinct row: vertices with equal rows are non-adjacent twins,
+        with equal eccentricities.
+        """
+        parts = self.multipartite_parts
+        if parts is not None:
+            if len(parts) == 1:
+                return 0 if self.n == 1 else INF
+            return 1 if len(parts) == self.n else 2
+        full = (1 << self.n) - 1
+        diameter = 0
+        for source in {row: s for s, row in enumerate(self.rows)}.values():
+            layers = list(_bfs_layers(self.rows, source))
+            if sum(layers) != full:  # the layers are disjoint
+                return INF
+            diameter = max(diameter, len(layers) - 1)
+        return diameter
+
     def degrees(self):
         return [r.bit_count() for r in self.rows]
 
@@ -125,36 +152,11 @@ def _bfs_layers(rows, source):
         seen |= frontier
 
 
-def _is_connected(g):
-    """Single-source connectedness test; the graph must be nonempty."""
-    reached = 0
-    for layer in _bfs_layers(g.rows, 0):
-        reached |= layer
-    return reached == (1 << g.n) - 1
-
-
 def connectivity(g):
-    """(is_connected, diameter); diameter is inf when disconnected.
-
-    A complete multipartite graph with one part has no edges; with two or
-    more it is connected, and two vertices of one part are at distance 2
-    through any vertex of another, so the diameter is 1 when every part is
-    a single vertex and 2 otherwise.  Any other graph takes one search per
-    distinct row: vertices with equal rows are non-adjacent twins, with equal
-    eccentricities.
-    """
+    """(is_connected, diameter), read from ``Graph.diameter``."""
     if g.n == 0:
         raise EmptyGraph("connectivity of the empty graph is undefined")
-    parts = g.multipartite_parts
-    if parts is not None:
-        if len(parts) == 1:
-            return (True, 0) if g.n == 1 else (False, INF)
-        return True, 1 if len(parts) == g.n else 2
-    if not _is_connected(g):
-        return False, INF
-    # every source reaches every vertex; its eccentricity is its layer count - 1
-    sources = {row: s for s, row in enumerate(g.rows)}.values()
-    return True, max(sum(1 for _ in _bfs_layers(g.rows, s)) - 1 for s in sources)
+    return g.diameter != INF, g.diameter
 
 
 def girth(g):
@@ -185,9 +187,7 @@ def is_complete(g):
 
 
 def is_eulerian(g):
-    if g.n == 0:
-        return False
-    return _is_connected(g) and all(d % 2 == 0 for d in g.degrees())
+    return g.n > 0 and all(d % 2 == 0 for d in g.degrees()) and g.diameter != INF
 
 
 def is_complete_bipartite(g):
@@ -204,11 +204,7 @@ def hamiltonian_cycle(g):
     n = g.n
     if n > HAMILTON_EXACT_CAP:
         raise CapExceeded(f"exact Hamiltonian search capped at {HAMILTON_EXACT_CAP} vertices")
-    if n < 3:
-        return None
-    if min(g.degrees()) < 2:
-        return None
-    if not _is_connected(g):
+    if n < 3 or min(g.degrees()) < 2 or g.diameter == INF:
         return None
     path = [0]
     visited = 1

@@ -61,12 +61,14 @@ def parse_spec_dict(data):
 
 
 def load_spec(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             data = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        # RecursionError: arrays or objects nested past the interpreter's depth
-        raise ParseError(f"invalid JSON: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
+            # ValueError: JSONDecodeError, UnicodeDecodeError, or an integer
+            # literal past the interpreter's int-string digit limit;
+            # RecursionError: arrays or objects nested past its depth
+            raise ParseError(f"invalid JSON: {exc}") from exc
     return parse_spec_dict(data)
 
 

@@ -255,7 +255,8 @@ def algebra_from_spec(spec):
     """Build and validate a LieAlgebra from an AlgebraSpec.
 
     Basis names must be nonempty, must not start with a digit and must not
-    contain ``+``, ``"`` or ``\\``, so distinct elements get distinct labels.
+    contain ``+``, ``"`` or ``\\``, so distinct elements get distinct labels,
+    nor U+0000-U+001F, U+FFFE or U+FFFF, which XML cannot carry unchanged.
     Raises the spec-validation errors from :mod:`lie_ncg.errors`; Jacobi is
     checked on every basis triple before the algebra is returned.  That check
     costs about dim^5 steps, so an algebra past the element cap raises
@@ -269,11 +270,14 @@ def algebra_from_spec(spec):
         raise UnknownBasisName("basis must list exactly dim distinct names")
     for name in names:
         # element labels write a coefficient before the name and join terms
-        # with "+", and the DOT export quotes labels without escaping
-        if not name or name[0] in "0123456789" or any(c in name for c in '+"\\'):
+        # with "+", the DOT export quotes labels without escaping, and XML
+        # drops or rewrites control characters, U+FFFE and U+FFFF
+        if not name or name[0] in "0123456789" or any(
+            c in '+"\\\ufffe\uffff' or c < " " for c in name
+        ):
             raise UnknownBasisName(
                 f"basis name {name!r}: names must be nonempty, not start with a digit"
-                f" and not contain +, \" or \\"
+                f" and not contain +, \", \\, U+0000-U+001F, U+FFFE or U+FFFF"
             )
     index = {name: i for i, name in enumerate(names)}
     structure = {}

@@ -16,7 +16,6 @@ from functools import cached_property
 
 from .errors import AbelianAlgebra
 from .graphs import Graph
-from .liealg import check_element_cap
 from .linalg import bits
 
 
@@ -54,9 +53,7 @@ def build_graph(L):
     """
     if L.is_abelian():
         raise AbelianAlgebra("abelian algebra: the non-commuting graph has no vertices")
-    # the element cap applies before any other work
-    check_element_cap(L.order)
-    V = L.space
+    V = L.space  # checks the element cap before any table is built
     center = list(bits(L.center_mask))
     # each run of vertices between central indices z < z' as (first index,
     # mask of its length, its offset among the vertices)

@@ -85,14 +85,6 @@ class Instance:
         return self.L.order
 
     @cached_property
-    def connectivity(self):
-        return graphs.connectivity(self.graph)
-
-    @cached_property
-    def girth(self):
-        return graphs.girth(self.graph)
-
-    @cached_property
     def has_dominating_vertex(self):
         # gamma == 1 is equivalent to a vertex adjacent to all others, so the
         # full domination search is not needed for this predicate
@@ -173,15 +165,17 @@ def _check_no_isolated(inst):
 
 
 def _check_connected(inst):
-    return PASS if inst.connectivity[0] else "graph disconnected"
+    return PASS if graphs.connectivity(inst.graph)[0] else "graph disconnected"
 
 
 def _check_girth(inst):
-    return PASS if inst.girth == 3 else f"girth is {inst.girth}"
+    girth = graphs.girth(inst.graph)
+    return PASS if girth == 3 else f"girth is {girth}"
 
 
 def _check_diameter(inst):
-    return PASS if inst.connectivity[1] <= 2 else f"diameter {inst.connectivity[1]}"
+    diameter = graphs.connectivity(inst.graph)[1]
+    return PASS if diameter <= 2 else f"diameter {diameter}"
 
 
 def _check_complete_implies(inst):
@@ -195,7 +189,8 @@ def _check_complete_implies(inst):
 def _check_diameter_two(inst):
     if inst.center_order == 1 and inst.q == 2:
         return VACUOUS
-    return PASS if inst.connectivity[1] == 2 else f"diameter {inst.connectivity[1]}"
+    diameter = graphs.connectivity(inst.graph)[1]
+    return PASS if diameter == 2 else f"diameter {diameter}"
 
 
 def _check_min_degree_two(inst):
@@ -205,7 +200,7 @@ def _check_min_degree_two(inst):
 def _check_not_tree_not_star(inst):
     g = inst.graph
     # a star K_{1,m} is a tree, connected with m edges on m + 1 vertices
-    if g.edge_count() == g.n - 1 and inst.connectivity[0]:
+    if g.edge_count() == g.n - 1 and graphs.connectivity(g)[0]:
         return "graph is a tree"
     return PASS
 

@@ -225,6 +225,9 @@ def _spec_file(tmp_path, **overrides):
         ("list as bracket name", "ParseError"),
         ("q = 2^61 - 1", "UnsupportedField"),
         ("200-dim spec", "CapExceeded"),
+        # past the interpreter's int-string digit limit (4300 by default)
+        ("5000-digit q", "ParseError"),
+        ("5000-digit coefficient", "ParseError"),
     ],
 )
 def test_bad_input_is_a_one_line_error(capsys, tmp_path, case, error):
@@ -239,6 +242,16 @@ def test_bad_input_is_a_one_line_error(capsys, tmp_path, case, error):
         argv = ["validate", _spec_file(tmp_path, brackets=[bracket])]
     elif case == "q = 2^61 - 1":
         argv = ["validate", _spec_file(tmp_path, q=2**61 - 1)]
+    elif case.startswith("5000-digit"):
+        digits = "7" * 5000
+        if case.endswith("q"):
+            text = f'{{"q": {digits}, "dim": 1, "basis": ["x"], "brackets": []}}'
+        else:
+            bracket = f'{{"left": "x", "right": "y", "value": {{"x": {digits}}}}}'
+            text = f'{{"q": 2, "dim": 2, "basis": ["x", "y"], "brackets": [{bracket}]}}'
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        argv = ["validate", str(path)]
     else:
         basis = [f"e{i}" for i in range(200)]
         argv = ["validate", _spec_file(tmp_path, dim=200, basis=basis)]
@@ -249,7 +262,10 @@ def test_bad_input_is_a_one_line_error(capsys, tmp_path, case, error):
     assert err.startswith(f"{error}: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("name", ["", "2x", "0", "x+y", 'a"b', "a\\b"])
+@pytest.mark.parametrize(
+    "name", ["", "2x", "0", "x+y", 'a"b', "a\\b", "a\x01", "a\x00", "a\t", "a\n", "a\x1f",
+             "a\ufffe", "a\uffff"],
+)
 def test_ambiguous_basis_name_is_a_one_line_error(capsys, tmp_path, name):
     # with "x+y" as a name, the element x + y and the basis element x+y
     # would both be labeled "x+y"
@@ -339,7 +355,9 @@ def test_empty_or_impossible_scope_is_refused_before_any_work(capsys, monkeypatc
 
 NAMES = ["x", "y", "z", "w"]
 ODD = st.sampled_from([None, 1.5, "1", [], {}, True])
-BAD_NAMES = st.sampled_from(["", "2x", "x+y", 'a"b', "a\\b", "v", "x"])
+BAD_NAMES = st.sampled_from(
+    ["", "2x", "x+y", 'a"b', "a\\b", "a\x01", "a\t", "a\ufffe", "a\uffff", "v", "x"]
+)
 FAULTS = ["q", "dim", "basis", "name", "coefficient", "brackets", "bracket", "key"]
 
 

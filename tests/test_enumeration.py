@@ -165,6 +165,19 @@ def test_orbit_sizes_dim3_f3_frozen():
     assert sum(sizes) == len(list(jacobi_tensors(3, field_new(3))))
 
 
+@pytest.mark.parametrize("q, count", [(2, 120), (3, 1431)])
+def test_solved_tensors_are_not_checked_again(monkeypatch, q, count):
+    # the c_12 solve is the Jacobi check (compared with the filter above), so
+    # neither the stream nor the orbit representatives call jacobi_failure
+    def fail(self):
+        raise AssertionError("jacobi_failure called")
+
+    monkeypatch.setattr(LieAlgebra, "jacobi_failure", fail)
+    f = field_new(q)
+    assert len(list(jacobi_tensors(3, f))) == count
+    assert sum(size for _L, size in orbit_partition(3, f)) == count
+
+
 def test_algebras_equivalent():
     f2 = field_new(2)
     nonab = [L for L in jacobi_tensors(2, f2) if not L.is_abelian()]

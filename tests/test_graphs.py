@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from lie_ncg.errors import CapExceeded, EmptyGraph, Undecided
 from lie_ncg.graphs import (
     Graph,
+    _bfs_layers,
     connectivity,
     domination_number,
     girth,
@@ -222,7 +223,8 @@ def test_eulerian():
     assert is_eulerian(cycle(5))
     assert is_eulerian(Graph.complete(5))
     assert not is_eulerian(Graph.complete(4))  # odd degrees
-    assert not is_eulerian(disjoint_triangles())  # even degrees, disconnected
+    two_triangles = disjoint_triangles()  # even degrees, disconnected
+    assert not is_eulerian(two_triangles) and not nx.is_eulerian(oracles.to_networkx(two_triangles))
     assert is_eulerian(octahedron())
 
 
@@ -237,6 +239,11 @@ def test_hamiltonian_cycle_exact():
     assert hamiltonian_cycle(complete_bipartite(2, 3)) is None
     assert hamiltonian_cycle(complete_bipartite(3, 3)) is not None
     assert hamiltonian_cycle(Graph.complete(2)) is None
+    # two disjoint K_4: every degree 3 >= 2, not complete multipartite, and
+    # disconnected, so no Hamilton cycle
+    two_k4 = Graph.from_edges(8, [(u, v) for u, v in combinations(range(8), 2) if u // 4 == v // 4])
+    assert two_k4.multipartite_parts is None and not nx.is_connected(oracles.to_networkx(two_k4))
+    assert hamiltonian_cycle(two_k4) is None
     with pytest.raises(CapExceeded):
         hamiltonian_cycle(Graph(65, [0] * 65))
 
@@ -294,6 +301,25 @@ def test_connectivity_with_twin_rows_matches_networkx():
         )
         assert g.multipartite_parts is None
         assert connectivity(g) == (True, nx.diameter(oracles.to_networkx(g)))
+
+
+def test_one_search_per_distinct_row(monkeypatch):
+    # K_7 without the edges 0-1, 1-2 and 3-4: not complete multipartite, with
+    # a triangle and 18 > 3n - 6 edges; 3 and 4 are twins, so 6 distinct rows
+    g = Graph.from_edges(
+        7, [e for e in combinations(range(7), 2) if e not in ((0, 1), (1, 2), (3, 4))]
+    )
+    assert g.multipartite_parts is None and len(set(g.rows)) == 6
+    searches = []
+
+    def counted(rows, source):
+        searches.append(source)
+        return _bfs_layers(rows, source)
+
+    monkeypatch.setattr("lie_ncg.graphs._bfs_layers", counted)
+    rep = property_report(g)
+    assert len(searches) == 6
+    assert (rep.is_connected, rep.diameter) == (True, nx.diameter(oracles.to_networkx(g)))
 
 
 def test_is_hamiltonian_large_complete_bipartite_is_fast():

@@ -123,7 +123,6 @@ def test_failure_is_recorded_for_a_star_shaped_counterexample():
         name="star-control",
         graph=star,
         degrees=star.degrees(),
-        connectivity=(True, 2),
     )
     report = check_statement("Cor2.11", [fake])
     assert report.status == "fail"

@@ -34,3 +34,9 @@ printf '{"q": %s, "dim": 1, "basis": ["x"], "brackets": []}\n' \
   "$(head -c 5000 /dev/zero | tr '\0' 7)" > "$spec"
 refused lie-ncg validate "$spec"
 rm -f "$spec"
+# a basis name holding a lone surrogate, which the DOT and GraphML exports
+# cannot encode as UTF-8
+spec=$(mktemp)
+printf '{"q": 2, "dim": 2, "basis": ["x", "%s"], "brackets": []}\n' '\ud800' > "$spec"
+refused lie-ncg validate "$spec"
+rm -f "$spec"

@@ -16,9 +16,10 @@ Subspaces are masks too: ``center_mask`` is the AND of the hyperplane masks
 of every ad(e_k) row, kept per algebra, ``center`` and ``derived_subalgebra``
 read a basis off a mask (``VectorSpace.basis``), and ``is_nilpotent`` walks
 the lower central series as ``VectorSpace.span`` masks.  Only
-``centralizer_order`` eliminates, reducing the rows of ad(x) to a rank, so
-the graph's rows and the centralizer orders that Lem2.2 compares them with
-come from different algorithms.
+``centralizer_order`` eliminates, reducing the rows of ad(x) to a rank with
+``VectorSpace.rank``, as the verifier's centralizer orders do once per line
+on element indices, so the graph's rows and the centralizer orders that
+Lem2.2 compares them with come from different algorithms.
 """
 
 from __future__ import annotations
@@ -256,7 +257,8 @@ def algebra_from_spec(spec):
 
     Basis names must be nonempty, must not start with a digit and must not
     contain ``+``, ``"`` or ``\\``, so distinct elements get distinct labels,
-    nor U+0000-U+001F, U+FFFE or U+FFFF, which XML cannot carry unchanged.
+    nor U+0000-U+001F, U+FFFE or U+FFFF, which XML cannot carry unchanged,
+    nor a surrogate U+D800-U+DFFF, which UTF-8 cannot encode.
     Raises the spec-validation errors from :mod:`lie_ncg.errors`; Jacobi is
     checked on every basis triple before the algebra is returned.  That check
     costs about dim^5 steps, so an algebra past the element cap raises
@@ -270,14 +272,15 @@ def algebra_from_spec(spec):
         raise UnknownBasisName("basis must list exactly dim distinct names")
     for name in names:
         # element labels write a coefficient before the name and join terms
-        # with "+", the DOT export quotes labels without escaping, and XML
-        # drops or rewrites control characters, U+FFFE and U+FFFF
+        # with "+", the DOT export quotes labels without escaping, XML drops
+        # or rewrites control characters, U+FFFE and U+FFFF, and the DOT and
+        # GraphML exports cannot encode a lone surrogate as UTF-8
         if not name or name[0] in "0123456789" or any(
-            c in '+"\\\ufffe\uffff' or c < " " for c in name
+            c in '+"\\\ufffe\uffff' or c < " " or "\ud800" <= c <= "\udfff" for c in name
         ):
             raise UnknownBasisName(
                 f"basis name {name!r}: names must be nonempty, not start with a digit"
-                f" and not contain +, \", \\, U+0000-U+001F, U+FFFE or U+FFFF"
+                f" and not contain +, \", \\, U+0000-U+001F, U+D800-U+DFFF, U+FFFE or U+FFFF"
             )
     index = {name: i for i, name in enumerate(names)}
     structure = {}

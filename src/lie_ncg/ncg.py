@@ -44,9 +44,12 @@ def build_graph(L):
     and the center Z is ``L.center_mask``, so no row reduction runs.  Every
     row of ad(x) annihilates Z, so C(x) contains Z; the row is the
     complement of C(x) with the central bits dropped, one shift per run of
-    vertices between consecutive central indices.  Every nonzero multiple of
-    x and every member of x + Z has the same C(x), so rows are kept per
-    centralizer mask.
+    vertices between consecutive central indices.  Rows are found per line
+    {cx : c != 0}, on element indices: C(cx) = C(x), so the first vertex of
+    a line runs ``solutions`` once and its row is kept under every multiple
+    (``space.scale``).  Every member of x + Z has the same C(x) too, so rows
+    are also kept per centralizer mask, the only sharing left at q = 2,
+    where every line is a single vertex.
 
     Raises AbelianAlgebra when the center is all of L (the graph would be
     null) and CapExceeded when q^dim exceeds the element cap.
@@ -63,18 +66,22 @@ def build_graph(L):
         if z_next > z + 1:
             runs.append((z + 1, (1 << (z_next - z - 1)) - 1, offset))
             offset += z_next - z - 1
-    solutions, ad_rows = V.solutions, L.ad_rows
-    rows_by_centralizer = {}
+    solutions, ad_rows, multiples = V.solutions, L.ad_rows, V.scale[1:]
+    rows_by_centralizer, row_of = {}, {}
     vertices, rows = [], []
     for first, run, _ in runs:
         for x in range(first, first + run.bit_length()):
-            commuting = solutions(ad_rows[x])
-            row = rows_by_centralizer.get(commuting)
+            row = row_of.get(x)
             if row is None:
-                row = 0
-                for start, mask, shift in runs:
-                    row |= (~commuting >> start & mask) << shift
-                rows_by_centralizer[commuting] = row
+                commuting = solutions(ad_rows[x])
+                row = rows_by_centralizer.get(commuting)
+                if row is None:
+                    row = 0
+                    for start, mask, shift in runs:
+                        row |= (~commuting >> start & mask) << shift
+                    rows_by_centralizer[commuting] = row
+                for s in multiples:
+                    row_of[s[x]] = row
             vertices.append(V.digits[x])
             rows.append(row)
     return NcGraph(len(vertices), rows, vertices, L)

@@ -58,19 +58,27 @@ class Instance:
 
     @cached_property
     def centralizer_orders(self):
-        """|C_L(v)| per vertex, one rank per line {cv : c != 0}: ad(cv) is
-        c ad(v), so the rank of ad(v) on the first vertex of a line serves
-        its every multiple.  The ranks come from row reduction, while
-        build_graph intersects hyperplane bitmasks, so Lem2.2 compares the
-        graph's rows with centralizers found another way."""
-        multipliers = self.L.field.mul_table[1:]
+        """|C_L(v)| per vertex, one rank per line {cv : c != 0}, on element
+        indices: ad(cv) is c ad(v), so q^(dim - rank ad(x)) for the index x
+        of the first vertex of a line serves its every multiple.  The ranks
+        come from row reduction, while build_graph intersects hyperplane
+        bitmasks, so Lem2.2 compares the graph's rows with centralizers
+        found another way."""
+        L = self.L
+        V = L.space
+        q, dim, code, rank, ad_rows = self.q, L.dim, V.code, V.rank, L.ad_rows
+        multiples = V.scale[1:]
         orders = {}
+        out = []
         for v in self.graph.vertices:
-            if v not in orders:
-                order = self.L.centralizer_order(v)
-                for m in multipliers:
-                    orders[tuple([m[a] for a in v])] = order
-        return [orders[v] for v in self.graph.vertices]
+            x = code(v)
+            order = orders.get(x)
+            if order is None:
+                order = q ** (dim - rank(ad_rows[x]))
+                for s in multiples:
+                    orders[s[x]] = order
+            out.append(order)
+        return out
 
     @cached_property
     def degrees(self):
@@ -88,7 +96,7 @@ class Instance:
     def has_dominating_vertex(self):
         # gamma == 1 is equivalent to a vertex adjacent to all others, so the
         # full domination search is not needed for this predicate
-        return any(d == self.graph.n - 1 for d in self.degrees)
+        return self.graph.n - 1 in self.degrees
 
     @cached_property
     def certificate(self):
@@ -153,10 +161,10 @@ VACUOUS = "vacuous"
 
 
 def _check_degree_formula(inst):
-    for i, v in enumerate(inst.graph.vertices):
-        expected = inst.order - inst.centralizer_orders[i]
-        if inst.degrees[i] != expected:
-            return f"vertex {inst.graph.labels[i]}: degree {inst.degrees[i]} != {expected}"
+    order = inst.order
+    for i, (degree, centralizer) in enumerate(zip(inst.degrees, inst.centralizer_orders)):
+        if degree != order - centralizer:
+            return f"vertex {inst.graph.labels[i]}: degree {degree} != {order - centralizer}"
     return PASS
 
 
@@ -237,7 +245,7 @@ def _check_gamma_one_implies(inst):
 
 def _check_gamma_one_iff(inst):
     left = inst.has_dominating_vertex
-    right = any(c == 2 for c in inst.centralizer_orders)
+    right = 2 in inst.centralizer_orders
     if left == right:
         return PASS
     return f"gamma==1 is {left} but existence of |C(x)|=2 is {right}"

@@ -264,7 +264,7 @@ def test_bad_input_is_a_one_line_error(capsys, tmp_path, case, error):
 
 @pytest.mark.parametrize(
     "name", ["", "2x", "0", "x+y", 'a"b', "a\\b", "a\x01", "a\x00", "a\t", "a\n", "a\x1f",
-             "a\ufffe", "a\uffff"],
+             "a\ufffe", "a\uffff", "\ud800", "a\udfff"],
 )
 def test_ambiguous_basis_name_is_a_one_line_error(capsys, tmp_path, name):
     # with "x+y" as a name, the element x + y and the basis element x+y
@@ -356,7 +356,7 @@ def test_empty_or_impossible_scope_is_refused_before_any_work(capsys, monkeypatc
 NAMES = ["x", "y", "z", "w"]
 ODD = st.sampled_from([None, 1.5, "1", [], {}, True])
 BAD_NAMES = st.sampled_from(
-    ["", "2x", "x+y", 'a"b', "a\\b", "a\x01", "a\t", "a\ufffe", "a\uffff", "v", "x"]
+    ["", "2x", "x+y", 'a"b', "a\\b", "a\x01", "a\t", "a\ufffe", "a\uffff", "\ud800", "v", "x"]
 )
 FAULTS = ["q", "dim", "basis", "name", "coefficient", "brackets", "bracket", "key"]
 

@@ -14,7 +14,7 @@ from lie_ncg.graphs import connectivity, girth, is_planar, is_regular
 from lie_ncg.io import load_spec, parse_spec_dict
 from lie_ncg.enumeration import _c12_solutions
 from lie_ncg.liealg import LieAlgebra, algebra_from_spec
-from lie_ncg.linalg import vector_space
+from lie_ncg.linalg import VectorSpace, vector_space
 from lie_ncg.ncg import build_graph
 from lie_ncg.verifier import catalog_instances, check_all_statements, enumeration_instances
 
@@ -100,6 +100,25 @@ def test_build_graph_matches_bracket_oracle():
         g, want = build_graph(L), oracles.graph_by_brackets(L)
         assert (g.rows, g.vertices, g.labels) == (want.rows, want.vertices, want.labels), L
     assert g.n == 120
+
+
+@pytest.mark.parametrize(
+    "name, lines", [("heisenberg_f4", (64 - 4) // 3), ("heisenberg_f5", (125 - 5) // 4),
+                    ("aff1_f4", (16 - 1) // 3)],
+)
+def test_one_solve_per_line_outside_the_center(monkeypatch, name, lines):
+    # C(cx) = C(x), so the rows of a line {cx : c != 0} come from one solve
+    calls = []
+    solutions = VectorSpace.solutions
+    monkeypatch.setattr(
+        VectorSpace, "solutions", lambda V, rows: calls.append(rows) or solutions(V, rows)
+    )
+    L = algebra_from_spec(load_spec(SPECS / f"{name}.json"))
+    L.center_mask
+    calls.clear()
+    g, want = build_graph(L), oracles.graph_by_brackets(L)
+    assert len(calls) == lines
+    assert (g.rows, g.vertices) == (want.rows, want.vertices)
 
 
 @st.composite

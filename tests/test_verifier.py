@@ -1,6 +1,8 @@
 """Statement registry, figure reproduction and isomorphism consequences."""
 
+import random
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -10,7 +12,8 @@ from lie_ncg.catalog import catalog_entry
 from lie_ncg.errors import UnknownStatement
 from lie_ncg.gf import field_new
 from lie_ncg.graphs import Graph
-from lie_ncg.liealg import LieAlgebra
+from lie_ncg.io import load_spec
+from lie_ncg.liealg import LieAlgebra, algebra_from_spec
 from lie_ncg.linalg import VectorSpace
 from lie_ncg.ncg import build_graph
 from lie_ncg.refgraphs import FIGURE_IDS, figure_graph
@@ -29,6 +32,8 @@ from lie_ncg.verifier import (
 )
 
 import oracles
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def l2_f3():
@@ -71,17 +76,89 @@ def test_center_is_computed_once_per_algebra(monkeypatch):
     assert calls == [mask, mask]
 
 
-def test_centralizer_orders_match_one_rank_per_vertex():
-    # every instance of the criterion-1 pool: the catalog and every
-    # non-abelian structure tensor for n, q in {2, 3}
+def _pool():
+    """Every instance of the criterion-1 pool: the catalog and every
+    non-abelian structure tensor for n, q in {2, 3}."""
     instances = catalog_instances()
     for q in (2, 3):
         for n in (2, 3):
             instances.extend(enumeration_instances(n, q))
     assert len(instances) == 1569
-    for inst in instances:
+    return instances
+
+
+def test_centralizer_orders_match_one_rank_per_vertex():
+    for inst in _pool():
         want = [inst.L.centralizer_order(v) for v in inst.graph.vertices]
         assert inst.centralizer_orders == want, inst.name
+
+
+def _sum_of_units(field, dim, brackets):
+    """``brackets`` ({(i, j): k} for [e_i, e_j] = e_k) on F_q^dim."""
+    return LieAlgebra(
+        field, dim, {ij: tuple(int(r == k) for r in range(dim)) for ij, k in brackets.items()}
+    )
+
+
+def test_centralizer_orders_match_brute_force_over_larger_fields(monkeypatch):
+    # every spec, then Heisenberg + F_q^k and aff1 + aff1 ([x, y] = y, [u, v]
+    # = v) over extension and larger prime fields.  |C(x)| is the number of
+    # y with [x, y] = 0, bracketed with Field method calls; that count runs
+    # on every vertex of the specs and on a seeded sample of 4 vertices of
+    # the rest, where every vertex is checked against a method-call
+    # elimination of ad(x) instead
+    monkeypatch.setenv("LIE_NCG_CAP", str(9**4))
+    algebras = [algebra_from_spec(load_spec(path)) for path in sorted(SPECS.glob("*.json"))]
+    assert len(algebras) == 10
+    for q, k in ((4, 1), (5, 1), (8, 1), (9, 0)):
+        f = field_new(q)
+        algebras.append(_sum_of_units(f, 3 + k, {(0, 1): 2}))
+        algebras.append(_sum_of_units(f, 4, {(0, 1): 1, (2, 3): 3}))
+    rng = random.Random(2026)
+    for L in algebras:
+        inst = Instance(repr(L), L)
+        vertices, orders = inst.graph.vertices, inst.centralizer_orders
+        assert len(orders) == len(vertices)
+        everything = oracles.elements(L)
+        checked = range(len(vertices))
+        if L.order > 125:
+            checked = rng.sample(checked, 4)
+            q = L.field.q
+            for x, order in zip(vertices, orders):
+                reduced, _ = oracles.rref_by_methods(L.field, oracles.ad_matrix_by_methods(L, x))
+                assert order == q ** (L.dim - len(reduced)), (L, x)
+        zero = L.zero()
+        for i in checked:
+            x = vertices[i]
+            want = sum(oracles.bracket_by_methods(L, x, y) == zero for y in everything)
+            assert orders[i] == want, (L, x)
+
+
+def test_statements_need_neither_centralizer_order_nor_element_checks(monkeypatch):
+    # the verifier reads centralizer orders off element indices, so it calls
+    # neither the coordinate-tuple method nor its element check
+    def refuse(*args):
+        raise AssertionError("called")
+
+    monkeypatch.setattr(LieAlgebra, "centralizer_order", refuse)
+    monkeypatch.setattr(LieAlgebra, "_check_element", refuse)
+    instances = _pool()
+    for report in check_all_statements(instances):
+        assert report.status == "pass", (report.statement_id, report.failures)
+        assert report.instances_checked == len(instances)
+
+
+@pytest.mark.parametrize("name", ["heisenberg_f4", "heisenberg_f5", "aff1_f4"])
+def test_one_rank_per_line_outside_the_center(monkeypatch, name):
+    calls = []
+    rank = VectorSpace.rank
+    monkeypatch.setattr(VectorSpace, "rank", lambda V, rows: calls.append(rows) or rank(V, rows))
+    L = algebra_from_spec(load_spec(SPECS / f"{name}.json"))
+    inst = Instance(name, L)
+    assert inst.graph.n and calls == []
+    orders = inst.centralizer_orders
+    assert len(calls) == (L.order - len(oracles.brute_center(L))) // (L.field.q - 1)
+    assert orders == [L.centralizer_order(v) for v in inst.graph.vertices]
 
 
 def test_all_statements_pass_on_catalog():

@@ -40,3 +40,14 @@ spec=$(mktemp)
 printf '{"q": 2, "dim": 2, "basis": ["x", "%s"], "brackets": []}\n' '\ud800' > "$spec"
 refused lie-ncg validate "$spec"
 rm -f "$spec"
+# Heisenberg over F_9 (720 vertices): each line {cx : c != 0} has eight
+# nonzero multiples, where the shipped specs reach at most four (over F_5)
+spec=$(mktemp)
+out=$(mktemp)
+printf '{"q": 9, "dim": 3, "basis": ["x", "y", "z"], "brackets": [%s]}\n' \
+  '{"left": "x", "right": "y", "value": {"z": 1}}' > "$spec"
+lie-ncg analyze "$spec" --format json > "$out"
+python -c 'import json, sys; g = json.load(open(sys.argv[1]))["graph"]; sys.exit(g["vertex_count"] != 720 or g["edge_count"] != 233280)' "$out"
+lie-ncg export "$spec" --out json > "$out"
+python -c 'import json, sys; g = json.load(open(sys.argv[1])); sys.exit(g["vertex_count"] != 720 or len(g["edges"]) != 233280)' "$out"
+rm -f "$spec" "$out"

@@ -11,8 +11,9 @@ element codes are reproducible across runs.
 A ``Field`` builds its addition, multiplication, negation and inverse tables
 once.  The hot kernels in :mod:`lie_ncg.linalg` and :mod:`lie_ncg.liealg`
 index those tables directly (``add_table[a][b]``, ``mul_table[a]`` as the
-map x -> a*x); the ``add``/``sub``/``mul``/``neg``/``inverse`` methods serve
-every other caller.
+map x -> a*x).  Of the ``add``/``sub``/``mul``/``neg``/``inverse`` methods,
+the library itself calls only ``neg``, in ``algebra_from_spec``; the rest
+serve the method-call oracles of the tests.
 """
 
 from __future__ import annotations

@@ -218,16 +218,11 @@ def hamiltonian_cycle(g):
         # prune: an unvisited vertex with no free neighbor (and not reachable
         # as the final vertex) makes the partial path dead
         remaining = ~visited & ((1 << n) - 1)
-        rem = remaining
-        while rem:
-            v = (rem & -rem).bit_length() - 1
-            rem &= rem - 1
+        for v in bits(remaining):
             free = g.rows[v] & (remaining | 1 | (1 << u))
             if free.bit_count() < 2 and remaining.bit_count() > 1:
                 return False
-        while candidates:
-            v = (candidates & -candidates).bit_length() - 1
-            candidates &= candidates - 1
+        for v in bits(candidates):
             path.append(v)
             visited |= 1 << v
             if extend():
@@ -257,49 +252,43 @@ def is_hamiltonian(g):
 # -- planarity -----------------------------------------------------------------
 
 
-def _multipartite_planar(sizes):
-    """Planarity of the complete multipartite graph with these part sizes."""
-    sizes = sorted(sizes)
-    k = len(sizes)
-    return (
-        k <= 1
-        or k == 2 and sizes[0] <= 2
-        or k == 3 and (sizes[1] == 1 or sizes[2] <= 2)
-        or k == 4 and sizes[2] == 1 and sizes[3] <= 2
-    )
-
-
-def is_planar(g):
-    """Exact planarity.
+def _planar(g, apex):
+    """Planarity of g plus ``apex`` (0 or 1) vertices adjacent to every
+    vertex.  With an apex, a complete multipartite g stays one, the apex
+    being one more single-vertex part.
 
     A complete multipartite graph with part sizes n_1 <= ... <= n_k is
     planar iff it has no K_5 or K_{3,3} subgraph (Kuratowski), that is iff
     k <= 1, or k = 2 and n_1 <= 2, or k = 3 and (n_2 = 1 or n_3 <= 2), or
-    k = 4 and n_3 = 1 and n_4 <= 2.  Any other graph is planar only with at
-    most 3n - 6 edges (Euler), and raises Undecided there.
+    k = 4 and n_3 = 1 and n_4 <= 2.  Any other graph on n vertices is
+    planar only with at most 3n - 6 edges (Euler), and raises Undecided
+    there.
     """
     parts = g.multipartite_parts
     if parts is not None:
-        return _multipartite_planar([len(part) for part in parts])
-    if g.edge_count() > 3 * g.n - 6:
+        sizes = sorted([len(part) for part in parts] + [1] * apex)
+        k = len(sizes)
+        return (
+            k <= 1
+            or k == 2 and sizes[0] <= 2
+            or k == 3 and (sizes[1] == 1 or sizes[2] <= 2)
+            or k == 4 and sizes[2] == 1 and sizes[3] <= 2
+        )
+    if g.edge_count() + apex * g.n > 3 * (g.n + apex) - 6:
         return False
-    raise Undecided(f"planarity of a sparse graph not complete multipartite ({g!r})")
+    what = "outerplanarity" if apex else "planarity"
+    raise Undecided(f"{what} of a sparse graph not complete multipartite ({g!r})")
+
+
+def is_planar(g):
+    """Exact planarity, where the part sizes or the edge count decide it."""
+    return _planar(g, apex=0)
 
 
 def is_outerplanar(g):
-    """Planarity of the graph plus an apex vertex adjacent to every vertex.
-
-    When the graph is complete multipartite, so is the apex graph, with the
-    apex as one more single-vertex part, and the closed form of
-    ``is_planar`` answers from the part sizes.  Any other graph is
-    outerplanar only with at most 2n - 3 edges, and raises Undecided there.
-    """
-    parts = g.multipartite_parts
-    if parts is not None:
-        return _multipartite_planar([len(part) for part in parts] + [1])
-    if g.edge_count() > 2 * g.n - 3:
-        return False
-    raise Undecided(f"outerplanarity of a sparse graph not complete multipartite ({g!r})")
+    """Planarity of the graph plus an apex vertex adjacent to every vertex:
+    with n + 1 vertices and m + n edges, the edge bound reads m > 2n - 3."""
+    return _planar(g, apex=1)
 
 
 # -- domination ----------------------------------------------------------------
@@ -319,12 +308,9 @@ def domination_number(g):
             return True
         if budget == 0:
             return False
-        u = ((~covered & all_mask) & -(~covered & all_mask)).bit_length() - 1
+        u = next(bits(all_mask & ~covered))
         # any dominating set must contain some vertex of N[u]
-        cands = closed[u]
-        while cands:
-            v = (cands & -cands).bit_length() - 1
-            cands &= cands - 1
+        for v in bits(closed[u]):
             if search(covered | closed[v], budget - 1):
                 return True
         return False

@@ -17,9 +17,10 @@ of every ad(e_k) row, kept per algebra, ``center`` and ``derived_subalgebra``
 read a basis off a mask (``VectorSpace.basis``), and ``is_nilpotent`` walks
 the lower central series as ``VectorSpace.span`` masks.  Only
 ``centralizer_order`` eliminates, reducing the rows of ad(x) to a rank with
-``VectorSpace.rank``, as the verifier's centralizer orders do once per line
-on element indices, so the graph's rows and the centralizer orders that
-Lem2.2 compares them with come from different algorithms.
+``VectorSpace.rank``, as the verifier's centralizer orders do on the
+graph's element indices, once per line {cx : c != 0} as
+``VectorSpace.line`` names it, so the graph's rows and the centralizer
+orders that Lem2.2 compares them with come from different algorithms.
 """
 
 from __future__ import annotations

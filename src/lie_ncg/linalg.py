@@ -4,14 +4,16 @@ A ``VectorSpace`` codes each vector v of F_q^dim as one int, its element
 index sum v_i q^i, so the first coordinate varies fastest.  Its tables are
 built once per (q, dim) by ``vector_space``: ``digits[v]``, the coordinate
 tuple of v, listing F_q^dim in index order; ``scale[a][v]``, the index of
-a*v, with q * q^dim entries; and addition split over the low ``half``
-coordinates and the rest, so
+a*v, with q * q^dim entries; ``line[v]``, the index of v scaled so that its
+first nonzero coordinate is 1 (and 0 for v = 0), which names the line
+{cv : c != 0} and is the one place elements are grouped into lines; and
+addition split over the low ``half`` coordinates and the rest, so
 u + v = ``low[u % split][v % split] + high[u // split][v // split]``, where
 ``split`` = q^half and no table has more than about q * q^dim entries.
 
 A subspace is a bitmask over its members' indices, and every kernel is
 one: ``VectorSpace.perp`` gives the hyperplane {y : a . y = 0} of a row a,
-built from the field tables and kept per line of a, and
+built from the field tables and kept under ``line[a]``, and
 ``VectorSpace.solutions`` ANDs those of a matrix's rows, so centralizers, the
 center and the enumeration's Jacobi solve need no row reduction.
 ``VectorSpace.basis`` reads at most dim members off a mask, one per last
@@ -64,16 +66,22 @@ class VectorSpace:
         self.field = field
         self.dim = dim
         self.units = tuple(q**i for i in range(dim))
+        inv = field.inv_table
         digits = [()]
         scale = [[0] for _ in field.elements()]
+        # the inverse of each vector's first nonzero coordinate (1 for 0):
+        # that of x + w*c is x's unless x = 0
+        leads = [1]
         for w in self.units:
             digits = [d + (c,) for c in field.elements() for d in digits]
             scale = [
                 [x + w * m[c] for c in field.elements() for x in row]
                 for m, row in zip(field.mul_table, scale)
             ]
+            leads += [lead if x else inv[c] for c in range(1, q) for x, lead in enumerate(leads)]
         self.digits = tuple(digits)
         self.scale = tuple(map(tuple, scale))
+        self.line = tuple(scale[s][x] for x, s in enumerate(leads))
         half = dim // 2
         self.split = q**half
         self.low = _index_sums(field, half)
@@ -123,20 +131,16 @@ class VectorSpace:
         """The bitmask, bit y set for every element index y with a . y = 0.
 
         The mask is built once per line {ca : c != 0}, which shares it, and
-        kept under both a and the line's representative (a scaled so its
-        first nonzero coordinate is 1): at most (q^dim - 1)/(q - 1) masks of
-        q^dim bits, 2 MB at q^dim = 4096.  It grows one coordinate at a time:
-        ``sums[s]`` masks the vectors y of the first k coordinates with
-        a . y = s, and y_k = c moves index y by c q^k, so by a shift.
+        kept under the line's representative ``line[a]``: at most
+        (q^dim - 1)/(q - 1) masks of q^dim bits, 2 MB at q^dim = 4096.  It
+        grows one coordinate at a time: ``sums[s]`` masks the vectors y of
+        the first k coordinates with a . y = s, and y_k = c moves index y by
+        c q^k, so by a shift.
         """
-        mask = self._perps.get(a)
-        if mask is not None:
-            return mask
-        field = self.field
-        lead = next((c for c in self.digits[a] if c), 1)
-        rep = self.scale[field.inv_table[lead]][a]
+        rep = self.line[a]
         mask = self._perps.get(rep)
         if mask is None:
+            field = self.field
             add, mul, neg = field.add_table, field.mul_table, field.neg_table
             *head, last = self.digits[rep]
             sums = [1] + [0] * (field.q - 1)
@@ -154,7 +158,6 @@ class VectorSpace:
             for c, b in enumerate(mul[last]):
                 mask |= sums[neg[b]] << c * w
             self._perps[rep] = mask
-        self._perps[a] = mask
         return mask
 
     def solutions(self, rows):

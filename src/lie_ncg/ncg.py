@@ -6,8 +6,9 @@ The graph is built on index-coded vectors (``linalg.VectorSpace``): an
 element is its index sum v_i q^i, so a set of elements is a bitmask over
 those indices.  A centralizer, like the center, is an AND of hyperplane
 masks (``VectorSpace.solutions``), a row is its complement moved to vertex
-positions, and a vertex's coordinate tuple is read from the shared digit
-table.
+positions, and rows are shared along each line {cx : c != 0}, which
+``VectorSpace.line`` names.  The graph keeps each vertex's element index,
+and its coordinate tuple is read from the shared digit table.
 """
 
 from __future__ import annotations
@@ -22,13 +23,20 @@ from .linalg import bits
 class NcGraph(Graph):
     """A Graph whose vertices carry the algebra elements that produced them.
 
-    The labels are rendered from the algebra the first time they are read.
+    ``indices`` are the vertices' element indices, ascending.  The
+    coordinate tuples (``vertices``) are read from the algebra's digit table
+    and the labels rendered from the algebra, each the first time it is read.
     """
 
-    def __init__(self, n, rows, vertices, algebra):
+    def __init__(self, n, rows, indices, algebra):
         super().__init__(n, rows)
-        self.vertices = tuple(vertices)
+        self.indices = tuple(indices)
         self.algebra = algebra
+
+    @cached_property
+    def vertices(self):
+        digits = self.algebra.space.digits
+        return tuple(digits[x] for x in self.indices)
 
     @cached_property
     def labels(self):
@@ -46,10 +54,10 @@ def build_graph(L):
     complement of C(x) with the central bits dropped, one shift per run of
     vertices between consecutive central indices.  Rows are found per line
     {cx : c != 0}, on element indices: C(cx) = C(x), so the first vertex of
-    a line runs ``solutions`` once and its row is kept under every multiple
-    (``space.scale``).  Every member of x + Z has the same C(x) too, so rows
-    are also kept per centralizer mask, the only sharing left at q = 2,
-    where every line is a single vertex.
+    a line runs ``solutions`` once and its row is kept under the line's
+    ``space.line`` entry.  Every member of x + Z has the same C(x) too, so
+    rows are also kept per centralizer mask, the only sharing left at
+    q = 2, where every line is a single vertex.
 
     Raises AbelianAlgebra when the center is all of L (the graph would be
     null) and CapExceeded when q^dim exceeds the element cap.
@@ -66,12 +74,12 @@ def build_graph(L):
         if z_next > z + 1:
             runs.append((z + 1, (1 << (z_next - z - 1)) - 1, offset))
             offset += z_next - z - 1
-    solutions, ad_rows, multiples = V.solutions, L.ad_rows, V.scale[1:]
+    solutions, ad_rows, line = V.solutions, L.ad_rows, V.line
     rows_by_centralizer, row_of = {}, {}
-    vertices, rows = [], []
+    indices, rows = [], []
     for first, run, _ in runs:
         for x in range(first, first + run.bit_length()):
-            row = row_of.get(x)
+            row = row_of.get(line[x])
             if row is None:
                 commuting = solutions(ad_rows[x])
                 row = rows_by_centralizer.get(commuting)
@@ -80,8 +88,7 @@ def build_graph(L):
                     for start, mask, shift in runs:
                         row |= (~commuting >> start & mask) << shift
                     rows_by_centralizer[commuting] = row
-                for s in multiples:
-                    row_of[s[x]] = row
-            vertices.append(V.digits[x])
+                row_of[line[x]] = row
+            indices.append(x)
             rows.append(row)
-    return NcGraph(len(vertices), rows, vertices, L)
+    return NcGraph(len(indices), rows, indices, L)

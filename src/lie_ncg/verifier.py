@@ -58,25 +58,21 @@ class Instance:
 
     @cached_property
     def centralizer_orders(self):
-        """|C_L(v)| per vertex, one rank per line {cv : c != 0}, on element
-        indices: ad(cv) is c ad(v), so q^(dim - rank ad(x)) for the index x
-        of the first vertex of a line serves its every multiple.  The ranks
-        come from row reduction, while build_graph intersects hyperplane
-        bitmasks, so Lem2.2 compares the graph's rows with centralizers
-        found another way."""
+        """|C_L(v)| per vertex, one rank per line {cv : c != 0}, on the
+        graph's element indices: ad(cv) is c ad(v), so q^(dim - rank ad(x))
+        for the first vertex x of a line is kept under its ``space.line``
+        entry for the rest.  The ranks come from row reduction, while
+        build_graph intersects hyperplane bitmasks, so Lem2.2 compares the
+        graph's rows with centralizers found another way."""
         L = self.L
         V = L.space
-        q, dim, code, rank, ad_rows = self.q, L.dim, V.code, V.rank, L.ad_rows
-        multiples = V.scale[1:]
+        q, dim, rank, ad_rows, line = self.q, L.dim, V.rank, L.ad_rows, V.line
         orders = {}
         out = []
-        for v in self.graph.vertices:
-            x = code(v)
-            order = orders.get(x)
+        for x in self.graph.indices:
+            order = orders.get(line[x])
             if order is None:
-                order = q ** (dim - rank(ad_rows[x]))
-                for s in multiples:
-                    orders[s[x]] = order
+                order = orders[line[x]] = q ** (dim - rank(ad_rows[x]))
             out.append(order)
         return out
 

@@ -183,9 +183,12 @@ def brute_center(L):
 
 def graph_by_brackets(L):
     """The non-commuting graph of L by bracketing every pair of non-central
-    elements, with the vertex order and labels of ``build_graph``."""
+    elements, with the vertex order and labels of ``build_graph``.  The
+    element indices sum v_i q^i are computed here, with plain ints."""
     center = brute_center(L)
     vertices = [v for v in elements(L) if v not in center]
+    q = L.field.q
+    indices = [sum(c * q**i for i, c in enumerate(v)) for v in vertices]
     n = len(vertices)
     rows = [0] * n
     zero = L.zero()
@@ -194,7 +197,7 @@ def graph_by_brackets(L):
             if L.bracket(vertices[a], vertices[b]) != zero:
                 rows[a] |= 1 << b
                 rows[b] |= 1 << a
-    return NcGraph(n, rows, vertices, L)
+    return NcGraph(n, rows, indices, L)
 
 
 def jacobi_failure_by_methods(field, n, table):

@@ -4,7 +4,7 @@ index-coded vectors of F_q^dim."""
 from hypothesis import given, settings, strategies as st
 
 from lie_ncg.gf import FIELD_CAP, field_new, prime_power_decomposition
-from lie_ncg.linalg import vector_space
+from lie_ncg.linalg import VectorSpace, vector_space
 
 import oracles
 
@@ -101,6 +101,29 @@ def test_perp_masks_match_method_call_scan(shape, data):
     multiple = V.scale[c][V.code(a)]
     assert V.perp(multiple) == want
     assert V.perp(V.code(a)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PERP_SHAPES), st.data())
+def test_line_is_the_multiple_with_first_nonzero_coordinate_one(shape, data):
+    q, dim = shape
+    f = field_new(q)
+    V = vector_space(f, dim)
+    assert len(V.line) == q**dim and V.line[0] == 0
+    x = data.draw(st.integers(1, q**dim - 1))
+    v, rep = V.digits[x], V.digits[V.line[x]]
+    assert any(tuple(f.mul(c, a) for a in v) == rep for c in range(1, q))
+    assert next(a for a in rep if a) == 1
+    assert all(V.line[V.scale[c][x]] == V.line[x] for c in range(1, q))
+
+
+def test_one_perp_mask_per_line():
+    for q, dim in ((2, 4), (3, 3), (4, 2), (5, 3), (9, 2)):
+        V = VectorSpace(field_new(q), dim)
+        for a in range(q**dim):
+            V.perp(a)
+        assert sorted(V._perps) == sorted(set(V.line)), (q, dim)
+        assert len(V._perps) == 1 + (q**dim - 1) // (q - 1)
 
 
 @st.composite

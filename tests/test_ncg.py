@@ -42,6 +42,7 @@ def test_vertices_exclude_center_in_index_order():
     # little-endian base-2 index of each vertex
     indices = [sum(c << i for i, c in enumerate(v)) for v in g.vertices]
     assert indices == sorted(indices)
+    assert g.indices == tuple(indices) == (1, 2, 3, 5, 6, 7)
 
 
 def test_heisenberg_f2_is_octahedron():

@@ -93,6 +93,19 @@ def test_centralizer_orders_match_one_rank_per_vertex():
         assert inst.centralizer_orders == want, inst.name
 
 
+def test_graph_and_centralizer_orders_stay_on_element_indices(monkeypatch):
+    # build_graph hands the verifier each vertex's element index, so neither
+    # turns a coordinate tuple back into an index
+    instances = _pool()
+
+    def refuse(*args):
+        raise AssertionError("VectorSpace.code called")
+
+    monkeypatch.setattr(VectorSpace, "code", refuse)
+    for inst in instances:
+        assert len(inst.centralizer_orders) == inst.graph.n, inst.name
+
+
 def _sum_of_units(field, dim, brackets):
     """``brackets`` ({(i, j): k} for [e_i, e_j] = e_k) on F_q^dim."""
     return LieAlgebra(

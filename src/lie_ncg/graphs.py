@@ -42,6 +42,8 @@ class Graph:
     def __init__(self, n, rows, labels=None):
         self.n = n
         self.rows = tuple(rows)
+        # counted once per graph; ``degrees`` and the invariants here read it
+        self._degrees = tuple(map(int.bit_count, self.rows))
         if labels is not None:
             self.labels = tuple(labels)
 
@@ -111,10 +113,10 @@ class Graph:
         return diameter
 
     def degrees(self):
-        return [r.bit_count() for r in self.rows]
+        return list(self._degrees)
 
     def edge_count(self):
-        return sum(self.degrees()) // 2
+        return sum(self._degrees) // 2
 
     def has_edge(self, u, v):
         return bool(self.rows[u] >> v & 1)
@@ -178,16 +180,15 @@ def girth(g):
 
 
 def is_regular(g):
-    degs = g.degrees()
-    return len(set(degs)) <= 1
+    return len(set(g._degrees)) <= 1
 
 
 def is_complete(g):
-    return all(d == g.n - 1 for d in g.degrees())
+    return all(d == g.n - 1 for d in g._degrees)
 
 
 def is_eulerian(g):
-    return g.n > 0 and all(d % 2 == 0 for d in g.degrees()) and g.diameter != INF
+    return g.n > 0 and all(d % 2 == 0 for d in g._degrees) and g.diameter != INF
 
 
 def is_complete_bipartite(g):
@@ -204,7 +205,7 @@ def hamiltonian_cycle(g):
     n = g.n
     if n > HAMILTON_EXACT_CAP:
         raise CapExceeded(f"exact Hamiltonian search capped at {HAMILTON_EXACT_CAP} vertices")
-    if n < 3 or min(g.degrees()) < 2 or g.diameter == INF:
+    if n < 3 or min(g._degrees) < 2 or g.diameter == INF:
         return None
     path = [0]
     visited = 1
@@ -242,7 +243,7 @@ def is_hamiltonian(g):
     part is an independent set of more than n/2 vertices, which no Hamilton
     cycle can hold.
     """
-    if g.n >= 3 and 2 * min(g.degrees()) >= g.n:
+    if g.n >= 3 and 2 * min(g._degrees) >= g.n:
         return True
     if g.multipartite_parts is not None:
         return False

@@ -11,7 +11,8 @@ built once per algebra; ``jacobi_failure`` and ``is_nilpotent`` bracket
 through its unchecked core ``_bracket``.  Kernels code each element as its
 index sum v_i q^i in F_q^dim (``linalg.VectorSpace``, reached through
 ``space`` once the element cap is checked): ``ad_rows[x]`` holds the rows of
-ad(x) as indices, tabulated per algebra from the rows of each ad(e_k).
+ad(x) as indices, zipped from one ``VectorSpace.linear_map`` table per row,
+each a linear map of x read from the rows of the ad(e_k).
 Subspaces are masks too: ``center_mask`` is the AND of the hyperplane masks
 of every ad(e_k) row, kept per algebra, ``center`` and ``derived_subalgebra``
 read a basis off a mask (``VectorSpace.basis``), and ``is_nilpotent`` walks
@@ -21,6 +22,9 @@ the lower central series as ``VectorSpace.span`` masks.  Only
 graph's element indices, once per line {cx : c != 0} as
 ``VectorSpace.line`` names it, so the graph's rows and the centralizer
 orders that Lem2.2 compares them with come from different algorithms.
+The tables behind ``ad_rows`` and the ranks are memoized on the shared
+``VectorSpace``, so algebras of one space with equal rows of ad(e_k), or
+equal ad(x), share that work.
 """
 
 from __future__ import annotations
@@ -173,26 +177,20 @@ class LieAlgebra:
     @cached_property
     def ad_rows(self):
         """Per element index x, the rows of ad(x), the matrix of y -> [x, y],
-        as element indices.  Entry (r, j) of ad(e_k) is coefficient r of
-        [e_k, e_j], which is c_kj for k < j and -c_jk for k > j; the table is
-        built one coordinate at a time, as ad(x + a e_k) = ad(x) + a ad(e_k)."""
+        as element indices.  Row r of ad(x) is sum_k x_k (row r of ad(e_k)),
+        a linear map of x, so each row is a ``VectorSpace.linear_map`` table,
+        shared by every algebra of the space with the same row r of each
+        ad(e_k).  Entry (r, j) of ad(e_k) is coefficient r of [e_k, e_j],
+        which is c_kj for k < j and -c_jk for k > j."""
         V = self.space
         neg, units = self.field.neg_table, V.units
-        basis_rows = [[0] * self.dim for _ in range(self.dim)]
+        # images[r][k]: row r of ad(e_k)
+        images = [[0] * self.dim for _ in range(self.dim)]
         for i, j, cij in self._terms:
             for r, c in cij:
-                basis_rows[i][r] += c * units[j]
-                basis_rows[j][r] += neg[c] * units[i]
-        tables = []
-        for r in range(self.dim):
-            table = [0]
-            for ad_k in basis_rows:
-                if not ad_k[r]:
-                    table *= self.field.q
-                    continue
-                table += V.sums([m[ad_k[r]] for m in V.scale[1:]], table)
-            tables.append(table)
-        return list(zip(*tables))
+                images[r][i] += c * units[j]
+                images[r][j] += neg[c] * units[i]
+        return list(zip(*(V.linear_map(tuple(row)) for row in images)))
 
     def centralizer_order(self, x):
         """|C_L(x)| via rank-nullity, cheaper than building the subspace."""

@@ -22,6 +22,15 @@ the solutions; ``bits`` lists a mask's members.  ``VectorSpace.rank``, the
 one elimination, is left for Lem2.2's centralizer orders, so those are found
 another way than the graph's rows.
 
+Every algebra on F_q^dim shares the one ``VectorSpace``, so the work that
+depends only on the space and its input is memoized there, once per
+distinct input for all of them: ``VectorSpace.linear_map``, the table
+x -> sum_k x_k images[k] over element indices (the rows of ad(x) are
+``dim`` such tables), keyed by the images, and ``VectorSpace.rank``, keyed
+by the rows.  Each memo stops taking entries at a fixed bound
+(``LINEAR_MAP_MEMO_ENTRIES`` and ``RANK_MEMO_KEYS``) and then computes
+without storing.
+
 Everything is exact and deterministic.
 """
 
@@ -29,6 +38,13 @@ from __future__ import annotations
 
 from functools import cache
 from operator import mul
+
+# the linear-map memo stops taking tables once it holds this many entries,
+# that is 32 tables at the default element cap q^dim = 4096
+LINEAR_MAP_MEMO_ENTRIES = 1 << 17
+# the rank memo stops taking keys once it holds this many; enumerating
+# n = 3, q = 3 ranks 6578 distinct ad(x) matrices
+RANK_MEMO_KEYS = 8192
 
 
 def bits(mask):
@@ -88,6 +104,8 @@ class VectorSpace:
         self.high = [[self.split * s for s in row] for row in _index_sums(field, dim - half)]
         self.everything = (1 << len(digits)) - 1
         self._perps = {}
+        self._maps = {}
+        self._ranks = {}
 
     def code(self, vec):
         """The element index of the coordinate tuple ``vec``."""
@@ -97,12 +115,49 @@ class VectorSpace:
         split = self.split
         return self.low[u % split][v % split] + self.high[u // split][v // split]
 
-    def sums(self, us, vs):
-        """[u + v for u in us for v in vs]: the first list varies slowest."""
-        low, high, split = self.low, self.high, self.split
-        return [low[u % split][v % split] + high[u // split][v // split] for u in us for v in vs]
+    def linear_map(self, images):
+        """The table of x -> sum_k x_k images[k] over element indices, as a
+        tuple of q^dim indices, for a tuple of ``dim`` index-coded images.
+
+        It is built one coordinate at a time: x + c q^k maps to the image of
+        x plus c images[k], so each nonzero image appends, for c = 1 .. q - 1,
+        the table so far plus c images[k].  Tables are kept under their images
+        until the memo holds ``LINEAR_MAP_MEMO_ENTRIES`` entries: 32 tables
+        of 4096 at the default element cap, each about 33 KB of pointers and
+        120 KB of ints, so about 5 MB per space.
+        """
+        table = self._maps.get(images)
+        if table is None:
+            low, high, split = self.low, self.high, self.split
+            table = [0]
+            for image in images:
+                if image:
+                    table += [
+                        low[u % split][v % split] + high[u // split][v // split]
+                        for u in [m[image] for m in self.scale[1:]]
+                        for v in table
+                    ]
+                else:
+                    table *= self.field.q
+            table = tuple(table)
+            if (len(self._maps) + 1) * len(table) <= LINEAR_MAP_MEMO_ENTRIES:
+                self._maps[images] = table
+        return table
 
     def rank(self, rows):
+        """The rank of index-coded rows, by ``_eliminate``, kept under
+        ``tuple(rows)`` until the memo holds ``RANK_MEMO_KEYS`` keys.  A key
+        is at most 12 indices at the default element cap, about 0.5 KB with
+        its ints and its dict slot, so the memo stays near 4 MB per space."""
+        key = tuple(rows)
+        r = self._ranks.get(key)
+        if r is None:
+            r = self._eliminate(key)
+            if len(self._ranks) < RANK_MEMO_KEYS:
+                self._ranks[key] = r
+        return r
+
+    def _eliminate(self, rows):
         """The rank of index-coded rows, eliminating below each pivot with
         ``row = add(row, scale[-b][pivot_row])``."""
         digits, scale, add = self.digits, self.scale, self.add

@@ -4,7 +4,7 @@ index-coded vectors of F_q^dim."""
 from hypothesis import given, settings, strategies as st
 
 from lie_ncg.gf import FIELD_CAP, field_new, prime_power_decomposition
-from lie_ncg.linalg import VectorSpace, vector_space
+from lie_ncg.linalg import LINEAR_MAP_MEMO_ENTRIES, RANK_MEMO_KEYS, VectorSpace, vector_space
 
 import oracles
 
@@ -124,6 +124,51 @@ def test_one_perp_mask_per_line():
             V.perp(a)
         assert sorted(V._perps) == sorted(set(V.line)), (q, dim)
         assert len(V._perps) == 1 + (q**dim - 1) // (q - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PERP_SHAPES), st.data())
+def test_linear_map_matches_method_call_sum(shape, data):
+    q, dim = shape
+    f = field_new(q)
+    V = VectorSpace(f, dim)  # its own memo, so the first call misses
+    vector = st.one_of(st.just((0,) * dim), st.tuples(*[st.integers(0, q - 1)] * dim))
+    images = data.draw(st.lists(vector, min_size=dim, max_size=dim))
+    xs = data.draw(st.lists(st.integers(0, q**dim - 1), min_size=1, max_size=8))
+    key = tuple(map(V.code, images))
+    for call in ("miss", "hit"):
+        table = V.linear_map(key)
+        assert len(table) == q**dim and list(V._maps) == [key], call
+        for x in xs:
+            want = (0,) * dim
+            for c, image in zip(V.digits[x], images):
+                want = tuple(f.add(w, f.mul(c, a)) for w, a in zip(want, image))
+            assert V.digits[table[x]] == want, (call, x)
+
+
+def test_memos_stop_growing_at_their_bounds():
+    # over F_2 index addition is XOR, so x -> x_0 v + x_1 w is checked on
+    # plain ints; 4096 entries a table, so the bound is reached in 32 tables
+    V = VectorSpace(field_new(2), 12)
+    full = LINEAR_MAP_MEMO_ENTRIES // 4096
+    for v in range(1, full + 4):
+        table = V.linear_map((v, 5) + (0,) * 10)
+        assert len(V._maps) == min(v, full)
+        assert table == tuple((v if x & 1 else 0) ^ (5 if x & 2 else 0) for x in range(4096))
+    # every triple of rows of F_3^3, in turn, past the rank memo's bound
+    V = VectorSpace(field_new(3), 3)
+    keys = [(a, b, c) for a in range(27) for b in range(27) for c in range(27)]
+    for i, key in enumerate(keys[: RANK_MEMO_KEYS + 40]):
+        r = V.rank(key)
+        assert len(V._ranks) == min(i + 1, RANK_MEMO_KEYS)
+        if i >= RANK_MEMO_KEYS - 40:
+            rows = [V.digits[v] for v in key]
+            assert r == len(oracles.rref_by_methods(V.field, rows)[0]), key
+    assert len(V._ranks) == RANK_MEMO_KEYS
+    # the stored answers still hold
+    for key in keys[:: len(keys) // 50]:
+        rows = [V.digits[v] for v in key]
+        assert V.rank(key) == len(oracles.rref_by_methods(V.field, rows)[0]), key
 
 
 @st.composite

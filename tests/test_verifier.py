@@ -2,19 +2,20 @@
 
 import random
 from collections import Counter
+from functools import cache
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from lie_ncg import verifier
+from lie_ncg import liealg, verifier
 from lie_ncg.catalog import catalog_entry
 from lie_ncg.errors import UnknownStatement
 from lie_ncg.gf import field_new
 from lie_ncg.graphs import Graph
 from lie_ncg.io import load_spec
 from lie_ncg.liealg import LieAlgebra, algebra_from_spec
-from lie_ncg.linalg import VectorSpace
+from lie_ncg.linalg import VectorSpace, bits
 from lie_ncg.ncg import build_graph
 from lie_ncg.refgraphs import FIGURE_IDS, figure_graph
 from lie_ncg.verifier import (
@@ -163,15 +164,57 @@ def test_statements_need_neither_centralizer_order_nor_element_checks(monkeypatc
 
 @pytest.mark.parametrize("name", ["heisenberg_f4", "heisenberg_f5", "aff1_f4"])
 def test_one_rank_per_line_outside_the_center(monkeypatch, name):
-    calls = []
-    rank = VectorSpace.rank
+    calls, eliminations = [], []
+    rank, eliminate = VectorSpace.rank, VectorSpace._eliminate
     monkeypatch.setattr(VectorSpace, "rank", lambda V, rows: calls.append(rows) or rank(V, rows))
+    monkeypatch.setattr(
+        VectorSpace, "_eliminate", lambda V, rows: eliminations.append(rows) or eliminate(V, rows)
+    )
+    # spaces of this test's own, so the first instance finds the rank memo empty
+    monkeypatch.setattr(liealg, "vector_space", cache(VectorSpace))
     L = algebra_from_spec(load_spec(SPECS / f"{name}.json"))
     inst = Instance(name, L)
     assert inst.graph.n and calls == []
     orders = inst.centralizer_orders
-    assert len(calls) == (L.order - len(oracles.brute_center(L))) // (L.field.q - 1)
+    center = len(oracles.brute_center(L))
+    lines = (L.order - center) // (L.field.q - 1)
+    assert len(calls) == lines
+    # one elimination per distinct ad(x) ranked, so one per line when the
+    # center is trivial; ad(x + z) = ad(x) for z in the center, so lines
+    # whose first vertices differ by a central element share one
+    assert sorted(eliminations) == sorted(set(calls))
+    assert len(eliminations) == lines if center == 1 else len(eliminations) < lines
     assert orders == [L.centralizer_order(v) for v in inst.graph.vertices]
+    eliminations.clear()
+    again = Instance(name, algebra_from_spec(load_spec(SPECS / f"{name}.json")))
+    assert again.centralizer_orders == orders and eliminations == []
+
+
+def test_lem22_reports_a_wrong_centralizer_with_both_memos_warm(monkeypatch):
+    # a first pass over spaces of this test's own fills each space's
+    # linear-map and rank memos
+    monkeypatch.setattr(liealg, "vector_space", cache(VectorSpace))
+    assert check_statement("Lem2.2", _pool()).status == "pass"
+    instances = _pool()
+    target = instances[-1]
+    L = target.L
+    # the first vertex, whose line's row build_graph finds from its ad(x)
+    x = next(bits(L.space.everything & ~L.center_mask))
+    wrong = L.ad_rows[x]
+    solutions = VectorSpace.solutions
+
+    def corrupted(V, rows):
+        # drop x from its own centralizer for this one algebra
+        mask = solutions(V, rows)
+        return mask & ~(1 << x) if rows is wrong else mask
+
+    def refuse(V, rows):
+        raise AssertionError("eliminated with the rank memo warm")
+
+    monkeypatch.setattr(VectorSpace, "solutions", corrupted)
+    monkeypatch.setattr(VectorSpace, "_eliminate", refuse)
+    report = check_statement("Lem2.2", instances)
+    assert [name for name, _ in report.failures] == [target.name]
 
 
 def test_all_statements_pass_on_catalog():

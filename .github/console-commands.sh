@@ -51,3 +51,12 @@ python -c 'import json, sys; g = json.load(open(sys.argv[1]))["graph"]; sys.exit
 lie-ncg export "$spec" --out json > "$out"
 python -c 'import json, sys; g = json.load(open(sys.argv[1])); sys.exit(g["vertex_count"] != 720 or len(g["edges"]) != 233280)' "$out"
 rm -f "$spec" "$out"
+# Heisenberg over F_16 (4080 vertices) at the default element cap: compare
+# labels both graphs by their parts and re-checks the witness on every row
+spec=$(mktemp)
+out=$(mktemp)
+printf '{"q": 16, "dim": 3, "basis": ["x", "y", "z"], "brackets": [%s]}\n' \
+  '{"left": "x", "right": "y", "value": {"z": 1}}' > "$spec"
+timeout 60 lie-ncg compare "$spec" "$spec" > "$out"
+python -c 'import json, sys; sys.exit(json.load(open(sys.argv[1]))["isomorphic"] is not True)' "$out"
+rm -f "$spec" "$out"

@@ -232,7 +232,11 @@ class _LinearAction:
 
 
 def algebras_equivalent(L1, L2):
-    """True iff some GL basis change carries L1's structure onto L2's."""
+    """True iff some GL basis change carries L1's structure onto L2's.
+
+    L1's shape is checked against the enumeration scope first, as the orbit
+    closed here can be as large as those ``orbit_partition`` closes."""
+    _check_scope(L1.dim, L1.field)
     if L1.field != L2.field or L1.dim != L2.dim:
         return False
     n = L1.dim

@@ -35,6 +35,9 @@ DOMINATION_CAP = 32
 
 INF = math.inf
 
+# maps the ASCII digits of ``bin(row)`` to the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
 
 class Graph:
     """Immutable undirected simple graph with bit-matrix adjacency."""
@@ -120,6 +123,12 @@ class Graph:
 
     def has_edge(self, u, v):
         return bool(self.rows[u] >> v & 1)
+
+    def row_bytes(self, v):
+        """Row v as n bytes, byte u 1 when u is adjacent to v and 0 when not:
+        one pass over the row's binary digits, which ``itemgetter`` can then
+        permute."""
+        return bin(self.rows[v])[:1:-1].encode().translate(_BIT_BYTES).ljust(self.n, b"\0")
 
     def neighbors(self, v):
         row = self.rows[v]

@@ -74,9 +74,6 @@ def load_spec(path):
 
 # -- graph export --------------------------------------------------------------
 
-# maps the ASCII digits of ``bin(row)`` to the bytes 0 and 1
-_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
 
 def _edge_text(g, names, before, between, after, sep):
     """Every edge of ``g`` as ``before + names[a] + between + names[b] + after``,
@@ -95,7 +92,7 @@ def _edge_text(g, names, before, between, after, sep):
     by_rank = itemgetter(*order)
     blocks = []
     for i, v in enumerate(order):
-        bits = by_rank(bin(g.rows[v])[:1:-1].encode().translate(_BIT_BYTES).ljust(n, b"\0"))
+        bits = by_rank(g.row_bytes(v))
         higher = list(compress(ranked[i + 1:], bits[i + 1:]))
         if higher:
             head = before + ranked[i] + between

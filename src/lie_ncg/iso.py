@@ -1,27 +1,25 @@
 """Graph isomorphism and canonical forms from one canonical labeling.
 
 ``_canonical`` orders the vertices of a graph so that isomorphic graphs get
-the same adjacency code in that order.  ``canonical_certificate`` is ``G<n>:``
-followed by that code, so two graphs get the same certificate exactly when
-they are isomorphic, and ``isomorphism`` maps the i-th vertex of one labeling
-to the i-th vertex of the other.
+the same certificate, and ``isomorphism`` maps the i-th vertex of one
+labeling to the i-th vertex of the other.
 
 A complete multipartite graph (every non-commuting graph of dimension <= 3)
 is labeled directly from the parts ``Graph.multipartite_parts`` finds: the
-parts by (size, least vertex), each part's vertices in ascending order.  Any
-other graph takes the lexicographically minimal code over all vertex
-orderings compatible with the iterated-degree refinement, found by
-individualization-refinement with prefix pruning and automorphism pruning
-(McKay & Piperno, "Practical graph isomorphism II", 2014): two leaves with
-equal codes give an automorphism, and subtrees that an automorphism maps
-onto ones already searched are skipped.  A discrete colouring (one vertex
-per colour) ends the descent: below it the search has a single leaf, the
-unplaced vertices in ascending colour, and that leaf is coded without
-further refinements.  Only that search is capped: it refuses graphs over
-``ISO_CAP`` vertices and stops with CapExceeded once its refinements have
-scanned ``ISO_ROW_BUDGET`` rows.  Being complete multipartite is an
-isomorphism invariant, so the two paths never give one certificate to two
-non-isomorphic graphs.
+parts by (size, least vertex), each part's vertices in ascending order.  Its
+part sizes fix it up to isomorphism, so its certificate is ``K<n>:`` followed
+by those sizes, ascending.  Any other graph takes the lexicographically
+minimal adjacency code over all vertex orderings compatible with the
+iterated-degree refinement, found by individualization-refinement with
+prefix pruning and automorphism pruning (McKay & Piperno, "Practical graph
+isomorphism II", 2014): two leaves with equal codes give an automorphism,
+and subtrees that an automorphism maps onto ones already searched are
+skipped.  Its certificate is ``G<n>:`` followed by that code.  Being
+complete multipartite is an isomorphism invariant, so the two forms never
+meet.  Below a discrete colouring (one vertex per colour) individualizing
+changes nothing, so those levels are not refined.  Only the search is
+capped: it refuses graphs over ``ISO_CAP`` vertices and stops with
+CapExceeded once its refinements have scanned ``ISO_ROW_BUDGET`` rows.
 """
 
 from __future__ import annotations
@@ -33,11 +31,9 @@ ISO_CAP = 64
 # and the search time follows the rows: the 60-vertex ``heisenberg_f4`` graph
 # forced through ``_search_order`` is charged 223,800 rows (1769 refinements)
 # in 2.6-2.7 s, 12 us a row on a 2-vCPU Xeon at 2.1 GHz.  So the budget
-# leaves that graph 10x headroom and is spent in under 30 s.  A leaf finished
-# below a discrete colouring is charged the 2n rows per level that the
-# refinements it replaces were charged, so the budget raises exactly where
-# refining every level would exceed it; it over-counts the time of such
-# leaves and never under-counts it.
+# leaves that graph 10x headroom and is spent in under 30 s.  A level below a
+# discrete colouring is charged the 2n rows a refinement there would be, so
+# skipping it moves no budget boundary and never under-counts the time.
 ISO_ROW_BUDGET = 2_300_000
 
 
@@ -60,13 +56,6 @@ def refine_colors(g, colors=None):
         if new == colors:
             return colors
         colors = new
-
-
-def _partition_cells(colors):
-    cells = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    return [cells[c] for c in sorted(cells)]
 
 
 def _row(g, order, v):
@@ -114,7 +103,7 @@ def _search_order(g):
     CapExceeded once the refinements have scanned ISO_ROW_BUDGET rows.
     """
     n = g.n
-    best = {"code": None, "order": None}
+    best_code = best_order = None
     automorphisms = []  # each as a list: vertex -> image
     order = []
     placed_rows = []  # adjacency of each placed vertex to earlier ones, as ints
@@ -134,65 +123,35 @@ def _search_order(g):
         charge(n * (len(set(refined)) - len(set(colors)) + 2))
         return refined
 
-    def finish(colors):
-        """Finish the one leaf below a discrete colouring.
-
-        Individualizing a vertex of a discrete colouring and refining only
-        renumbers the colours in their order, so the leaf places the
-        unplaced vertices in ascending colour.  Each level is charged the 2n
-        rows its refinement was charged, up to the first row that prefix
-        pruning rejects, or to n.  Returns the depth to unwind to: an equal
-        code can only come from a leaf outside this one-leaf subtree.
-        """
-        depth = len(order)
-        code = best["code"]
-        # once the code is below the best one, prefix pruning rejects no row
-        below = code is None or tuple(placed_rows) < code[:depth]
-        for v in sorted((v for v in range(n) if v not in order), key=colors.__getitem__):
-            row = _row(g, order, v)
-            if not below:
-                if row > code[len(order)]:
-                    break
-                below = row < code[len(order)]
-            order.append(v)
-            placed_rows.append(row)
-        charge(2 * n * (len(order) - depth))
-        back = n
-        if len(order) == n:
-            if below:
-                best["code"] = tuple(placed_rows)
-                best["order"] = list(order)
-            else:
-                gamma = [0] * n
-                for u, v in zip(best["order"], order):
-                    gamma[u] = v
-                automorphisms.append(gamma)
-                back = next(i for i, u in enumerate(best["order"]) if u != order[i])
-        del order[depth:], placed_rows[depth:]
-        return back
-
     def place(colors):
         """Search below the current prefix; returns the depth to unwind to."""
-        cells = _partition_cells(colors)
-        if len(cells) == n:
-            return finish(colors)
+        nonlocal best_code, best_order
         depth = len(order)
-        # choose the first cell (smallest color) containing an unplaced vertex
-        target = None
-        for cell in cells:
-            free = [v for v in cell if v not in order]
-            if free:
-                target = free
-                break
+        if depth == n:
+            # prefix pruning let only codes up to the best one get here
+            if best_code is None or tuple(placed_rows) < best_code:
+                best_code, best_order = tuple(placed_rows), list(order)
+                return n
+            # an equal code: best_order[i] -> order[i] is an automorphism
+            gamma = [0] * n
+            for u, v in zip(best_order, order):
+                gamma[u] = v
+            automorphisms.append(gamma)
+            return next(i for i, u in enumerate(best_order) if u != order[i])
+        classes = set(colors)
+        # individualizing a vertex of a discrete colouring and refining only
+        # renumbers the colours in their order, so it is skipped
+        discrete = len(classes) == n
+        # each placed vertex has a colour of its own, so the candidates are
+        # the least colour class with no placed vertex
+        least = min(classes.difference(map(colors.__getitem__, order)))
         tried = []
         reps, known = None, 0
-        for v in target:
+        for v in [v for v in range(n) if colors[v] == least]:
             row = _row(g, order, v)
             # prefix pruning against the current best code
-            if best["code"] is not None:
-                prefix = tuple(placed_rows) + (row,)
-                if prefix > best["code"][: depth + 1]:
-                    continue
+            if best_code is not None and (*placed_rows, row) > best_code[: depth + 1]:
+                continue
             if tried and len(automorphisms) > known:
                 known = len(automorphisms)
                 fixing = [a for a in automorphisms if all(a[u] == u for u in order)]
@@ -202,9 +161,11 @@ def _search_order(g):
             tried.append(v)
             order.append(v)
             placed_rows.append(row)
-            # individualize v and re-refine
-            refined = refine([c * 2 + (1 if u == v else 0) for u, c in enumerate(colors)])
-            back = place(refined)
+            if discrete:
+                charge(2 * n)
+                back = place(colors)
+            else:
+                back = place(refine([c * 2 + (u == v) for u, c in enumerate(colors)]))
             order.pop()
             placed_rows.pop()
             if back < depth:
@@ -212,7 +173,7 @@ def _search_order(g):
         return n
 
     place(refine([0] * n))
-    return best["code"], best["order"]
+    return best_code, best_order
 
 
 _CERT_CACHE = {}
@@ -229,22 +190,23 @@ def _canonical(g):
         if g.n > ISO_CAP:
             raise CapExceeded(f"canonical search capped at {ISO_CAP} vertices")
         code, order = _search_order(g)
-        codes = map(str, code)
+        certificate = f"G{g.n}:" + ",".join(map(str, code))
     else:
-        # a vertex is adjacent to exactly the vertices of the earlier parts
-        order, codes = [], []
-        for part in sorted(parts, key=lambda p: (len(p), p[0])):
-            codes += [str((1 << len(order)) - 1)] * len(part)
-            order += part
-    body = ",".join(codes)
-    result = (f"G{g.n}:{body}".encode(), order)
+        parts = sorted(parts, key=lambda p: (len(p), p[0]))
+        order = [v for part in parts for v in part]
+        certificate = f"K{g.n}:" + ",".join(str(len(part)) for part in parts)
+    result = (certificate.encode(), order)
     if len(_CERT_CACHE) < 4096:
         _CERT_CACHE[(g.n, g.rows)] = result
     return result
 
 
 def canonical_certificate(g):
-    """Canonical byte-string form of a graph; equality iff isomorphism."""
+    """Canonical byte-string form of a graph; equality iff isomorphism.
+
+    ``K<n>:`` and the part sizes, ascending, for a complete multipartite
+    graph; ``G<n>:`` and the searched adjacency code, one int per vertex,
+    for any other."""
     return _canonical(g)[0]
 
 

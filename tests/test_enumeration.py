@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from itertools import combinations, product
 from pathlib import Path
 
@@ -190,6 +191,17 @@ def test_algebras_equivalent():
     heis2 = catalog_entry("heisenberg_f2").algebra()
     heis3 = catalog_entry("heisenberg_f3").algebra()
     assert not algebras_equivalent(heis2, heis3)
+
+
+def test_algebras_equivalent_is_bounded_by_the_scope():
+    # aff1 + aff1 against aff1 + F_3^2: unbounded, closing the orbit took 16 s
+    f3 = field_new(3)
+    aff1_aff1 = LieAlgebra(f3, 4, {(0, 1): (0, 1, 0, 0), (2, 3): (0, 0, 0, 1)})
+    aff1_abelian = LieAlgebra(f3, 4, {(0, 1): (0, 1, 0, 0)})
+    start = time.perf_counter()
+    with pytest.raises(CapExceeded):
+        algebras_equivalent(aff1_aff1, aff1_abelian)
+    assert time.perf_counter() - start < 1
 
 
 @settings(max_examples=60, deadline=None)

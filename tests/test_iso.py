@@ -226,12 +226,28 @@ def test_multipartite_certificate_matches_row_code(g, monkeypatch):
     monkeypatch.setattr(iso, "_CERT_CACHE", {})
     assert g.multipartite_parts is not None
     h = relabel(g, random.Random(g.n).sample(range(g.n), g.n))
+    codes = []
     for graph in (g, h):
-        # the parts are the cliques of the complement, ordered by (size,
+        # the parts are the cliques of the complement; the certificate lists
+        # their sizes ascending, and the labeling takes the parts by (size,
         # least vertex)
-        parts = oracles.multipartite_parts_by_complement(graph)
-        order = [v for part in sorted(parts, key=lambda p: (len(p), p[0])) for v in part]
-        assert canonical_certificate(graph) == oracles.certificate_by_rows(graph, order)
+        parts = sorted(oracles.multipartite_parts_by_complement(graph), key=lambda p: (len(p), p[0]))
+        sizes = ",".join(str(len(part)) for part in parts)
+        assert canonical_certificate(graph) == f"K{graph.n}:{sizes}".encode()
+        order = iso._canonical(graph)[1]
+        assert order == [v for part in parts for v in part]
+        codes.append(oracles.certificate_by_rows(graph, order))
+    # the labeling is canonical: it codes the graph and its relabeling alike
+    assert codes[0] == codes[1]
+
+
+def test_multipartite_certificate_needs_no_row_code():
+    # K_{m,m} with m = 14,500: coded by rows, its second part would need
+    # 4,365 decimal digits, past the interpreter's int-string limit
+    m = 14_500
+    first, second = (1 << m) - 1, ((1 << m) - 1) << m
+    g = Graph(2 * m, [second] * m + [first] * m)
+    assert canonical_certificate(g) == b"K29000:14500,14500"
 
 
 def test_non_isomorphic_same_degree_sequence():
@@ -283,7 +299,7 @@ def test_certificate_is_reconstructible_and_stable():
 
 
 def test_empty_and_tiny_graphs():
-    assert canonical_certificate(Graph(0, [])) == b"G0:"
+    assert canonical_certificate(Graph(0, [])) == b"K0:"
     g1 = Graph.from_edges(2, [(0, 1)])
     g2 = Graph.from_edges(2, [(1, 0)])
     assert canonical_certificate(g1) == canonical_certificate(g2)

@@ -250,17 +250,99 @@ def test_report_status_rules():
     assert d["status"] == "fail" and d["failures"] == [["inst", "detail"]]
 
 
-def test_failure_is_recorded_for_a_star_shaped_counterexample():
-    star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    fake = SimpleNamespace(
-        name="star-control",
-        graph=star,
-        degrees=star.degrees(),
-    )
-    report = check_statement("Cor2.11", [fake])
-    assert report.status == "fail"
+def _statement(sid, **facts):
+    """The failures ``check_statement`` records on one fake instance."""
+    return lambda: check_statement(sid, [SimpleNamespace(name="fake", **facts)]).failures
+
+
+def _fake_algebra(q, order):
+    return SimpleNamespace(field=SimpleNamespace(q=q), order=order)
+
+
+def _consequences(g1, g2, witness, L1=None, L2=None):
+    """``iso_consequences`` on a pair, as (failures, notes)."""
+    L1 = L1 or _fake_algebra(2, 8)
+    L2 = L2 or L1
+    return lambda: verifier.iso_consequences("A ~ B", L1, g1, L2, g2, witness)
+
+
+K3, K4, K5 = Graph.complete(3), Graph.complete(4), Graph.complete(5)
+K112 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+STAR = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+IDENTITY3 = {0: 0, 1: 1, 2: 2}
+# aff1 over F_3: |L| = 9, and its graph is 6-regular on 8 vertices, 6 = 3 * 2
+AFF1_F3 = catalog_entry("aff1_f3").algebra()
+AFF1_F3_GRAPH = build_graph(AFF1_F3)
+
+
+# One row per failure branch of the statements, the figures report and the
+# consequence checks: what the row patches on ``verifier``, the call, and
+# exactly what it must record.
+FAILURE_BRANCHES = [
     # a star K_{1,m} is a tree: connected, with m edges on m + 1 vertices
-    assert report.failures == [("star-control", "graph is a tree")]
+    pytest.param({}, _statement("Cor2.11", graph=STAR, degrees=STAR.degrees()),
+                 [("fake", "graph is a tree")], id="Cor2.11-star"),
+    pytest.param({}, _statement("Thm2.8", graph=K3, center_order=3, q=3),
+                 [("fake", "complete graph but |Z|=3, q=3")], id="Thm2.8"),
+    pytest.param({}, _statement("Prop2.14", dim_derived=1, q=2, L=SimpleNamespace(dim=3),
+                                degrees=[4, 6, 4]),
+                 [("fake", "degrees [4, 6] != 4")], id="Prop2.14"),
+    pytest.param({}, _statement("Prop2.16", has_dominating_vertex=True, center_order=2, q=2),
+                 [("fake", "domination number 1 but |Z|=2, q=2")], id="Prop2.16"),
+    pytest.param({}, _statement("Thm2.18", has_dominating_vertex=False, centralizer_orders=[4, 2]),
+                 [("fake", "gamma==1 is False but existence of |C(x)|=2 is True")],
+                 id="Thm2.18"),
+    pytest.param({}, _statement("Lem3.1", L=SimpleNamespace(dim=3), q=2, dim_derived=1,
+                                dim_center=0),
+                 [("fake", "forbidden combination (dim 3, q=2, derived dim 1, trivial center) "
+                           "exists")], id="Lem3.1"),
+    pytest.param({}, _statement("Prop3.4", L=SimpleNamespace(dim=3), q=2, dim_center=1,
+                                dim_derived=2),
+                 [("fake", "derived dimension 2 != 1")], id="Prop3.4"),
+    pytest.param({}, _statement("Thm3.7", graph=K4),
+                 [("fake", "planar graph that is neither K_3 nor the octahedron")],
+                 id="Thm3.7-planar"),
+    pytest.param({"_MATCH_F4": lambda g: True}, _statement("Thm3.7", graph=K5),
+                 [("fake", "reference-shaped graph reported nonplanar")], id="Thm3.7-nonplanar"),
+    pytest.param({}, _statement("Thm3.8", graph=K112),
+                 [("fake", "outerplanar=True but K_3-shaped=False")], id="Thm3.8"),
+    pytest.param({"enumeration_instances": lambda n, q: []}, lambda: check_figures().failures,
+                 [(fig, "no algebra realizes this reference graph") for fig in ("F1", "F2", "F3")],
+                 id="Figures-unrealized"),
+    pytest.param({"_MATCH_F5": lambda g: False}, lambda: check_figures().failures,
+                 [("F3/F5", "the two octahedron drawings are not isomorphic")],
+                 id="Figures-octahedra"),
+    # the octahedron F3 in place of F2
+    pytest.param({"figure_graph": lambda fid: figure_graph("F3" if fid == "F2" else fid)},
+                 lambda: check_figures().failures,
+                 [("F2", "reference graph is not K_7")], id="Figures-K7"),
+    pytest.param({}, _consequences(K3, K3, {0: 0, 1: 0, 2: 1}),
+                 ([("A ~ B", "witness is not a bijection")], []), id="witness-bijection"),
+    # (0, 1) is kept and (0, 2) is the first pair broken
+    pytest.param({}, _consequences(PATH3, PATH3, {0: 1, 1: 0, 2: 2}),
+                 ([("A ~ B", "witness breaks adjacency on (0, 2)")], []), id="witness-adjacency"),
+    # K_3 is 2-regular, and 2 is a prime
+    pytest.param({}, _consequences(K3, K3, IDENTITY3, _fake_algebra(2, 8), _fake_algebra(3, 8)),
+                 ([("A ~ B", "prime-power degree but q 2 != 3")], []), id="iso-equal-q"),
+    pytest.param({}, _consequences(K3, K3, IDENTITY3, _fake_algebra(4, 8), _fake_algebra(2, 8)),
+                 ([], ["A ~ B: prime-power degree with non-prime field order; equal-q "
+                       "conclusion not asserted (q=4,2)"]), id="iso-non-prime-q"),
+    pytest.param({}, _consequences(K3, K3, IDENTITY3, _fake_algebra(2, 4), _fake_algebra(2, 8)),
+                 ([("A ~ B", "|L1|=4 != |L2|=8")], []), id="iso-equal-order"),
+    pytest.param({"algebras_equivalent": lambda L1, L2: False},
+                 _consequences(AFF1_F3_GRAPH, AFF1_F3_GRAPH, {v: v for v in range(8)}, AFF1_F3,
+                               AFF1_F3),
+                 ([("A ~ B", "degree shape p*q with |L|=9 but algebras not the 2-dimensional "
+                            "non-abelian class")], []), id="iso-order-9"),
+]
+
+
+@pytest.mark.parametrize("patches, run, expected", FAILURE_BRANCHES)
+def test_failure_branch_is_recorded(patches, run, expected, monkeypatch):
+    for name, value in patches.items():
+        monkeypatch.setattr(verifier, name, value)
+    assert run() == expected
 
 
 def test_undecided_graph_fails_its_statements_instead_of_raising():

@@ -52,11 +52,18 @@ lie-ncg export "$spec" --out json > "$out"
 python -c 'import json, sys; g = json.load(open(sys.argv[1])); sys.exit(g["vertex_count"] != 720 or len(g["edges"]) != 233280)' "$out"
 rm -f "$spec" "$out"
 # Heisenberg over F_16 (4080 vertices) at the default element cap: compare
-# labels both graphs by their parts and re-checks the witness on every row
+# labels both graphs by their parts and re-checks the witness on one row per
+# distinct row pair
 spec=$(mktemp)
 out=$(mktemp)
 printf '{"q": 16, "dim": 3, "basis": ["x", "y", "z"], "brackets": [%s]}\n' \
   '{"left": "x", "right": "y", "value": {"z": 1}}' > "$spec"
 timeout 60 lie-ncg compare "$spec" "$spec" > "$out"
+python -c 'import json, sys; sys.exit(json.load(open(sys.argv[1]))["isomorphic"] is not True)' "$out"
+# Heisenberg over F_27 (19,656 vertices, 28 twin classes) past the default
+# cap: the 10 s bound catches a witness check of one row per vertex (13 s)
+printf '{"q": 27, "dim": 3, "basis": ["x", "y", "z"], "brackets": [%s]}\n' \
+  '{"left": "x", "right": "y", "value": {"z": 1}}' > "$spec"
+LIE_NCG_CAP=20000 timeout 10 lie-ncg compare "$spec" "$spec" > "$out"
 python -c 'import json, sys; sys.exit(json.load(open(sys.argv[1]))["isomorphic"] is not True)' "$out"
 rm -f "$spec" "$out"

@@ -6,19 +6,20 @@ Vertices are ``0..n-1``; row ``i`` is an integer whose bit ``j`` is set when
 checked on the graph, which every non-commuting graph has: a triangle (x, y
 and x + y for [x, y] != 0), and a complete multipartite shape or more than
 3n - 6 edges.  A graph without them raises ``Undecided``.
-``Graph.multipartite_parts`` recognizes that shape from the rows alone, once
-per graph, and the invariants answer from the parts: ``Graph.diameter``,
-``is_planar`` and ``is_outerplanar`` by closed forms in the part sizes,
-``is_hamiltonian`` without a search, ``is_complete_bipartite`` by counting
-parts, and the canonical labeling in ``iso`` by ordering them.
+The twin classes, the vertices grouped by row once in ``Graph.__init__``,
+are that shape's parts when it has one (``Graph.multipartite_parts``), and
+the invariants answer from the parts: ``Graph.diameter``, ``is_planar`` and
+``is_outerplanar`` by closed forms in the part sizes, ``is_hamiltonian``
+without a search, ``is_complete_bipartite`` by counting parts, and the
+canonical labeling in ``iso`` by ordering them.
 
-``Graph.diameter``, also once per graph, is the one place connectedness is
+``Graph.diameter``, once per graph, is the one place connectedness is
 decided: ``connectivity``, ``is_eulerian`` and ``hamiltonian_cycle`` read
 it, and it is inf when the graph is disconnected.  Every traversal runs on
 the rows through one breadth-first helper, ``_bfs_layers``: each layer is a
 bitmask, and the next one is the OR of the current layer's rows minus the
 vertices already seen.  A graph that is not complete multipartite takes one
-search per distinct row (vertices with equal rows have equal eccentricity).
+search per twin class.
 """
 
 from __future__ import annotations
@@ -40,13 +41,26 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 class Graph:
-    """Immutable undirected simple graph with bit-matrix adjacency."""
+    """Immutable undirected simple graph with bit-matrix adjacency.
+
+    ``twin_classes`` are the vertices grouped by row, as ascending lists in
+    order of their least vertex.  The graph is complete multipartite iff
+    each vertex's closed non-neighbourhood, n - degree vertices holding its
+    twin class, is that class; the classes are then the parts
+    (``multipartite_parts``, else None).
+    """
 
     def __init__(self, n, rows, labels=None):
         self.n = n
         self.rows = tuple(rows)
-        # counted once per graph; ``degrees`` and the invariants here read it
+        # counted and grouped once per graph; every invariant here reads them
         self._degrees = tuple(map(int.bit_count, self.rows))
+        classes = {}
+        for v, row in enumerate(self.rows):
+            classes.setdefault(row, []).append(v)
+        self.twin_classes = list(classes.values())
+        multipartite = all(n - self._degrees[c[0]] == len(c) for c in self.twin_classes)
+        self.multipartite_parts = self.twin_classes if multipartite else None
         if labels is not None:
             self.labels = tuple(labels)
 
@@ -71,25 +85,6 @@ class Graph:
         return cls(n, [full & ~(1 << i) for i in range(n)])
 
     @cached_property
-    def multipartite_parts(self):
-        """The parts as ascending vertex lists, in order of their least
-        vertex, if the graph is complete multipartite; None otherwise.
-
-        The graph is complete multipartite when every vertex's closed
-        non-neighbourhood is the same set for all of its members; those sets
-        are then the parts.  Each vertex lies in its own closed
-        non-neighbourhood, so a set is a part iff it has as many members as
-        vertices that share it.
-        """
-        full = (1 << self.n) - 1
-        parts = {}
-        for v, row in enumerate(self.rows):
-            parts.setdefault(full & ~row, []).append(v)
-        if any(mask.bit_count() != len(members) for mask, members in parts.items()):
-            return None
-        return list(parts.values())
-
-    @cached_property
     def diameter(self):
         """The largest distance between two vertices, inf when the graph is
         disconnected; the graph must be nonempty.
@@ -98,8 +93,8 @@ class Graph:
         more it is connected, and two vertices of one part are at distance 2
         through any vertex of another, so the diameter is 1 when every part
         is a single vertex and 2 otherwise.  Any other graph takes one search
-        per distinct row: vertices with equal rows are non-adjacent twins,
-        with equal eccentricities.
+        from the first vertex of each twin class, since twins have equal
+        eccentricities.
         """
         parts = self.multipartite_parts
         if parts is not None:
@@ -108,8 +103,8 @@ class Graph:
             return 1 if len(parts) == self.n else 2
         full = (1 << self.n) - 1
         diameter = 0
-        for source in {row: s for s, row in enumerate(self.rows)}.values():
-            layers = list(_bfs_layers(self.rows, source))
+        for twins in self.twin_classes:
+            layers = list(_bfs_layers(self.rows, twins[0]))
             if sum(layers) != full:  # the layers are disjoint
                 return INF
             diameter = max(diameter, len(layers) - 1)

@@ -5,7 +5,7 @@ the same certificate, and ``isomorphism`` maps the i-th vertex of one
 labeling to the i-th vertex of the other.
 
 A complete multipartite graph (every non-commuting graph of dimension <= 3)
-is labeled directly from the parts ``Graph.multipartite_parts`` finds: the
+is labeled directly from the parts ``Graph.multipartite_parts`` holds: the
 parts by (size, least vertex), each part's vertices in ascending order.  Its
 part sizes fix it up to isomorphism, so its certificate is ``K<n>:`` followed
 by those sizes, ascending.  Any other graph takes the lexicographically

@@ -56,8 +56,8 @@ def build_graph(L):
     {cx : c != 0}, on element indices: C(cx) = C(x), so the first vertex of
     a line runs ``solutions`` once and its row is kept under the line's
     ``space.line`` entry.  Every member of x + Z has the same C(x) too, so
-    rows are also kept per centralizer mask, the only sharing left at
-    q = 2, where every line is a single vertex.
+    rows are also kept per centralizer mask, one per twin class of the graph
+    and the only sharing left at q = 2, where every line is a single vertex.
 
     Raises AbelianAlgebra when the center is all of L (the graph would be
     null) and CapExceeded when q^dim exceeds the element cap.

@@ -482,7 +482,7 @@ def check_iso_theorems(pairs):
 def iso_consequences(label, L1, g1, L2, g2, witness):
     """Failures and notes, as two lists, of the consequence checks on L1 and
     L2, given their graphs and an isomorphism ``witness`` from g1 to g2.  The
-    witness is re-verified first, one row per vertex."""
+    witness is re-verified first, one row per distinct row pair."""
     bad = _verify_witness(g1, g2, witness)
     if bad:
         return [(label, bad)], []
@@ -532,8 +532,10 @@ def _verify_witness(g1, g2, witness):
     """None if ``witness`` maps g1 onto g2 preserving adjacency, else why
     not, naming the first pair (u, v), u < v, whose adjacency it breaks.
 
-    One row per vertex: g2's row of witness[u], pulled back through the
-    witness by one ``itemgetter``, must agree with g1's row of u past u.
+    One row per distinct pair (g1's row of u, g2's row of witness[u]), for
+    its least u in ascending order: g2's row, pulled back through the witness
+    by one ``itemgetter``, must agree with g1's row past u.  Every u of a
+    pair has the same broken pairs (u, v), so the first one is found there.
     """
     n = g1.n
     if sorted(witness) != list(range(n)) or sorted(witness.values()) != list(range(g2.n)):
@@ -541,7 +543,10 @@ def _verify_witness(g1, g2, witness):
     if n < 2:  # no pair; and itemgetter returns a tuple only for two or more indices
         return None
     pull = itemgetter(*map(witness.__getitem__, range(n)))
+    first = {}
     for u in range(n):
+        first.setdefault((g1.rows[u], g2.rows[witness[u]]), u)
+    for u in first.values():
         mine = g1.row_bytes(u)[u + 1 : n]
         theirs = bytes(pull(g2.row_bytes(witness[u])))[u + 1 :]
         if mine != theirs:

@@ -13,7 +13,8 @@ every invertible matrix through ``transform_by_methods`` (each new basis
 pair bracketed with ``bracket_by_methods``, then rewritten in the new
 coordinates by ``Field`` method calls), canonical labelings by searching every ordering the
 refinement allows, certificates by coding each vertex's adjacency to the
-vertices before it, exports by sorting every edge by its label pair,
+vertices before it, isomorphism witnesses by testing every vertex pair,
+exports by sorting every edge by its label pair,
 complete multipartite parts as the cliques of the complement, and the
 conjecture table by comparing every pair of instances.  ``edges`` and
 ``to_networkx`` hand a graph to networkx, the oracle for the other graph
@@ -304,6 +305,16 @@ def certificate_by_rows(g, order):
         for k, v in enumerate(order)
     ]
     return f"G{g.n}:{','.join(map(str, rows))}".encode()
+
+
+def first_broken_pair(g1, g2, witness):
+    """The first pair (u, v), u < v, in order of u then v, whose adjacency
+    the bijection ``witness`` from g1 to g2 does not keep, or None; every
+    pair is tested with ``has_edge``."""
+    for u, v in combinations(range(g1.n), 2):
+        if g1.has_edge(u, v) != g2.has_edge(witness[u], witness[v]):
+            return u, v
+    return None
 
 
 def find_inverse(field, a):

@@ -204,6 +204,16 @@ def test_degree_predicates():
     assert not is_complete_bipartite(Graph(2, [0, 0]))  # no edges at all
 
 
+def assert_twin_classes(g):
+    """The twin classes partition the vertices in order of their least
+    vertex, and each is exactly the vertices sharing one row."""
+    classes = g.twin_classes
+    assert sorted(v for twins in classes for v in twins) == list(range(g.n))
+    assert [twins[0] for twins in classes] == sorted(twins[0] for twins in classes)
+    for twins in classes:
+        assert twins == [v for v in range(g.n) if g.neighbors(v) == g.neighbors(twins[0])]
+
+
 def test_multipartite_parts_on_every_small_graph():
     # every labeled graph on at most 5 vertices; the complete multipartite
     # ones correspond to the set partitions, so there are Bell(n) of them
@@ -214,6 +224,7 @@ def test_multipartite_parts_on_every_small_graph():
             g = Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if mask >> i & 1])
             parts = g.multipartite_parts
             assert parts == oracles.multipartite_parts_by_complement(g)
+            assert_twin_classes(g)
             assert is_complete_bipartite(g) == nx_is_complete_bipartite(oracles.to_networkx(g))
             found += parts is not None
         assert found == bell
@@ -300,6 +311,7 @@ def test_connectivity_with_twin_rows_matches_networkx():
             n, [(a, b) for a, b in combinations(range(n), 2) if base.has_edge(owner[a], owner[b])]
         )
         assert g.multipartite_parts is None
+        assert_twin_classes(g)
         assert connectivity(g) == (True, nx.diameter(oracles.to_networkx(g)))
 
 

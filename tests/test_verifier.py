@@ -3,10 +3,12 @@
 import random
 from collections import Counter
 from functools import cache
+from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lie_ncg import liealg, verifier
 from lie_ncg.catalog import catalog_entry
@@ -14,6 +16,7 @@ from lie_ncg.errors import UnknownStatement
 from lie_ncg.gf import field_new
 from lie_ncg.graphs import Graph
 from lie_ncg.io import load_spec
+from lie_ncg.iso import isomorphism
 from lie_ncg.liealg import LieAlgebra, algebra_from_spec
 from lie_ncg.linalg import VectorSpace, bits
 from lie_ncg.ncg import build_graph
@@ -343,6 +346,50 @@ def test_failure_branch_is_recorded(patches, run, expected, monkeypatch):
     for name, value in patches.items():
         monkeypatch.setattr(verifier, name, value)
     assert run() == expected
+
+
+def test_witness_is_checked_once_per_distinct_row_pair(monkeypatch):
+    # heisenberg_f4: 60 vertices in 5 twin classes of 12
+    L = algebra_from_spec(load_spec(SPECS / "heisenberg_f4.json"))
+    g = build_graph(L)
+    witness = isomorphism(g, g)
+    pairs = {(g.rows[u], g.rows[witness[u]]) for u in range(g.n)}
+    calls = []
+    row_bytes = Graph.row_bytes
+    monkeypatch.setattr(Graph, "row_bytes", lambda self, v: calls.append(v) or row_bytes(self, v))
+    assert verifier.iso_consequences("A ~ A", L, g, L, g, witness)[0] == []
+    assert 0 < len(calls) <= 2 * len(pairs) < 2 * g.n
+
+
+@st.composite
+def witnessed_graphs(draw):
+    """(g1, g2, witness): g1 a graph on 1 to 6 vertices, each blown up into 1
+    to 3 twins, g2 a relabeling of it, and the witness the relabeling with
+    up to three pairs of its images swapped."""
+    k = draw(st.integers(1, 6))
+    pairs = list(combinations(range(k), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = {e for e, kept in zip(pairs, keep) if kept}
+    owner = [u for u in range(k) for _ in range(draw(st.integers(1, 3)))]
+    n = len(owner)
+    g1 = Graph.from_edges(
+        n, [(a, b) for a, b in combinations(range(n), 2) if (owner[a], owner[b]) in edges]
+    )
+    perm = draw(st.permutations(range(n)))
+    g2 = Graph.from_edges(n, [(perm[a], perm[b]) for a, b in oracles.edges(g1)])
+    witness = dict(enumerate(perm))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        witness[a], witness[b] = witness[b], witness[a]
+    return g1, g2, witness
+
+
+@settings(max_examples=300, deadline=None)
+@given(witnessed_graphs())
+def test_verify_witness_matches_pairwise_oracle_hypothesis(graphs):
+    pair = oracles.first_broken_pair(*graphs)
+    expected = None if pair is None else f"witness breaks adjacency on {pair}"
+    assert verifier._verify_witness(*graphs) == expected
 
 
 def test_undecided_graph_fails_its_statements_instead_of_raising():

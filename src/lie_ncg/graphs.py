@@ -2,24 +2,25 @@
 
 Vertices are ``0..n-1``; row ``i`` is an integer whose bit ``j`` is set when
 ``i`` and ``j`` are adjacent.  Sizes beyond the stated caps raise
-``CapExceeded``.  Girth, planarity and outerplanarity are read from facts
-checked on the graph, which every non-commuting graph has: a triangle (x, y
-and x + y for [x, y] != 0), and a complete multipartite shape or more than
-3n - 6 edges.  A graph without them raises ``Undecided``.
+``CapExceeded``.  Girth, Hamiltonicity, planarity and outerplanarity are
+read from facts checked on the graph, which every non-commuting graph has:
+a triangle (x, y and x + y for [x, y] != 0), Dirac's bound
+2 * min degree >= n, and a complete multipartite shape or more than 3n - 6
+edges.  A graph without them raises ``Undecided``.
 The twin classes, the vertices grouped by row once in ``Graph.__init__``,
 are that shape's parts when it has one (``Graph.multipartite_parts``), and
 the invariants answer from the parts: ``Graph.diameter``, ``is_planar`` and
 ``is_outerplanar`` by closed forms in the part sizes, ``is_hamiltonian``
-without a search, ``is_complete_bipartite`` by counting parts, and the
+below Dirac's bound, ``is_complete_bipartite`` by counting parts, and the
 canonical labeling in ``iso`` by ordering them.
 
 ``Graph.diameter``, once per graph, is the one place connectedness is
-decided: ``connectivity``, ``is_eulerian`` and ``hamiltonian_cycle`` read
-it, and it is inf when the graph is disconnected.  Every traversal runs on
-the rows through one breadth-first helper, ``_bfs_layers``: each layer is a
-bitmask, and the next one is the OR of the current layer's rows minus the
-vertices already seen.  A graph that is not complete multipartite takes one
-search per twin class.
+decided: ``connectivity`` and ``is_eulerian`` read it, and it is inf when
+the graph is disconnected.  Every traversal runs on the rows through one
+breadth-first helper, ``_bfs_layers``: each layer is a bitmask, and the
+next one is the OR of the current layer's rows minus the vertices already
+seen.  A graph that is not complete multipartite takes one search per twin
+class.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from functools import cached_property
 from .errors import CapExceeded, EmptyGraph, Undecided
 from .linalg import bits
 
-HAMILTON_EXACT_CAP = 64
 DOMINATION_CAP = 32
 
 INF = math.inf
@@ -205,53 +205,48 @@ def is_complete_bipartite(g):
 
 
 def hamiltonian_cycle(g):
-    """Exact backtracking search; returns a cycle as a vertex list, or None."""
-    n = g.n
-    if n > HAMILTON_EXACT_CAP:
-        raise CapExceeded(f"exact Hamiltonian search capped at {HAMILTON_EXACT_CAP} vertices")
-    if n < 3 or min(g._degrees) < 2 or g.diameter == INF:
-        return None
-    path = [0]
-    visited = 1
+    """A Hamilton cycle of a graph with n >= 3 and 2 * min degree >= n
+    (Dirac), as a vertex list, by Palmer's rotation; any other graph raises
+    Undecided.
 
-    def extend():
-        nonlocal visited
-        u = path[-1]
-        if len(path) == n:
-            return g.has_edge(u, 0)
-        candidates = g.rows[u] & ~visited
-        # prune: an unvisited vertex with no free neighbor (and not reachable
-        # as the final vertex) makes the partial path dead
-        remaining = ~visited & ((1 << n) - 1)
-        for v in bits(remaining):
-            free = g.rows[v] & (remaining | 1 | (1 << u))
-            if free.bit_count() < 2 and remaining.bit_count() > 1:
-                return False
-        for v in bits(candidates):
-            path.append(v)
-            visited |= 1 << v
-            if extend():
-                return True
-            path.pop()
-            visited &= ~(1 << v)
-        return False
-
-    return list(path) if extend() else None
+    Read ``range(n)`` as a cycle.  At a gap, non-adjacent u = c[i] and
+    v = c[i + 1], reverse c[i + 1 .. i + k] for the first k with
+    u ~ c[i + k] and v ~ c[i + k + 1]: the k of u's neighbours and those of
+    v's, at least n together, lie in 1 .. n - 1, so some k has both.  Both
+    ends of the reversed run are then edges and every other pair of cycle
+    neighbours is kept, so each rotation closes a gap, and at most n close
+    them all.
+    """
+    n, rows = g.n, g.rows
+    if n < 3 or 2 * min(g._degrees) < n:
+        raise Undecided(f"Hamilton cycle of a graph below Dirac's bound ({g!r})")
+    c = list(range(n))
+    for _ in range(n):
+        i = next((i for i in range(n) if not rows[c[i - 1]] >> c[i] & 1), None)
+        if i is None:
+            break
+        c = c[i:] + c[:i]  # the gap is now u = c[-1], v = c[0]
+        u, v = c[-1], c[0]
+        k = next(k for k in range(1, n) if rows[u] >> c[k - 1] & 1 and rows[v] >> c[k] & 1)
+        c[:k] = c[k - 1 :: -1]
+    return c
 
 
 def is_hamiltonian(g):
-    """Dirac shortcut when it applies, exact backtracking otherwise.
+    """True by Dirac's condition, n >= 3 and 2 * min degree >= n, which
+    every non-commuting graph meets: |C(x)| <= |L|/q for x outside the
+    center, so deg x = |L| - |C(x)| >= |L|(1 - 1/q) >= n/2.
 
-    A complete multipartite graph that fails Dirac needs no search: either
-    n < 3, or a vertex of the largest part has degree n - n_k < n/2, so that
-    part is an independent set of more than n/2 vertices, which no Hamilton
-    cycle can hold.
+    False for a complete multipartite graph that fails it: either n < 3, or
+    a vertex of the largest part has degree n - n_k < n/2, so that part is
+    an independent set of more than n/2 vertices, which no Hamilton cycle
+    can hold.  Any other graph raises Undecided.
     """
     if g.n >= 3 and 2 * min(g._degrees) >= g.n:
         return True
     if g.multipartite_parts is not None:
         return False
-    return hamiltonian_cycle(g) is not None
+    raise Undecided(f"Hamiltonicity of a graph below Dirac's bound ({g!r})")
 
 
 # -- planarity -----------------------------------------------------------------
@@ -362,8 +357,8 @@ def property_report(g):
 
     The domination number is reported as the string ``"skipped"`` when the
     graph exceeds the exact-search cap; every other field is exact.  A graph
-    without a triangle, or sparse and not complete multipartite, raises
-    Undecided; no non-commuting graph is either.
+    without a triangle, or sparse or below Dirac's bound and not complete
+    multipartite, raises Undecided; no non-commuting graph is any of these.
     """
     degs = g.degrees()
     connected, diameter = connectivity(g)

@@ -7,7 +7,8 @@ vectors the library uses, centralizers and centers are found by scanning
 all elements, [L, L] and the lower central series by reducing
 ``bracket_by_methods`` brackets, non-commuting graphs by
 bracketing every pair of vertices, planarity by searching for a forbidden
-subdivision, domination by trying every subset, Lie structures by testing
+subdivision, domination by trying every subset, Hamilton cycles by
+backtracking over every path from vertex 0, Lie structures by testing
 the Jacobi identity on every structure tensor, GL(n, q) orbits by applying
 every invertible matrix through ``transform_by_methods`` (each new basis
 pair bracketed with ``bracket_by_methods``, then rewritten in the new
@@ -22,6 +23,7 @@ invariants.
 """
 
 import json
+import math
 from functools import reduce
 from itertools import combinations, product
 from xml.sax.saxutils import escape
@@ -31,6 +33,7 @@ import networkx as nx
 from lie_ncg.enumeration import tensor_key
 from lie_ncg.iso import refine_colors
 from lie_ncg.liealg import LieAlgebra
+from lie_ncg.linalg import bits
 from lie_ncg.ncg import NcGraph
 
 
@@ -367,6 +370,48 @@ def domination_bruteforce(g):
             if covered == full:
                 return k
     return g.n
+
+
+def hamiltonian_cycle_exhaustive(g):
+    """A Hamilton cycle as a vertex list, or None, by backtracking over
+    every path from vertex 0."""
+    n = g.n
+    if n < 3 or min(g._degrees) < 2 or g.diameter == math.inf:
+        return None
+    path = [0]
+    visited = 1
+
+    def extend():
+        nonlocal visited
+        u = path[-1]
+        if len(path) == n:
+            return g.has_edge(u, 0)
+        candidates = g.rows[u] & ~visited
+        # prune: an unvisited vertex with no free neighbor (and not reachable
+        # as the final vertex) makes the partial path dead
+        remaining = ~visited & ((1 << n) - 1)
+        for v in bits(remaining):
+            free = g.rows[v] & (remaining | 1 | (1 << u))
+            if free.bit_count() < 2 and remaining.bit_count() > 1:
+                return False
+        for v in bits(candidates):
+            path.append(v)
+            visited |= 1 << v
+            if extend():
+                return True
+            path.pop()
+            visited &= ~(1 << v)
+        return False
+
+    return list(path) if extend() else None
+
+
+def is_hamilton_cycle(g, cycle):
+    """Whether ``cycle`` visits every vertex once, with each consecutive
+    pair, the last and the first included, tested with ``has_edge``."""
+    return sorted(cycle) == list(range(g.n)) and all(
+        g.has_edge(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1])
+    )
 
 
 # -- Kuratowski subdivision search --------------------------------------------

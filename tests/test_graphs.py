@@ -7,7 +7,7 @@ from itertools import combinations, combinations_with_replacement
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lie_ncg.errors import CapExceeded, EmptyGraph, Undecided
 from lie_ncg.graphs import (
@@ -239,30 +239,36 @@ def test_eulerian():
     assert is_eulerian(octahedron())
 
 
+def two_complete(k):
+    """Two disjoint copies of K_k: every degree k - 1, disconnected, and not
+    complete multipartite."""
+    n = 2 * k
+    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if u // k == v // k])
+
+
 def test_hamiltonian_cycle_exact():
-    cyc = hamiltonian_cycle(Graph.complete(5))
-    assert cyc is not None and sorted(cyc) == list(range(5))
-    g = Graph.complete(5)
-    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        assert g.has_edge(a, b)
-    assert hamiltonian_cycle(petersen()) is None  # hypohamiltonian: no cycle
-    assert hamiltonian_cycle(path(4)) is None
-    assert hamiltonian_cycle(complete_bipartite(2, 3)) is None
-    assert hamiltonian_cycle(complete_bipartite(3, 3)) is not None
-    assert hamiltonian_cycle(Graph.complete(2)) is None
-    # two disjoint K_4: every degree 3 >= 2, not complete multipartite, and
-    # disconnected, so no Hamilton cycle
-    two_k4 = Graph.from_edges(8, [(u, v) for u, v in combinations(range(8), 2) if u // 4 == v // 4])
+    for g in (Graph.complete(5), complete_bipartite(3, 3), octahedron()):
+        assert oracles.is_hamilton_cycle(g, hamiltonian_cycle(g))
+        assert oracles.is_hamilton_cycle(g, oracles.hamiltonian_cycle_exhaustive(g))
+    # below Dirac's bound and without a cycle: Petersen is hypohamiltonian,
+    # and two disjoint K_4 are disconnected
+    two_k4 = two_complete(4)
     assert two_k4.multipartite_parts is None and not nx.is_connected(oracles.to_networkx(two_k4))
-    assert hamiltonian_cycle(two_k4) is None
-    with pytest.raises(CapExceeded):
-        hamiltonian_cycle(Graph(65, [0] * 65))
+    for g in (petersen(), path(4), complete_bipartite(2, 3), Graph.complete(2), two_k4):
+        assert oracles.hamiltonian_cycle_exhaustive(g) is None
+        with pytest.raises(Undecided):
+            hamiltonian_cycle(g)
 
 
 def test_is_hamiltonian_dirac_consistent_with_exact():
-    for g in [Graph.complete(6), cycle(7), octahedron(), complete_bipartite(3, 3)]:
-        assert is_hamiltonian(g) == (hamiltonian_cycle(g) is not None)
-    assert not is_hamiltonian(petersen())
+    for g in [Graph.complete(6), octahedron(), complete_bipartite(3, 3)]:
+        assert is_hamiltonian(g) and oracles.hamiltonian_cycle_exhaustive(g) is not None
+    # C7 has a cycle and Petersen none; neither meets Dirac's bound
+    assert oracles.hamiltonian_cycle_exhaustive(cycle(7)) is not None
+    assert oracles.hamiltonian_cycle_exhaustive(petersen()) is None
+    for g in (cycle(7), petersen()):
+        with pytest.raises(Undecided):
+            is_hamiltonian(g)
 
 
 def test_is_hamiltonian_complete_multipartite_matches_exact():
@@ -270,7 +276,62 @@ def test_is_hamiltonian_complete_multipartite_matches_exact():
     for k in (2, 3, 4):
         for sizes in combinations_with_replacement(range(1, 5), k):
             g = complete_multipartite(sizes)
-            assert is_hamiltonian(g) == (hamiltonian_cycle(g) is not None), sizes
+            assert is_hamiltonian(g) == (oracles.hamiltonian_cycle_exhaustive(g) is not None), sizes
+
+
+def test_is_hamiltonian_below_dirac_is_undecided_at_once():
+    # K_{6,8} minus one edge: min degree 5 < 14/2, and not complete
+    # multipartite; an exhaustive search takes seconds to find no cycle
+    g = Graph.from_edges(14, [(u, v) for u in range(6) for v in range(6, 14) if (u, v) != (0, 6)])
+    assert g.multipartite_parts is None
+    start = time.perf_counter()
+    with pytest.raises(Undecided):
+        is_hamiltonian(g)
+    assert time.perf_counter() - start < 0.5
+
+
+@st.composite
+def dirac_graphs(draw):
+    """A random graph on 3 to 40 vertices, then an edge from a least-degree
+    vertex to a random non-neighbour until 2 * min degree >= n, relabeled
+    by a random permutation."""
+    n = draw(st.integers(3, 40))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = draw(st.floats(0, 1))
+    rows = [0] * n
+    for u, v in combinations(range(n), 2):
+        if rng.random() < p:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    while 2 * min(map(int.bit_count, rows)) < n:
+        u = min(range(n), key=lambda w: rows[w].bit_count())
+        v = rng.choice([w for w in range(n) if w != u and not rows[u] >> w & 1])
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    perm = rng.sample(range(n), n)
+    edges = [(perm[u], perm[v]) for u, v in combinations(range(n), 2) if rows[u] >> v & 1]
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dirac_graphs())
+def test_hamiltonian_cycle_on_dirac_graphs_hypothesis(g):
+    assert is_hamiltonian(g)
+    assert oracles.is_hamilton_cycle(g, hamiltonian_cycle(g))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 40), st.integers(0, 2**32), st.floats(0, 1))
+def test_below_dirac_and_not_multipartite_is_undecided_hypothesis(n, seed, p):
+    # a random graph whose vertex 0 keeps fewer than n/2 neighbours
+    rng = random.Random(seed)
+    keep = set(rng.sample(range(1, n), (n - 1) // 2))
+    edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
+    g = Graph.from_edges(n, [(u, v) for u, v in edges if u != 0 or v in keep])
+    assume(g.multipartite_parts is None)
+    for invariant in (is_hamiltonian, hamiltonian_cycle):
+        with pytest.raises(Undecided):
+            invariant(g)
 
 
 def test_complete_multipartite_closed_forms_match_networkx():
@@ -437,15 +498,14 @@ def test_property_report_octahedron():
 
 
 def test_property_report_disconnected_and_capped():
-    # two disjoint K_7: a triangle, and 42 > 3n - 6 edges
-    two_k7 = Graph.from_edges(
-        14, [(u, v) for u, v in combinations(range(14), 2) if u // 7 == v // 7]
-    )
-    rep = property_report(two_k7).to_dict()
-    assert rep["is_connected"] is False
-    assert rep["diameter"] == "inf"
-    assert rep["is_planar"] is False and rep["is_outerplanar"] is False
-    assert rep["domination_number"] == 2
+    # two disjoint K_7: a triangle and 42 > 3n - 6 edges, but min degree
+    # 6 < 14/2 and not complete multipartite, so Hamiltonicity is undecided
+    two_k7 = two_complete(7)
+    assert connectivity(two_k7) == (False, INF)
+    assert is_planar(two_k7) is False and is_outerplanar(two_k7) is False
+    assert domination_number(two_k7) == 2
+    with pytest.raises(Undecided):
+        property_report(two_k7)
     big = complete_multipartite((11, 11, 11))
     assert property_report(big).domination_number == "skipped"
     with pytest.raises(Undecided):

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from lie_ncg.catalog import catalog_entry
 from lie_ncg.errors import AbelianAlgebra, CapExceeded
 from lie_ncg.gf import field_new
-from lie_ncg.graphs import connectivity, girth, is_planar, is_regular
+from lie_ncg.graphs import connectivity, girth, hamiltonian_cycle, is_planar, is_regular
 from lie_ncg.io import load_spec, parse_spec_dict
 from lie_ncg.enumeration import _c12_solutions
 from lie_ncg.liealg import LieAlgebra, algebra_from_spec
@@ -166,15 +166,19 @@ def test_build_graph_is_bounded_by_the_element_cap():
     assert (g.rows, g.vertices, g.labels) == (want.rows, want.vertices, want.labels)
 
 
-def test_build_graph_at_the_element_cap_with_every_row_distinct():
-    # aff1 summed 6 times over F_2: [x_i, y_i] = y_i, dim 12, trivial center,
-    # and 4095 vertices with 4095 different centralizers
+def _aff1_sum_f2():
+    """aff1 summed 6 times over F_2: [x_i, y_i] = y_i, dim 12, trivial
+    center, and 4095 vertices with 4095 different centralizers."""
     structure = {}
     for i in range(6):
         value = [0] * 12
         value[2 * i + 1] = 1
         structure[2 * i, 2 * i + 1] = tuple(value)
-    L = LieAlgebra(field_new(2), 12, structure)
+    return LieAlgebra(field_new(2), 12, structure)
+
+
+def test_build_graph_at_the_element_cap_with_every_row_distinct():
+    L = _aff1_sum_f2()
     start = time.perf_counter()
     g = build_graph(L)
     assert time.perf_counter() - start < 0.5
@@ -182,6 +186,15 @@ def test_build_graph_at_the_element_cap_with_every_row_distinct():
     degrees = g.degrees()
     for i in random.Random(2024).sample(range(g.n), 50):
         assert degrees[i] == L.order - L.centralizer_order(g.vertices[i])
+
+
+def test_hamiltonian_cycle_at_the_element_cap():
+    # 4095 vertices, every row distinct: Palmer's rotation needs no cap
+    g = build_graph(_aff1_sum_f2())
+    start = time.perf_counter()
+    cyc = hamiltonian_cycle(g)
+    assert time.perf_counter() - start < 2
+    assert oracles.is_hamilton_cycle(g, cyc)
 
 
 def test_abelian_algebra_rejected():

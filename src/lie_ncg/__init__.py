@@ -1,6 +1,6 @@
 """Non-commuting graphs of finite-dimensional Lie algebras over small finite fields."""
 
-from .catalog import CatalogEntry, builtin_catalog, catalog_entry
+from .catalog import CatalogEntry, builtin_catalog
 from .enumeration import jacobi_tensors
 from .errors import (
     AbelianAlgebra,
@@ -21,7 +21,6 @@ from .verifier import (
     TheoremReport,
     check_all_statements,
     check_figures,
-    check_iso_theorems,
     check_statement,
     explore_conjecture,
 )
@@ -47,10 +46,8 @@ __all__ = [
     "build_graph",
     "builtin_catalog",
     "canonical_certificate",
-    "catalog_entry",
     "check_all_statements",
     "check_figures",
-    "check_iso_theorems",
     "check_statement",
     "explore_conjecture",
     "field_new",

@@ -93,10 +93,3 @@ _ENTRIES = [
 def builtin_catalog():
     """The built-in list of CatalogEntry values, in a fixed order."""
     return list(_ENTRIES)
-
-
-def catalog_entry(name):
-    for entry in _ENTRIES:
-        if entry.name == name:
-            return entry
-    raise KeyError(name)

@@ -9,11 +9,9 @@ Extension fields use a fixed reduction polynomial per supported order so that
 element codes are reproducible across runs.
 
 A ``Field`` builds its addition, multiplication, negation and inverse tables
-once.  The hot kernels in :mod:`lie_ncg.linalg` and :mod:`lie_ncg.liealg`
-index those tables directly (``add_table[a][b]``, ``mul_table[a]`` as the
-map x -> a*x).  Of the ``add``/``sub``/``mul``/``neg``/``inverse`` methods,
-the library itself calls only ``neg``, in ``algebra_from_spec``; the rest
-serve the method-call oracles of the tests.
+once, and those tables are its only arithmetic: the kernels in
+:mod:`lie_ncg.linalg` and :mod:`lie_ncg.liealg` index them directly
+(``add_table[a][b]``, ``mul_table[a]`` as the map x -> a*x).
 """
 
 from __future__ import annotations
@@ -139,25 +137,6 @@ class Field:
                     prod[deg - k + j] = (prod[deg - k + j] - c * red[j]) % p
         return self._code(prod[:k])
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def add(self, a, b):
-        return self.add_table[a][b]
-
-    def sub(self, a, b):
-        return self.add_table[a][self.neg_table[b]]
-
-    def mul(self, a, b):
-        return self.mul_table[a][b]
-
-    def neg(self, a):
-        return self.neg_table[a]
-
-    def inverse(self, a):
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self.inv_table[a]
-
     def elements(self):
         return range(self.q)
 
@@ -172,9 +151,10 @@ def field_new(q):
     """
     if q > FIELD_CAP:
         raise UnsupportedField(f"field order {q} exceeds the cap {FIELD_CAP}")
-    if prime_power_decomposition(q) is None:
+    pk = prime_power_decomposition(q)
+    if pk is None:
         raise NotPrimePower(f"{q} is not a prime power")
-    p, k = prime_power_decomposition(q)
+    p, k = pk
     if k == 1:
         poly = ()
     else:

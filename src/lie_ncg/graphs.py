@@ -116,9 +116,6 @@ class Graph:
     def edge_count(self):
         return sum(self._degrees) // 2
 
-    def has_edge(self, u, v):
-        return bool(self.rows[u] >> v & 1)
-
     def row_bytes(self, v):
         """Row v as n bytes, byte u 1 when u is adjacent to v and 0 when not:
         one pass over the row's binary digits, which ``itemgetter`` can then

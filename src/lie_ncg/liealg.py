@@ -5,14 +5,14 @@ chosen basis).  Structure constants are stored only for basis pairs ``i < j``;
 the bracket of equal basis elements is zero and the ``i > j`` case is the
 negation, so antisymmetry holds by construction rather than by validation.
 
-``bracket`` reads the field's tables (``Field.add_table`` and friends), not
-a ``Field`` method per coefficient, and walks the nonzero structure terms,
-built once per algebra; ``jacobi_failure`` and ``is_nilpotent`` bracket
-through its unchecked core ``_bracket``.  Kernels code each element as its
-index sum v_i q^i in F_q^dim (``linalg.VectorSpace``, reached through
-``space`` once the element cap is checked): ``ad_rows[x]`` holds the rows of
-ad(x) as indices, zipped from one ``VectorSpace.linear_map`` table per row,
-each a linear map of x read from the rows of the ad(e_k).
+``_bracket``, the bracket of two coordinate tuples, reads the field's
+tables (``Field.add_table`` and friends) and walks the nonzero structure
+terms, built once per algebra; ``jacobi_failure`` and ``is_nilpotent``
+bracket through it, and it checks no argument.  Kernels code each element
+as its index sum v_i q^i in F_q^dim (``linalg.VectorSpace``, reached
+through ``space`` once the element cap is checked): ``ad_rows[x]`` holds
+the rows of ad(x) as indices, zipped from one ``VectorSpace.linear_map``
+table per row, each a linear map of x read from the rows of the ad(e_k).
 Subspaces are masks too: ``center_mask`` is the AND of the hyperplane masks
 of every ad(e_k) row, kept per algebra, ``center`` and ``derived_subalgebra``
 read a basis off a mask (``VectorSpace.basis``), and ``is_nilpotent`` walks
@@ -132,14 +132,9 @@ class LieAlgebra:
                 f"in 0..{self.field.q - 1}"
             )
 
-    def bracket(self, u, v):
-        """Bilinear extension of the structure constants to arbitrary elements."""
-        self._check_element(u)
-        self._check_element(v)
-        return self._bracket(u, v)
-
     def _bracket(self, u, v):
-        """``bracket`` without the element checks."""
+        """[u, v], the bilinear extension of the structure constants; u and
+        v are not checked."""
         add, mul, neg = self.field.add_table, self.field.mul_table, self.field.neg_table
         out = [0] * self.dim
         for i, j, terms in self._terms:
@@ -305,7 +300,7 @@ def algebra_from_spec(spec):
                 raise ParseError(f"coefficient {coeff} out of range [0, {spec.q})")
             vec[index[name]] = coeff
         if i > j:
-            vec = [field.neg(c) for c in vec]
+            vec = [field.neg_table[c] for c in vec]
         structure[key] = tuple(vec)
     check_element_cap(spec.q ** spec.dim)
     return LieAlgebra(field, spec.dim, structure, basis_names=names)

@@ -21,7 +21,7 @@ from .catalog import builtin_catalog
 from .enumeration import _check_scope, algebras_equivalent, jacobi_tensors
 from .errors import CapExceeded, Undecided, UnknownStatement
 from .gf import field_new, prime_factors, prime_power_decomposition
-from .iso import canonical_certificate, isomorphism
+from .iso import canonical_certificate
 from .ncg import build_graph
 from .refgraphs import figure_graph
 
@@ -453,30 +453,6 @@ def _degree_shapes(degree):
             if a == 2:
                 shapes.add("p^2*q")
     return shapes
-
-
-def check_iso_theorems(pairs):
-    """Consequence checks on pairs of algebras with isomorphic graphs.
-
-    ``pairs`` is a sequence of ``(name1, L1, name2, L2)`` tuples.  Pairs
-    whose graphs are not isomorphic are vacuous; the others are checked by
-    ``iso_consequences``.
-    """
-    report = TheoremReport(
-        statement_id="IsoTheorems",
-        quote="graph isomorphism constrains field order and algebra order",
-    )
-    for name1, L1, name2, L2 in pairs:
-        report.instances_checked += 1
-        g1, g2 = build_graph(L1), build_graph(L2)
-        witness = isomorphism(g1, g2)
-        if witness is None:
-            report.vacuous_count += 1
-            continue
-        failures, notes = iso_consequences(f"{name1} ~ {name2}", L1, g1, L2, g2, witness)
-        report.failures.extend(failures)
-        report.notes.extend(notes)
-    return report
 
 
 def iso_consequences(label, L1, g1, L2, g2, witness):

@@ -1,46 +1,127 @@
 """Independent brute-force oracles used to cross-check library results.
 
-Everything here deliberately avoids the code paths it validates: row
-reduction, spans, kernel masks, brackets and ad(x) go through ``Field``
-method calls on coordinate tuples, not the field tables or the index-coded
-vectors the library uses, centralizers and centers are found by scanning
-all elements, [L, L] and the lower central series by reducing
-``bracket_by_methods`` brackets, non-commuting graphs by
-bracketing every pair of vertices, planarity by searching for a forbidden
-subdivision, domination by trying every subset, Hamilton cycles by
-backtracking over every path from vertex 0, Lie structures by testing
-the Jacobi identity on every structure tensor, GL(n, q) orbits by applying
-every invertible matrix through ``transform_by_methods`` (each new basis
-pair bracketed with ``bracket_by_methods``, then rewritten in the new
-coordinates by ``Field`` method calls), canonical labelings by searching every ordering the
-refinement allows, certificates by coding each vertex's adjacency to the
-vertices before it, isomorphism witnesses by testing every vertex pair,
-exports by sorting every edge by its label pair,
-complete multipartite parts as the cliques of the complement, and the
-conjecture table by comparing every pair of instances.  ``edges`` and
-``to_networkx`` hand a graph to networkx, the oracle for the other graph
-invariants.
+Everything here deliberately avoids the code paths it validates.  Field
+arithmetic is this module's own: ``arithmetic(q)`` builds F_q from integers
+mod p and, for q = p^k with k > 1, from products of base-p digit
+polynomials reduced mod the shipped reduction polynomial, and no oracle
+reads the library's field tables itself.  Row reduction, spans, kernel
+masks, brackets and ad(x) go through ``arithmetic`` method calls on
+coordinate tuples, not the index-coded vectors the library uses,
+centralizers and centers are found by scanning all elements, [L, L] and the
+lower central series by reducing ``bracket_by_methods`` brackets,
+non-commuting graphs by bracketing every pair of vertices (centralizers,
+centers and these graphs with the library's ``LieAlgebra._bracket``, which
+the tests check against ``bracket_by_methods``), planarity by searching
+for a forbidden subdivision, domination by trying every subset, Hamilton
+cycles by backtracking over every path from vertex 0 on the rows alone, Lie
+structures by testing the Jacobi identity on every structure tensor,
+GL(n, q) orbits by applying every invertible matrix through
+``transform_by_methods`` (each new basis pair bracketed with
+``bracket_by_methods``, then rewritten in the new coordinates by
+``arithmetic`` method calls), canonical labelings by searching every
+ordering the refinement allows, certificates by coding each vertex's
+adjacency to the vertices before it, isomorphism witnesses by testing every
+vertex pair, exports by sorting every edge by its label pair, complete
+multipartite parts as the cliques of the complement, and the conjecture
+table by comparing every pair of instances.  ``edges`` and ``to_networkx``
+hand a graph to networkx, the oracle for the other graph invariants.
+``has_edge`` and ``catalog_entry`` are lookups the tests share.
 """
 
 import json
-import math
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, product
 from xml.sax.saxutils import escape
 
 import networkx as nx
 
+from lie_ncg.catalog import builtin_catalog
 from lie_ncg.enumeration import tensor_key
+from lie_ncg.gf import REDUCTION_POLYNOMIALS
 from lie_ncg.iso import refine_colors
 from lie_ncg.liealg import LieAlgebra
 from lie_ncg.linalg import bits
 from lie_ncg.ncg import NcGraph
 
 
+def has_edge(g, u, v):
+    """Whether u and v are adjacent: bit v of row u."""
+    return bool(g.rows[u] >> v & 1)
+
+
+def catalog_entry(name):
+    """The catalog entry called ``name``."""
+    return next(entry for entry in builtin_catalog() if entry.name == name)
+
+
+# -- field arithmetic of its own ------------------------------------------------
+
+
+class Arithmetic:
+    """F_q on the package's element codes (little-endian base-p digits),
+    computed without ``lie_ncg.gf``'s tables: digits add mod p, and
+    products are polynomial products reduced mod the shipped monic
+    reduction polynomial, constant term first.  1/a is a^(q - 2)."""
+
+    def __init__(self, q):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        k = next(k for k in range(1, q) if p**k == q)
+        poly = REDUCTION_POLYNOMIALS[q] if k > 1 else ()
+        digits = [tuple(c // p**i % p for i in range(k)) for c in range(q)]
+        code = {d: c for c, d in enumerate(digits)}
+
+        def product_of(da, db):
+            prod = [0] * (2 * k - 1)
+            for i, x in enumerate(da):
+                for j, y in enumerate(db):
+                    prod[i + j] = (prod[i + j] + x * y) % p
+            # t^k = -(poly[0] + poly[1] t + ... + poly[k-1] t^(k-1))
+            for deg in range(2 * k - 2, k - 1, -1):
+                c, prod[deg] = prod[deg], 0
+                for i in range(k):
+                    prod[deg - k + i] = (prod[deg - k + i] - c * poly[i]) % p
+            return code[tuple(prod[:k])]
+
+        self._add = [[code[tuple((x + y) % p for x, y in zip(da, db))] for db in digits]
+                     for da in digits]
+        self._mul = [[product_of(da, db) for db in digits] for da in digits]
+        self._neg = [code[tuple(-x % p for x in d)] for d in digits]
+        self._inv = [None]
+        for a in range(1, q):
+            power = 1
+            for _ in range(q - 2):
+                power = self._mul[power][a]
+            self._inv.append(power)
+
+    def add(self, a, b):
+        return self._add[a][b]
+
+    def sub(self, a, b):
+        return self._add[a][self._neg[b]]
+
+    def mul(self, a, b):
+        return self._mul[a][b]
+
+    def neg(self, a):
+        return self._neg[a]
+
+    def inverse(self, a):
+        if a == 0:
+            raise ZeroDivisionError("0 has no multiplicative inverse")
+        return self._inv[a]
+
+
+@cache
+def arithmetic(q):
+    """The ``Arithmetic`` of F_q, built once per q."""
+    return Arithmetic(q)
+
+
 def rref_by_methods(field, rows):
     """Reduced row echelon form of row tuples, returned as (nonzero rows,
-    pivot columns), computed with one ``Field`` method call per
+    pivot columns), computed with one ``arithmetic`` method call per
     coefficient."""
+    f = arithmetic(field.q)
     mat = [list(r) for r in rows]
     if not mat:
         return [], []
@@ -51,12 +132,12 @@ def rref_by_methods(field, rows):
         if pivot is None:
             continue
         mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = field.inverse(mat[r][c])
-        mat[r] = [field.mul(inv, x) for x in mat[r]]
+        inv = f.inverse(mat[r][c])
+        mat[r] = [f.mul(inv, x) for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(mat[i], mat[r])]
+                m = mat[i][c]
+                mat[i] = [f.sub(x, f.mul(m, y)) for x, y in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -78,12 +159,13 @@ def mat_inv(field, rows):
 def span_by_methods(field, basis, n):
     """Every vector of F_q^n spanned by the rows of ``basis``, in
     ``itertools.product`` order of their coefficient vectors, with one
-    ``Field`` method call per coefficient."""
+    ``arithmetic`` method call per coefficient."""
+    f = arithmetic(field.q)
     out = []
     for coeffs in product(field.elements(), repeat=len(basis)):
         vec = (0,) * n
         for c, row in zip(coeffs, basis):
-            vec = tuple(field.add(x, field.mul(c, y)) for x, y in zip(vec, row))
+            vec = tuple(f.add(x, f.mul(c, y)) for x, y in zip(vec, row))
         out.append(vec)
     return out
 
@@ -91,11 +173,12 @@ def span_by_methods(field, basis, n):
 def solutions_by_methods(field, dim, rows):
     """The bitmask of {y in F_q^dim : r . y = 0 for every r in ``rows``},
     bit k for the k-th vector in little-endian index order, found by
-    scanning every y with ``Field`` method calls."""
+    scanning every y with ``arithmetic`` method calls."""
+    f = arithmetic(field.q)
     mask = 0
     for k, c in enumerate(product(field.elements(), repeat=dim)):
         y = tuple(reversed(c))
-        if all(reduce(field.add, map(field.mul, r, y), 0) == 0 for r in rows):
+        if all(reduce(f.add, map(f.mul, r, y), 0) == 0 for r in rows):
             mask |= 1 << k
     return mask
 
@@ -112,8 +195,8 @@ def subspace_members(L, basis):
 
 def bracket_by_methods(L, u, v):
     """[u, v] = sum over i < j of (u_i v_j - u_j v_i) c_ij, read straight
-    from ``L.structure`` with ``Field`` method calls."""
-    f = L.field
+    from ``L.structure`` with ``arithmetic`` method calls."""
+    f = arithmetic(L.field.q)
     out = [0] * L.dim
     for (i, j), cij in L.structure.items():
         s = f.sub(f.mul(u[i], v[j]), f.mul(u[j], v[i]))
@@ -148,8 +231,8 @@ def nilpotent_by_methods(L):
 def transform_by_methods(L, g, ginv):
     """The structure table of L rewritten in the basis whose vectors are the
     columns of g: [g_i, g_j] by ``bracket_by_methods``, then its coordinates
-    in that basis as g^-1 times it, with ``Field`` method calls."""
-    f, n = L.field, L.dim
+    in that basis as g^-1 times it, with ``arithmetic`` method calls."""
+    f, n = arithmetic(L.field.q), L.dim
     cols = [tuple(row[c] for row in g) for c in range(n)]
     table = {}
     for i, j in combinations(range(n), 2):
@@ -173,14 +256,14 @@ def elements(L):
 def brute_centralizer(L, x):
     """All elements commuting with x, by scanning the whole algebra."""
     zero = L.zero()
-    return {y for y in elements(L) if L.bracket(x, y) == zero}
+    return {y for y in elements(L) if L._bracket(x, y) == zero}
 
 
 def brute_center(L):
     zero = L.zero()
     out = set()
     for x in elements(L):
-        if all(L.bracket(x, L.basis_vector(i)) == zero for i in range(L.dim)):
+        if all(L._bracket(x, L.basis_vector(i)) == zero for i in range(L.dim)):
             out.add(x)
     return out
 
@@ -198,7 +281,7 @@ def graph_by_brackets(L):
     zero = L.zero()
     for a in range(n):
         for b in range(a + 1, n):
-            if L.bracket(vertices[a], vertices[b]) != zero:
+            if L._bracket(vertices[a], vertices[b]) != zero:
                 rows[a] |= 1 << b
                 rows[b] |= 1 << a
     return NcGraph(n, rows, indices, L)
@@ -207,27 +290,29 @@ def graph_by_brackets(L):
 def jacobi_failure_by_methods(field, n, table):
     """The first basis triple (i, j, k), in ``combinations`` order, on which
     the Jacobi identity of the structure ``table`` ((a, b) -> [e_a, e_b] for
-    a < b) fails, or None; with one ``Field`` method call per coefficient."""
+    a < b) fails, or None; with one ``arithmetic`` method call per
+    coefficient."""
+    f = arithmetic(field.q)
 
     def bracket_basis(a, b):
         if a == b:
             return (0,) * n
         if a < b:
             return table[a, b]
-        return tuple(field.neg(c) for c in table[b, a])
+        return tuple(f.neg(c) for c in table[b, a])
 
     def bracket_with(a, w):
         # [e_a, w] as the sum of w_m [e_a, e_m]
         out = [0] * n
         for m, wm in enumerate(w):
             for r, c in enumerate(bracket_basis(a, m)):
-                out[r] = field.add(out[r], field.mul(wm, c))
+                out[r] = f.add(out[r], f.mul(wm, c))
         return out
 
     for i, j, k in combinations(range(n), 3):
         acc = [0] * n
         for a, (b, c) in ((i, (j, k)), (k, (i, j)), (j, (k, i))):
-            acc = [field.add(x, y) for x, y in zip(acc, bracket_with(a, bracket_basis(b, c)))]
+            acc = [f.add(x, y) for x, y in zip(acc, bracket_with(a, bracket_basis(b, c)))]
         if any(acc):
             return i, j, k
     return None
@@ -290,7 +375,7 @@ def exhaustive_canonical_order(g):
         for v in range(n):
             if colors[v] != target or v in order:
                 continue
-            row = sum(1 << i for i, u in enumerate(order) if g.has_edge(u, v))
+            row = sum(1 << i for i, u in enumerate(order) if has_edge(g, u, v))
             if best[0] is not None and code + (row,) > best[0][: len(order) + 1]:
                 continue
             individualized = [2 * c + (u == v) for u, c in enumerate(colors)]
@@ -304,7 +389,7 @@ def certificate_by_rows(g, order):
     """The certificate of g in the labeling ``order``, one row at a time:
     each vertex is coded by ``has_edge`` on every vertex placed before it."""
     rows = [
-        sum(1 << i for i, u in enumerate(order[:k]) if g.has_edge(u, v))
+        sum(1 << i for i, u in enumerate(order[:k]) if has_edge(g, u, v))
         for k, v in enumerate(order)
     ]
     return f"G{g.n}:{','.join(map(str, rows))}".encode()
@@ -315,31 +400,9 @@ def first_broken_pair(g1, g2, witness):
     the bijection ``witness`` from g1 to g2 does not keep, or None; every
     pair is tested with ``has_edge``."""
     for u, v in combinations(range(g1.n), 2):
-        if g1.has_edge(u, v) != g2.has_edge(witness[u], witness[v]):
+        if has_edge(g1, u, v) != has_edge(g2, witness[u], witness[v]):
             return u, v
     return None
-
-
-def find_inverse(field, a):
-    """Multiplicative inverse by exhaustive search."""
-    for b in field.elements():
-        if field.mul(a, b) == 1:
-            return b
-    return None
-
-
-def gf4_mul(a, b):
-    """Independent F_4 product: polynomial arithmetic mod t^2 + t + 1 over F_2.
-
-    Codes are (hi << 1) | lo for the element hi*t + lo.
-    """
-    a0, a1 = a & 1, a >> 1
-    b0, b1 = b & 1, b >> 1
-    c0 = a0 & b0
-    c1 = (a0 & b1) ^ (a1 & b0)
-    c2 = a1 & b1
-    # t^2 = t + 1
-    return ((c1 ^ c2) << 1) | (c0 ^ c2)
 
 
 # -- edge lists and networkx --------------------------------------------------
@@ -376,7 +439,7 @@ def hamiltonian_cycle_exhaustive(g):
     """A Hamilton cycle as a vertex list, or None, by backtracking over
     every path from vertex 0."""
     n = g.n
-    if n < 3 or min(g._degrees) < 2 or g.diameter == math.inf:
+    if n < 3 or min(row.bit_count() for row in g.rows) < 2:
         return None
     path = [0]
     visited = 1
@@ -385,7 +448,7 @@ def hamiltonian_cycle_exhaustive(g):
         nonlocal visited
         u = path[-1]
         if len(path) == n:
-            return g.has_edge(u, 0)
+            return has_edge(g, u, 0)
         candidates = g.rows[u] & ~visited
         # prune: an unvisited vertex with no free neighbor (and not reachable
         # as the final vertex) makes the partial path dead
@@ -410,7 +473,7 @@ def is_hamilton_cycle(g, cycle):
     """Whether ``cycle`` visits every vertex once, with each consecutive
     pair, the last and the first included, tested with ``has_edge``."""
     return sorted(cycle) == list(range(g.n)) and all(
-        g.has_edge(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1])
+        has_edge(g, u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1])
     )
 
 
@@ -425,13 +488,13 @@ def _disjoint_paths(g, pairs, banned, used):
     a, b = pairs[0]
 
     def dfs(v, interior):
-        if g.has_edge(v, b):
+        if has_edge(g, v, b):
             if _disjoint_paths(g, pairs[1:], banned, used | interior):
                 return True
         for w in range(g.n):
             if w in banned or w in used or w in interior:
                 continue
-            if g.has_edge(v, w):
+            if has_edge(g, v, w):
                 if dfs(w, interior | {w}):
                     return True
         return False
@@ -488,10 +551,10 @@ def multipartite_parts_by_complement(g):
         while stack:
             u = stack.pop()
             for v in range(g.n):
-                if v != u and v not in component and not g.has_edge(u, v):
+                if v != u and v not in component and not has_edge(g, u, v):
                     component.add(v)
                     stack.append(v)
-        if any(g.has_edge(u, v) for u, v in combinations(component, 2)):
+        if any(has_edge(g, u, v) for u, v in combinations(component, 2)):
             return None
         seen |= component
         parts.append(sorted(component))
@@ -520,7 +583,7 @@ def sorted_label_edges(g):
     pair of vertices, sorted."""
     edges = []
     for u, v in combinations(range(g.n), 2):
-        if g.has_edge(u, v):
+        if has_edge(g, u, v):
             a, b = sorted((g.labels[u], g.labels[v]))
             edges.append((a, b))
     return sorted(edges)

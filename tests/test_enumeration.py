@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lie_ncg.catalog import builtin_catalog, catalog_entry
+from lie_ncg.catalog import builtin_catalog
 from lie_ncg.enumeration import (
     _c12_solutions,
     _gl_generators,
@@ -31,6 +31,8 @@ from lie_ncg.liealg import LieAlgebra
 from lie_ncg.ncg import build_graph
 
 from oracles import (
+    arithmetic,
+    catalog_entry,
     full_gl_orbits,
     gl_matrices,
     jacobi_failure_by_methods,
@@ -115,13 +117,13 @@ def test_c12_solutions_match_jacobi_filter_hypothesis(q, data):
 
 @pytest.mark.parametrize("q", FIELD_ORDERS)
 def test_gl_generators_times_their_inverses_are_identity(q):
-    f = field_new(q)
+    f, F = field_new(q), arithmetic(q)
     for n in (1, 2, 3):
         identity = [[int(i == j) for j in range(n)] for i in range(n)]
         for g, ginv in _gl_generators(n, f):
             prod = [[0] * n for _ in range(n)]
             for i, j, k in product(range(n), repeat=3):
-                prod[i][j] = f.add(prod[i][j], f.mul(g[i][k], ginv[k][j]))
+                prod[i][j] = F.add(prod[i][j], F.mul(g[i][k], ginv[k][j]))
             assert prod == identity, (n, g, ginv)
 
 

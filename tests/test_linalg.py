@@ -62,13 +62,14 @@ def test_basis_of_zero_and_full():
 def test_vector_space_tables_match_field_methods(case, data):
     V, _ = case
     f, dim = V.field, V.dim
+    F = oracles.arithmetic(f.q)
     assert len(V.digits) == f.q**dim
     u, v = (data.draw(st.integers(0, f.q**dim - 1)) for _ in range(2))
     a = data.draw(st.integers(0, f.q - 1))
     # the digits list F_q^dim in increasing little-endian index
     assert V.code(V.digits[u]) == u and sum(c * f.q**i for i, c in enumerate(V.digits[u])) == u
-    assert V.digits[V.add(u, v)] == tuple(map(f.add, V.digits[u], V.digits[v]))
-    assert V.digits[V.scale[a][u]] == tuple(f.mul(a, x) for x in V.digits[u])
+    assert V.digits[V.add(u, v)] == tuple(map(F.add, V.digits[u], V.digits[v]))
+    assert V.digits[V.scale[a][u]] == tuple(F.mul(a, x) for x in V.digits[u])
 
 
 @settings(max_examples=300, deadline=None)
@@ -107,12 +108,12 @@ def test_perp_masks_match_method_call_scan(shape, data):
 @given(st.sampled_from(PERP_SHAPES), st.data())
 def test_line_is_the_multiple_with_first_nonzero_coordinate_one(shape, data):
     q, dim = shape
-    f = field_new(q)
-    V = vector_space(f, dim)
+    F = oracles.arithmetic(q)
+    V = vector_space(field_new(q), dim)
     assert len(V.line) == q**dim and V.line[0] == 0
     x = data.draw(st.integers(1, q**dim - 1))
     v, rep = V.digits[x], V.digits[V.line[x]]
-    assert any(tuple(f.mul(c, a) for a in v) == rep for c in range(1, q))
+    assert any(tuple(F.mul(c, a) for a in v) == rep for c in range(1, q))
     assert next(a for a in rep if a) == 1
     assert all(V.line[V.scale[c][x]] == V.line[x] for c in range(1, q))
 
@@ -130,8 +131,8 @@ def test_one_perp_mask_per_line():
 @given(st.sampled_from(PERP_SHAPES), st.data())
 def test_linear_map_matches_method_call_sum(shape, data):
     q, dim = shape
-    f = field_new(q)
-    V = VectorSpace(f, dim)  # its own memo, so the first call misses
+    F = oracles.arithmetic(q)
+    V = VectorSpace(field_new(q), dim)  # its own memo, so the first call misses
     vector = st.one_of(st.just((0,) * dim), st.tuples(*[st.integers(0, q - 1)] * dim))
     images = data.draw(st.lists(vector, min_size=dim, max_size=dim))
     xs = data.draw(st.lists(st.integers(0, q**dim - 1), min_size=1, max_size=8))
@@ -142,7 +143,7 @@ def test_linear_map_matches_method_call_sum(shape, data):
         for x in xs:
             want = (0,) * dim
             for c, image in zip(V.digits[x], images):
-                want = tuple(f.add(w, f.mul(c, a)) for w, a in zip(want, image))
+                want = tuple(F.add(w, F.mul(c, a)) for w, a in zip(want, image))
             assert V.digits[table[x]] == want, (call, x)
 
 
@@ -177,12 +178,12 @@ def shaped_rows(draw):
     drawn from at most 3 vectors and their multiples, so zero rows, repeated
     rows and rows on one line all occur."""
     q, dim = draw(st.sampled_from(PERP_SHAPES))
-    f = field_new(q)
+    F = oracles.arithmetic(q)
     vector = st.one_of(st.just((0,) * dim), st.tuples(*[st.integers(0, q - 1)] * dim))
     pool = draw(st.lists(vector, min_size=1, max_size=3))
     picks = st.tuples(st.sampled_from(pool), st.integers(1, q - 1))
-    rows = [tuple(f.mul(c, x) for x in r) for r, c in draw(st.lists(picks, max_size=4))]
-    return vector_space(f, dim), rows
+    rows = [tuple(F.mul(c, x) for x in r) for r, c in draw(st.lists(picks, max_size=4))]
+    return vector_space(field_new(q), dim), rows
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lie_ncg import liealg, verifier
-from lie_ncg.catalog import catalog_entry
 from lie_ncg.errors import UnknownStatement
 from lie_ncg.gf import field_new
 from lie_ncg.graphs import Graph
@@ -29,13 +28,13 @@ from lie_ncg.verifier import (
     catalog_instances,
     check_all_statements,
     check_figures,
-    check_iso_theorems,
     check_statement,
     enumeration_instances,
     explore_conjecture,
 )
 
 import oracles
+from oracles import catalog_entry
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -452,31 +451,23 @@ def test_figure_graphs_basic_shapes():
 def test_iso_theorems_self_pairs_and_notes():
     heis3 = catalog_entry("heisenberg_f3").algebra()
     aff3 = catalog_entry("aff1_f3").algebra()
-    report = check_iso_theorems(
-        [
-            ("heisenberg_f3", heis3, "l2_f3", l2_f3()),
-            ("aff1_f3", aff3, "aff1_f3", aff3),
-        ]
-    )
-    assert report.status == "pass", report.failures
+    notes = []
+    for L1, L2 in ((heis3, l2_f3()), (aff3, aff3)):
+        g1, g2 = build_graph(L1), build_graph(L2)
+        witness = isomorphism(g1, g2)
+        assert witness is not None
+        failures, pair_notes = verifier.iso_consequences("A ~ B", L1, g1, L2, g2, witness)
+        assert failures == []
+        notes += pair_notes
     # heisenberg_f3 and l2_f3 are non-isomorphic algebras with isomorphic
     # graphs and degree 18 = 2 * 3^2; only order equality is asserted there
-    assert any("outside the |L|=9 case analysis" in n for n in report.notes)
+    assert any("outside the |L|=9 case analysis" in n for n in notes)
 
 
 def test_iso_theorems_vacuous_on_non_isomorphic_pair():
-    report = check_iso_theorems(
-        [
-            (
-                "aff1_f2",
-                catalog_entry("aff1_f2").algebra(),
-                "heisenberg_f2",
-                catalog_entry("heisenberg_f2").algebra(),
-            )
-        ]
-    )
-    assert report.status == "pass"
-    assert report.vacuous_count == 1
+    g1 = build_graph(catalog_entry("aff1_f2").algebra())
+    g2 = build_graph(catalog_entry("heisenberg_f2").algebra())
+    assert isomorphism(g1, g2) is None
 
 
 def test_explore_conjecture_dim2():

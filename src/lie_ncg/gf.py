@@ -67,13 +67,11 @@ class Field:
 
     ``add_table[a][b]`` is a + b, ``mul_table[a][b]`` is a * b,
     ``neg_table[a]`` is -a and ``inv_table[a]`` is 1/a (None for 0), all as
-    tuples; ``codes`` is the set of element codes 0..q-1.  Immutable after
-    construction; safe to share between threads.
+    tuples.  Immutable after construction; safe to share between threads.
     """
 
     def __init__(self, q, p, k, reduction_polynomial):
         self.q = q
-        self.codes = frozenset(range(q))
         self.p = p
         self.k = k
         self.reduction_polynomial = tuple(reduction_polynomial)

@@ -79,11 +79,6 @@ class Graph:
             rows[v] |= 1 << u
         return cls(n, rows, labels)
 
-    @classmethod
-    def complete(cls, n):
-        full = (1 << n) - 1
-        return cls(n, [full & ~(1 << i) for i in range(n)])
-
     @cached_property
     def diameter(self):
         """The largest distance between two vertices, inf when the graph is

@@ -21,7 +21,7 @@ from .catalog import builtin_catalog
 from .enumeration import _check_scope, algebras_equivalent, jacobi_tensors
 from .errors import CapExceeded, Undecided, UnknownStatement
 from .gf import field_new, prime_factors, prime_power_decomposition
-from .iso import canonical_certificate
+from .iso import canonical_certificate, isomorphism
 from .ncg import build_graph
 from .refgraphs import figure_graph
 
@@ -58,21 +58,20 @@ class Instance:
 
     @cached_property
     def centralizer_orders(self):
-        """|C_L(v)| per vertex, one rank per line {cv : c != 0}, on the
-        graph's element indices: ad(cv) is c ad(v), so q^(dim - rank ad(x))
-        for the first vertex x of a line is kept under its ``space.line``
-        entry for the rest.  The ranks come from row reduction, while
-        build_graph intersects hyperplane bitmasks, so Lem2.2 compares the
-        graph's rows with centralizers found another way."""
-        L = self.L
-        V = L.space
-        q, dim, rank, ad_rows, line = self.q, L.dim, V.rank, L.ad_rows, V.line
+        """|C_L(v)| per vertex, one ``LieAlgebra.centralizer_order`` per line
+        {cv : c != 0}, on the graph's element indices: ad(cv) is c ad(v), so
+        the order of the first vertex of a line is kept under its
+        ``space.line`` entry for the rest.  The orders are ranks from row
+        reduction, while build_graph intersects hyperplane bitmasks, so
+        Lem2.2 compares the graph's rows with centralizers found another
+        way."""
+        line, centralizer_order = self.L.space.line, self.L.centralizer_order
         orders = {}
         out = []
         for x in self.graph.indices:
             order = orders.get(line[x])
             if order is None:
-                order = orders[line[x]] = q ** (dim - rank(ad_rows[x]))
+                order = orders[line[x]] = centralizer_order(x)
             out.append(order)
         return out
 
@@ -253,35 +252,24 @@ def _check_no_dim1_centerless(inst):
     return VACUOUS
 
 
-def _figure_matcher(figure_id):
-    ref = figure_graph(figure_id)
-    ref_cert = canonical_certificate(ref)
-
-    def match(g):
-        if g.n != ref.n or g.edge_count() != ref.edge_count():
-            return False
-        return canonical_certificate(g) == ref_cert
-
-    return match
+# the figure graphs the statements of section 3 match against
+_FIGURES = {fid: figure_graph(fid) for fid in ("F1", "F2", "F3", "F4", "F5")}
 
 
-_MATCH_F1 = _figure_matcher("F1")
-_MATCH_F2 = _figure_matcher("F2")
-_MATCH_F3 = _figure_matcher("F3")
-_MATCH_F4 = _figure_matcher("F4")
-_MATCH_F5 = _figure_matcher("F5")
+def _is_figure(g, figure_id):
+    return isomorphism(g, _FIGURES[figure_id]) is not None
 
 
 def _check_figure1(inst):
     if not (inst.L.dim == 3 and inst.q == 2 and inst.dim_center == 0 and inst.dim_derived == 2):
         return VACUOUS
-    return PASS if _MATCH_F1(inst.graph) else "graph not isomorphic to the F1 reference"
+    return PASS if _is_figure(inst.graph, "F1") else "graph not isomorphic to the F1 reference"
 
 
 def _check_figure2(inst):
     if not (inst.L.dim == 3 and inst.q == 2 and inst.dim_center == 0 and inst.dim_derived == 3):
         return VACUOUS
-    return PASS if _MATCH_F2(inst.graph) else "graph not isomorphic to K_7"
+    return PASS if _is_figure(inst.graph, "F2") else "graph not isomorphic to K_7"
 
 
 def _check_figure3(inst):
@@ -289,21 +277,21 @@ def _check_figure3(inst):
         return VACUOUS
     if inst.dim_derived != 1:
         return f"derived dimension {inst.dim_derived} != 1"
-    return PASS if _MATCH_F3(inst.graph) else "graph not isomorphic to the F3 reference"
+    return PASS if _is_figure(inst.graph, "F3") else "graph not isomorphic to the F3 reference"
 
 
 def _check_three_dim_f2_classification(inst):
     if not (inst.L.dim == 3 and inst.q == 2):
         return VACUOUS
     g = inst.graph
-    if _MATCH_F1(g) or _MATCH_F2(g) or _MATCH_F3(g):
+    if _is_figure(g, "F1") or _is_figure(g, "F2") or _is_figure(g, "F3"):
         return PASS
     return "graph matches none of the F1/F2/F3 references"
 
 
 def _check_planarity_classification(inst):
     planar = graphs.is_planar(inst.graph)
-    allowed = _MATCH_F4(inst.graph) or _MATCH_F3(inst.graph)
+    allowed = _is_figure(inst.graph, "F4") or _is_figure(inst.graph, "F3")
     if planar and not allowed:
         return "planar graph that is neither K_3 nor the octahedron"
     if allowed and not planar:
@@ -313,7 +301,7 @@ def _check_planarity_classification(inst):
 
 def _check_outerplanarity_classification(inst):
     outer = graphs.is_outerplanar(inst.graph)
-    is_k3 = _MATCH_F4(inst.graph)
+    is_k3 = _is_figure(inst.graph, "F4")
     if outer != is_k3:
         return f"outerplanar={outer} but K_3-shaped={is_k3}"
     return PASS
@@ -425,9 +413,10 @@ def check_figures():
             if count == 0:
                 report.failures.append((fig, "no algebra realizes this reference graph"))
             report.notes.append(f"{fig}: realized by {count} structure tensors")
-    if not _MATCH_F5(figure_graph("F3")):
+    if not _is_figure(figure_graph("F3"), "F5"):
         report.failures.append(("F3/F5", "the two octahedron drawings are not isomorphic"))
-    if canonical_certificate(figure_graph("F2")) != canonical_certificate(graphs.Graph.complete(7)):
+    f2 = figure_graph("F2")
+    if not (f2.n == 7 and graphs.is_complete(f2)):
         report.failures.append(("F2", "reference graph is not K_7"))
     return report
 

@@ -25,7 +25,8 @@ vertex pair, exports by sorting every edge by its label pair, complete
 multipartite parts as the cliques of the complement, and the conjecture
 table by comparing every pair of instances.  ``edges`` and ``to_networkx``
 hand a graph to networkx, the oracle for the other graph invariants.
-``has_edge`` and ``catalog_entry`` are lookups the tests share.
+``has_edge`` and ``catalog_entry`` are lookups the tests share, and
+``complete_graph`` builds K_n for them.
 """
 
 import json
@@ -38,6 +39,7 @@ import networkx as nx
 from lie_ncg.catalog import builtin_catalog
 from lie_ncg.enumeration import tensor_key
 from lie_ncg.gf import REDUCTION_POLYNOMIALS
+from lie_ncg.graphs import Graph
 from lie_ncg.iso import refine_colors
 from lie_ncg.liealg import LieAlgebra
 from lie_ncg.linalg import bits
@@ -47,6 +49,12 @@ from lie_ncg.ncg import NcGraph
 def has_edge(g, u, v):
     """Whether u and v are adjacent: bit v of row u."""
     return bool(g.rows[u] >> v & 1)
+
+
+def complete_graph(n):
+    """K_n: every vertex adjacent to every other."""
+    full = (1 << n) - 1
+    return Graph(n, [full & ~(1 << v) for v in range(n)])
 
 
 def catalog_entry(name):

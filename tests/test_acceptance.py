@@ -25,7 +25,7 @@ from lie_ncg.verifier import (
 )
 
 import oracles
-from oracles import catalog_entry, has_edge
+from oracles import catalog_entry, complete_graph, has_edge
 
 _STATE = {}
 
@@ -129,7 +129,7 @@ def _contains_k33(g):
 
 
 def test_criterion_5_planarity_classification(pool):
-    k3_cert = canonical_certificate(graphs.Graph.complete(3))
+    k3_cert = canonical_certificate(complete_graph(3))
     octa = graphs.Graph.from_edges(
         6, [(u, v) for u in range(6) for v in range(u + 1, 6) if v != u + 3]
     )
@@ -192,7 +192,7 @@ def test_criterion_7_oracle_equivalence():
     cat = catalog_instances()
     small = [inst.graph for inst in cat if inst.graph.n <= 10]
     extra = [
-        graphs.Graph.complete(5),
+        complete_graph(5),
         graphs.Graph.from_edges(6, [(i, 3 + j) for i in range(3) for j in range(3)]),
     ]
     checked = 0

@@ -28,7 +28,7 @@ from lie_ncg.graphs import (
 )
 
 import oracles
-from oracles import has_edge
+from oracles import complete_graph, has_edge
 
 INF = math.inf
 
@@ -92,13 +92,13 @@ def test_graph_basics():
     assert g.neighbors(2) == [1, 3]
     assert has_edge(g, 0, 1) and not has_edge(g, 0, 3)
     assert oracles.edges(g) == [(0, 1), (1, 2), (2, 3)]
-    assert Graph.complete(5).edge_count() == 10
+    assert complete_graph(5).edge_count() == 10
     # self-loops are dropped
     assert Graph.from_edges(2, [(0, 0), (0, 1)]).edge_count() == 1
 
 
 def test_connectivity_and_diameter():
-    assert connectivity(Graph.complete(4)) == (True, 1)
+    assert connectivity(complete_graph(4)) == (True, 1)
     assert connectivity(path(5)) == (True, 4)
     assert connectivity(cycle(6)) == (True, 3)
     assert connectivity(petersen()) == (True, 2)
@@ -109,7 +109,7 @@ def test_connectivity_and_diameter():
 
 
 def test_girth():
-    assert girth(Graph.complete(4)) == 3
+    assert girth(complete_graph(4)) == 3
     assert girth(disjoint_triangles()) == 3
     assert girth(complete_minus_path(5)) == 3
     # a triangle-free graph, with or without a cycle, is undecided
@@ -197,11 +197,11 @@ def test_invariants_match_networkx_hypothesis(graph):
 def test_degree_predicates():
     assert is_regular(cycle(7)) and is_regular(petersen())
     assert not is_regular(path(3))
-    assert is_complete(Graph.complete(6)) and not is_complete(cycle(4))
+    assert is_complete(complete_graph(6)) and not is_complete(cycle(4))
     assert is_complete_bipartite(complete_bipartite(3, 4))
     assert is_complete_bipartite(cycle(4))  # C4 = K_{2,2}
     assert not is_complete_bipartite(cycle(6))  # bipartite but edges missing
-    assert not is_complete_bipartite(Graph.complete(3))
+    assert not is_complete_bipartite(complete_graph(3))
     assert not is_complete_bipartite(Graph(2, [0, 0]))  # no edges at all
 
 
@@ -233,8 +233,8 @@ def test_multipartite_parts_on_every_small_graph():
 
 def test_eulerian():
     assert is_eulerian(cycle(5))
-    assert is_eulerian(Graph.complete(5))
-    assert not is_eulerian(Graph.complete(4))  # odd degrees
+    assert is_eulerian(complete_graph(5))
+    assert not is_eulerian(complete_graph(4))  # odd degrees
     two_triangles = disjoint_triangles()  # even degrees, disconnected
     assert not is_eulerian(two_triangles) and not nx.is_eulerian(oracles.to_networkx(two_triangles))
     assert is_eulerian(octahedron())
@@ -248,21 +248,21 @@ def two_complete(k):
 
 
 def test_hamiltonian_cycle_exact():
-    for g in (Graph.complete(5), complete_bipartite(3, 3), octahedron()):
+    for g in (complete_graph(5), complete_bipartite(3, 3), octahedron()):
         assert oracles.is_hamilton_cycle(g, hamiltonian_cycle(g))
         assert oracles.is_hamilton_cycle(g, oracles.hamiltonian_cycle_exhaustive(g))
     # below Dirac's bound and without a cycle: Petersen is hypohamiltonian,
     # and two disjoint K_4 are disconnected
     two_k4 = two_complete(4)
     assert two_k4.multipartite_parts is None and not nx.is_connected(oracles.to_networkx(two_k4))
-    for g in (petersen(), path(4), complete_bipartite(2, 3), Graph.complete(2), two_k4):
+    for g in (petersen(), path(4), complete_bipartite(2, 3), complete_graph(2), two_k4):
         assert oracles.hamiltonian_cycle_exhaustive(g) is None
         with pytest.raises(Undecided):
             hamiltonian_cycle(g)
 
 
 def test_is_hamiltonian_dirac_consistent_with_exact():
-    for g in [Graph.complete(6), octahedron(), complete_bipartite(3, 3)]:
+    for g in [complete_graph(6), octahedron(), complete_bipartite(3, 3)]:
         assert is_hamiltonian(g) and oracles.hamiltonian_cycle_exhaustive(g) is not None
     # C7 has a cycle and Petersen none; neither meets Dirac's bound
     assert oracles.hamiltonian_cycle_exhaustive(cycle(7)) is not None
@@ -404,9 +404,9 @@ def test_is_hamiltonian_large_complete_bipartite_is_fast():
 
 
 def test_planarity_known_graphs():
-    assert is_planar(Graph.complete(4))
+    assert is_planar(complete_graph(4))
     assert is_planar(octahedron())
-    assert not is_planar(Graph.complete(5))
+    assert not is_planar(complete_graph(5))
     assert not is_planar(complete_bipartite(3, 3))
     assert not is_planar(complete_minus_path(6))  # 13 > 3n - 6 edges
     # K5 with one edge subdivided is nonplanar, C9 planar and Petersen
@@ -421,9 +421,9 @@ def test_planarity_known_graphs():
 
 def test_planarity_matches_kuratowski_oracle():
     samples = [
-        Graph.complete(4),
-        Graph.complete(5),
-        Graph.complete(6),
+        complete_graph(4),
+        complete_graph(5),
+        complete_graph(6),
         complete_bipartite(3, 3),
         complete_bipartite(2, 4),
         octahedron(),
@@ -438,9 +438,9 @@ def test_planarity_matches_kuratowski_oracle():
 
 
 def test_outerplanarity():
-    assert is_outerplanar(Graph.complete(3))
+    assert is_outerplanar(complete_graph(3))
     assert is_outerplanar(complete_bipartite(1, 4))
-    assert not is_outerplanar(Graph.complete(4))  # planar but not outerplanar
+    assert not is_outerplanar(complete_graph(4))  # planar but not outerplanar
     assert not is_outerplanar(complete_bipartite(2, 3))
     assert not is_outerplanar(octahedron())
     assert not is_outerplanar(complete_minus_path(5))  # 8 > 2n - 3 edges
@@ -451,7 +451,7 @@ def test_outerplanarity():
 
 
 def test_domination_number_known_values():
-    assert domination_number(Graph.complete(7)) == 1
+    assert domination_number(complete_graph(7)) == 1
     assert domination_number(cycle(6)) == 2
     assert domination_number(cycle(7)) == 3
     assert domination_number(path(6)) == 2

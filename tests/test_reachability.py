@@ -5,7 +5,8 @@ A fresh interpreter runs the CLI matrix under ``sys.setprofile`` (a fresh one,
 so that no ``@cache``d body already ran in another test) and reports each code
 object it entered as (file, first line).  The functions are read from the
 source with ``ast``: a function's code starts at its first decorator, else at
-its ``def``.
+its ``def``.  Every name a module imports must be read in it too
+(``__init__.py`` imports to re-export).
 """
 
 import ast
@@ -21,10 +22,7 @@ SRC = ROOT / "src" / "lie_ncg"
 # reached by the perfbench workloads, or wrapped by name by its tracer
 PERFBENCH = {
     "graphs.hamiltonian_cycle": "a tracer target; no command asks for a cycle yet",
-    "liealg.LieAlgebra.centralizer_order": "a tracer target; Lem2.2 reads the shared ranks",
-    "liealg.LieAlgebra._check_element": "checks the argument of centralizer_order",
     "verifier.check_figures": "verify-pool checks the paper's figure data with it",
-    "graphs.Graph.complete": "check_figures compares the figure F2 with K_7",
     "enumeration.orbit_partition": "iso-relabel partitions each enumeration shape",
 }
 # reached only by tests
@@ -108,3 +106,21 @@ def test_every_function_runs_under_a_command_or_is_allowlisted():
             never.add(name)
     assert never - ALLOWED.keys() == set(), "functions no command runs"
     assert ALLOWED.keys() - never == set(), "allowlisted functions that a command runs or are gone"
+
+
+def test_every_imported_name_is_read():
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in read:
+                        unread.append(f"{path.name}:{node.lineno} {name}")
+    assert unread == [], "imported names never read"

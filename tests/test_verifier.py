@@ -1,6 +1,9 @@
 """Statement registry, figure reproduction and isomorphism consequences."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from functools import cache
 from itertools import combinations
@@ -34,7 +37,7 @@ from lie_ncg.verifier import (
 )
 
 import oracles
-from oracles import catalog_entry
+from oracles import catalog_entry, complete_graph
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -92,7 +95,7 @@ def _pool():
 
 def test_centralizer_orders_match_one_rank_per_vertex():
     for inst in _pool():
-        want = [inst.L.centralizer_order(v) for v in inst.graph.vertices]
+        want = [inst.L.centralizer_order(x) for x in inst.graph.indices]
         assert inst.centralizer_orders == want, inst.name
 
 
@@ -150,18 +153,27 @@ def test_centralizer_orders_match_brute_force_over_larger_fields(monkeypatch):
             assert orders[i] == want, (L, x)
 
 
-def test_statements_need_neither_centralizer_order_nor_element_checks(monkeypatch):
-    # the verifier reads centralizer orders off element indices, so it calls
-    # neither the coordinate-tuple method nor its element check
-    def refuse(*args):
-        raise AssertionError("called")
-
-    monkeypatch.setattr(LieAlgebra, "centralizer_order", refuse)
-    monkeypatch.setattr(LieAlgebra, "_check_element", refuse)
+def test_lem22_calls_centralizer_order_once_per_line_with_element_indices(monkeypatch):
+    # Lem2.2 reads |C(x)| from the library method, called once per line
+    # {cx : c != 0} outside the center, with the element index of the line's
+    # first vertex; the n vertices of a graph lie on n / (q - 1) lines
+    calls = []
+    real = LieAlgebra.centralizer_order
+    monkeypatch.setattr(
+        LieAlgebra, "centralizer_order", lambda L, x: calls.append((L, x)) or real(L, x)
+    )
     instances = _pool()
-    for report in check_all_statements(instances):
-        assert report.status == "pass", (report.statement_id, report.failures)
-        assert report.instances_checked == len(instances)
+    report = check_statement("Lem2.2", instances)
+    assert report.status == "pass" and report.instances_checked == len(instances)
+    assert all(type(x) is int for _, x in calls)
+    for inst in instances:
+        g, line = inst.graph, inst.L.space.line
+        firsts = {}
+        for x in g.indices:
+            firsts.setdefault(line[x], x)
+        mine = [x for L, x in calls if L is inst.L]
+        assert mine == list(firsts.values()), inst.name
+        assert len(mine) == g.n // (inst.q - 1), inst.name
 
 
 @pytest.mark.parametrize("name", ["heisenberg_f4", "heisenberg_f5", "aff1_f4"])
@@ -186,7 +198,7 @@ def test_one_rank_per_line_outside_the_center(monkeypatch, name):
     # whose first vertices differ by a central element share one
     assert sorted(eliminations) == sorted(set(calls))
     assert len(eliminations) == lines if center == 1 else len(eliminations) < lines
-    assert orders == [L.centralizer_order(v) for v in inst.graph.vertices]
+    assert orders == [L.centralizer_order(x) for x in inst.graph.indices]
     eliminations.clear()
     again = Instance(name, algebra_from_spec(load_spec(SPECS / f"{name}.json")))
     assert again.centralizer_orders == orders and eliminations == []
@@ -268,7 +280,7 @@ def _consequences(g1, g2, witness, L1=None, L2=None):
     return lambda: verifier.iso_consequences("A ~ B", L1, g1, L2, g2, witness)
 
 
-K3, K4, K5 = Graph.complete(3), Graph.complete(4), Graph.complete(5)
+K3, K4, K5 = complete_graph(3), complete_graph(4), complete_graph(5)
 K112 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 STAR = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
@@ -305,14 +317,17 @@ FAILURE_BRANCHES = [
     pytest.param({}, _statement("Thm3.7", graph=K4),
                  [("fake", "planar graph that is neither K_3 nor the octahedron")],
                  id="Thm3.7-planar"),
-    pytest.param({"_MATCH_F4": lambda g: True}, _statement("Thm3.7", graph=K5),
+    # K_5 in place of the K_3 reference F4
+    pytest.param({"_FIGURES": {**verifier._FIGURES, "F4": K5}}, _statement("Thm3.7", graph=K5),
                  [("fake", "reference-shaped graph reported nonplanar")], id="Thm3.7-nonplanar"),
     pytest.param({}, _statement("Thm3.8", graph=K112),
                  [("fake", "outerplanar=True but K_3-shaped=False")], id="Thm3.8"),
     pytest.param({"enumeration_instances": lambda n, q: []}, lambda: check_figures().failures,
                  [(fig, "no algebra realizes this reference graph") for fig in ("F1", "F2", "F3")],
                  id="Figures-unrealized"),
-    pytest.param({"_MATCH_F5": lambda g: False}, lambda: check_figures().failures,
+    # K_{3,3} in place of the octahedron F5
+    pytest.param({"_FIGURES": {**verifier._FIGURES, "F5": figure_graph("F6")}},
+                 lambda: check_figures().failures,
                  [("F3/F5", "the two octahedron drawings are not isomorphic")],
                  id="Figures-octahedra"),
     # the octahedron F3 in place of F2
@@ -427,13 +442,26 @@ def test_figures_are_reproduced_by_enumeration():
 
 def test_figures_fail_with_the_proposition_failures(monkeypatch):
     # the figure counts and failures are Prop3.2-3.4's, so an F1 reference
-    # that matches nothing fails Prop3.2, and Thm3.5, on each F1 instance
-    monkeypatch.setattr(verifier, "_MATCH_F1", lambda g: False)
+    # that matches nothing (K_{3,3}, on 6 vertices) fails Prop3.2, and
+    # Thm3.5, on each F1 instance
+    monkeypatch.setitem(verifier._FIGURES, "F1", figure_graph("F6"))
     report = check_figures()
     assert report.status == "fail" and report.instances_checked == 119 + 2
     failed = Counter(detail.partition(":")[0] for _, detail in report.failures)
     assert failed == {"Prop3.2": 42, "Thm3.5": 42}
     assert "F1: realized by 42 structure tensors" in report.notes
+
+
+def test_import_computes_no_certificate():
+    # the statements match the figure graphs by ``isomorphism``, which looks
+    # at nothing before it is called, so importing the package certifies
+    # nothing; a fresh interpreter, so no other test has filled the cache
+    env = {**os.environ, "PYTHONPATH": str(SPECS.parent / "src")}
+    code = "import lie_ncg, lie_ncg.cli; print(len(lie_ncg.iso._CERT_CACHE))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out == "0\n"
 
 
 def test_figure_graphs_basic_shapes():

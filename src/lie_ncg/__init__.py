@@ -13,7 +13,7 @@ from .errors import (
     UnsupportedField,
 )
 from .gf import Field, field_new
-from .graphs import Graph, PropertyReport, property_report
+from .graphs import Graph, property_report
 from .iso import canonical_certificate, isomorphism
 from .liealg import AlgebraSpec, LieAlgebra, algebra_from_spec
 from .ncg import NcGraph, build_graph
@@ -38,7 +38,6 @@ __all__ = [
     "NcGraph",
     "NotPrimePower",
     "ParseError",
-    "PropertyReport",
     "TheoremReport",
     "UnknownStatement",
     "UnsupportedField",

@@ -34,7 +34,7 @@ def cmd_validate(args):
 
 def _algebra_facts(L, graph):
     # the vertices are L \ Z(L), and deg x = |L| - |C_L(x)| (Lem2.2)
-    histogram = Counter(L.order - d for d in graph.degrees())
+    histogram = Counter(L.order - d for d in graph.degrees)
     return {
         "q": L.field.q,
         "dim": L.dim,
@@ -49,8 +49,7 @@ def _algebra_facts(L, graph):
 def cmd_analyze(args):
     L = _load_algebra(args.path)
     graph = build_graph(L)
-    report = graph_ops.property_report(graph)
-    payload = {"algebra": _algebra_facts(L, graph), "graph": report.to_dict()}
+    payload = {"algebra": _algebra_facts(L, graph), "graph": graph_ops.property_report(graph)}
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:

@@ -44,9 +44,9 @@ class JacobiViolation(SpecError):
     Carries the offending basis triple in ``triple``.
     """
 
-    def __init__(self, triple, message=None):
+    def __init__(self, triple):
         self.triple = tuple(triple)
-        super().__init__(message or f"Jacobi identity fails on basis triple {self.triple}")
+        super().__init__(f"Jacobi identity fails on basis triple {self.triple}")
 
 
 class AbelianAlgebra(LieNcgError):

@@ -26,7 +26,6 @@ class.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .errors import CapExceeded, EmptyGraph, Undecided
@@ -43,23 +42,24 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 class Graph:
     """Immutable undirected simple graph with bit-matrix adjacency.
 
-    ``twin_classes`` are the vertices grouped by row, as ascending lists in
-    order of their least vertex.  The graph is complete multipartite iff
-    each vertex's closed non-neighbourhood, n - degree vertices holding its
-    twin class, is that class; the classes are then the parts
-    (``multipartite_parts``, else None).
+    ``degrees`` holds each vertex's row bit count.  ``twin_classes`` are
+    the vertices grouped by row, as ascending lists in order of their least
+    vertex.  The graph is complete multipartite iff each vertex's closed
+    non-neighbourhood, n - degree vertices holding its twin class, is that
+    class; the classes are then the parts (``multipartite_parts``, else
+    None).
     """
 
     def __init__(self, n, rows, labels=None):
         self.n = n
         self.rows = tuple(rows)
         # counted and grouped once per graph; every invariant here reads them
-        self._degrees = tuple(map(int.bit_count, self.rows))
+        self.degrees = tuple(map(int.bit_count, self.rows))
         classes = {}
         for v, row in enumerate(self.rows):
             classes.setdefault(row, []).append(v)
         self.twin_classes = list(classes.values())
-        multipartite = all(n - self._degrees[c[0]] == len(c) for c in self.twin_classes)
+        multipartite = all(n - self.degrees[c[0]] == len(c) for c in self.twin_classes)
         self.multipartite_parts = self.twin_classes if multipartite else None
         if labels is not None:
             self.labels = tuple(labels)
@@ -105,21 +105,14 @@ class Graph:
             diameter = max(diameter, len(layers) - 1)
         return diameter
 
-    def degrees(self):
-        return list(self._degrees)
-
     def edge_count(self):
-        return sum(self._degrees) // 2
+        return sum(self.degrees) // 2
 
     def row_bytes(self, v):
         """Row v as n bytes, byte u 1 when u is adjacent to v and 0 when not:
         one pass over the row's binary digits, which ``itemgetter`` can then
         permute."""
         return bin(self.rows[v])[:1:-1].encode().translate(_BIT_BYTES).ljust(self.n, b"\0")
-
-    def neighbors(self, v):
-        row = self.rows[v]
-        return [u for u in range(self.n) if row >> u & 1]
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
@@ -176,15 +169,15 @@ def girth(g):
 
 
 def is_regular(g):
-    return len(set(g._degrees)) <= 1
+    return len(set(g.degrees)) <= 1
 
 
 def is_complete(g):
-    return all(d == g.n - 1 for d in g._degrees)
+    return all(d == g.n - 1 for d in g.degrees)
 
 
 def is_eulerian(g):
-    return g.n > 0 and all(d % 2 == 0 for d in g._degrees) and g.diameter != INF
+    return g.n > 0 and all(d % 2 == 0 for d in g.degrees) and g.diameter != INF
 
 
 def is_complete_bipartite(g):
@@ -210,7 +203,7 @@ def hamiltonian_cycle(g):
     them all.
     """
     n, rows = g.n, g.rows
-    if n < 3 or 2 * min(g._degrees) < n:
+    if n < 3 or 2 * min(g.degrees) < n:
         raise Undecided(f"Hamilton cycle of a graph below Dirac's bound ({g!r})")
     c = list(range(n))
     for _ in range(n):
@@ -234,7 +227,7 @@ def is_hamiltonian(g):
     an independent set of more than n/2 vertices, which no Hamilton cycle
     can hold.  Any other graph raises Undecided.
     """
-    if g.n >= 3 and 2 * min(g._degrees) >= g.n:
+    if g.n >= 3 and 2 * min(g.degrees) >= g.n:
         return True
     if g.multipartite_parts is not None:
         return False
@@ -307,7 +300,8 @@ def domination_number(g):
                 return True
         return False
 
-    for k in range(1, g.n + 1):
+    # the whole vertex set dominates, so a search for n always succeeds
+    for k in range(1, g.n):
         if search(0, k):
             return k
     return g.n
@@ -316,63 +310,36 @@ def domination_number(g):
 # -- summary -------------------------------------------------------------------
 
 
-@dataclass
-class PropertyReport:
-    vertex_count: int
-    edge_count: int
-    min_degree: int
-    max_degree: int
-    degree_sequence: tuple
-    is_connected: bool
-    diameter: object
-    girth: object
-    is_regular: bool
-    is_eulerian: bool
-    is_hamiltonian: bool
-    is_complete: bool
-    is_complete_bipartite: bool
-    is_planar: bool
-    is_outerplanar: bool
-    domination_number: object
-
-    def to_dict(self):
-        """The fields in declaration order; tuples become lists and inf "inf"."""
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = list(v) if isinstance(v, tuple) else "inf" if v == INF else v
-        return out
-
-
 def property_report(g):
-    """Compute the full invariant summary for one graph.
+    """The full invariant summary of one graph, as a dict in a fixed key
+    order; a disconnected graph's diameter is the string ``"inf"``.
 
     The domination number is reported as the string ``"skipped"`` when the
     graph exceeds the exact-search cap; every other field is exact.  A graph
     without a triangle, or sparse or below Dirac's bound and not complete
     multipartite, raises Undecided; no non-commuting graph is any of these.
     """
-    degs = g.degrees()
+    degs = g.degrees
     connected, diameter = connectivity(g)
     try:
         gamma = domination_number(g)
     except CapExceeded:
         gamma = "skipped"
-    return PropertyReport(
-        vertex_count=g.n,
-        edge_count=g.edge_count(),
-        min_degree=min(degs),
-        max_degree=max(degs),
-        degree_sequence=tuple(sorted(degs, reverse=True)),
-        is_connected=connected,
-        diameter=diameter,
-        girth=girth(g),
-        is_regular=is_regular(g),
-        is_eulerian=is_eulerian(g),
-        is_hamiltonian=is_hamiltonian(g),
-        is_complete=is_complete(g),
-        is_complete_bipartite=is_complete_bipartite(g),
-        is_planar=is_planar(g),
-        is_outerplanar=is_outerplanar(g),
-        domination_number=gamma,
-    )
+    return {
+        "vertex_count": g.n,
+        "edge_count": g.edge_count(),
+        "min_degree": min(degs),
+        "max_degree": max(degs),
+        "degree_sequence": sorted(degs, reverse=True),
+        "is_connected": connected,
+        "diameter": "inf" if diameter == INF else diameter,
+        "girth": girth(g),
+        "is_regular": is_regular(g),
+        "is_eulerian": is_eulerian(g),
+        "is_hamiltonian": is_hamiltonian(g),
+        "is_complete": is_complete(g),
+        "is_complete_bipartite": is_complete_bipartite(g),
+        "is_planar": is_planar(g),
+        "is_outerplanar": is_outerplanar(g),
+        "domination_number": gamma,
+    }

@@ -25,6 +25,7 @@ CapExceeded once its refinements have scanned ``ISO_ROW_BUDGET`` rows.
 from __future__ import annotations
 
 from .errors import CapExceeded
+from .linalg import bits
 
 ISO_CAP = 64
 # Refinement rows per labeling.  A refinement round scans one row per vertex,
@@ -45,7 +46,7 @@ def refine_colors(g, colors=None):
     """
     n = g.n
     colors = [0] * n if colors is None else list(colors)
-    neighbors = [g.neighbors(v) for v in range(n)]
+    neighbors = [list(bits(row)) for row in g.rows]
     while True:
         signatures = [
             (colors[v], tuple(sorted(colors[u] for u in neighbors[v]))) for v in range(n)
@@ -218,7 +219,7 @@ def isomorphism(g1, g2):
     pair the screen separates is answered at any size, and only a pair that
     needs the search is refused over ISO_CAP vertices.
     """
-    if g1.n != g2.n or sorted(g1.degrees()) != sorted(g2.degrees()):
+    if g1.n != g2.n or sorted(g1.degrees) != sorted(g2.degrees):
         return None
     cert1, order1 = _canonical(g1)
     cert2, order2 = _canonical(g2)

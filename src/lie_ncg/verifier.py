@@ -18,7 +18,7 @@ from operator import itemgetter
 
 from . import graphs
 from .catalog import builtin_catalog
-from .enumeration import _check_scope, algebras_equivalent, jacobi_tensors
+from .enumeration import _check_scope, algebras_equivalent, jacobi_tensors, orbit_partition
 from .errors import CapExceeded, Undecided, UnknownStatement
 from .gf import field_new, prime_factors, prime_power_decomposition
 from .iso import canonical_certificate, isomorphism
@@ -75,10 +75,6 @@ class Instance:
             out.append(order)
         return out
 
-    @cached_property
-    def degrees(self):
-        return self.graph.degrees()
-
     @property
     def q(self):
         return self.L.field.q
@@ -91,11 +87,7 @@ class Instance:
     def has_dominating_vertex(self):
         # gamma == 1 is equivalent to a vertex adjacent to all others, so the
         # full domination search is not needed for this predicate
-        return self.graph.n - 1 in self.degrees
-
-    @cached_property
-    def certificate(self):
-        return canonical_certificate(self.graph)
+        return self.graph.n - 1 in self.graph.degrees
 
 
 def catalog_instances():
@@ -157,14 +149,14 @@ VACUOUS = "vacuous"
 
 def _check_degree_formula(inst):
     order = inst.order
-    for i, (degree, centralizer) in enumerate(zip(inst.degrees, inst.centralizer_orders)):
+    for i, (degree, centralizer) in enumerate(zip(inst.graph.degrees, inst.centralizer_orders)):
         if degree != order - centralizer:
             return f"vertex {inst.graph.labels[i]}: degree {degree} != {order - centralizer}"
     return PASS
 
 
 def _check_no_isolated(inst):
-    return PASS if min(inst.degrees) >= 1 else "isolated vertex present"
+    return PASS if min(inst.graph.degrees) >= 1 else "isolated vertex present"
 
 
 def _check_connected(inst):
@@ -197,7 +189,7 @@ def _check_diameter_two(inst):
 
 
 def _check_min_degree_two(inst):
-    return PASS if min(inst.degrees) >= 2 else f"min degree {min(inst.degrees)}"
+    return PASS if min(inst.graph.degrees) >= 2 else f"min degree {min(inst.graph.degrees)}"
 
 
 def _check_not_tree_not_star(inst):
@@ -221,9 +213,9 @@ def _check_regular_when_dim1(inst):
         return VACUOUS
     q, n = inst.q, inst.L.dim
     want = q**n - q ** (n - 1)
-    if all(d == want for d in inst.degrees):
+    if all(d == want for d in inst.graph.degrees):
         return PASS
-    return f"degrees {sorted(set(inst.degrees))} != {want}"
+    return f"degrees {sorted(set(inst.graph.degrees))} != {want}"
 
 
 def _check_not_complete_bipartite(inst):
@@ -413,9 +405,9 @@ def check_figures():
             if count == 0:
                 report.failures.append((fig, "no algebra realizes this reference graph"))
             report.notes.append(f"{fig}: realized by {count} structure tensors")
-    if not _is_figure(figure_graph("F3"), "F5"):
+    if not _is_figure(_FIGURES["F3"], "F5"):
         report.failures.append(("F3/F5", "the two octahedron drawings are not isomorphic"))
-    f2 = figure_graph("F2")
+    f2 = _FIGURES["F2"]
     if not (f2.n == 7 and graphs.is_complete(f2)):
         report.failures.append(("F2", "reference graph is not K_7"))
     return report
@@ -453,7 +445,7 @@ def iso_consequences(label, L1, g1, L2, g2, witness):
         return [(label, bad)], []
     failures, notes = [], []
     shapes = set()
-    for d in set(g1.degrees()):
+    for d in set(g1.degrees):
         shapes |= _degree_shapes(d)
     q1, q2 = L1.field.q, L2.field.q
     if "prime_power" in shapes:
@@ -531,7 +523,10 @@ def explore_conjecture(n_max=3, qs=(2,)):
     enumerated, and ``n_max < 2``, which would give an empty table, is
     refused.  The cells are counted, not compared pair by pair: m instances
     sharing a key give m(m-1)/2 pairs, so grouping by certificate, by order
-    and by both gives every cell.
+    and by both gives every cell.  The instances are the structure tensors,
+    counted per GL(n, q) orbit: ``orbit_partition`` gives one representative
+    and the orbit's size, and isomorphic algebras have isomorphic graphs and
+    equal orders, so each representative's keys stand for its whole orbit.
     """
     qs = list(dict.fromkeys(qs))
     for q in qs:
@@ -541,21 +536,27 @@ def explore_conjecture(n_max=3, qs=(2,)):
             f"the table pairs the non-abelian algebras of dim 2 to n, so it needs "
             f"n >= 2; got n={n_max}"
         )
-    instances = []
+    # instances per certificate, per order and per both
+    by_cert, by_order, by_both = Counter(), Counter(), Counter()
     for q in qs:
+        field = field_new(q)
         for n in range(2, n_max + 1):
-            instances.extend(enumeration_instances(n, q))
+            for L, size in orbit_partition(n, field):
+                if not L.is_abelian():
+                    cert = canonical_certificate(build_graph(L))
+                    by_cert[cert] += size
+                    by_order[L.order] += size
+                    by_both[cert, L.order] += size
 
-    def pairs(keys):
-        return sum(m * (m - 1) // 2 for m in Counter(keys).values())
+    def pairs(counts):
+        return sum(m * (m - 1) // 2 for m in counts.values())
 
-    total = len(instances) * (len(instances) - 1) // 2
-    iso = pairs(inst.certificate for inst in instances)
-    equal = pairs(inst.order for inst in instances)
-    both = pairs((inst.certificate, inst.order) for inst in instances)
+    count = sum(by_order.values())
+    total = count * (count - 1) // 2
+    iso, equal, both = pairs(by_cert), pairs(by_order), pairs(by_both)
     return {
         "pairs": total,
-        "instances": len(instances),
+        "instances": count,
         "cells": {
             "iso/equal": both,
             "iso/unequal": iso - both,

@@ -40,7 +40,7 @@ from lie_ncg.catalog import builtin_catalog
 from lie_ncg.enumeration import tensor_key
 from lie_ncg.gf import REDUCTION_POLYNOMIALS
 from lie_ncg.graphs import Graph
-from lie_ncg.iso import refine_colors
+from lie_ncg.iso import canonical_certificate, refine_colors
 from lie_ncg.liealg import LieAlgebra
 from lie_ncg.linalg import bits
 from lie_ncg.ncg import NcGraph
@@ -576,9 +576,10 @@ def conjecture_cells_by_pairs(instances):
     """The (graphs isomorphic?, equal orders?) cells of
     ``explore_conjecture``, by comparing every pair of instances."""
     cells = {"iso/equal": 0, "iso/unequal": 0, "non-iso/equal": 0, "non-iso/unequal": 0}
-    for a, b in combinations(instances, 2):
-        iso = "iso" if a.certificate == b.certificate else "non-iso"
-        equal = "equal" if a.order == b.order else "unequal"
+    keys = [(canonical_certificate(inst.graph), inst.order) for inst in instances]
+    for (cert_a, order_a), (cert_b, order_b) in combinations(keys, 2):
+        iso = "iso" if cert_a == cert_b else "non-iso"
+        equal = "equal" if order_a == order_b else "unequal"
         cells[f"{iso}/{equal}"] += 1
     return cells
 

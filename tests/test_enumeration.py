@@ -322,4 +322,4 @@ def test_gl_basis_change_keeps_certificate_and_report_hypothesis(name, data):
     M = LieAlgebra(f, n, transform_by_methods(L, g, mat_inv(f, g)), basis_names=L.basis_names)
     G, H = build_graph(L), build_graph(M)
     assert canonical_certificate(H) == canonical_certificate(G)
-    assert property_report(H).to_dict() == property_report(G).to_dict()
+    assert property_report(H) == property_report(G)

@@ -26,6 +26,7 @@ from lie_ncg.graphs import (
     is_regular,
     property_report,
 )
+from lie_ncg.linalg import bits
 
 import oracles
 from oracles import complete_graph, has_edge
@@ -88,8 +89,8 @@ def decided(invariant, g):
 def test_graph_basics():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 2)])
     assert g.edge_count() == 3
-    assert g.degrees() == [1, 2, 2, 1]
-    assert g.neighbors(2) == [1, 3]
+    assert g.degrees == (1, 2, 2, 1)
+    assert list(bits(g.rows[2])) == [1, 3]
     assert has_edge(g, 0, 1) and not has_edge(g, 0, 3)
     assert oracles.edges(g) == [(0, 1), (1, 2), (2, 3)]
     assert complete_graph(5).edge_count() == 10
@@ -212,7 +213,7 @@ def assert_twin_classes(g):
     assert sorted(v for twins in classes for v in twins) == list(range(g.n))
     assert [twins[0] for twins in classes] == sorted(twins[0] for twins in classes)
     for twins in classes:
-        assert twins == [v for v in range(g.n) if g.neighbors(v) == g.neighbors(twins[0])]
+        assert twins == [v for v in range(g.n) if g.rows[v] == g.rows[twins[0]]]
 
 
 def test_multipartite_parts_on_every_small_graph():
@@ -393,7 +394,7 @@ def test_one_search_per_distinct_row(monkeypatch):
     monkeypatch.setattr("lie_ncg.graphs._bfs_layers", counted)
     rep = property_report(g)
     assert len(searches) == 6
-    assert (rep.is_connected, rep.diameter) == (True, nx.diameter(oracles.to_networkx(g)))
+    assert (rep["is_connected"], rep["diameter"]) == (True, nx.diameter(oracles.to_networkx(g)))
 
 
 def test_is_hamiltonian_large_complete_bipartite_is_fast():
@@ -458,6 +459,9 @@ def test_domination_number_known_values():
     assert domination_number(petersen()) == 3
     assert domination_number(complete_bipartite(3, 3)) == 2
     assert domination_number(Graph(3, [0, 0, 0])) == 3  # no edges
+    # one edge and n - 2 isolated vertices: the last size the search tries
+    assert domination_number(Graph.from_edges(4, [(0, 1)])) == 3
+    assert domination_number(Graph(1, [0])) == 1
     with pytest.raises(EmptyGraph):
         domination_number(Graph(0, []))
     with pytest.raises(CapExceeded):
@@ -477,7 +481,7 @@ def test_domination_number_matches_bruteforce():
 
 
 def test_property_report_octahedron():
-    rep = property_report(octahedron()).to_dict()
+    rep = property_report(octahedron())
     assert rep == {
         "vertex_count": 6,
         "edge_count": 12,
@@ -511,6 +515,6 @@ def test_property_report_disconnected_and_capped():
     # paths inside the first K_7
     assert oracles.hamiltonian_cycle_exhaustive(two_k7) is None
     big = complete_multipartite((11, 11, 11))
-    assert property_report(big).domination_number == "skipped"
+    assert property_report(big)["domination_number"] == "skipped"
     with pytest.raises(Undecided):
         property_report(disjoint_triangles())

@@ -48,7 +48,7 @@ def test_vertices_exclude_center_in_index_order():
 def test_heisenberg_f2_is_octahedron():
     g = graph_of("heisenberg_f2")
     assert g.edge_count() == 12
-    assert g.degrees() == [4] * 6
+    assert g.degrees == (4,) * 6
     assert connectivity(g) == (True, 2)
     assert girth(g) == 3
     assert is_planar(g)
@@ -64,7 +64,7 @@ def test_heisenberg_f2_is_octahedron():
 def test_heisenberg_f3_is_18_regular_on_24_vertices():
     g = graph_of("heisenberg_f3")
     assert g.n == 24
-    assert is_regular(g) and g.degrees()[0] == 18
+    assert is_regular(g) and g.degrees[0] == 18
     assert connectivity(g) == (True, 2)
 
 
@@ -160,7 +160,7 @@ def test_build_graph_is_bounded_by_the_element_cap():
     start = time.perf_counter()
     g = build_graph(L)
     assert time.perf_counter() - start < 2
-    assert g.n == 3072 and g.degrees()[0] == 2048
+    assert g.n == 3072 and g.degrees[0] == 2048
     L = _heisenberg_plus_abelian_f2(9)
     g, want = build_graph(L), oracles.graph_by_brackets(L)
     assert (g.rows, g.vertices, g.labels) == (want.rows, want.vertices, want.labels)
@@ -183,7 +183,7 @@ def test_build_graph_at_the_element_cap_with_every_row_distinct():
     g = build_graph(L)
     assert time.perf_counter() - start < 0.5
     assert g.n == 4095 and len(set(g.rows)) == 4095
-    degrees = g.degrees()
+    degrees = g.degrees
     for i in random.Random(2024).sample(range(g.n), 50):
         assert degrees[i] == L.order - L.centralizer_order(g.indices[i])
 

@@ -23,7 +23,6 @@ SRC = ROOT / "src" / "lie_ncg"
 PERFBENCH = {
     "graphs.hamiltonian_cycle": "a tracer target; no command asks for a cycle yet",
     "verifier.check_figures": "verify-pool checks the paper's figure data with it",
-    "enumeration.orbit_partition": "iso-relabel partitions each enumeration shape",
 }
 # reached only by tests
 TESTS_ONLY = {

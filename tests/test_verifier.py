@@ -280,6 +280,16 @@ def _consequences(g1, g2, witness, L1=None, L2=None):
     return lambda: verifier.iso_consequences("A ~ B", L1, g1, L2, g2, witness)
 
 
+def _figure_failures():
+    """``check_figures``' failures as (count per statement of those on
+    enumerated instances, the others in order)."""
+    failures = check_figures().failures
+    on_instances = Counter(
+        detail.partition(":")[0] for name, detail in failures if name.startswith("enum")
+    )
+    return dict(on_instances), [f for f in failures if not f[0].startswith("enum")]
+
+
 K3, K4, K5 = complete_graph(3), complete_graph(4), complete_graph(5)
 K112 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -295,12 +305,12 @@ AFF1_F3_GRAPH = build_graph(AFF1_F3)
 # exactly what it must record.
 FAILURE_BRANCHES = [
     # a star K_{1,m} is a tree: connected, with m edges on m + 1 vertices
-    pytest.param({}, _statement("Cor2.11", graph=STAR, degrees=STAR.degrees()),
+    pytest.param({}, _statement("Cor2.11", graph=STAR),
                  [("fake", "graph is a tree")], id="Cor2.11-star"),
     pytest.param({}, _statement("Thm2.8", graph=K3, center_order=3, q=3),
                  [("fake", "complete graph but |Z|=3, q=3")], id="Thm2.8"),
     pytest.param({}, _statement("Prop2.14", dim_derived=1, q=2, L=SimpleNamespace(dim=3),
-                                degrees=[4, 6, 4]),
+                                graph=SimpleNamespace(degrees=(4, 6, 4))),
                  [("fake", "degrees [4, 6] != 4")], id="Prop2.14"),
     pytest.param({}, _statement("Prop2.16", has_dominating_vertex=True, center_order=2, q=2),
                  [("fake", "domination number 1 but |Z|=2, q=2")], id="Prop2.16"),
@@ -330,10 +340,11 @@ FAILURE_BRANCHES = [
                  lambda: check_figures().failures,
                  [("F3/F5", "the two octahedron drawings are not isomorphic")],
                  id="Figures-octahedra"),
-    # the octahedron F3 in place of F2
-    pytest.param({"figure_graph": lambda fid: figure_graph("F3" if fid == "F2" else fid)},
-                 lambda: check_figures().failures,
-                 [("F2", "reference graph is not K_7")], id="Figures-K7"),
+    # the octahedron F3 in place of F2, which the 28 K_7 instances of Prop3.3
+    # and Thm3.5 then fail to match
+    pytest.param({"_FIGURES": {**verifier._FIGURES, "F2": figure_graph("F3")}}, _figure_failures,
+                 ({"Prop3.3": 28, "Thm3.5": 28}, [("F2", "reference graph is not K_7")]),
+                 id="Figures-K7"),
     pytest.param({}, _consequences(K3, K3, {0: 0, 1: 0, 2: 1}),
                  ([("A ~ B", "witness is not a bijection")], []), id="witness-bijection"),
     # (0, 1) is kept and (0, 2) is the first pair broken
@@ -511,9 +522,11 @@ def test_explore_conjecture_dim2():
 
 
 def test_explore_conjecture_counts_match_pairwise_oracle():
-    # the table mixes dimensions 2 and 3, so pairs of unequal order occur
-    summary = explore_conjecture(n_max=3, qs=(2,))
-    instances = enumeration_instances(2, 2) + enumeration_instances(3, 2)
-    assert summary["instances"] == len(instances) == 122
-    assert summary["pairs"] == sum(summary["cells"].values())
-    assert summary["cells"] == oracles.conjecture_cells_by_pairs(instances)
+    # the table mixes dimensions 2 and 3, so pairs of unequal order occur;
+    # the table counts GL orbits, the oracle compares every pair of tensors
+    for q, count in ((2, 122), (3, 1438)):
+        summary = explore_conjecture(n_max=3, qs=(q,))
+        instances = enumeration_instances(2, q) + enumeration_instances(3, q)
+        assert summary["instances"] == len(instances) == count
+        assert summary["pairs"] == sum(summary["cells"].values())
+        assert summary["cells"] == oracles.conjecture_cells_by_pairs(instances)

@@ -28,6 +28,8 @@ lie-ncg analyze specs/heisenberg_f5.json --format json
 lie-ncg validate specs/l2_f2.json
 lie-ncg export specs/split_pairs_f2.json --out graphml
 refused lie-ncg verify --scope enumerate --n 1 --q 2
+refused lie-ncg verify --scope enumerate --n 4 --q 2
+refused lie-ncg verify --scope enumerate --n 3 --q 4
 refused lie-ncg enumerate --n 1
 refused lie-ncg enumerate --n 3 --q 4
 # q has 5000 digits, past the interpreter's int-string digit limit

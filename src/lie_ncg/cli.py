@@ -77,10 +77,7 @@ def cmd_export(args):
 
 
 def cmd_verify(args):
-    if args.scope == "catalog":
-        instances = verifier.catalog_instances()
-    else:
-        instances = verifier.enumeration_instances(args.n, args.q)
+    instances = verifier.SCOPES[args.scope](args.n, args.q)
     ids = None if args.statement == "all" else [args.statement]
     reports = verifier.check_all_statements(instances, statement_ids=ids)
     failed = False
@@ -120,7 +117,7 @@ def cmd_compare(args):
 
 
 def cmd_enumerate(args):
-    summary = verifier.explore_conjecture(n_max=args.n, qs=tuple(args.q))
+    summary = verifier.explore_conjecture(n_max=args.n, qs=tuple(args.q or [2]))
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -153,7 +150,7 @@ def build_parser():
     p.set_defaults(func=cmd_export, format="text")
 
     p = sub.add_parser("verify", help="run registered statements over a scope")
-    p.add_argument("--scope", choices=["catalog", "enumerate"], default="catalog")
+    p.add_argument("--scope", choices=tuple(verifier.SCOPES), default="catalog")
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--statement", default="all")
@@ -181,8 +178,6 @@ def main(argv=None):
     code 1 and no output."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "enumerate" and args.q is None:
-        args.q = [2]
     try:
         code = args.func(args)
         # flush here, so a closed pipe raises inside this handler and not at exit

@@ -33,11 +33,13 @@ ENUM_MAX_DIM = 3
 ENUM_MAX_Q = 3
 
 
-def _check_scope(n, field):
-    """Raise CapExceeded unless 1 <= n <= ENUM_MAX_DIM and q <= ENUM_MAX_Q."""
-    if not 1 <= n <= ENUM_MAX_DIM or field.q > ENUM_MAX_Q:
+def _check_scope(n, field, least=1):
+    """Raise CapExceeded unless least <= n <= ENUM_MAX_DIM and q <= ENUM_MAX_Q.
+    A scope of non-abelian algebras passes ``least=2``: every algebra of
+    dim < 2 is abelian."""
+    if not least <= n <= ENUM_MAX_DIM or field.q > ENUM_MAX_Q:
         raise CapExceeded(
-            f"enumeration supports 1 <= dim <= {ENUM_MAX_DIM} and q <= {ENUM_MAX_Q}; "
+            f"enumeration supports {least} <= dim <= {ENUM_MAX_DIM} and q <= {ENUM_MAX_Q}; "
             f"got dim={n}, q={field.q}"
         )
 

@@ -312,12 +312,15 @@ def domination_number(g):
 
 def property_report(g):
     """The full invariant summary of one graph, as a dict in a fixed key
-    order; a disconnected graph's diameter is the string ``"inf"``.
+    order.
 
     The domination number is reported as the string ``"skipped"`` when the
     graph exceeds the exact-search cap; every other field is exact.  A graph
     without a triangle, or sparse or below Dirac's bound and not complete
     multipartite, raises Undecided; no non-commuting graph is any of these.
+    So every graph reported on is connected: Dirac's bound implies it, and a
+    disconnected complete multipartite graph has one part and no edges, so
+    ``girth`` or ``is_hamiltonian`` raises on it.
     """
     degs = g.degrees
     connected, diameter = connectivity(g)
@@ -332,7 +335,7 @@ def property_report(g):
         "max_degree": max(degs),
         "degree_sequence": sorted(degs, reverse=True),
         "is_connected": connected,
-        "diameter": "inf" if diameter == INF else diameter,
+        "diameter": diameter,
         "girth": girth(g),
         "is_regular": is_regular(g),
         "is_eulerian": is_eulerian(g),

@@ -19,7 +19,7 @@ from operator import itemgetter
 from . import graphs
 from .catalog import builtin_catalog
 from .enumeration import _check_scope, algebras_equivalent, jacobi_tensors, orbit_partition
-from .errors import CapExceeded, Undecided, UnknownStatement
+from .errors import Undecided, UnknownStatement
 from .gf import field_new, prime_factors, prime_power_decomposition
 from .iso import canonical_certificate, isomorphism
 from .ncg import build_graph
@@ -95,22 +95,23 @@ def catalog_instances():
 
 
 def enumeration_instances(n, q):
-    """Every non-abelian Jacobi-satisfying structure of the given shape.
-
-    The scope is checked first, and n < 2, which has no non-abelian
-    algebra and so no instance to check, is refused with CapExceeded.
-    """
+    """Every non-abelian Jacobi-satisfying structure on F_q^n.  The shape is
+    checked first, and a dimension below 2 is refused: every such algebra is
+    abelian."""
     field = field_new(q)
-    _check_scope(n, field)
-    if n < 2:
-        raise CapExceeded(
-            f"every Lie algebra of dim < 2 is abelian, so there is nothing to check; got n={n}"
-        )
+    _check_scope(n, field, least=2)
     out = []
     for idx, L in enumerate(jacobi_tensors(n, field)):
         if not L.is_abelian():
             out.append(Instance(f"enum(n={n},q={q})#{idx}", L))
     return out
+
+
+# the instances each ``verify --scope`` lists for its (n, q)
+SCOPES = {
+    "catalog": lambda n, q: catalog_instances(),
+    "enumerate": enumeration_instances,
+}
 
 
 # -- reports ------------------------------------------------------------------
@@ -519,23 +520,18 @@ def explore_conjecture(n_max=3, qs=(2,)):
     """Tabulate (graphs isomorphic?, equal algebra orders?) over all pairs of
     enumerated non-abelian algebras.  Data only; no truth claim.
 
-    A repeated q counts once.  Every scope is checked before any is
-    enumerated, and ``n_max < 2``, which would give an empty table, is
-    refused.  The cells are counted, not compared pair by pair: m instances
-    sharing a key give m(m-1)/2 pairs, so grouping by certificate, by order
-    and by both gives every cell.  The instances are the structure tensors,
-    counted per GL(n, q) orbit: ``orbit_partition`` gives one representative
-    and the orbit's size, and isomorphic algebras have isomorphic graphs and
-    equal orders, so each representative's keys stand for its whole orbit.
+    A repeated q counts once.  Every scope, from dim 2 up, is checked
+    before any is enumerated.  The cells are counted, not compared pair by
+    pair: m instances sharing a key give m(m-1)/2 pairs, so grouping by
+    certificate, by order and by both gives every cell.  The instances are
+    the structure tensors, counted per GL(n, q) orbit: ``orbit_partition``
+    gives one representative and the orbit's size, and isomorphic algebras
+    have isomorphic graphs and equal orders, so each representative's keys
+    stand for its whole orbit.
     """
     qs = list(dict.fromkeys(qs))
     for q in qs:
-        _check_scope(n_max, field_new(q))
-    if n_max < 2:
-        raise CapExceeded(
-            f"the table pairs the non-abelian algebras of dim 2 to n, so it needs "
-            f"n >= 2; got n={n_max}"
-        )
+        _check_scope(n_max, field_new(q), least=2)
     # instances per certificate, per order and per both
     by_cert, by_order, by_both = Counter(), Counter(), Counter()
     for q in qs:

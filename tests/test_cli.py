@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lie_ncg import verifier
 from lie_ncg.cli import main
 
 SPECS = str(Path(__file__).resolve().parent.parent / "specs")
@@ -338,6 +339,8 @@ def test_closed_stdout_exits_1_without_raising(capsys, monkeypatch, tmp_path, ar
         (["enumerate", "--n", "4", "--q", "3"], "out"),
         (["enumerate", "--n", "1"], "out"),
         (["verify", "--scope", "enumerate", "--n", "1", "--format", "json"], "out"),
+        (["verify", "--scope", "enumerate", "--n", "4", "--q", "2"], "err"),
+        (["verify", "--scope", "enumerate", "--n", "3", "--q", "4"], "err"),
     ],
 )
 def test_empty_or_impossible_scope_is_refused_before_any_work(capsys, monkeypatch, argv, stream):
@@ -353,6 +356,13 @@ def test_empty_or_impossible_scope_is_refused_before_any_work(capsys, monkeypatc
     assert "CapExceeded" in line and line.count("\n") == 1 and other == ""
     if stream == "out":
         assert json.loads(line)["error"] == "CapExceeded"
+
+
+def test_every_scope_is_a_verify_choice_and_runs(capsys):
+    # an argument outside ``--scope``'s choices would exit 2 from the parser
+    for name in verifier.SCOPES:
+        code, out, err = run(capsys, "verify", "--scope", name, "--statement", "Lem2.3")
+        assert code == 0 and out.startswith("PASS Lem2.3") and err == ""
 
 
 NAMES = ["x", "y", "z", "w"]

@@ -293,6 +293,7 @@ def _figure_failures():
 K3, K4, K5 = complete_graph(3), complete_graph(4), complete_graph(5)
 K112 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 STAR = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
 IDENTITY3 = {0: 0, 1: 1, 2: 2}
 # aff1 over F_3: |L| = 9, and its graph is 6-regular on 8 vertices, 6 = 3 * 2
@@ -304,9 +305,25 @@ AFF1_F3_GRAPH = build_graph(AFF1_F3)
 # consequence checks: what the row patches on ``verifier``, the call, and
 # exactly what it must record.
 FAILURE_BRANCHES = [
+    pytest.param({}, _statement("Lem2.3", graph=Graph.from_edges(3, [(0, 1)])),
+                 [("fake", "isolated vertex present")], id="Lem2.3"),
+    # an infinite diameter is truthy, so only the connectedness flag fails this
+    pytest.param({}, _statement("Prop2.4", graph=Graph.from_edges(4, [(0, 1), (2, 3)])),
+                 [("fake", "graph disconnected")], id="Prop2.4"),
+    pytest.param({}, _statement("Prop2.6", graph=PATH4), [("fake", "diameter 3")], id="Prop2.6"),
+    pytest.param({}, _statement("Cor2.9", graph=K3, center_order=1, q=3),
+                 [("fake", "diameter 1")], id="Cor2.9"),
+    pytest.param({}, _statement("Lem2.10", graph=PATH3), [("fake", "min degree 1")],
+                 id="Lem2.10"),
     # a star K_{1,m} is a tree: connected, with m edges on m + 1 vertices
     pytest.param({}, _statement("Cor2.11", graph=STAR),
                  [("fake", "graph is a tree")], id="Cor2.11-star"),
+    pytest.param({}, _statement("Prop2.12", graph=STAR), [("fake", "no Hamilton cycle")],
+                 id="Prop2.12"),
+    pytest.param({}, _statement("Prop2.13", graph=STAR), [("fake", "not Eulerian")],
+                 id="Prop2.13"),
+    pytest.param({}, _statement("Prop2.15", graph=STAR), [("fake", "complete bipartite")],
+                 id="Prop2.15"),
     pytest.param({}, _statement("Thm2.8", graph=K3, center_order=3, q=3),
                  [("fake", "complete graph but |Z|=3, q=3")], id="Thm2.8"),
     pytest.param({}, _statement("Prop2.14", dim_derived=1, q=2, L=SimpleNamespace(dim=3),
@@ -358,6 +375,11 @@ FAILURE_BRANCHES = [
                        "conclusion not asserted (q=4,2)"]), id="iso-non-prime-q"),
     pytest.param({}, _consequences(K3, K3, IDENTITY3, _fake_algebra(2, 4), _fake_algebra(2, 8)),
                  ([("A ~ B", "|L1|=4 != |L2|=8")], []), id="iso-equal-order"),
+    # K_13 is 12-regular, and 12 = 2^2 * 3 has no degree shape: only q = 2 decides
+    pytest.param({}, _consequences(complete_graph(13), complete_graph(13),
+                                   {v: v for v in range(13)}, _fake_algebra(2, 8),
+                                   _fake_algebra(2, 16)),
+                 ([("A ~ B", "|L1|=8 != |L2|=16")], []), id="iso-equal-order-q2"),
     pytest.param({"algebras_equivalent": lambda L1, L2: False},
                  _consequences(AFF1_F3_GRAPH, AFF1_F3_GRAPH, {v: v for v in range(8)}, AFF1_F3,
                                AFF1_F3),

@@ -21,6 +21,7 @@ lie-ncg analyze specs/heisenberg_f4.json --format json
 lie-ncg compare specs/heisenberg_f5.json specs/heisenberg_f5.json
 lie-ncg compare specs/aff1_f3.json specs/aff1_f3.json
 lie-ncg compare specs/split_pairs_f2.json specs/split_pairs_f2.json
+lie-ncg compare specs/split_pairs_f2.json specs/split_pairs_f2_basis.json
 lie-ncg compare specs/heisenberg_f2.json specs/l2_f2.json
 lie-ncg compare specs/aff1_f3.json specs/heisenberg_f2.json
 lie-ncg verify --scope enumerate --n 2 --q 3
@@ -30,6 +31,7 @@ lie-ncg export specs/split_pairs_f2.json --out graphml
 refused lie-ncg verify --scope enumerate --n 1 --q 2
 refused lie-ncg verify --scope enumerate --n 4 --q 2
 refused lie-ncg verify --scope enumerate --n 3 --q 4
+refused lie-ncg verify --n 99 --q 1000 --statement Lem2.3
 refused lie-ncg enumerate --n 1
 refused lie-ncg enumerate --n 3 --q 4
 # q has 5000 digits, past the interpreter's int-string digit limit

@@ -151,8 +151,8 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run registered statements over a scope")
     p.add_argument("--scope", choices=tuple(verifier.SCOPES), default="catalog")
-    p.add_argument("--n", type=int, default=3)
-    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--n", type=int, help="enumerate only (default 3)")
+    p.add_argument("--q", type=int, help="enumerate only (default 2)")
     p.add_argument("--statement", default="all")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_verify)

@@ -87,11 +87,16 @@ def _orbit_reps(n, generators):
     return [find(v) for v in range(n)]
 
 
-def _search_order(g):
+def _search_order(g, target=None):
     """(code, order): the first ordering, in search order, with the minimal
     adjacency code among those compatible with refinement, and that code,
     one int per position k with bit i set when order[k] is adjacent to
     order[i].
+
+    Given a ``target`` code, the search unwinds at its first leaf whose code
+    is <= target.  Up to that leaf it is the full search, so a leaf equal to
+    the target is the full search's (code, order); a smaller one gives
+    (code, None), as the graph's minimal code is then below the target.
 
     Individualization-refinement with prefix pruning and automorphism
     pruning.  A leaf with the same code as the best one gives the
@@ -130,9 +135,10 @@ def _search_order(g):
         depth = len(order)
         if depth == n:
             # prefix pruning let only codes up to the best one get here
-            if best_code is None or tuple(placed_rows) < best_code:
-                best_code, best_order = tuple(placed_rows), list(order)
-                return n
+            code = tuple(placed_rows)
+            if best_code is None or code < best_code:
+                best_code, best_order = code, list(order)
+                return -1 if target is not None and code <= target else n
             # an equal code: best_order[i] -> order[i] is an automorphism
             gamma = [0] * n
             for u, v in zip(best_order, order):
@@ -174,15 +180,18 @@ def _search_order(g):
         return n
 
     place(refine([0] * n))
+    if target is not None and best_code < target:
+        return best_code, None
     return best_code, best_order
 
 
 _CERT_CACHE = {}
 
 
-def _canonical(g):
-    """(certificate, canonical labeling) of g; the labeling lists vertices
-    in canonical position order."""
+def _canonical(g, target=None):
+    """(certificate, canonical labeling, searched code or None) of g; the
+    labeling lists vertices in canonical position order.  A search that a
+    ``target`` stops below it gives labeling None and is not cached."""
     cached = _CERT_CACHE.get((g.n, g.rows))
     if cached is not None:
         return cached
@@ -190,14 +199,15 @@ def _canonical(g):
     if parts is None:
         if g.n > ISO_CAP:
             raise CapExceeded(f"canonical search capped at {ISO_CAP} vertices")
-        code, order = _search_order(g)
+        code, order = _search_order(g, target)
         certificate = f"G{g.n}:" + ",".join(map(str, code))
     else:
         parts = sorted(parts, key=lambda p: (len(p), p[0]))
         order = [v for part in parts for v in part]
         certificate = f"K{g.n}:" + ",".join(str(len(part)) for part in parts)
-    result = (certificate.encode(), order)
-    if len(_CERT_CACHE) < 4096:
+        code = None
+    result = (certificate.encode(), order, code)
+    if order is not None and len(_CERT_CACHE) < 4096:
         _CERT_CACHE[(g.n, g.rows)] = result
     return result
 
@@ -217,12 +227,14 @@ def isomorphism(g1, g2):
     Screens on vertex count and degree sequence, then compares canonical
     certificates; the witness composes the two canonical labelings.  So a
     pair the screen separates is answered at any size, and only a pair that
-    needs the search is refused over ISO_CAP vertices.
+    needs the search is refused over ISO_CAP vertices.  The search of g2
+    takes g1's code as its target, so it stops at the first leaf that
+    decides the pair.
     """
     if g1.n != g2.n or sorted(g1.degrees) != sorted(g2.degrees):
         return None
-    cert1, order1 = _canonical(g1)
-    cert2, order2 = _canonical(g2)
+    cert1, order1, code1 = _canonical(g1)
+    cert2, order2, _ = _canonical(g2, code1)
     if cert1 != cert2:
         return None
     return dict(zip(order1, order2))

@@ -19,7 +19,7 @@ from operator import itemgetter
 from . import graphs
 from .catalog import builtin_catalog
 from .enumeration import _check_scope, algebras_equivalent, jacobi_tensors, orbit_partition
-from .errors import Undecided, UnknownStatement
+from .errors import LieNcgError, Undecided, UnknownStatement
 from .gf import field_new, prime_factors, prime_power_decomposition
 from .iso import canonical_certificate, isomorphism
 from .ncg import build_graph
@@ -107,10 +107,17 @@ def enumeration_instances(n, q):
     return out
 
 
-# the instances each ``verify --scope`` lists for its (n, q)
+def _catalog_scope(n, q):
+    """The catalog, which has no shape: a given n or q is refused."""
+    if (n, q) != (None, None):
+        raise LieNcgError("the catalog scope takes no --n or --q")
+    return catalog_instances()
+
+
+# the instances each ``verify --scope`` lists for its (n, q), None where not given
 SCOPES = {
-    "catalog": lambda n, q: catalog_instances(),
-    "enumerate": enumeration_instances,
+    "catalog": _catalog_scope,
+    "enumerate": lambda n, q: enumeration_instances(3 if n is None else n, 2 if q is None else q),
 }
 
 

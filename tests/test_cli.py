@@ -358,6 +358,28 @@ def test_empty_or_impossible_scope_is_refused_before_any_work(capsys, monkeypatc
         assert json.loads(line)["error"] == "CapExceeded"
 
 
+@pytest.mark.parametrize(
+    "argv, stream",
+    [
+        (["verify", "--n", "99", "--q", "1000", "--statement", "Lem2.3"], "err"),
+        (["verify", "--scope", "catalog", "--q", "2", "--format", "json"], "out"),
+    ],
+)
+def test_catalog_scope_refuses_a_shape(capsys, monkeypatch, argv, stream):
+    # the catalog has no dimension or field order, so a given --n or --q is
+    # refused before any instance is built, not ignored
+    def no_instances():
+        raise AssertionError("catalog instances built before the refusal")
+
+    monkeypatch.setattr(verifier, "catalog_instances", no_instances)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    line, other = (out, err) if stream == "out" else (err, out)
+    assert "--n or --q" in line and line.count("\n") == 1 and other == ""
+    if stream == "out":
+        assert json.loads(line)["error"] == "LieNcgError"
+
+
 def test_every_scope_is_a_verify_choice_and_runs(capsys):
     # an argument outside ``--scope``'s choices would exit 2 from the parser
     for name in verifier.SCOPES:

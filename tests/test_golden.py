@@ -3,6 +3,8 @@
 Covers ``analyze`` (JSON and text), ``compare <spec> <spec>`` and
 ``export --out dot|graphml|json`` for every spec, ``compare heisenberg_f2
 l2_f2``, ``compare aff1_f3 heisenberg_f2`` (two non-isomorphic graphs),
+``compare split_pairs_f2 split_pairs_f2_basis`` (a basis change, so the
+second graph is labeled by the search and not read from the cache),
 ``verify --format json``,
 ``verify --scope enumerate --n 3 --q 2 --format json``,
 ``verify --scope enumerate --n 2 --q 3 --format json``,
@@ -47,6 +49,10 @@ def _cases():
     cases.append(
         ("compare_aff1_f3_heisenberg_f2.json",
          ["compare", "specs/aff1_f3.json", "specs/heisenberg_f2.json"])
+    )
+    cases.append(
+        ("compare_split_pairs_f2_split_pairs_f2_basis.json",
+         ["compare", "specs/split_pairs_f2.json", "specs/split_pairs_f2_basis.json"])
     )
     cases.append(("verify.jsonl", ["verify", "--format", "json"]))
     for n, q in ((3, 2), (2, 3), (3, 3)):

@@ -47,6 +47,34 @@ def three_k4():
     )
 
 
+def disjoint_cycles(k, m):
+    return Graph.from_edges(
+        k * m, [(m * c + i, m * c + (i + 1) % m) for c in range(k) for i in range(m)]
+    )
+
+
+def rook_4x4():
+    return Graph.from_edges(
+        16, [(a, b) for a, b in combinations(range(16), 2) if a // 4 == b // 4 or a % 4 == b % 4]
+    )
+
+
+def shrikhande():
+    # Z_4 x Z_4, (a, b) ~ (c, d) when the difference is +-(0, 1), +-(1, 0) or +-(1, 1)
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    return Graph.from_edges(
+        16,
+        [(a, b) for a, b in combinations(range(16), 2)
+         if ((a // 4 - b // 4) % 4, (a % 4 - b % 4) % 4) in steps],
+    )
+
+
+def k4_and_cube():
+    return Graph.from_edges(
+        12, list(combinations(range(4), 2)) + [(4 + u, 4 + v) for u, v in oracles.edges(cube())]
+    )
+
+
 def complete_multipartite(*sizes):
     part = [k for k, size in enumerate(sizes) for _ in range(size)]
     n = len(part)
@@ -211,6 +239,36 @@ def test_row_budget_boundary(monkeypatch):
         assert iso._search_order(h)[1] == oracles.exhaustive_canonical_order(h)
 
 
+def test_witness_is_the_full_searchs_labeling(monkeypatch):
+    # g2's search stops at the first leaf matching g1's code, which is the
+    # leaf the full search keeps, so the witness composes the same labelings
+    rng = random.Random(17)
+    split_pairs = build_graph(catalog_entry("split_pairs_f2").algebra())
+    for g in (split_pairs, petersen(), cube(), c12(), three_k4()):
+        monkeypatch.setattr(iso, "_CERT_CACHE", {})
+        for _ in range(5):
+            h = relabel(g, rng.sample(range(g.n), g.n))
+            witness = isomorphism(g, h)
+            assert witness == dict(zip(iso._canonical(g)[1], iso._search_order(h)[1]))
+            check_witness(g, h, witness)
+
+
+def test_isomorphism_budget_boundary_moves_outward(monkeypatch):
+    # with g's certificate cached, h's search stops at its first leaf
+    # matching g's code, so isomorphism answers at a budget where the full
+    # search of h is refused
+    g = build_graph(catalog_entry("split_pairs_f2").algebra())
+    rng = random.Random(3)
+    relabelings = [relabel(g, rng.sample(range(g.n), g.n)) for _ in range(2)]
+    monkeypatch.setattr(iso, "_CERT_CACHE", {})
+    wants = [dict(zip(iso._canonical(g)[1], iso._search_order(h)[1])) for h in relabelings]
+    for h, least, want in zip(relabelings, (3165, 2580), wants):
+        monkeypatch.setattr(iso, "ISO_ROW_BUDGET", least - 1)
+        with pytest.raises(CapExceeded):
+            iso._search_order(h)
+        assert isomorphism(g, h) == want
+
+
 @pytest.mark.parametrize(
     "g",
     [
@@ -278,6 +336,28 @@ def test_non_isomorphic_same_degree_sequence():
     )
     assert isomorphism(complete_multipartite(3, 3), tri_prism) is None
     assert canonical_certificate(complete_multipartite(3, 3)) != canonical_certificate(tri_prism)
+
+
+@pytest.mark.parametrize(
+    "g1, g2",
+    [(rook_4x4(), shrikhande()), (three_k4(), k4_and_cube())]
+    + [(disjoint_cycles(2 * k, 3), disjoint_cycles(k, 6)) for k in (2, 4, 8)],
+    ids=["rook_shrikhande", "3K4_K4+Q3", "4C3_2C6", "8C3_4C6", "16C3_8C6"],
+)
+def test_non_isomorphic_pairs_that_both_need_the_search(g1, g2, monkeypatch):
+    # equal degree sequences and neither complete multipartite, so the search
+    # of the second graph runs with the first graph's code as its target;
+    # networkx is the oracle, and no search may hit its cap
+    assert sorted(g1.degrees) == sorted(g2.degrees)
+    assert g1.multipartite_parts is None and g2.multipartite_parts is None
+    assert not nx.is_isomorphic(oracles.to_networkx(g1), oracles.to_networkx(g2))
+    for a, b in ((g1, g2), (g2, g1)):
+        monkeypatch.setattr(iso, "_CERT_CACHE", {})
+        assert isomorphism(a, b) is None
+        # b's entry is its full search's result, also where a's code stopped
+        # that search below it
+        code, order = iso._search_order(b)
+        assert iso._canonical(b) == (f"G{b.n}:{','.join(map(str, code))}".encode(), order, code)
 
 
 def test_size_mismatches_rejected_quickly():

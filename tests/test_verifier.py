@@ -128,7 +128,7 @@ def test_centralizer_orders_match_brute_force_over_larger_fields(monkeypatch):
     # elimination of ad(x) instead
     monkeypatch.setenv("LIE_NCG_CAP", str(9**4))
     algebras = [algebra_from_spec(load_spec(path)) for path in sorted(SPECS.glob("*.json"))]
-    assert len(algebras) == 10
+    assert len(algebras) == 11
     for q, k in ((4, 1), (5, 1), (8, 1), (9, 0)):
         f = field_new(q)
         algebras.append(_sum_of_units(f, 3 + k, {(0, 1): 2}))

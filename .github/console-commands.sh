@@ -57,6 +57,22 @@ python -c 'import json, sys; g = json.load(open(sys.argv[1]))["graph"]; sys.exit
 lie-ncg export "$spec" --out json > "$out"
 python -c 'import json, sys; g = json.load(open(sys.argv[1])); sys.exit(g["vertex_count"] != 720 or len(g["edges"]) != 233280)' "$out"
 rm -f "$spec" "$out"
+# aff1 summed 6 times over F_2 (4095 vertices, every row distinct) at the
+# default element cap: the diameter is one AND of two rows per non-adjacent
+# pair, where a breadth-first search from every vertex took 5.6 s
+spec=$(mktemp)
+out=$(mktemp)
+printf '{"q": 2, "dim": 12, "basis": [%s], "brackets": [%s, %s, %s, %s, %s, %s]}\n' \
+  '"x1", "y1", "x2", "y2", "x3", "y3", "x4", "y4", "x5", "y5", "x6", "y6"' \
+  '{"left": "x1", "right": "y1", "value": {"y1": 1}}' \
+  '{"left": "x2", "right": "y2", "value": {"y2": 1}}' \
+  '{"left": "x3", "right": "y3", "value": {"y3": 1}}' \
+  '{"left": "x4", "right": "y4", "value": {"y4": 1}}' \
+  '{"left": "x5", "right": "y5", "value": {"y5": 1}}' \
+  '{"left": "x6", "right": "y6", "value": {"y6": 1}}' > "$spec"
+timeout 3 lie-ncg analyze "$spec" --format json > "$out"
+python -c 'import json, sys; g = json.load(open(sys.argv[1]))["graph"]; sys.exit(g["vertex_count"] != 4095 or g["diameter"] != 2)' "$out"
+rm -f "$spec" "$out"
 # Heisenberg over F_16 (4080 vertices) at the default element cap: compare
 # labels both graphs by their parts and re-checks the witness on one row per
 # distinct row pair

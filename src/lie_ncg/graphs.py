@@ -2,11 +2,13 @@
 
 Vertices are ``0..n-1``; row ``i`` is an integer whose bit ``j`` is set when
 ``i`` and ``j`` are adjacent.  Sizes beyond the stated caps raise
-``CapExceeded``.  Girth, Hamiltonicity, planarity and outerplanarity are
-read from facts checked on the graph, which every non-commuting graph has:
-a triangle (x, y and x + y for [x, y] != 0), Dirac's bound
+``CapExceeded``.  Girth, the diameter, Hamiltonicity, planarity and
+outerplanarity are read from facts checked on the graph, which every
+non-commuting graph has: a triangle (x, y and x + y for [x, y] != 0), a
+common neighbour of every two non-adjacent vertices (Prop2.6), Dirac's bound
 2 * min degree >= n, and a complete multipartite shape or more than 3n - 6
-edges.  A graph without them raises ``Undecided``.
+edges.  A graph without them raises ``Undecided``; nothing here walks the
+graph.
 The twin classes, the vertices grouped by row once in ``Graph.__init__``,
 are that shape's parts when it has one (``Graph.multipartite_parts``), and
 the invariants answer from the parts: ``Graph.diameter``, ``is_planar`` and
@@ -15,12 +17,7 @@ below Dirac's bound, ``is_complete_bipartite`` by counting parts, and the
 canonical labeling in ``iso`` by ordering them.
 
 ``Graph.diameter``, once per graph, is the one place connectedness is
-decided: ``connectivity`` and ``is_eulerian`` read it, and it is inf when
-the graph is disconnected.  Every traversal runs on the rows through one
-breadth-first helper, ``_bfs_layers``: each layer is a bitmask, and the
-next one is the OR of the current layer's rows minus the vertices already
-seen.  A graph that is not complete multipartite takes one search per twin
-class.
+decided, and ``connectivity`` and ``is_eulerian`` read it.
 """
 
 from __future__ import annotations
@@ -87,23 +84,28 @@ class Graph:
         A complete multipartite graph with one part has no edges; with two or
         more it is connected, and two vertices of one part are at distance 2
         through any vertex of another, so the diameter is 1 when every part
-        is a single vertex and 2 otherwise.  Any other graph takes one search
-        from the first vertex of each twin class, since twins have equal
-        eccentricities.
+        is a single vertex and 2 otherwise.  Any other graph has diameter at
+        most 2 exactly when every non-adjacent pair of distinct vertices has
+        a common neighbour, as in every non-commuting graph (Prop2.6); it is
+        then 2, since the graph is not complete.  Twins have equal rows, so
+        the first vertex of each twin class is checked against each of its
+        non-neighbours, itself among them; a graph that fails the check
+        raises Undecided.
         """
         parts = self.multipartite_parts
         if parts is not None:
             if len(parts) == 1:
                 return 0 if self.n == 1 else INF
             return 1 if len(parts) == self.n else 2
-        full = (1 << self.n) - 1
-        diameter = 0
+        rows, full = self.rows, (1 << self.n) - 1
         for twins in self.twin_classes:
-            layers = list(_bfs_layers(self.rows, twins[0]))
-            if sum(layers) != full:  # the layers are disjoint
-                return INF
-            diameter = max(diameter, len(layers) - 1)
-        return diameter
+            row = rows[twins[0]]
+            if not all(row & rows[w] for w in bits(full & ~row)):
+                raise Undecided(
+                    f"diameter of a graph with two non-adjacent vertices and no common "
+                    f"neighbour ({self!r})"
+                )
+        return 2
 
     def edge_count(self):
         return sum(self.degrees) // 2
@@ -124,27 +126,13 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
 
-# -- reachability and distances ----------------------------------------------
-
-
-def _bfs_layers(rows, source):
-    """Breadth-first layers from ``source`` as bitmasks, nearest first.
-
-    The next frontier is the OR of the frontier's rows minus the vertices
-    already seen, so layer ``k`` is the set of vertices at distance ``k``.
-    """
-    seen = frontier = 1 << source
-    while frontier:
-        yield frontier
-        reach = 0
-        for u in bits(frontier):
-            reach |= rows[u]
-        frontier = reach & ~seen
-        seen |= frontier
+# -- connectivity and girth ----------------------------------------------------
 
 
 def connectivity(g):
-    """(is_connected, diameter), read from ``Graph.diameter``."""
+    """(is_connected, diameter), read from ``Graph.diameter``: decided for a
+    complete multipartite graph and for one of diameter at most 2, and
+    Undecided otherwise."""
     if g.n == 0:
         raise EmptyGraph("connectivity of the empty graph is undefined")
     return g.diameter != INF, g.diameter
@@ -316,11 +304,12 @@ def property_report(g):
 
     The domination number is reported as the string ``"skipped"`` when the
     graph exceeds the exact-search cap; every other field is exact.  A graph
-    without a triangle, or sparse or below Dirac's bound and not complete
-    multipartite, raises Undecided; no non-commuting graph is any of these.
-    So every graph reported on is connected: Dirac's bound implies it, and a
-    disconnected complete multipartite graph has one part and no edges, so
-    ``girth`` or ``is_hamiltonian`` raises on it.
+    without a triangle, or not complete multipartite and sparse, below
+    Dirac's bound or with two non-adjacent vertices that share no
+    neighbour, raises Undecided; no non-commuting graph is any of these.
+    So every graph reported on is connected: one that is not complete
+    multipartite has diameter 2, and a disconnected complete multipartite
+    graph has one part and no edges, so ``girth`` raises on it.
     """
     degs = g.degrees
     connected, diameter = connectivity(g)

@@ -225,13 +225,16 @@ def isomorphism(g1, g2):
     """A vertex bijection preserving adjacency, or None.
 
     Screens on vertex count and degree sequence, then compares canonical
-    certificates; the witness composes the two canonical labelings.  So a
-    pair the screen separates is answered at any size, and only a pair that
-    needs the search is refused over ISO_CAP vertices.  The search of g2
-    takes g1's code as its target, so it stops at the first leaf that
-    decides the pair.
+    certificates; the witness composes the two canonical labelings.  A
+    complete multipartite graph is never isomorphic to one that is not, so
+    the screen also compares the two shapes.  So a pair the screen separates
+    is answered at any size, and only a pair that needs the search is
+    refused over ISO_CAP vertices.  The search of g2 takes g1's code as its
+    target, so it stops at the first leaf that decides the pair.
     """
     if g1.n != g2.n or sorted(g1.degrees) != sorted(g2.degrees):
+        return None
+    if (g1.multipartite_parts is None) != (g2.multipartite_parts is None):
         return None
     cert1, order1, code1 = _canonical(g1)
     cert2, order2, _ = _canonical(g2, code1)

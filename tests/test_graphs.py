@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings, strategies as st
 from lie_ncg.errors import CapExceeded, EmptyGraph, Undecided
 from lie_ncg.graphs import (
     Graph,
-    _bfs_layers,
     connectivity,
     domination_number,
     girth,
@@ -100,11 +99,14 @@ def test_graph_basics():
 
 def test_connectivity_and_diameter():
     assert connectivity(complete_graph(4)) == (True, 1)
-    assert connectivity(path(5)) == (True, 4)
-    assert connectivity(cycle(6)) == (True, 3)
     assert connectivity(petersen()) == (True, 2)
-    assert connectivity(disjoint_triangles()) == (False, INF)
     assert connectivity(Graph(1, [0])) == (True, 0)
+    assert connectivity(Graph(3, [0, 0, 0])) == (False, INF)
+    # diameter past 2, or disconnected with an edge: two non-adjacent
+    # vertices without a common neighbour
+    for g in (path(5), cycle(6), disjoint_triangles()):
+        with pytest.raises(Undecided):
+            connectivity(g)
     with pytest.raises(EmptyGraph):
         connectivity(Graph(0, []))
 
@@ -119,14 +121,29 @@ def test_girth():
             girth(g)
 
 
+def assert_connectivity_matches_networkx(g):
+    """``connectivity`` is decided exactly for a complete multipartite graph
+    and for one of diameter at most 2, and there equals networkx; whether
+    it was decided is returned."""
+    h = oracles.to_networkx(g)
+    connected = nx.is_connected(h)
+    diameter = nx.diameter(h) if connected else INF
+    if oracles.multipartite_parts_by_complement(g) is None and diameter > 2:
+        with pytest.raises(Undecided):
+            connectivity(g)
+        return False
+    assert connectivity(g) == (connected, diameter)
+    return True
+
+
 def assert_matches_networkx(n, edges):
     g = Graph.from_edges(n, edges)
     h = nx.empty_graph(n)
     h.add_edges_from(edges)
-    connected = nx.is_connected(h)
-    assert connectivity(g) == (connected, nx.diameter(h) if connected else INF)
+    # an odd degree settles Eulerian without the diameter
+    settled = assert_connectivity_matches_networkx(g) or any(d % 2 for d in g.degrees)
     assert decided(girth, g) == (3 if nx.girth(h) == 3 else None)
-    assert is_eulerian(g) == nx.is_eulerian(h)
+    assert decided(is_eulerian, g) == (nx.is_eulerian(h) if settled else None)
     assert is_complete_bipartite(g) == nx_is_complete_bipartite(h)
     # planarity is decided for every complete multipartite graph and every
     # graph past 3n - 6 edges, outerplanarity past 2n - 3 edges, where an
@@ -164,6 +181,12 @@ def random_triangle_free(n, rng):
 def test_invariants_match_networkx_on_seeded_graphs():
     rng = random.Random(2024)
     cases = [(1, []), (2, []), (5, [(0, 1), (2, 3)]), (10, oracles.edges(petersen()))]
+    # K_7 without the edges 0-1, 1-2 and 3-4: not complete multipartite, 6
+    # distinct rows (3 and 4 are twins), diameter 2
+    cases.append((7, [e for e in combinations(range(7), 2) if e not in ((0, 1), (1, 2), (3, 4))]))
+    # dense graphs of diameter 3: two copies of K_k joined by one edge
+    for k in (5, 6, 7):
+        cases.append((2 * k, oracles.edges(two_complete(k)) + [(0, k)]))
     for n in range(1, 15):
         if n >= 3:
             cases.append((n, oracles.edges(cycle(n))))
@@ -176,7 +199,7 @@ def test_invariants_match_networkx_on_seeded_graphs():
         assert_matches_networkx(n, edges)
     graphs = [Graph.from_edges(n, edges) for n, edges in cases]
     assert sum(decided(girth, g) is None for g in graphs) > 50
-    assert sum(not connectivity(g)[0] for g in graphs) > 50
+    assert sum(decided(connectivity, g) is None for g in graphs) > 50
     dense = [g for g in graphs if decided(is_planar, g) is False and g.multipartite_parts is None]
     assert len(dense) > 40
 
@@ -236,9 +259,14 @@ def test_eulerian():
     assert is_eulerian(cycle(5))
     assert is_eulerian(complete_graph(5))
     assert not is_eulerian(complete_graph(4))  # odd degrees
-    two_triangles = disjoint_triangles()  # even degrees, disconnected
-    assert not is_eulerian(two_triangles) and not nx.is_eulerian(oracles.to_networkx(two_triangles))
     assert is_eulerian(octahedron())
+    edgeless = Graph(3, [0, 0, 0])  # even degrees, disconnected
+    assert not is_eulerian(edgeless) and not nx.is_eulerian(oracles.to_networkx(edgeless))
+    # even degrees, and neither complete multipartite nor of diameter <= 2
+    two_triangles = disjoint_triangles()
+    assert not nx.is_eulerian(oracles.to_networkx(two_triangles))
+    with pytest.raises(Undecided):
+        is_eulerian(two_triangles)
 
 
 def two_complete(k):
@@ -362,11 +390,12 @@ def test_complete_multipartite_closed_forms_match_networkx():
 
 def test_connectivity_with_twin_rows_matches_networkx():
     # graphs that are not complete multipartite but have many equal rows:
-    # a path with vertex 0 in the middle, a cycle and the Petersen graph with
-    # every vertex blown up into 1 to 3 twins
+    # a path with vertex 0 in the middle, C_5, C_6 and the Petersen graph
+    # with every vertex blown up into 1 to 3 twins
     rng = random.Random(7)
     middle_path = Graph.from_edges(5, [(4, 1), (1, 0), (0, 2), (2, 3)])
-    for base in (middle_path, cycle(6), petersen()):
+    decided_count = 0
+    for base in (middle_path, cycle(5), cycle(6), petersen()):
         copies = [rng.randint(1, 3) for _ in range(base.n)]
         owner = [u for u, c in enumerate(copies) for _ in range(c)]
         n = len(owner)
@@ -375,26 +404,8 @@ def test_connectivity_with_twin_rows_matches_networkx():
         )
         assert g.multipartite_parts is None
         assert_twin_classes(g)
-        assert connectivity(g) == (True, nx.diameter(oracles.to_networkx(g)))
-
-
-def test_one_search_per_distinct_row(monkeypatch):
-    # K_7 without the edges 0-1, 1-2 and 3-4: not complete multipartite, with
-    # a triangle and 18 > 3n - 6 edges; 3 and 4 are twins, so 6 distinct rows
-    g = Graph.from_edges(
-        7, [e for e in combinations(range(7), 2) if e not in ((0, 1), (1, 2), (3, 4))]
-    )
-    assert g.multipartite_parts is None and len(set(g.rows)) == 6
-    searches = []
-
-    def counted(rows, source):
-        searches.append(source)
-        return _bfs_layers(rows, source)
-
-    monkeypatch.setattr("lie_ncg.graphs._bfs_layers", counted)
-    rep = property_report(g)
-    assert len(searches) == 6
-    assert (rep["is_connected"], rep["diameter"]) == (True, nx.diameter(oracles.to_networkx(g)))
+        decided_count += assert_connectivity_matches_networkx(g)
+    assert decided_count == 2
 
 
 def test_is_hamiltonian_large_complete_bipartite_is_fast():
@@ -503,10 +514,14 @@ def test_property_report_octahedron():
 
 
 def test_property_report_disconnected_and_capped():
-    # two disjoint K_7: a triangle and 42 > 3n - 6 edges, but min degree
-    # 6 < 14/2 and not complete multipartite, so Hamiltonicity is undecided
+    # two disjoint K_7: a triangle and 42 > 3n - 6 edges, but disconnected,
+    # min degree 6 < 14/2 and not complete multipartite, so the diameter and
+    # Hamiltonicity are undecided
     two_k7 = two_complete(7)
-    assert connectivity(two_k7) == (False, INF)
+    assert not nx.is_connected(oracles.to_networkx(two_k7))
+    for invariant in (connectivity, is_hamiltonian):
+        with pytest.raises(Undecided):
+            invariant(two_k7)
     assert is_planar(two_k7) is False and is_outerplanar(two_k7) is False
     assert domination_number(two_k7) == 2
     with pytest.raises(Undecided):

@@ -412,6 +412,40 @@ def test_complete_multipartite_graphs_over_the_cap_are_labeled():
     assert isomorphism(Graph(65, [0] * 65), complete_graph(65)) is None
 
 
+def complement_of_circulant(n, steps):
+    """The complement of the circulant C_n(steps)."""
+    return Graph.from_edges(
+        n, [(u, v) for u, v in combinations(range(n), 2) if min(v - u, n - v + u) not in steps]
+    )
+
+
+@pytest.mark.parametrize(
+    "g1, g2",
+    [
+        # 3-regular on 6, 4-regular on 8 and 6-regular on 9
+        (complete_multipartite(3, 3), complement_of_circulant(6, (1,))),
+        (complete_multipartite(4, 4), complement_of_circulant(8, (1, 4))),
+        (complete_multipartite(3, 3, 3), complement_of_circulant(9, (1,))),
+        # 60-regular on 65 vertices, past ISO_CAP
+        (complete_multipartite(*[5] * 13), complement_of_circulant(65, (1, 2))),
+    ],
+    ids=["6", "8", "9", "65"],
+)
+def test_multipartite_against_other_shape_is_answered_without_a_search(g1, g2, monkeypatch):
+    # equal degree sequences, exactly one graph complete multipartite: never
+    # isomorphic, with networkx as the oracle, and no labeling is asked for
+    assert sorted(g1.degrees) == sorted(g2.degrees)
+    assert g1.multipartite_parts is not None and g2.multipartite_parts is None
+    assert not nx.is_isomorphic(oracles.to_networkx(g1), oracles.to_networkx(g2))
+
+    def refused(g, target=None):
+        raise AssertionError("labeled a graph of a pair the shapes answer")
+
+    monkeypatch.setattr(iso, "_canonical", refused)
+    assert isomorphism(g1, g2) is None
+    assert isomorphism(g2, g1) is None
+
+
 def test_certificates_separate_all_small_graphs():
     # all labeled graphs on 4 and 5 vertices: the certificate classes are
     # exactly the 11 and 34 isomorphism classes, with networkx as the oracle

@@ -9,7 +9,14 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lie_ncg.errors import AbelianAlgebra, CapExceeded
 from lie_ncg.gf import field_new
-from lie_ncg.graphs import connectivity, girth, hamiltonian_cycle, is_planar, is_regular
+from lie_ncg.graphs import (
+    connectivity,
+    girth,
+    hamiltonian_cycle,
+    is_planar,
+    is_regular,
+    property_report,
+)
 from lie_ncg.io import load_spec, parse_spec_dict
 from lie_ncg.enumeration import _c12_solutions
 from lie_ncg.liealg import LieAlgebra, algebra_from_spec
@@ -186,6 +193,16 @@ def test_build_graph_at_the_element_cap_with_every_row_distinct():
     degrees = g.degrees
     for i in random.Random(2024).sample(range(g.n), 50):
         assert degrees[i] == L.order - L.centralizer_order(g.indices[i])
+
+
+def test_property_report_at_the_element_cap_with_every_row_distinct():
+    # 4095 twin classes and no multipartite shape: the diameter is read from
+    # one row AND per non-adjacent pair
+    g = build_graph(_aff1_sum_f2())
+    start = time.perf_counter()
+    rep = property_report(g)
+    assert time.perf_counter() - start < 3
+    assert (rep["vertex_count"], rep["is_connected"], rep["diameter"]) == (4095, True, 2)
 
 
 def test_hamiltonian_cycle_at_the_element_cap():

@@ -294,6 +294,7 @@ K3, K4, K5 = complete_graph(3), complete_graph(4), complete_graph(5)
 K112 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+EDGELESS2 = Graph(2, [0, 0])
 STAR = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
 IDENTITY3 = {0: 0, 1: 1, 2: 2}
 # aff1 over F_3: |L| = 9, and its graph is 6-regular on 8 vertices, 6 = 3 * 2
@@ -308,9 +309,14 @@ FAILURE_BRANCHES = [
     pytest.param({}, _statement("Lem2.3", graph=Graph.from_edges(3, [(0, 1)])),
                  [("fake", "isolated vertex present")], id="Lem2.3"),
     # an infinite diameter is truthy, so only the connectedness flag fails this
-    pytest.param({}, _statement("Prop2.4", graph=Graph.from_edges(4, [(0, 1), (2, 3)])),
-                 [("fake", "graph disconnected")], id="Prop2.4"),
-    pytest.param({}, _statement("Prop2.6", graph=PATH4), [("fake", "diameter 3")], id="Prop2.6"),
+    pytest.param({}, _statement("Prop2.4", graph=EDGELESS2), [("fake", "graph disconnected")],
+                 id="Prop2.4"),
+    pytest.param({}, _statement("Prop2.6", graph=EDGELESS2), [("fake", "diameter inf")],
+                 id="Prop2.6"),
+    # 0 and 3 have no common neighbour, so the diameter is not decided
+    pytest.param({}, _statement("Prop2.6", graph=PATH4),
+                 [("fake", "diameter of a graph with two non-adjacent vertices and no common "
+                           "neighbour (Graph(n=4, m=3))")], id="Prop2.6-undecided"),
     pytest.param({}, _statement("Cor2.9", graph=K3, center_order=1, q=3),
                  [("fake", "diameter 1")], id="Cor2.9"),
     pytest.param({}, _statement("Lem2.10", graph=PATH3), [("fake", "min degree 1")],

@@ -57,6 +57,19 @@ python -c 'import json, sys; g = json.load(open(sys.argv[1]))["graph"]; sys.exit
 lie-ncg export "$spec" --out json > "$out"
 python -c 'import json, sys; g = json.load(open(sys.argv[1])); sys.exit(g["vertex_count"] != 720 or len(g["edges"]) != 233280)' "$out"
 rm -f "$spec" "$out"
+# aff1 summed twice over F_3 (80 vertices, not complete multipartite): a
+# pair the vertex-count, degree and shape screen cannot tell apart needs the
+# canonical search, capped at 64 vertices (ISO_CAP), and a pair it can is
+# answered without one
+spec=$(mktemp)
+out=$(mktemp)
+printf '{"q": 3, "dim": 4, "basis": ["a", "b", "c", "d"], "brackets": [%s, %s]}\n' \
+  '{"left": "a", "right": "b", "value": {"a": 1}}' \
+  '{"left": "c", "right": "d", "value": {"c": 1}}' > "$spec"
+refused lie-ncg compare "$spec" "$spec"
+lie-ncg compare "$spec" specs/heisenberg_f2.json > "$out"
+python -c 'import json, sys; sys.exit(json.load(open(sys.argv[1]))["isomorphic"] is not False)' "$out"
+rm -f "$spec" "$out"
 # aff1 summed 6 times over F_2 (4095 vertices, every row distinct) at the
 # default element cap: the diameter is one AND of two rows per non-adjacent
 # pair, where a breadth-first search from every vertex took 5.6 s

@@ -1,14 +1,15 @@
 """Undirected simple graphs on bitset adjacency rows, plus exact invariants.
 
 Vertices are ``0..n-1``; row ``i`` is an integer whose bit ``j`` is set when
-``i`` and ``j`` are adjacent.  Sizes beyond the stated caps raise
-``CapExceeded``.  Girth, the diameter, Hamiltonicity, planarity and
-outerplanarity are read from facts checked on the graph, which every
-non-commuting graph has: a triangle (x, y and x + y for [x, y] != 0), a
-common neighbour of every two non-adjacent vertices (Prop2.6), Dirac's bound
-2 * min degree >= n, and a complete multipartite shape or more than 3n - 6
-edges.  A graph without them raises ``Undecided``; nothing here walks the
-graph.
+``i`` and ``j`` are adjacent.  A ``Graph`` is its rows and the facts read
+from them, with no vertex names (``ncg.NcGraph`` has the elements') and no
+value equality.  Sizes beyond the stated caps raise ``CapExceeded``.  Girth,
+the diameter, Hamiltonicity, planarity and outerplanarity are read from
+facts checked on the graph, which every non-commuting graph has: a triangle
+(x, y and x + y for [x, y] != 0), a common neighbour of every two
+non-adjacent vertices (Prop2.6), Dirac's bound 2 * min degree >= n, and a
+complete multipartite shape or more than 3n - 6 edges.  A graph without
+them raises ``Undecided``; nothing here walks the graph.
 The twin classes, the vertices grouped by row once in ``Graph.__init__``,
 are that shape's parts when it has one (``Graph.multipartite_parts``), and
 the invariants answer from the parts: ``Graph.diameter``, ``is_planar`` and
@@ -17,7 +18,8 @@ below Dirac's bound, ``is_complete_bipartite`` by counting parts, and the
 canonical labeling in ``iso`` by ordering them.
 
 ``Graph.diameter``, once per graph, is the one place connectedness is
-decided, and ``connectivity`` and ``is_eulerian`` read it.
+decided, and refuses the empty graph; ``connectivity`` and ``is_eulerian``
+read it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 class Graph:
-    """Immutable undirected simple graph with bit-matrix adjacency.
+    """Immutable undirected simple graph on ``n`` unnamed vertices and ``rows``.
 
     ``degrees`` holds each vertex's row bit count.  ``twin_classes`` are
     the vertices grouped by row, as ascending lists in order of their least
@@ -47,7 +49,7 @@ class Graph:
     None).
     """
 
-    def __init__(self, n, rows, labels=None):
+    def __init__(self, n, rows):
         self.n = n
         self.rows = tuple(rows)
         # counted and grouped once per graph; every invariant here reads them
@@ -58,28 +60,21 @@ class Graph:
         self.twin_classes = list(classes.values())
         multipartite = all(n - self.degrees[c[0]] == len(c) for c in self.twin_classes)
         self.multipartite_parts = self.twin_classes if multipartite else None
-        if labels is not None:
-            self.labels = tuple(labels)
-
-    @cached_property
-    def labels(self):
-        """The vertex names: those given, else the indices as strings."""
-        return tuple(str(i) for i in range(self.n))
 
     @classmethod
-    def from_edges(cls, n, edges, labels=None):
+    def from_edges(cls, n, edges):
         rows = [0] * n
         for u, v in edges:
             if u == v:
                 continue
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, rows, labels)
+        return cls(n, rows)
 
     @cached_property
     def diameter(self):
         """The largest distance between two vertices, inf when the graph is
-        disconnected; the graph must be nonempty.
+        disconnected; the empty graph raises EmptyGraph.
 
         A complete multipartite graph with one part has no edges; with two or
         more it is connected, and two vertices of one part are at distance 2
@@ -92,6 +87,8 @@ class Graph:
         non-neighbours, itself among them; a graph that fails the check
         raises Undecided.
         """
+        if self.n == 0:
+            raise EmptyGraph("diameter of the empty graph is undefined")
         parts = self.multipartite_parts
         if parts is not None:
             if len(parts) == 1:
@@ -116,12 +113,6 @@ class Graph:
         permute."""
         return bin(self.rows[v])[:1:-1].encode().translate(_BIT_BYTES).ljust(self.n, b"\0")
 
-    def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.n, self.rows))
-
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
@@ -132,9 +123,7 @@ class Graph:
 def connectivity(g):
     """(is_connected, diameter), read from ``Graph.diameter``: decided for a
     complete multipartite graph and for one of diameter at most 2, and
-    Undecided otherwise."""
-    if g.n == 0:
-        raise EmptyGraph("connectivity of the empty graph is undefined")
+    Undecided otherwise; the empty graph raises EmptyGraph there."""
     return g.diameter != INF, g.diameter
 
 
@@ -165,7 +154,9 @@ def is_complete(g):
 
 
 def is_eulerian(g):
-    return g.n > 0 and all(d % 2 == 0 for d in g.degrees) and g.diameter != INF
+    """Every degree even and the graph connected, the second read from
+    ``Graph.diameter``, which raises EmptyGraph on the empty graph."""
+    return all(d % 2 == 0 for d in g.degrees) and g.diameter != INF
 
 
 def is_complete_bipartite(g):

@@ -2,9 +2,9 @@
 
 The spec file format is JSON only, with a fixed key set; unknown keys are
 rejected so malformed files fail loudly and identically everywhere.  Exports
-(DOT, GraphML, JSON) are byte-deterministic: vertices are listed in element
-index order, then each edge once as (smaller label, larger label), the edges
-sorted by that pair.
+of an ``NcGraph`` (DOT, GraphML, JSON), named by its ``labels``, are
+byte-deterministic: vertices are listed in element index order, then each
+edge once as (smaller label, larger label), the edges sorted by that pair.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 Each entry is a labeled edge list transcribed from the drawings the theorem
 statements point at (ids F1..F7).  F2 is K_7, F4 is K_3, F3 and F5 are two
-drawings of the octahedron, and F6/F7 are copies of K_{3,3}.
+drawings of the octahedron, and F6/F7 are copies of K_{3,3}.  Nothing reads
+the names: ``figure_graph`` numbers them and builds an unnamed Graph.
 """
 
 from __future__ import annotations
@@ -56,14 +57,11 @@ FIGURE_IDS = tuple(sorted(FIGURE_EDGES))
 
 
 def figure_graph(figure_id):
-    """Build the reference Graph for one figure id (F1..F7)."""
+    """The unnamed reference Graph of one figure id (F1..F7), each name
+    numbered in order of its first appearance in the edge list."""
     edges = FIGURE_EDGES[figure_id]
-    labels = []
-    for a, b in edges:
-        for x in (a, b):
-            if x not in labels:
-                labels.append(x)
-    index = {lab: i for i, lab in enumerate(labels)}
-    return Graph.from_edges(
-        len(labels), [(index[a], index[b]) for a, b in edges], labels=labels
-    )
+    index = {}
+    for edge in edges:
+        for x in edge:
+            index.setdefault(x, len(index))
+    return Graph.from_edges(len(index), [(index[a], index[b]) for a, b in edges])

@@ -177,8 +177,10 @@ def _check_girth(inst):
 
 
 def _check_diameter(inst):
+    # Graph.diameter is 0, 1, 2 or inf, and raises Undecided on a diameter
+    # past 2, so inf is the only value left to fail
     diameter = graphs.connectivity(inst.graph)[1]
-    return PASS if diameter <= 2 else f"diameter {diameter}"
+    return PASS if diameter != graphs.INF else f"diameter {diameter}"
 
 
 def _check_complete_implies(inst):
@@ -202,8 +204,12 @@ def _check_min_degree_two(inst):
 
 def _check_not_tree_not_star(inst):
     g = inst.graph
-    # a star K_{1,m} is a tree, connected with m edges on m + 1 vertices
-    if g.edge_count() == g.n - 1 and graphs.connectivity(g)[0]:
+    # a tree on n vertices has n - 1 edges and is connected, so with an
+    # isolated vertex beside others it is none; with a vertex of degree
+    # n - 1 it is the star K_{1,n-1}, and only the rest ask connectivity
+    if g.edge_count() != g.n - 1 or g.n >= 2 and 0 in g.degrees:
+        return PASS
+    if g.n - 1 in g.degrees or graphs.connectivity(g)[0]:
         return "graph is a tree"
     return PASS
 

@@ -25,8 +25,9 @@ vertex pair, exports by sorting every edge by its label pair, complete
 multipartite parts as the cliques of the complement, and the conjecture
 table by comparing every pair of instances.  ``edges`` and ``to_networkx``
 hand a graph to networkx, the oracle for the other graph invariants.
-``has_edge`` and ``catalog_entry`` are lookups the tests share, and
-``complete_graph`` builds K_n for them.
+``has_edge`` and ``catalog_entry`` are lookups the tests share,
+``complete_graph`` builds K_n for them, and ``LabeledGraph`` gives a Graph
+vertex names for the exports.
 """
 
 import json
@@ -55,6 +56,15 @@ def complete_graph(n):
     """K_n: every vertex adjacent to every other."""
     full = (1 << n) - 1
     return Graph(n, [full & ~(1 << v) for v in range(n)])
+
+
+class LabeledGraph(Graph):
+    """A Graph with vertex names, for the export tests: the exports read
+    ``labels``, and in the library only ``NcGraph`` has them."""
+
+    def __init__(self, n, rows, labels):
+        super().__init__(n, rows)
+        self.labels = tuple(labels)
 
 
 def catalog_entry(name):

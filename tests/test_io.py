@@ -22,6 +22,7 @@ from lie_ncg.io import (
 from lie_ncg.liealg import AlgebraSpec, algebra_from_spec
 from lie_ncg.ncg import build_graph
 from oracles import (
+    LabeledGraph,
     catalog_entry,
     dot_by_sorting,
     edges,
@@ -156,8 +157,9 @@ LARGE_FAMILIES = [
 
 
 def _random_graphs():
-    """Seeded random graphs with n = 0..5, 20 and 40, half of them with
-    distinct labels that XML and JSON must escape."""
+    """Seeded random graphs with n = 0..5, 20 and 40, each labeled once by
+    its vertex indices and once with distinct labels that XML and JSON must
+    escape."""
     rng = random.Random(20)
     alphabet = ["a", "b", "x", "<", ">", "&", "'", '"', "\u00e9", "\u2200"]
     graphs = []
@@ -170,7 +172,8 @@ def _random_graphs():
             rng.shuffle(labels)
             p = rng.random()
             edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-            graphs += [Graph.from_edges(n, edges), Graph.from_edges(n, edges, labels)]
+            rows = Graph.from_edges(n, edges).rows
+            graphs += [LabeledGraph(n, rows, map(str, range(n))), LabeledGraph(n, rows, labels)]
     return graphs
 
 

@@ -296,6 +296,7 @@ PATH3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 EDGELESS2 = Graph(2, [0, 0])
 STAR = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+TRIANGLE_AND_VERTEX = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
 IDENTITY3 = {0: 0, 1: 1, 2: 2}
 # aff1 over F_3: |L| = 9, and its graph is 6-regular on 8 vertices, 6 = 3 * 2
 AFF1_F3 = catalog_entry("aff1_f3").algebra()
@@ -324,6 +325,14 @@ FAILURE_BRANCHES = [
     # a star K_{1,m} is a tree: connected, with m edges on m + 1 vertices
     pytest.param({}, _statement("Cor2.11", graph=STAR),
                  [("fake", "graph is a tree")], id="Cor2.11-star"),
+    # n - 1 edges and an isolated vertex: disconnected, so no tree, decided
+    # from the degrees without asking connectivity
+    pytest.param({}, _statement("Cor2.11", graph=TRIANGLE_AND_VERTEX), [],
+                 id="Cor2.11-disconnected"),
+    # a tree that is no star: 0 and 3 have no common neighbour
+    pytest.param({}, _statement("Cor2.11", graph=PATH4),
+                 [("fake", "diameter of a graph with two non-adjacent vertices and no common "
+                           "neighbour (Graph(n=4, m=3))")], id="Cor2.11-undecided"),
     pytest.param({}, _statement("Prop2.12", graph=STAR), [("fake", "no Hamilton cycle")],
                  id="Prop2.12"),
     pytest.param({}, _statement("Prop2.13", graph=STAR), [("fake", "not Eulerian")],

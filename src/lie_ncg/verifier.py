@@ -205,13 +205,10 @@ def _check_min_degree_two(inst):
 def _check_not_tree_not_star(inst):
     g = inst.graph
     # a tree on n vertices has n - 1 edges and is connected, so with an
-    # isolated vertex beside others it is none; with a vertex of degree
-    # n - 1 it is the star K_{1,n-1}, and only the rest ask connectivity
+    # isolated vertex beside others it is none; only the rest ask connectivity
     if g.edge_count() != g.n - 1 or g.n >= 2 and 0 in g.degrees:
         return PASS
-    if g.n - 1 in g.degrees or graphs.connectivity(g)[0]:
-        return "graph is a tree"
-    return PASS
+    return "graph is a tree" if graphs.connectivity(g)[0] else PASS
 
 
 def _check_hamiltonian(inst):

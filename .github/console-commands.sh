@@ -57,6 +57,16 @@ python -c 'import json, sys; g = json.load(open(sys.argv[1]))["graph"]; sys.exit
 lie-ncg export "$spec" --out json > "$out"
 python -c 'import json, sys; g = json.load(open(sys.argv[1])); sys.exit(g["vertex_count"] != 720 or len(g["edges"]) != 233280)' "$out"
 rm -f "$spec" "$out"
+# [u, v] = 2u + v over F_3, aff1 in another basis: its degree shape makes
+# compare ask algebras_equivalent, which closes aff1's orbit and finds this
+# other tensor in it
+spec=$(mktemp)
+out=$(mktemp)
+printf '{"q": 3, "dim": 2, "basis": ["u", "v"], "brackets": [%s]}\n' \
+  '{"left": "u", "right": "v", "value": {"u": 2, "v": 1}}' > "$spec"
+lie-ncg compare specs/aff1_f3.json "$spec" > "$out"
+python -c 'import json, sys; sys.exit(json.load(open(sys.argv[1]))["consequence_failures"] != [])' "$out"
+rm -f "$spec" "$out"
 # aff1 summed twice over F_3 (80 vertices, not complete multipartite): a
 # pair the vertex-count, degree and shape screen cannot tell apart needs the
 # canonical search, capped at 64 vertices (ISO_CAP), and a pair it can is

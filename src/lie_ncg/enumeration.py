@@ -9,21 +9,24 @@ its structures as an AND of three hyperplane masks on F_q^4, not by testing
 q^3 candidates.  That solve is the Jacobi check, so the algebras are built
 with ``validate=False``.
 Deduplication reduces modulo the GL(n, q) basis-change action
-T -> g^-1 T(g., g.), which is linear in T.  ``_LinearAction`` turns each
-generator of GL(n, q) (the transvections I + E_ij and the matrices
-diag(a, 1, ..., 1)) into a linear map on the N = n * C(n, 2) coordinates of
-a tensor, built once per ``orbit_partition`` or ``algebras_equivalent`` call
-from the images of the N unit tensors, each read off the 2 x 2 minors of
-the generator and a column of its inverse.  A tensor is coded as an int, and
-one generator's action is a table lookup per chunk of coordinates, a sum and
-a reduction modulo p.  Each new tensor's orbit is closed under the
-generators, so the work grows with the orbit, not with |GL(n, q)|, and only
-each orbit's representative is built as a ``LieAlgebra``.
+T -> g^-1 T(g., g.), which is linear in T.  GL(n, q) is generated by at most
+three matrices (``_gl_generators``): the transvection I + E_01, the cyclic
+permutation of the basis and, for q > 2, diag(w, 1, ..., 1) with w a
+generator of F_q^*.  ``_LinearAction`` turns each of them into a linear map
+on the N = n * C(n, 2) coordinates of a tensor, built once per
+``orbit_partition`` or ``algebras_equivalent`` call from the images of the
+N unit tensors, each read off the 2 x 2 minors of the generator and a
+column of its inverse.  A tensor is coded as an int, and one generator's
+action is a table lookup per chunk of coordinates, a sum and a reduction
+modulo p.  Each new tensor's orbit is closed under the generators, so the
+work grows with the orbit times the two or three generators, not with
+|GL(n, q)|, and only each orbit's representative is built as a
+``LieAlgebra``.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 
 from .errors import CapExceeded
 from .liealg import LieAlgebra
@@ -99,22 +102,49 @@ def jacobi_tensors(n, field):
 
 
 def _gl_generators(n, field):
-    """Generators of GL(n, q) as (g, g^-1) pairs of row-tuple tuples: the
-    transvections I + E_ij (i != j), inverted by I - E_ij, and
-    diag(a, 1, ..., 1) for every a other than 0 and 1, inverted by
-    diag(1/a, 1, ..., 1).  Conjugating by the diagonal matrices gives every
-    I + cE_ij, which generate SL(n, q), and a generator a of F_q^* then gives
-    all of GL(n, q)."""
+    """At most three generators of GL(n, q) as (g, g^-1) pairs of row-tuple
+    tuples: for n >= 2 the transvection T = I + E_01, inverted by I - E_01,
+    and the cyclic permutation C: e_i -> e_(i+1 mod n), inverted by its
+    transpose; for q > 2 also D = diag(w, 1, ..., 1), inverted by
+    diag(1/w, 1, ..., 1), with w the least element of multiplicative order
+    q - 1, read off the field's multiplication table.
+
+    They generate GL(n, q).  Write x_ij(c) for I + cE_ij.  Conjugating by C
+    shifts both indices, C x_ij(c) C^-1 = x_(i+1, j+1)(c), so the
+    C-conjugates of T are every x_(i, i+1)(1), indices mod n, and the
+    commutators [x_ij(a), x_jk(b)] = x_ik(ab) for distinct i, j, k then
+    give every x_ij(1).  D^m x_ij(1) D^-m is x_0j(w^m) for i = 0 and
+    x_i0(w^-m) for j = 0, and [x_i0(1), x_0j(w^m)] = x_ij(w^m) for i, j
+    both nonzero, so every x_ij(w^m) is reached.  The powers of w span F_q
+    additively, and x_ij(a) x_ij(b) = x_ij(a + b), so every x_ij(c) is a
+    product of these; the x_ij(c) generate SL(n, q).  det D = w generates
+    F_q^*, so D adds every determinant.  Over F_2, SL(n, 2) is GL(n, 2) and
+    D is not needed; for n = 1, GL(1, q) is generated by D alone.
+    """
 
     def identity_but(i, j, a):
         return tuple(
             tuple(a if (r, c) == (i, j) else int(r == c) for c in range(n)) for r in range(n)
         )
 
-    neg, inv = field.neg_table, field.inv_table
-    pairs = permutations(range(n), 2)
-    gens = [(identity_but(i, j, 1), identity_but(i, j, neg[1])) for i, j in pairs]
-    return gens + [(identity_but(0, 0, a), identity_but(0, 0, inv[a])) for a in range(2, field.q)]
+    mul, inv, neg = field.mul_table, field.inv_table, field.neg_table
+    gens = []
+    if n > 1:
+        cycle = tuple(tuple(int(r == (c + 1) % n) for c in range(n)) for r in range(n))
+        gens += [(identity_but(0, 1, 1), identity_but(0, 1, neg[1])),
+                 (cycle, tuple(zip(*cycle)))]
+    if field.q > 2:
+        w = next(a for a in range(2, field.q) if _multiplicative_order(mul, a) == field.q - 1)
+        gens.append((identity_but(0, 0, w), identity_but(0, 0, inv[w])))
+    return gens
+
+
+def _multiplicative_order(mul, a):
+    """The least m >= 1 with a^m = 1, for a nonzero field element a."""
+    power, order = a, 1
+    while power != 1:
+        power, order = mul[power][a], order + 1
+    return order
 
 
 # Bounds on the entries of one lookup table of ``_LinearAction``.
@@ -158,7 +188,7 @@ class _LinearAction:
         self.pairs, self.width = pairs, k * w
         # the slots of each element code hold its base-p digits
         self.code_bits = [sum(c // p**j % p << j * w for j in range(k)) for c in range(q)]
-        self.shifts = [start * self.width for start in starts]
+        shifts = [start * self.width for start in starts]
         self.mask = (1 << per_chunk * self.width) - 1
         self.groups = None
         if p == 2:
@@ -193,7 +223,7 @@ class _LinearAction:
                              for chunk, image in table.items()
                              for v, single in enumerate(singles[i])}
                 tables.append(table)
-            self.maps.append(tables)
+            self.maps.append(list(zip(tables, shifts)))
 
     def reduce(self, total):
         """``total`` with every slot taken modulo p."""
@@ -216,9 +246,8 @@ class _LinearAction:
     def images(self, key):
         """The keys of the images of ``key`` under each generator, in the
         order of ``_gl_generators``."""
-        chunks = [key >> s & self.mask for s in self.shifts]
-        reduce = self.reduce
-        return [reduce(sum([t[c] for t, c in zip(tables, chunks)])) for tables in self.maps]
+        mask, reduce = self.mask, self.reduce
+        return [reduce(sum([t[key >> s & mask] for t, s in tables])) for tables in self.maps]
 
     def orbit(self, key):
         """Keys of the GL(n, q) orbit of ``key``, found by closing {key}

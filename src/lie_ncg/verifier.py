@@ -12,6 +12,7 @@ checked in both directions on every instance.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from operator import itemgetter
@@ -204,9 +205,13 @@ def _check_min_degree_two(inst):
 
 def _check_not_tree_not_star(inst):
     g = inst.graph
-    # a tree on n vertices has n - 1 edges and is connected, so with an
-    # isolated vertex beside others it is none; only the rest ask connectivity
+    # a tree on n vertices has n - 1 edges, is connected and has no cycle, so
+    # with an isolated vertex beside others, or a triangle, it is none; only
+    # the rest ask connectivity
     if g.edge_count() != g.n - 1 or g.n >= 2 and 0 in g.degrees:
+        return PASS
+    with suppress(Undecided):
+        graphs.girth(g)  # 3, or Undecided on a triangle-free graph
         return PASS
     return "graph is a tree" if graphs.connectivity(g)[0] else PASS
 

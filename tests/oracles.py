@@ -18,14 +18,15 @@ structures by testing the Jacobi identity on every structure tensor,
 GL(n, q) orbits by applying every invertible matrix through
 ``transform_by_methods`` (each new basis pair bracketed with
 ``bracket_by_methods``, then rewritten in the new coordinates by
-``arithmetic`` method calls), canonical labelings by searching every
-ordering the refinement allows, certificates by coding each vertex's
-adjacency to the vertices before it, isomorphism witnesses by testing every
-vertex pair, exports by sorting every edge by its label pair, complete
-multipartite parts as the cliques of the complement, and the conjecture
-table by comparing every pair of instances.  ``edges`` and ``to_networkx``
-hand a graph to networkx, the oracle for the other graph invariants.
-``has_edge`` and ``catalog_entry`` are lookups the tests share,
+``arithmetic`` method calls), GL(n, q) as generated by every transvection
+and diagonal (``elementary_gl_generators``), canonical labelings by
+searching every ordering the refinement allows, certificates by coding each
+vertex's adjacency to the vertices before it, isomorphism witnesses by
+testing every vertex pair, exports by sorting every edge by its label pair,
+complete multipartite parts as the cliques of the complement, and the
+conjecture table by comparing every pair of instances.  ``edges`` and
+``to_networkx`` hand a graph to networkx, the oracle for the other graph
+invariants.  ``has_edge`` and ``catalog_entry`` are lookups the tests share,
 ``complete_graph`` builds K_n for them, and ``LabeledGraph`` gives a Graph
 vertex names for the exports.
 """
@@ -373,6 +374,24 @@ def full_gl_orbits(n, field):
         seen |= orbit
         orbits.append((key, len(orbit)))
     return orbits
+
+
+def elementary_gl_generators(n, field):
+    """The elementary generating set of GL(n, q) as (g, g^-1) pairs of
+    row-tuple tuples: every transvection I + E_ij (i != j), inverted by
+    I - E_ij, and diag(a, 1, ..., 1) for every a other than 0 and 1,
+    inverted by diag(1/a, 1, ..., 1) with 1/a from ``arithmetic``."""
+    F = arithmetic(field.q)
+
+    def identity_but(i, j, a):
+        return tuple(
+            tuple(a if (r, c) == (i, j) else int(r == c) for c in range(n)) for r in range(n)
+        )
+
+    gens = [(identity_but(i, j, 1), identity_but(i, j, F.neg(1)))
+            for i, j in product(range(n), repeat=2) if i != j]
+    return gens + [(identity_but(0, 0, a), identity_but(0, 0, F.inverse(a)))
+                   for a in range(2, field.q)]
 
 
 def exhaustive_canonical_order(g):

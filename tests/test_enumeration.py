@@ -6,12 +6,14 @@ import random
 import subprocess
 import sys
 import time
+from functools import reduce
 from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lie_ncg import enumeration
 from lie_ncg.catalog import builtin_catalog
 from lie_ncg.enumeration import (
     _c12_solutions,
@@ -33,6 +35,7 @@ from lie_ncg.ncg import build_graph
 from oracles import (
     arithmetic,
     catalog_entry,
+    elementary_gl_generators,
     full_gl_orbits,
     gl_matrices,
     jacobi_failure_by_methods,
@@ -127,6 +130,32 @@ def test_gl_generators_times_their_inverses_are_identity(q):
             assert prod == identity, (n, g, ginv)
 
 
+@pytest.mark.parametrize(
+    "n,q", [(n, q) for n in (1, 2) for q in FIELD_ORDERS if q <= 9] + [(3, 2), (3, 3), (4, 2)]
+)
+def test_gl_generators_generate_gl(n, q):
+    # closing the identity under right multiplication by the generators, with
+    # the oracle's field methods, reaches all of GL(n, q); without C or D the
+    # closure is a proper subgroup
+    f, F = field_new(q), arithmetic(q)
+    gens = [g for g, _ginv in _gl_generators(n, f)]
+    if n >= 2:
+        assert len(gens) == 2 + (q > 2)
+    identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    group, stack = {identity}, [identity]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = tuple(
+                tuple(reduce(F.add, [F.mul(row[k], g[k][j]) for k in range(n)]) for j in range(n))
+                for row in x
+            )
+            if y not in group:
+                group.add(y)
+                stack.append(y)
+    assert len(group) == gl_order(n, q)
+
+
 def test_gl_matrix_counts():
     # |GL(2, 2)| = 6, |GL(2, 3)| = 48
     assert len(gl_matrices(2, field_new(2))) == 6
@@ -166,6 +195,29 @@ def test_orbit_sizes_dim3_f3_frozen():
     sizes = [size for _L, size in orbit_partition(3, field_new(3))]
     assert sizes == [1, 312, 26, 156, 156, 78, 208, 26, 468]
     assert sum(sizes) == len(list(jacobi_tensors(3, field_new(3))))
+
+
+def test_gl_generators_close_the_orbits_of_the_elementary_set(monkeypatch):
+    # the 8128 Lie tensors of (3, 4), past the enumeration scope: closing
+    # each orbit under _gl_generators and under every transvection and
+    # diagonal gives the same partition
+    f = field_new(4)
+
+    def partition():
+        action = _LinearAction(3, f)
+        seen, orbits = set(), []
+        for tensor in _structure_tensors(3, f):
+            key = action.encode(tensor)
+            if key not in seen:
+                orbit = action.orbit(key)
+                seen |= orbit
+                orbits.append(orbit)
+        return orbits
+
+    got = partition()
+    monkeypatch.setattr(enumeration, "_gl_generators", elementary_gl_generators)
+    assert partition() == got
+    assert [len(orbit) for orbit in got] == [1, 1260, 63, 945, 1260, 756, 756, 63, 3024]
 
 
 @pytest.mark.parametrize("q, count", [(2, 120), (3, 1431)])

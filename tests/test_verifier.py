@@ -297,6 +297,7 @@ PATH4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 EDGELESS2 = Graph(2, [0, 0])
 STAR = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
 TRIANGLE_AND_VERTEX = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+TRIANGLE_AND_EDGE = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
 IDENTITY3 = {0: 0, 1: 1, 2: 2}
 # aff1 over F_3: |L| = 9, and its graph is 6-regular on 8 vertices, 6 = 3 * 2
 AFF1_F3 = catalog_entry("aff1_f3").algebra()
@@ -329,6 +330,10 @@ FAILURE_BRANCHES = [
     # from the degrees without asking connectivity
     pytest.param({}, _statement("Cor2.11", graph=TRIANGLE_AND_VERTEX), [],
                  id="Cor2.11-disconnected"),
+    # n - 1 edges, no isolated vertex, and a triangle: a cycle, so no tree,
+    # decided from the triangle without asking connectivity
+    pytest.param({}, _statement("Cor2.11", graph=TRIANGLE_AND_EDGE), [],
+                 id="Cor2.11-triangle"),
     # a tree that is no star: 0 and 3 have no common neighbour
     pytest.param({}, _statement("Cor2.11", graph=PATH4),
                  [("fake", "diameter of a graph with two non-adjacent vertices and no common "

@@ -298,6 +298,9 @@ EDGELESS2 = Graph(2, [0, 0])
 STAR = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
 TRIANGLE_AND_VERTEX = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
 TRIANGLE_AND_EDGE = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+C6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+# heisenberg_f2: 6 vertices, each of degree 4 with a centralizer of order 4
+HEIS_F2_GRAPH = build_graph(catalog_entry("heisenberg_f2").algebra())
 IDENTITY3 = {0: 0, 1: 1, 2: 2}
 # aff1 over F_3: |L| = 9, and its graph is 6-regular on 8 vertices, 6 = 3 * 2
 AFF1_F3 = catalog_entry("aff1_f3").algebra()
@@ -308,11 +311,18 @@ AFF1_F3_GRAPH = build_graph(AFF1_F3)
 # consequence checks: what the row patches on ``verifier``, the call, and
 # exactly what it must record.
 FAILURE_BRANCHES = [
+    # the third vertex, x + y, is the first whose degree and centralizer
+    # order do not add up to |L|
+    pytest.param({}, _statement("Lem2.2", graph=HEIS_F2_GRAPH, order=8,
+                                centralizer_orders=(4, 4, 2, 4, 2, 4)),
+                 [("fake", "vertex x+y: degree 4 != 6")], id="Lem2.2"),
     pytest.param({}, _statement("Lem2.3", graph=Graph.from_edges(3, [(0, 1)])),
                  [("fake", "isolated vertex present")], id="Lem2.3"),
     # an infinite diameter is truthy, so only the connectedness flag fails this
     pytest.param({}, _statement("Prop2.4", graph=EDGELESS2), [("fake", "graph disconnected")],
                  id="Prop2.4"),
+    pytest.param({}, _statement("Prop2.5", graph=C6),
+                 [("fake", "girth of a triangle-free graph (Graph(n=6, m=6))")], id="Prop2.5"),
     pytest.param({}, _statement("Prop2.6", graph=EDGELESS2), [("fake", "diameter inf")],
                  id="Prop2.6"),
     # 0 and 3 have no common neighbour, so the diameter is not decided
@@ -358,9 +368,20 @@ FAILURE_BRANCHES = [
                                 dim_center=0),
                  [("fake", "forbidden combination (dim 3, q=2, derived dim 1, trivial center) "
                            "exists")], id="Lem3.1"),
+    pytest.param({}, _statement("Prop3.2", L=SimpleNamespace(dim=3), q=2, dim_center=0,
+                                dim_derived=2, graph=K4),
+                 [("fake", "graph not isomorphic to the F1 reference")], id="Prop3.2"),
+    pytest.param({}, _statement("Prop3.3", L=SimpleNamespace(dim=3), q=2, dim_center=0,
+                                dim_derived=3, graph=K4),
+                 [("fake", "graph not isomorphic to K_7")], id="Prop3.3"),
     pytest.param({}, _statement("Prop3.4", L=SimpleNamespace(dim=3), q=2, dim_center=1,
                                 dim_derived=2),
                  [("fake", "derived dimension 2 != 1")], id="Prop3.4"),
+    pytest.param({}, _statement("Prop3.4", L=SimpleNamespace(dim=3), q=2, dim_center=1,
+                                dim_derived=1, graph=K4),
+                 [("fake", "graph not isomorphic to the F3 reference")], id="Prop3.4-figure"),
+    pytest.param({}, _statement("Thm3.5", L=SimpleNamespace(dim=3), q=2, graph=K4),
+                 [("fake", "graph matches none of the F1/F2/F3 references")], id="Thm3.5"),
     pytest.param({}, _statement("Thm3.7", graph=K4),
                  [("fake", "planar graph that is neither K_3 nor the octahedron")],
                  id="Thm3.7-planar"),
@@ -413,6 +434,11 @@ def test_failure_branch_is_recorded(patches, run, expected, monkeypatch):
     for name, value in patches.items():
         monkeypatch.setattr(verifier, name, value)
     assert run() == expected
+
+
+def test_every_statement_has_a_failure_branch():
+    # a row's id is its statement's id, or that id and a dash-suffix
+    assert set(STATEMENT_IDS) <= {row.id.partition("-")[0] for row in FAILURE_BRANCHES}
 
 
 def test_witness_is_checked_once_per_distinct_row_pair(monkeypatch):

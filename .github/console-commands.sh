@@ -25,6 +25,16 @@ lie-ncg compare specs/split_pairs_f2.json specs/split_pairs_f2_basis.json
 lie-ncg compare specs/heisenberg_f2.json specs/l2_f2.json
 lie-ncg compare specs/aff1_f3.json specs/heisenberg_f2.json
 lie-ncg verify --scope enumerate --n 2 --q 3
+# each statement alone gives its line of the catalog golden, so no row
+# depends on a fact that another row computed first
+for id in $(python -c 'from lie_ncg.verifier import STATEMENT_IDS; print(*STATEMENT_IDS)'); do
+  want=$(grep -F "\"statement_id\": \"$id\"" tests/golden/verify.jsonl)
+  got=$(lie-ncg verify --statement "$id" --format json)
+  if [ "$got" != "$want" ]; then
+    printf 'verify --statement %s differs from its golden line\n%s\n' "$id" "$got" >&2
+    exit 1
+  fi
+done
 lie-ncg analyze specs/heisenberg_f5.json --format json
 lie-ncg validate specs/l2_f2.json
 lie-ncg export specs/split_pairs_f2.json --out graphml

@@ -32,24 +32,25 @@ def cmd_validate(args):
     return 0
 
 
-def _algebra_facts(L, graph):
-    # the vertices are L \ Z(L), and deg x = |L| - |C_L(x)| (Lem2.2)
-    histogram = Counter(L.order - d for d in graph.degrees)
+def _algebra_facts(inst):
+    # each fact from the algebra side of the instance's fact sheet; the
+    # graph's vertex count and degrees give the same |Z| and histogram (Lem2.2)
+    L = inst.L
+    histogram = Counter(inst.centralizer_orders)
     return {
-        "q": L.field.q,
+        "q": inst.q,
         "dim": L.dim,
-        "order": L.order,
-        "center_order": L.order - graph.n,
-        "derived_dim": len(L.derived_subalgebra()),
+        "order": inst.order,
+        "center_order": inst.center_order,
+        "derived_dim": inst.dim_derived,
         "is_nilpotent": L.is_nilpotent(),
         "centralizer_order_histogram": {str(k): v for k, v in sorted(histogram.items())},
     }
 
 
 def cmd_analyze(args):
-    L = _load_algebra(args.path)
-    graph = build_graph(L)
-    payload = {"algebra": _algebra_facts(L, graph), "graph": graph_ops.property_report(graph)}
+    inst = verifier.Instance(args.path, _load_algebra(args.path))
+    payload = {"algebra": _algebra_facts(inst), "graph": graph_ops.property_report(inst.graph)}
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
@@ -96,9 +97,9 @@ def cmd_verify(args):
 
 
 def cmd_compare(args):
-    L1 = _load_algebra(args.path_a)
-    L2 = _load_algebra(args.path_b)
-    g1, g2 = build_graph(L1), build_graph(L2)
+    i1 = verifier.Instance(args.path_a, _load_algebra(args.path_a))
+    i2 = verifier.Instance(args.path_b, _load_algebra(args.path_b))
+    L1, L2, g1, g2 = i1.L, i2.L, i1.graph, i2.graph
     witness = isomorphism(g1, g2)
     failures, notes = [], []
     if witness is not None:
@@ -107,7 +108,7 @@ def cmd_compare(args):
         "isomorphic": witness is not None,
         "witness": {g1.labels[k]: g2.labels[v] for k, v in witness.items()} if witness else None,
         "orders": [L1.order, L2.order],
-        "center_orders": [L1.order - g1.n, L2.order - g2.n],
+        "center_orders": [i1.center_order, i2.center_order],
         "nilpotent": [L1.is_nilpotent(), L2.is_nilpotent()],
         "consequence_failures": [list(f) for f in failures],
         "notes": notes,

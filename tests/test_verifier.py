@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
@@ -49,9 +49,56 @@ def l2_f3():
 
 def test_statement_registry_shape():
     assert len(STATEMENT_IDS) == 22
-    for sid, (quote, checker) in STATEMENTS.items():
+    for sid, (quote, hypothesis, conclusion, failure) in STATEMENTS.items():
         assert isinstance(quote, str) and quote
-        assert callable(checker)
+        assert hypothesis is None or callable(hypothesis)
+        assert callable(conclusion)
+        assert isinstance(failure, str) or callable(failure)
+
+
+# an Instance's facts by the side they are computed from: the graph, or the
+# algebra (its center, derived subalgebra, centralizer ranks and field)
+GRAPH_FACTS = {"graph", "has_dominating_vertex", "figures"}
+ALGEBRA_FACTS = {
+    "L", "q", "order", "center", "dim_center", "center_order", "dim_derived",
+    "centralizer_orders", "trivial_center_f2", "dim3_f2",
+}
+# the statements that tie the graph to the algebra
+TIED = ("Lem2.2", "Thm2.8", "Cor2.9", "Prop2.14", "Prop2.16", "Thm2.18", "Prop3.2", "Prop3.3",
+        "Prop3.4", "Thm3.5")
+
+
+class _Recording:
+    """An instance whose every attribute read is recorded by name."""
+
+    def __init__(self, inst):
+        self._inst, self.read = inst, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self._inst, name)
+
+
+def test_rows_tying_graph_and_algebra_read_a_fact_of_each_side():
+    # a row that read one side only could compare a fact with itself, and
+    # so pass on every instance whatever the program computes
+    facts = {"L"} | {
+        name for name, value in vars(Instance).items()
+        if isinstance(value, (property, cached_property))
+    }
+    assert facts == GRAPH_FACTS | ALGEBRA_FACTS, "unclassified Instance facts"
+    instances = catalog_instances() + enumeration_instances(3, 2)
+    for sid, (_, hypothesis, conclusion, _) in STATEMENTS.items():
+        read, fired = set(), 0
+        for inst in instances:
+            proxy = _Recording(inst)
+            if hypothesis is None or hypothesis(proxy):
+                fired += 1
+                assert conclusion(proxy), (sid, inst.name)
+            read |= proxy.read
+        assert read <= facts, (sid, read - facts)
+        if sid in TIED:
+            assert fired and read & GRAPH_FACTS and read & ALGEBRA_FACTS, (sid, read)
 
 
 def test_unknown_statement():
@@ -265,8 +312,12 @@ def test_report_status_rules():
 
 
 def _statement(sid, **facts):
-    """The failures ``check_statement`` records on one fake instance."""
-    return lambda: check_statement(sid, [SimpleNamespace(name="fake", **facts)]).failures
+    """The failures ``check_statement`` records on one fake instance: an
+    ``Instance`` with the given facts as class attributes, so the facts
+    derived from them, such as ``figures``, are still computed."""
+    return lambda: check_statement(
+        sid, [type("Fake", (Instance,), facts)("fake", facts.get("L"))]
+    ).failures
 
 
 def _fake_algebra(q, order):
@@ -298,6 +349,7 @@ EDGELESS2 = Graph(2, [0, 0])
 STAR = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
 TRIANGLE_AND_VERTEX = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
 TRIANGLE_AND_EDGE = Graph.from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+SQUARE_AND_EDGE = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)])
 C6 = Graph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
 # heisenberg_f2: 6 vertices, each of degree 4 with a centralizer of order 4
 HEIS_F2_GRAPH = build_graph(catalog_entry("heisenberg_f2").algebra())
@@ -336,18 +388,20 @@ FAILURE_BRANCHES = [
     # a star K_{1,m} is a tree: connected, with m edges on m + 1 vertices
     pytest.param({}, _statement("Cor2.11", graph=STAR),
                  [("fake", "graph is a tree")], id="Cor2.11-star"),
-    # n - 1 edges and an isolated vertex: disconnected, so no tree, decided
-    # from the degrees without asking connectivity
+    # n - 1 edges and an isolated vertex: disconnected, so the edges close a
+    # cycle, here a triangle, and it is no tree
     pytest.param({}, _statement("Cor2.11", graph=TRIANGLE_AND_VERTEX), [],
                  id="Cor2.11-disconnected"),
-    # n - 1 edges, no isolated vertex, and a triangle: a cycle, so no tree,
-    # decided from the triangle without asking connectivity
+    # n - 1 edges, no isolated vertex, and a triangle: a cycle, so no tree
     pytest.param({}, _statement("Cor2.11", graph=TRIANGLE_AND_EDGE), [],
                  id="Cor2.11-triangle"),
-    # a tree that is no star: 0 and 3 have no common neighbour
+    # a tree that is no star, whose diameter (3) is Undecided: the row
+    # counts edges and finds no cycle, so it asks no diameter
     pytest.param({}, _statement("Cor2.11", graph=PATH4),
-                 [("fake", "diameter of a graph with two non-adjacent vertices and no common "
-                           "neighbour (Graph(n=4, m=3))")], id="Cor2.11-undecided"),
+                 [("fake", "graph is a tree")], id="Cor2.11-undecided"),
+    # n - 1 edges, no isolated vertex, no triangle and an Undecided diameter,
+    # but a 4-cycle: no tree
+    pytest.param({}, _statement("Cor2.11", graph=SQUARE_AND_EDGE), [], id="Cor2.11-square"),
     pytest.param({}, _statement("Prop2.12", graph=STAR), [("fake", "no Hamilton cycle")],
                  id="Prop2.12"),
     pytest.param({}, _statement("Prop2.13", graph=STAR), [("fake", "not Eulerian")],

@@ -66,6 +66,18 @@ lie-ncg analyze "$spec" --format json > "$out"
 python -c 'import json, sys; g = json.load(open(sys.argv[1]))["graph"]; sys.exit(g["vertex_count"] != 720 or g["edge_count"] != 233280)' "$out"
 lie-ncg export "$spec" --out json > "$out"
 python -c 'import json, sys; g = json.load(open(sys.argv[1])); sys.exit(g["vertex_count"] != 720 or len(g["edges"]) != 233280)' "$out"
+# its 10 twin classes of 72 vertices each share one row, read once per
+# class by the exports; the SHA-256 of each format pins every edge's place
+for pin in \
+  dot:9eb2c6c4085a1a73ee941172892b3743fb6e144196f4177aa8def255a2ec9e78 \
+  graphml:8a31cf1dc3fc192e51d658eda9c0bb59b86ab3f5d840b2dff955772c5a4f9fa5 \
+  json:ebc65e8a0af872011706e2fc68753f0e18ea7e177a5adc08a0dfe3c53e53b734; do
+  got=$(lie-ncg export "$spec" --out "${pin%%:*}" | sha256sum | cut -d' ' -f1)
+  if [ "$got" != "${pin#*:}" ]; then
+    printf 'export --out %s of Heisenberg over F_9 has SHA-256 %s\n' "${pin%%:*}" "$got" >&2
+    exit 1
+  fi
+done
 rm -f "$spec" "$out"
 # [u, v] = 2u + v over F_3, aff1 in another basis: its degree shape makes
 # compare ask algebras_equivalent, which closes aff1's orbit and finds this

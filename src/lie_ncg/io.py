@@ -5,11 +5,16 @@ rejected so malformed files fail loudly and identically everywhere.  Exports
 of an ``NcGraph`` (DOT, GraphML, JSON), named by its ``labels``, are
 byte-deterministic: vertices are listed in element index order, then each
 edge once as (smaller label, larger label), the edges sorted by that pair.
+Each export is one ``"".join`` over pieces.  The edges are written per
+vertex in label order: a vertex whose row no other vertex shares picks its
+neighbours of higher label from its own row, and a twin class, the
+vertices of one shared row, reads that row once for all its members.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect
 from itertools import compress
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -77,70 +82,97 @@ def load_spec(path):
 
 def _edge_text(g, names, before, between, after, sep):
     """Every edge of ``g`` as ``before + names[a] + between + names[b] + after``,
-    joined by ``sep``, with label a < label b and the edges sorted by (a, b).
+    each led by ``sep``, with label a < label b and the edges sorted by
+    (a, b), as a list of pieces for one ``"".join``.
 
     The vertices are ranked by label once.  The bits of a row, reordered by
-    rank, pick the vertex's neighbours of higher rank in rank order, so each
-    vertex's edges come out sorted and are written with one join.  The
+    rank, pick the vertex's neighbours in rank order, so each vertex's edges
+    come out sorted and are written with one join.  A row shared by two or
+    more vertices, a twin class of ``g``, is read once: its first member in
+    rank order keeps the class's neighbours of higher rank and their ranks,
+    and each member takes the ones above its own rank with one ``bisect``
+    (twins are not adjacent, so no member is among them).  The entry goes
+    once the class's last member is written.  A vertex whose row is its
+    own reads its row's bits above its rank, and nothing is kept.  The
     labels must be distinct, as they are for every ``NcGraph``.
     """
     n = g.n
     if n < 2:  # no edges; and itemgetter returns a tuple only for two or more indices
-        return ""
+        return []
     order = sorted(range(n), key=g.labels.__getitem__)
     ranked = [names[v] for v in order]
     by_rank = itemgetter(*order)
-    blocks = []
+    twins_of = {}
+    for twins in g.twin_classes:
+        if len(twins) > 1:
+            twins_of.update(dict.fromkeys(twins, twins))
+    pieces, shared = [], {}
     for i, v in enumerate(order):
-        bits = by_rank(g.row_bytes(v))
-        higher = list(compress(ranked[i + 1:], bits[i + 1:]))
+        twins = twins_of.get(v)
+        if twins is None:
+            higher = list(compress(ranked[i + 1:], by_rank(g.row_bytes(v))[i + 1:]))
+        else:
+            key = twins[0]
+            entry = shared.get(key)
+            if entry is None:
+                bits = by_rank(g.row_bytes(v))[i + 1:]
+                entry = shared[key] = [
+                    list(compress(range(i + 1, n), bits)),
+                    list(compress(ranked[i + 1:], bits)),
+                    len(twins),
+                ]
+            ranks, neighbours, _ = entry
+            higher = neighbours[bisect(ranks, i):]
+            entry[2] -= 1
+            if not entry[2]:
+                del shared[key]
         if higher:
             head = before + ranked[i] + between
-            blocks.append(head + (after + sep + head).join(higher) + after)
-    return sep.join(blocks)
+            pieces += (sep, head, (after + sep + head).join(higher), after)
+    return pieces
 
 
 def export_dot(g):
-    lines = ["graph ncg {"]
-    lines.extend(f'  "{label}";' for label in g.labels)
-    edges = _edge_text(g, g.labels, '  "', '" -- "', '";', "\n")
-    if edges:
-        lines.append(edges)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join([
+        "graph ncg {",
+        *[f'\n  "{label}";' for label in g.labels],
+        *_edge_text(g, g.labels, '  "', '" -- "', '";', "\n"),
+        "\n}\n",
+    ])
 
 
 def export_graphml(g):
     refs = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
     names = [label.translate(refs) for label in g.labels]
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">',
+    return "".join([
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n'
         '  <graph id="ncg" edgedefault="undirected">',
-    ]
-    lines.extend(f'    <node id="{name}"/>' for name in names)
-    edges = _edge_text(g, names, '    <edge source="', '" target="', '"/>', "\n")
-    if edges:
-        lines.append(edges)
-    lines.extend(["  </graph>", "</graphml>"])
-    return "\n".join(lines) + "\n"
+        *[f'\n    <node id="{name}"/>' for name in names],
+        *_edge_text(g, names, '    <edge source="', '" target="', '"/>', "\n"),
+        "\n  </graph>\n</graphml>\n",
+    ])
 
 
-def _json_list(items):
-    """A JSON array of encoded items, already joined by a comma, a newline
-    and four spaces, laid out as ``json.dumps(..., indent=2)`` lays out the
-    value of a top-level key."""
-    return "[\n    " + items + "\n  ]" if items else "[]"
+def _json_list(pieces):
+    """A JSON array laid out as ``json.dumps(..., indent=2)`` lays out the
+    value of a top-level key, as pieces for one join; each item of
+    ``pieces`` is led by a comma, a newline and four spaces, and the first
+    lead gives way to the opening bracket."""
+    return ["[\n    ", *pieces[1:], "\n  ]"] if pieces else ["[]"]
 
 
 def export_json(g):
     """The text of ``json.dumps(payload, indent=2, sort_keys=True)`` for the
     keys edges, vertex_count and vertices, written directly."""
     names = [encode_basestring_ascii(label) for label in g.labels]
-    edges = _edge_text(g, names, "[\n      ", ",\n      ", "\n    ]", ",\n    ")
-    return (
-        '{\n  "edges": ' + _json_list(edges)
-        + ',\n  "vertex_count": ' + str(g.n)
-        + ',\n  "vertices": ' + _json_list(",\n    ".join(names))
-        + "\n}\n"
-    )
+    lead = ",\n    "
+    return "".join([
+        '{\n  "edges": ',
+        *_json_list(_edge_text(g, names, "[\n      ", ",\n      ", "\n    ]", lead)),
+        ',\n  "vertex_count": ',
+        str(g.n),
+        ',\n  "vertices": ',
+        *_json_list([piece for name in names for piece in (lead, name)]),
+        "\n}\n",
+    ])

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -156,24 +157,70 @@ LARGE_FAMILIES = [
 ]
 
 
+ALPHABET = ["a", "b", "x", "<", ">", "&", "'", '"', "\u00e9", "\u2200"]
+
+
+def _labels(rng, n):
+    """n distinct labels that XML and JSON must escape, in shuffled order."""
+    labels = set()
+    while len(labels) < n:
+        labels.add("".join(rng.choices(ALPHABET, k=rng.randint(1, 3))))
+    labels = sorted(labels)
+    rng.shuffle(labels)
+    return labels
+
+
 def _random_graphs():
     """Seeded random graphs with n = 0..5, 20 and 40, each labeled once by
     its vertex indices and once with distinct labels that XML and JSON must
     escape."""
     rng = random.Random(20)
-    alphabet = ["a", "b", "x", "<", ">", "&", "'", '"', "\u00e9", "\u2200"]
     graphs = []
     for n in [0, 1, 2, 3, 4, 5, 20, 40]:
         for _ in range(4):
-            labels = set()
-            while len(labels) < n:
-                labels.add("".join(rng.choices(alphabet, k=rng.randint(1, 3))))
-            labels = sorted(labels)
-            rng.shuffle(labels)
+            labels = _labels(rng, n)
             p = rng.random()
             edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
             rows = Graph.from_edges(n, edges).rows
             graphs += [LabeledGraph(n, rows, map(str, range(n))), LabeledGraph(n, rows, labels)]
+    return graphs
+
+
+def _blow_up(rng, sizes, base_edges):
+    """The graph with base vertex b replaced by ``sizes[b]`` pairwise
+    non-adjacent twins, each adjacent to every twin of b's neighbours; the
+    vertices numbered in shuffled order and labeled with shuffled labels, so
+    a class's members interleave with other vertices in index and label
+    order."""
+    n = sum(sizes)
+    vertices = list(range(n))
+    rng.shuffle(vertices)
+    classes = []
+    for size in sizes:
+        classes.append(vertices[:size])
+        del vertices[:size]
+    edges = [(u, v) for a, b in base_edges for u in classes[a] for v in classes[b]]
+    return LabeledGraph(n, Graph.from_edges(n, edges).rows, _labels(rng, n))
+
+
+def _twin_graphs():
+    """Seeded blow-ups of random graphs on up to 20 vertices into classes of
+    1-5 twins (n up to about 60), a complete multipartite graph, where every
+    vertex has a twin, and one graph with twin classes and singletons
+    mixed."""
+    rng = random.Random(37)
+    graphs = []
+    for k in [1, 2, 3, 5, 8, 12, 16, 20]:
+        for _ in range(4):
+            sizes = [rng.randint(1, 5) for _ in range(k)]
+            p = rng.random()
+            base = [(a, b) for a in range(k) for b in range(a + 1, k) if rng.random() < p]
+            graphs.append(_blow_up(rng, sizes, base))
+    parts = [2, 3, 4, 5, 6]
+    graphs.append(_blow_up(rng, parts, list(combinations(range(len(parts)), 2))))
+    # a path, whose vertices have distinct neighbourhoods, keeps each class
+    sizes = [1, 4, 1, 1, 3, 1, 2, 1, 5, 1]
+    graphs.append(_blow_up(rng, sizes, [(a, a + 1) for a in range(len(sizes) - 1)]))
     return graphs
 
 
@@ -186,7 +233,13 @@ def test_exports_match_the_sorting_oracle():
         algebra_from_spec(AlgebraSpec(q=q, dim=len(basis), basis=tuple(basis), brackets=brackets))
         for q, basis, brackets in families
     ]
-    graphs = [build_graph(L) for L in algebras] + _random_graphs()
+    twins = _twin_graphs()
+    # most blow-ups have a twin class of two or more, and the complete
+    # multipartite one has nothing else
+    assert sum(any(len(c) > 1 for c in g.twin_classes) for g in twins) > len(twins) // 2
+    assert all(len(c) > 1 for c in twins[-2].twin_classes)
+    assert sorted(map(len, twins[-1].twin_classes)) == [1] * 6 + [2, 3, 4, 5]
+    graphs = [build_graph(L) for L in algebras] + _random_graphs() + twins
     assert any(g.n == 0 for g in graphs) and any(g.n > 200 for g in graphs)
     for g in graphs:
         pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if has_edge(g, u, v)]

@@ -234,8 +234,8 @@ def test_exports_match_the_sorting_oracle():
         for q, basis, brackets in families
     ]
     twins = _twin_graphs()
-    # most blow-ups have a twin class of two or more, and the complete
-    # multipartite one has nothing else
+    # most blow-ups have a twin class of two or more, the complete
+    # multipartite one has nothing else, and the path one mixes both
     assert sum(any(len(c) > 1 for c in g.twin_classes) for g in twins) > len(twins) // 2
     assert all(len(c) > 1 for c in twins[-2].twin_classes)
     assert sorted(map(len, twins[-1].twin_classes)) == [1] * 6 + [2, 3, 4, 5]

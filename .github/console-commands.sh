@@ -102,6 +102,18 @@ refused lie-ncg compare "$spec" "$spec"
 lie-ncg compare "$spec" specs/heisenberg_f2.json > "$out"
 python -c 'import json, sys; sys.exit(json.load(open(sys.argv[1]))["isomorphic"] is not False)' "$out"
 rm -f "$spec" "$out"
+# aff1 summed 3 times over F_2 (63 vertices, just under ISO_CAP, every row
+# distinct): the canonical search, pruned by automorphism orbits, labels it
+spec=$(mktemp)
+out=$(mktemp)
+printf '{"q": 2, "dim": 6, "basis": [%s], "brackets": [%s, %s, %s]}\n' \
+  '"x1", "y1", "x2", "y2", "x3", "y3"' \
+  '{"left": "x1", "right": "y1", "value": {"y1": 1}}' \
+  '{"left": "x2", "right": "y2", "value": {"y2": 1}}' \
+  '{"left": "x3", "right": "y3", "value": {"y3": 1}}' > "$spec"
+timeout 10 lie-ncg compare "$spec" "$spec" > "$out"
+python -c 'import json, sys; r = json.load(open(sys.argv[1])); sys.exit(r["isomorphic"] is not True or r["consequence_failures"] != [])' "$out"
+rm -f "$spec" "$out"
 # aff1 summed 6 times over F_2 (4095 vertices, every row distinct) at the
 # default element cap: the diameter is one AND of two rows per non-adjacent
 # pair, where a breadth-first search from every vertex took 5.6 s

@@ -68,6 +68,8 @@ class Field:
     ``add_table[a][b]`` is a + b, ``mul_table[a][b]`` is a * b,
     ``neg_table[a]`` is -a and ``inv_table[a]`` is 1/a (None for 0), all as
     tuples.  Immutable after construction; safe to share between threads.
+    ``field_new`` builds the one Field of each order, so fields compare by
+    identity.
     """
 
     def __init__(self, q, p, k, reduction_polynomial):
@@ -79,12 +81,6 @@ class Field:
 
     def __repr__(self):
         return f"Field(q={self.q})"
-
-    def __eq__(self, other):
-        return isinstance(other, Field) and self.q == other.q
-
-    def __hash__(self):
-        return hash(("Field", self.q))
 
     # -- element encoding ---------------------------------------------------
 

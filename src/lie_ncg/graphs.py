@@ -19,7 +19,10 @@ canonical labeling in ``iso`` by ordering them.
 
 ``Graph.diameter``, once per graph, is the one place connectedness is
 decided, and refuses the empty graph; ``connectivity`` and ``is_eulerian``
-read it.
+read it.  ``components`` is the one union-find, over any vertex pairs: the
+canonical search reads automorphism orbits off it, and Cor2.11's tree test
+the classes of a graph's edges, where ``Graph.diameter`` would leave a tree
+undecided.
 """
 
 from __future__ import annotations
@@ -125,6 +128,25 @@ def connectivity(g):
     complete multipartite graph and for one of diameter at most 2, and
     Undecided otherwise; the empty graph raises EmptyGraph there."""
     return g.diameter != INF, g.diameter
+
+
+def components(n, pairs):
+    """The least member of each vertex's class under the equivalence the
+    (v, w) pairs generate on ``range(n)``, by a union-find with path
+    halving whose roots are the least members."""
+    rep = list(range(n))
+
+    def find(v):
+        while rep[v] != v:
+            rep[v] = rep[rep[v]]
+            v = rep[v]
+        return v
+
+    for v, w in pairs:
+        a, b = find(v), find(w)
+        if a != b:
+            rep[max(a, b)] = min(a, b)
+    return [find(v) for v in range(n)]
 
 
 def girth(g):

@@ -14,17 +14,21 @@ iterated-degree refinement, found by individualization-refinement with
 prefix pruning and automorphism pruning (McKay & Piperno, "Practical graph
 isomorphism II", 2014): two leaves with equal codes give an automorphism,
 and subtrees that an automorphism maps onto ones already searched are
-skipped.  Its certificate is ``G<n>:`` followed by that code.  Being
-complete multipartite is an isomorphism invariant, so the two forms never
-meet.  Below a discrete colouring (one vertex per colour) individualizing
-changes nothing, so those levels are not refined.  Only the search is
-capped: it refuses graphs over ``ISO_CAP`` vertices and stops with
-CapExceeded once its refinements have scanned ``ISO_ROW_BUDGET`` rows.
+skipped, the orbits read off ``graphs.components``.  Its certificate is
+``G<n>:`` followed by that code.  Being complete multipartite is an
+isomorphism invariant, so the two forms never meet.  Below a discrete
+colouring (one vertex per colour) individualizing changes nothing, so
+those levels are not refined.  Only the search is capped: it refuses graphs
+over ``ISO_CAP`` vertices and stops with CapExceeded once its refinements
+have scanned ``ISO_ROW_BUDGET`` rows.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import CapExceeded
+from .graphs import components
 from .linalg import bits
 
 ISO_CAP = 64
@@ -69,24 +73,6 @@ def _row(g, order, v):
     return row
 
 
-def _orbit_reps(n, generators):
-    """The smallest member of each vertex's orbit under the given permutations."""
-    rep = list(range(n))
-
-    def find(v):
-        while rep[v] != v:
-            rep[v] = rep[rep[v]]
-            v = rep[v]
-        return v
-
-    for gamma in generators:
-        for v, w in enumerate(gamma):
-            a, b = find(v), find(w)
-            if a != b:
-                rep[max(a, b)] = min(a, b)
-    return [find(v) for v in range(n)]
-
-
 def _search_order(g, target=None):
     """(code, order): the first ordering, in search order, with the minimal
     adjacency code among those compatible with refinement, and that code,
@@ -103,9 +89,10 @@ def _search_order(g, target=None):
     automorphism best_order[i] -> order[i]; it maps the subtree where the
     two leaves part onto the one searched before it, so the search unwinds
     to that node.  A candidate in the orbit of an earlier sibling under the
-    automorphisms that fix the current prefix is skipped.  Every skipped
-    subtree is the image of one searched earlier, so the first leaf with the
-    minimal code is the same as in the exhaustive search.  Raises
+    automorphisms that fix the current prefix, ``graphs.components`` over
+    their pairs (v, gamma(v)), is skipped.  Every skipped subtree is the
+    image of one searched earlier, so the first leaf with the minimal code
+    is the same as in the exhaustive search.  Raises
     CapExceeded once the refinements have scanned ISO_ROW_BUDGET rows.
     """
     n = g.n
@@ -162,7 +149,7 @@ def _search_order(g, target=None):
             if tried and len(automorphisms) > known:
                 known = len(automorphisms)
                 fixing = [a for a in automorphisms if all(a[u] == u for u in order)]
-                reps = _orbit_reps(n, fixing)
+                reps = components(n, chain.from_iterable(map(enumerate, fixing)))
             if reps is not None and any(reps[v] == reps[u] for u in tried):
                 continue
             tried.append(v)

@@ -112,9 +112,6 @@ class LieAlgebra:
 
     # -- bracket ------------------------------------------------------------
 
-    def zero(self):
-        return (0,) * self.dim
-
     def basis_vector(self, i):
         return tuple(1 if j == i else 0 for j in range(self.dim))
 
@@ -203,8 +200,8 @@ class LieAlgebra:
         return tuple(V.digits[v] for v in V.basis(span))
 
     def is_abelian(self):
-        zero = self.zero()
-        return all(c == zero for c in self.structure.values())
+        """True iff every structure constant is zero."""
+        return not self._terms
 
     def is_nilpotent(self):
         """True iff the lower central series L, [L, L], [L, [L, L]], ...,

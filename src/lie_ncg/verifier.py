@@ -14,7 +14,7 @@ tensor of a small shape) and produces a TheoremReport.  An instance whose
 hypothesis is false is a vacuous pass, tallied separately so a hypothesis
 that never fires is visible in the report; a biconditional has no
 hypothesis, so both directions are checked on every instance.  Cor2.11's
-"not a tree" is n - 1 edges and no cycle, the cycle found by a union-find
+"not a tree" is n - 1 edges leaving one class under ``graphs.components``
 over the edges, so no graph walk is needed.
 """
 
@@ -188,23 +188,10 @@ Statement = namedtuple("Statement", "quote hypothesis conclusion failure")
 
 
 def _is_tree(g):
-    """n - 1 edges and no cycle.  The cycle test is a union-find over the
-    edges (u, v), u < v, read off each row's bits above u: an edge whose
-    ends already share a root closes a cycle."""
-    if g.edge_count() != g.n - 1:
-        return False
-    root = list(range(g.n))
-    for u, row in enumerate(g.rows):
-        for v in bits(row >> u >> 1):
-            a, b = u, u + 1 + v
-            while root[a] != a:
-                a = root[a]
-            while root[b] != b:
-                b = root[b]
-            if a == b:
-                return False
-            root[b] = a
-    return True
+    """n - 1 edges and no cycle, that is n - 1 edges leaving one class under
+    ``graphs.components`` over the edges."""
+    edges = ((u, v) for u, row in enumerate(g.rows) for v in bits(row))
+    return g.edge_count() == g.n - 1 and len(set(graphs.components(g.n, edges))) == 1
 
 
 STATEMENTS = {

@@ -274,12 +274,12 @@ def elements(L):
 
 def brute_centralizer(L, x):
     """All elements commuting with x, by scanning the whole algebra."""
-    zero = L.zero()
+    zero = (0,) * L.dim
     return {y for y in elements(L) if L._bracket(x, y) == zero}
 
 
 def brute_center(L):
-    zero = L.zero()
+    zero = (0,) * L.dim
     out = set()
     for x in elements(L):
         if all(L._bracket(x, L.basis_vector(i)) == zero for i in range(L.dim)):
@@ -297,7 +297,7 @@ def graph_by_brackets(L):
     indices = [sum(c * q**i for i, c in enumerate(v)) for v in vertices]
     n = len(vertices)
     rows = [0] * n
-    zero = L.zero()
+    zero = (0,) * L.dim
     for a in range(n):
         for b in range(a + 1, n):
             if L._bracket(vertices[a], vertices[b]) != zero:

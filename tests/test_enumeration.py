@@ -75,6 +75,15 @@ def test_dim3_f2_jacobi_count_frozen():
     assert sum(1 for L in algebras if not L.is_abelian()) == 119
 
 
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_is_abelian_reads_every_structure_constant(n, q):
+    # is_abelian reads the nonzero structure terms; only the zero tensor,
+    # first in enumeration order, is abelian
+    for idx, L in enumerate(jacobi_tensors(n, field_new(q))):
+        zero = all(c == 0 for cij in L.structure.values() for c in cij)
+        assert L.is_abelian() == zero == (idx == 0)
+
+
 @pytest.mark.parametrize("n,q", SHAPES)
 def test_jacobi_tensors_match_brute_force_filter(n, q):
     # the solve for c_12 yields exactly the filter's tensors, in its order
@@ -245,6 +254,8 @@ def test_algebras_equivalent():
     heis2 = catalog_entry("heisenberg_f2").algebra()
     heis3 = catalog_entry("heisenberg_f3").algebra()
     assert not algebras_equivalent(heis2, heis3)
+    aff1_f2 = catalog_entry("aff1_f2").algebra()
+    assert not algebras_equivalent(aff1_f2, catalog_entry("aff1_f3").algebra())
 
 
 def test_algebras_equivalent_is_bounded_by_the_scope():

@@ -5,7 +5,7 @@ import time
 import pytest
 
 from lie_ncg.errors import NotPrimePower, UnsupportedField
-from lie_ncg.gf import field_new, prime_factors, prime_power_decomposition
+from lie_ncg.gf import FIELD_CAP, field_new, prime_factors, prime_power_decomposition
 
 import oracles
 
@@ -33,6 +33,14 @@ def test_field_new_basic():
     f9 = field_new(9)
     assert (f9.q, f9.p, f9.k) == (9, 3, 2)
     assert len(f9.reduction_polynomial) == 3
+
+
+def test_field_new_returns_one_field_per_order():
+    # Field has no value equality, so a field test compares identities: the
+    # one F_q of each order field_new accepts
+    for q in range(2, FIELD_CAP + 1):
+        if prime_power_decomposition(q):
+            assert field_new(q) is field_new(q)
 
 
 def test_field_new_rejects_non_prime_powers():

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 from lie_ncg.errors import CapExceeded, EmptyGraph, Undecided
 from lie_ncg.graphs import (
     Graph,
+    components,
     connectivity,
     domination_number,
     girth,
@@ -26,6 +27,7 @@ from lie_ncg.graphs import (
     property_report,
 )
 from lie_ncg.linalg import bits
+from lie_ncg.verifier import _is_tree
 
 import oracles
 from oracles import complete_graph, has_edge
@@ -219,6 +221,60 @@ def small_graphs(draw):
 @given(small_graphs())
 def test_invariants_match_networkx_hypothesis(graph):
     assert_matches_networkx(*graph)
+
+
+@st.composite
+def vertex_pairs(draw):
+    n = draw(st.integers(1, 16))
+    vertex = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vertex_pairs())
+def test_components_match_networkx_hypothesis(graph):
+    # each vertex's class is its connected component, named by its least member
+    n, pairs = graph
+    h = nx.Graph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(pairs)
+    want = [0] * n
+    for component in nx.connected_components(h):
+        for v in component:
+            want[v] = min(component)
+    assert components(n, pairs) == want
+
+
+@st.composite
+def graphs_with_n_minus_1_edges(draw):
+    """A tree; a cycle beside a tree, the tree one vertex or more; any n - 1
+    edges; or a single vertex.  Vertices shuffled."""
+    kind = draw(st.sampled_from(["tree", "cycle", "any", "vertex"]))
+    if kind == "vertex":
+        return 1, []
+    n = draw(st.integers(4 if kind == "cycle" else 2, 12))
+    if kind == "tree":
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    elif kind == "cycle":
+        k = draw(st.integers(3, n - 1))
+        edges = [(i, (i + 1) % k) for i in range(k)]
+        edges += [(draw(st.integers(k, v - 1)), v) for v in range(k + 1, n)]
+    else:
+        edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                              min_size=n - 1, max_size=n - 1, unique=True))
+    perm = draw(st.permutations(range(n)))
+    return n, [(perm[u], perm[v]) for u, v in edges]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_n_minus_1_edges())
+def test_is_tree_matches_networkx_hypothesis(graph):
+    # no non-commuting graph has n - 1 edges, so only these graphs reach
+    # Cor2.11's union-find
+    n, edges = graph
+    g = Graph.from_edges(n, edges)
+    assert g.edge_count() == n - 1
+    assert _is_tree(g) == nx.is_tree(oracles.to_networkx(g))
 
 
 def test_degree_predicates():

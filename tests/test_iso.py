@@ -239,6 +239,23 @@ def test_row_budget_boundary(monkeypatch):
         assert iso._search_order(h)[1] == oracles.exhaustive_canonical_order(h)
 
 
+def test_search_charges_pin_the_orbit_pruning(monkeypatch):
+    # with the automorphism-orbit skip disabled these searches charge 204,435
+    # and 5,445 rows and label every graph alike, so only the charge shows a
+    # union-find that stopped merging orbits.  aff1 summed 3 times over F_2,
+    # [x_i, y_i] = y_i: 63 vertices, every row distinct
+    aff1_3 = build_graph(LieAlgebra(field_new(2), 6, {
+        (0, 1): (0, 1, 0, 0, 0, 0), (2, 3): (0, 0, 0, 1, 0, 0), (4, 5): (0, 0, 0, 0, 0, 1)}))
+    assert (aff1_3.n, len(aff1_3.twin_classes), aff1_3.multipartite_parts) == (63, 63, None)
+    split_pairs = build_graph(catalog_entry("split_pairs_f2").algebra())
+    for g, least in [(aff1_3, 93_177), (split_pairs, 3_165)]:
+        monkeypatch.setattr(iso, "ISO_ROW_BUDGET", least - 1)
+        with pytest.raises(CapExceeded):
+            iso._search_order(g)
+        monkeypatch.setattr(iso, "ISO_ROW_BUDGET", least)
+        iso._search_order(g)
+
+
 def test_witness_is_the_full_searchs_labeling(monkeypatch):
     # g2's search stops at the first leaf matching g1's code, which is the
     # leaf the full search keeps, so the witness composes the same labelings

@@ -89,7 +89,7 @@ def test_spec_validation_errors():
 def test_bracket_alternating_and_cross_product_expansion():
     L = cross_product_f2()
     for u in L.space.digits:
-        assert L._bracket(u, u) == L.zero()
+        assert L._bracket(u, u) == (0,) * L.dim
     x_plus_y = (1, 1, 0)
     y_plus_z = (0, 1, 1)
     assert L._bracket(x_plus_y, y_plus_z) == (1, 1, 1)
@@ -126,11 +126,11 @@ def test_basis_jacobi_implies_elementwise_jacobi():
         f = oracles.arithmetic(L.field.q)
         els = L.space.digits
         for x, y, z in combinations(els, 3):
-            acc = L.zero()
+            acc = (0,) * L.dim
             for a, (b, c) in ((x, (y, z)), (z, (x, y)), (y, (z, x))):
                 term = L._bracket(a, L._bracket(b, c))
                 acc = tuple(f.add(p, q) for p, q in zip(acc, term))
-            assert acc == L.zero()
+            assert acc == (0,) * L.dim
 
 
 @settings(max_examples=200, deadline=None)

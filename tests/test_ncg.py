@@ -79,7 +79,7 @@ def test_adjacency_matches_bracket_definition():
     for name in ["aff1_f3", "l2_f2", "cross_product_f2", "split_pairs_f2"]:
         L = catalog_entry(name).algebra()
         g = build_graph(L)
-        zero = L.zero()
+        zero = (0,) * L.dim
         for a in range(g.n):
             for b in range(a + 1, g.n):
                 assert has_edge(g, a, b) == (L._bracket(g.vertices[a], g.vertices[b]) != zero)

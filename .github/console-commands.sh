@@ -103,17 +103,33 @@ lie-ncg compare "$spec" specs/heisenberg_f2.json > "$out"
 python -c 'import json, sys; sys.exit(json.load(open(sys.argv[1]))["isomorphic"] is not False)' "$out"
 rm -f "$spec" "$out"
 # aff1 summed 3 times over F_2 (63 vertices, just under ISO_CAP, every row
-# distinct): the canonical search, pruned by automorphism orbits, labels it
+# distinct): the canonical search, pruned by automorphism orbits, labels it.
+# Compared with itself, the second graph's certificate is cached; with its
+# basis listed in another order, the second graph has other rows, so the
+# search runs again with the first graph's code as its target.  The SHA-256
+# pins the witness that search finds.
 spec=$(mktemp)
+other=$(mktemp)
 out=$(mktemp)
-printf '{"q": 2, "dim": 6, "basis": [%s], "brackets": [%s, %s, %s]}\n' \
-  '"x1", "y1", "x2", "y2", "x3", "y3"' \
-  '{"left": "x1", "right": "y1", "value": {"y1": 1}}' \
-  '{"left": "x2", "right": "y2", "value": {"y2": 1}}' \
-  '{"left": "x3", "right": "y3", "value": {"y3": 1}}' > "$spec"
+# the spec with its basis listed in the order given
+aff1_3() {
+  printf '{"q": 2, "dim": 6, "basis": [%s], "brackets": [%s, %s, %s]}\n' "$1" \
+    '{"left": "x1", "right": "y1", "value": {"y1": 1}}' \
+    '{"left": "x2", "right": "y2", "value": {"y2": 1}}' \
+    '{"left": "x3", "right": "y3", "value": {"y3": 1}}'
+}
+aff1_3 '"x1", "y1", "x2", "y2", "x3", "y3"' > "$spec"
+aff1_3 '"y3", "x2", "x1", "y1", "x3", "y2"' > "$other"
 timeout 10 lie-ncg compare "$spec" "$spec" > "$out"
 python -c 'import json, sys; r = json.load(open(sys.argv[1])); sys.exit(r["isomorphic"] is not True or r["consequence_failures"] != [])' "$out"
-rm -f "$spec" "$out"
+timeout 10 lie-ncg compare "$spec" "$other" > "$out"
+python -c 'import json, sys; r = json.load(open(sys.argv[1])); sys.exit(r["isomorphic"] is not True or r["consequence_failures"] != [])' "$out"
+got=$(sha256sum < "$out" | cut -d' ' -f1)
+if [ "$got" != 2b22f2458361f9c7d28fabf6d1c8a636c9dbfd3a5e89e6fd9286260bfd4cb83e ]; then
+  printf 'compare of aff1^3 over F_2 in two bases has SHA-256 %s\n' "$got" >&2
+  exit 1
+fi
+rm -f "$spec" "$other" "$out"
 # aff1 summed 6 times over F_2 (4095 vertices, every row distinct) at the
 # default element cap: the diameter is one AND of two rows per non-adjacent
 # pair, where a breadth-first search from every vertex took 5.6 s

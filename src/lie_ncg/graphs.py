@@ -107,6 +107,13 @@ class Graph:
                 )
         return 2
 
+    @cached_property
+    def neighbours(self):
+        """Each vertex's neighbours as an ascending tuple, listed once per
+        graph on first read; only the canonical search's refinement reads
+        them."""
+        return [tuple(bits(row)) for row in self.rows]
+
     def edge_count(self):
         return sum(self.degrees) // 2
 

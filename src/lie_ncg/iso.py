@@ -18,9 +18,11 @@ skipped, the orbits read off ``graphs.components``.  Its certificate is
 ``G<n>:`` followed by that code.  Being complete multipartite is an
 isomorphism invariant, so the two forms never meet.  Below a discrete
 colouring (one vertex per colour) individualizing changes nothing, so
-those levels are not refined.  Only the search is capped: it refuses graphs
-over ``ISO_CAP`` vertices and stops with CapExceeded once its refinements
-have scanned ``ISO_ROW_BUDGET`` rows.
+those levels are not refined.  ``refine_colors`` stops at the first round
+that splits no class, whose colouring every later round would return again,
+so it gives what rounds run to their fixpoint give.  Only the search is
+capped: it refuses graphs over ``ISO_CAP`` vertices and stops with
+CapExceeded once its refinements have scanned ``ISO_ROW_BUDGET`` rows.
 """
 
 from __future__ import annotations
@@ -29,38 +31,51 @@ from itertools import chain
 
 from .errors import CapExceeded
 from .graphs import components
-from .linalg import bits
 
 ISO_CAP = 64
 # Refinement rows per labeling.  A refinement round scans one row per vertex,
-# and the search time follows the rows: the 60-vertex ``heisenberg_f4`` graph
-# forced through ``_search_order`` is charged 223,800 rows (1769 refinements)
-# in 2.6-2.7 s, 12 us a row on a 2-vCPU Xeon at 2.1 GHz.  So the budget
-# leaves that graph 10x headroom and is spent in under 30 s.  A level below a
-# discrete colouring is charged the 2n rows a refinement there would be, so
-# skipping it moves no budget boundary and never under-counts the time.
+# and the search time follows the rows.  Each refinement is charged the rounds
+# a loop run to its fixpoint can take, and ``refine_colors`` stops a round
+# sooner, so the charge over-counts the rows scanned: the 60-vertex
+# ``heisenberg_f4`` graph forced through ``_search_order`` is charged 223,800
+# rows (1769 refinements) for 110,820 scanned, in 0.53-0.58 s, 2.4 us a
+# charged row and 4.8 us a scanned one on a 2-vCPU Xeon at 2.1 GHz.  So the
+# budget leaves that graph 10x headroom and is spent in under 12 s even were
+# every charged row scanned.  A level below a discrete colouring is charged
+# the 2n rows a refinement there would be, so skipping it moves no budget
+# boundary and never under-counts the time.
 ISO_ROW_BUDGET = 2_300_000
 
 
 def refine_colors(g, colors=None):
-    """Iterated neighborhood refinement; returns a stable vertex coloring.
+    """Iterated neighbourhood refinement; returns a stable vertex colouring.
 
-    Colors are small integers, renumbered canonically by (old color,
-    neighbor-color multiset) at every round, so they are isomorphism-invariant.
+    Colours are small integers, renumbered canonically by (old colour,
+    neighbour-colour multiset) at every round, so they are
+    isomorphism-invariant.  A uniform colouring's first round ranks the
+    vertices by degree, so it is read off ``g.degrees``.  A round only splits
+    classes, so one that leaves the number of classes unchanged leaves the
+    partition as it was.  The next round then sorts by that round's colours
+    first, and they are 0..k-1, so it returns the same list, as does every
+    round after it.  The refinement stops there, or at a discrete colouring,
+    which no round can split, and returns what rounds run until one changes
+    nothing return.
     """
     n = g.n
-    colors = [0] * n if colors is None else list(colors)
-    neighbors = [list(bits(row)) for row in g.rows]
+    classes = 1 if colors is None else len(set(colors))
+    signatures = g.degrees if classes < 2 else None
     while True:
-        signatures = [
-            (colors[v], tuple(sorted(colors[u] for u in neighbors[v]))) for v in range(n)
-        ]
+        if signatures is None:
+            signatures = [
+                (c, tuple(sorted(map(colors.__getitem__, ns))))
+                for c, ns in zip(colors, g.neighbours)
+            ]
         order = sorted(set(signatures))
         ranks = {sig: i for i, sig in enumerate(order)}
-        new = [ranks[sig] for sig in signatures]
-        if new == colors:
+        colors = [ranks[sig] for sig in signatures]
+        if len(order) == classes or len(order) == n:
             return colors
-        colors = new
+        classes, signatures = len(order), None
 
 
 def _row(g, order, v):
@@ -109,9 +124,11 @@ def _search_order(g, target=None):
             raise CapExceeded(f"canonical search capped at {ISO_ROW_BUDGET} refinement rows")
 
     def refine(colors):
-        """refine_colors, charged n rows for each round it can have run.
-        Every round but the first and the last adds a colour class, so there
-        are at most two more rounds than classes added."""
+        """refine_colors, charged n rows for each round a loop run to its
+        fixpoint can take: every round but the first and the last adds a
+        colour class, so at most two more rounds than classes added.
+        refine_colors skips that last round and reads a uniform colouring's
+        first one off the degrees, so the charge over-counts its rows."""
         refined = refine_colors(g, colors)
         charge(n * (len(set(refined)) - len(set(colors)) + 2))
         return refined

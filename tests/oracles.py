@@ -19,8 +19,10 @@ GL(n, q) orbits by applying every invertible matrix through
 ``transform_by_methods`` (each new basis pair bracketed with
 ``bracket_by_methods``, then rewritten in the new coordinates by
 ``arithmetic`` method calls), GL(n, q) as generated by every transvection
-and diagonal (``elementary_gl_generators``), canonical labelings by
-searching every ordering the refinement allows, certificates by coding each
+and diagonal (``elementary_gl_generators``), colour refinement by rounds
+run to their fixpoint, each call listing the neighbours anew
+(``reference_refine_colors``), canonical labelings by searching every
+ordering that refinement allows, certificates by coding each
 vertex's adjacency to the vertices before it, isomorphism witnesses by
 testing every vertex pair, exports by sorting every edge by its label pair,
 complete multipartite parts as the cliques of the complement, and the
@@ -42,7 +44,7 @@ from lie_ncg.catalog import builtin_catalog
 from lie_ncg.enumeration import tensor_key
 from lie_ncg.gf import REDUCTION_POLYNOMIALS
 from lie_ncg.graphs import Graph
-from lie_ncg.iso import canonical_certificate, refine_colors
+from lie_ncg.iso import canonical_certificate
 from lie_ncg.liealg import LieAlgebra
 from lie_ncg.linalg import bits
 from lie_ncg.ncg import NcGraph
@@ -394,11 +396,33 @@ def elementary_gl_generators(n, field):
                    for a in range(2, field.q)]
 
 
+def reference_refine_colors(g, colors=None):
+    """Iterated neighbourhood refinement, run until a round returns the
+    colouring it was given: each vertex recoloured by the rank of (its
+    colour, the sorted colours of its neighbours), the neighbours listed
+    anew on every call.  ``lie_ncg.iso.refine_colors`` must return the same
+    list."""
+    n = g.n
+    colors = [0] * n if colors is None else list(colors)
+    neighbors = [list(bits(row)) for row in g.rows]
+    while True:
+        signatures = [
+            (colors[v], tuple(sorted(colors[u] for u in neighbors[v]))) for v in range(n)
+        ]
+        order = sorted(set(signatures))
+        ranks = {sig: i for i, sig in enumerate(order)}
+        new = [ranks[sig] for sig in signatures]
+        if new == colors:
+            return colors
+        colors = new
+
+
 def exhaustive_canonical_order(g):
     """The first ordering, in search order, with the minimal adjacency code
-    among all orderings compatible with ``refine_colors``, found without
-    automorphism pruning.  Only the refinement, which defines the
-    certificates, is shared with ``lie_ncg.iso``."""
+    among all orderings compatible with ``reference_refine_colors``, found
+    without automorphism pruning.  Nothing is shared with ``lie_ncg.iso``:
+    its refinement must return the same colourings as this one's, which
+    define the certificates."""
     n = g.n
     best = [None, None]  # code, order
 
@@ -416,9 +440,9 @@ def exhaustive_canonical_order(g):
             if best[0] is not None and code + (row,) > best[0][: len(order) + 1]:
                 continue
             individualized = [2 * c + (u == v) for u, c in enumerate(colors)]
-            search(order + [v], code + (row,), refine_colors(g, individualized))
+            search(order + [v], code + (row,), reference_refine_colors(g, individualized))
 
-    search([], (), refine_colors(g))
+    search([], (), reference_refine_colors(g))
     return best[1]
 
 

@@ -127,6 +127,37 @@ def test_refine_colors_splits_degree_classes():
     assert len(set(refine_colors(cycle(6)))) == 1
 
 
+@st.composite
+def graphs_and_colourings(draw):
+    """A random graph on 0 to 16 vertices and a colouring of it: none, a
+    uniform one of another value than 0, arbitrary integers, a discrete one,
+    or a stable one with a vertex individualized as the search does."""
+    n = draw(st.integers(0, 16))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    kind = draw(st.sampled_from(["none", "uniform", "arbitrary", "discrete", "individualized"]))
+    if kind == "uniform":
+        return g, [draw(st.integers(1, 9))] * n
+    if kind == "arbitrary":
+        return g, draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    if kind == "discrete":
+        return g, [3 * c + 1 for c in draw(st.permutations(range(n)))]
+    if kind == "individualized" and n:
+        v = draw(st.integers(0, n - 1))
+        return g, [2 * c + (u == v) for u, c in enumerate(oracles.reference_refine_colors(g))]
+    return g, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_and_colourings())
+def test_refine_colors_matches_the_fixpoint_loop_hypothesis(case):
+    # stopping at the first round that splits no class returns, list for
+    # list, what rounds run until one changes nothing return
+    g, colors = case
+    assert refine_colors(g, colors) == oracles.reference_refine_colors(g, colors)
+
+
 def test_isomorphic_relabelings():
     rng = random.Random(7)
     for g in [cycle(7), petersen(), complete_graph(5), complete_multipartite(2, 3)]:

@@ -22,7 +22,8 @@ those levels are not refined.  ``refine_colors`` stops at the first round
 that splits no class, whose colouring every later round would return again,
 so it gives what rounds run to their fixpoint give.  Only the search is
 capped: it refuses graphs over ``ISO_CAP`` vertices and stops with
-CapExceeded once its refinements have scanned ``ISO_ROW_BUDGET`` rows.
+CapExceeded once its levels are charged over ``ISO_ROW_BUDGET`` rows, never
+fewer than their refinements read.
 """
 
 from __future__ import annotations
@@ -33,17 +34,17 @@ from .errors import CapExceeded
 from .graphs import components
 
 ISO_CAP = 64
-# Refinement rows per labeling.  A refinement round scans one row per vertex,
-# and the search time follows the rows.  Each refinement is charged the rounds
-# a loop run to its fixpoint can take, and ``refine_colors`` stops a round
-# sooner, so the charge over-counts the rows scanned: the 60-vertex
-# ``heisenberg_f4`` graph forced through ``_search_order`` is charged 223,800
-# rows (1769 refinements) for 110,820 scanned, in 0.53-0.58 s, 2.4 us a
-# charged row and 4.8 us a scanned one on a 2-vCPU Xeon at 2.1 GHz.  So the
-# budget leaves that graph 10x headroom and is spent in under 12 s even were
-# every charged row scanned.  A level below a discrete colouring is charged
-# the 2n rows a refinement there would be, so skipping it moves no budget
-# boundary and never under-counts the time.
+# Rows charged per labeling.  A refinement round reads one row per vertex, and
+# the search time follows the rows.  A level whose colouring has k' classes
+# against its parent's k (1 at the root) is charged n * max(k' - k, 1).  That
+# is at least the rows its refinement reads: each colouring the search holds
+# is stable, and every round but the last adds a class, so at most k' - k
+# rounds run below a cell of two or more, which individualizing splits for
+# free, one below a singleton, none at a discrete level, which is not refined,
+# and at most k' - 1 at the root, whose degree round is free.  The 60-vertex
+# ``heisenberg_f4`` graph forced through ``_search_order`` is charged 114,240
+# rows for 110,760 read, in 0.51-0.53 s, 4.5 us a charged row on a 2-vCPU
+# Xeon, so the budget leaves it 20x headroom and is spent in under 12 s.
 ISO_ROW_BUDGET = 2_300_000
 
 
@@ -107,31 +108,21 @@ def _search_order(g, target=None):
     automorphisms that fix the current prefix, ``graphs.components`` over
     their pairs (v, gamma(v)), is skipped.  Every skipped subtree is the
     image of one searched earlier, so the first leaf with the minimal code
-    is the same as in the exhaustive search.  Raises
-    CapExceeded once the refinements have scanned ISO_ROW_BUDGET rows.
+    is the same as in the exhaustive search.  Raises CapExceeded once
+    the levels are charged over ISO_ROW_BUDGET rows.
     """
     n = g.n
     best_code = best_order = None
     automorphisms = []  # each as a list: vertex -> image
     order = []
     placed_rows = []  # adjacency of each placed vertex to earlier ones, as ints
-    scanned = 0
+    charged = 0
 
     def charge(rows):
-        nonlocal scanned
-        scanned += rows
-        if scanned > ISO_ROW_BUDGET:
+        nonlocal charged
+        charged += rows
+        if charged > ISO_ROW_BUDGET:
             raise CapExceeded(f"canonical search capped at {ISO_ROW_BUDGET} refinement rows")
-
-    def refine(colors):
-        """refine_colors, charged n rows for each round a loop run to its
-        fixpoint can take: every round but the first and the last adds a
-        colour class, so at most two more rounds than classes added.
-        refine_colors skips that last round and reads a uniform colouring's
-        first one off the degrees, so the charge over-counts its rows."""
-        refined = refine_colors(g, colors)
-        charge(n * (len(set(refined)) - len(set(colors)) + 2))
-        return refined
 
     def place(colors):
         """Search below the current prefix; returns the depth to unwind to."""
@@ -172,18 +163,19 @@ def _search_order(g, target=None):
             tried.append(v)
             order.append(v)
             placed_rows.append(row)
-            if discrete:
-                charge(2 * n)
-                back = place(colors)
-            else:
-                back = place(refine([c * 2 + (u == v) for u, c in enumerate(colors)]))
+            refined = colors if discrete else refine_colors(
+                g, [c * 2 + (u == v) for u, c in enumerate(colors)])
+            charge(n * max(len(set(refined)) - len(classes), 1))
+            back = place(refined)
             order.pop()
             placed_rows.pop()
             if back < depth:
                 return back
         return n
 
-    place(refine([0] * n))
+    root = refine_colors(g)
+    charge(n * max(len(set(root)) - 1, 1))
+    place(root)
     if target is not None and best_code < target:
         return best_code, None
     return best_code, best_order
@@ -195,8 +187,10 @@ _CERT_CACHE = {}
 def _canonical(g, target=None):
     """(certificate, canonical labeling, searched code or None) of g; the
     labeling lists vertices in canonical position order.  A search that a
-    ``target`` stops below it gives labeling None and is not cached."""
-    cached = _CERT_CACHE.get((g.n, g.rows))
+    ``target`` stops below it gives labeling None and is not cached, nor is
+    a graph over ISO_CAP vertices: only the multipartite form labels it,
+    which costs less than hashing and keeping its rows."""
+    cached = _CERT_CACHE.get((g.n, g.rows)) if g.n <= ISO_CAP else None
     if cached is not None:
         return cached
     parts = g.multipartite_parts
@@ -211,7 +205,7 @@ def _canonical(g, target=None):
         certificate = f"K{g.n}:" + ",".join(str(len(part)) for part in parts)
         code = None
     result = (certificate.encode(), order, code)
-    if order is not None and len(_CERT_CACHE) < 4096:
+    if order is not None and g.n <= ISO_CAP and len(_CERT_CACHE) < 4096:
         _CERT_CACHE[(g.n, g.rows)] = result
     return result
 

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lie_ncg import iso
 from lie_ncg.errors import CapExceeded
@@ -75,6 +75,30 @@ def k4_and_cube():
     )
 
 
+def circulant_13_1_5():
+    # 4-regular: i ~ i +- 1 and i ~ i +- 5 mod 13
+    return Graph.from_edges(13, [(i, (i + s) % 13) for i in range(13) for s in (1, 5)])
+
+
+def aff1_cubed():
+    # aff1 summed 3 times over F_2, [x_i, y_i] = y_i: 63 vertices, every row distinct
+    return build_graph(LieAlgebra(field_new(2), 6, {
+        (0, 1): (0, 1, 0, 0, 0, 0), (2, 3): (0, 0, 0, 1, 0, 0), (4, 5): (0, 0, 0, 0, 0, 1)}))
+
+
+class CountingGraph(Graph):
+    """A graph that counts the reads of its neighbour lists.  refine_colors
+    reads them once per signature round, and such a round reads one row per
+    vertex, so the rows read are n times the reads."""
+
+    reads = 0
+
+    @property
+    def neighbours(self):
+        self.reads += 1
+        return super().neighbours
+
+
 def complete_multipartite(*sizes):
     part = [k for k, size in enumerate(sizes) for _ in range(size)]
     n = len(part)
@@ -128,14 +152,21 @@ def test_refine_colors_splits_degree_classes():
 
 
 @st.composite
+def random_graphs(draw):
+    """A random graph on 0 to 16 vertices."""
+    n = draw(st.integers(0, 16))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@st.composite
 def graphs_and_colourings(draw):
     """A random graph on 0 to 16 vertices and a colouring of it: none, a
     uniform one of another value than 0, arbitrary integers, a discrete one,
     or a stable one with a vertex individualized as the search does."""
-    n = draw(st.integers(0, 16))
-    pairs = list(combinations(range(n), 2))
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    g = Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    g = draw(random_graphs())
+    n = g.n
     kind = draw(st.sampled_from(["none", "uniform", "arbitrary", "discrete", "individualized"]))
     if kind == "uniform":
         return g, [draw(st.integers(1, 9))] * n
@@ -256,13 +287,13 @@ def test_node_budget(monkeypatch):
 
 
 def test_row_budget_boundary(monkeypatch):
-    # the least budget that lets the search finish when every level below a
-    # discrete colouring is refined; finishing such a leaf directly is charged
-    # what those refinements were charged, so the boundary does not move
+    # the least budget that lets the search finish: each level is charged n
+    # rows per colour class it gains over its parent's colouring, and at
+    # least n, also a level below a discrete colouring, which is not refined
     g = build_graph(catalog_entry("split_pairs_f2").algebra())
     rng = random.Random(3)
     graphs = [g] + [relabel(g, rng.sample(range(g.n), g.n)) for _ in range(2)]
-    for h, least in zip(graphs, (3165, 3165, 2580)):
+    for h, least in zip(graphs, (1890, 1890, 1530)):
         monkeypatch.setattr(iso, "ISO_ROW_BUDGET", least - 1)
         with pytest.raises(CapExceeded):
             iso._search_order(h)
@@ -271,20 +302,47 @@ def test_row_budget_boundary(monkeypatch):
 
 
 def test_search_charges_pin_the_orbit_pruning(monkeypatch):
-    # with the automorphism-orbit skip disabled these searches charge 204,435
-    # and 5,445 rows and label every graph alike, so only the charge shows a
-    # union-find that stopped merging orbits.  aff1 summed 3 times over F_2,
-    # [x_i, y_i] = y_i: 63 vertices, every row distinct
-    aff1_3 = build_graph(LieAlgebra(field_new(2), 6, {
-        (0, 1): (0, 1, 0, 0, 0, 0), (2, 3): (0, 0, 0, 1, 0, 0), (4, 5): (0, 0, 0, 0, 0, 1)}))
+    # with the automorphism-orbit skip disabled these searches charge 130,410,
+    # 3,285 and 4,680 rows, and with the orbits first computed only once the
+    # search holds two automorphisms, C13(1, 5) is charged 1,131; both label
+    # every graph alike, so only the charge shows orbits merged late or not
+    # at all
+    aff1_3 = aff1_cubed()
     assert (aff1_3.n, len(aff1_3.twin_classes), aff1_3.multipartite_parts) == (63, 63, None)
     split_pairs = build_graph(catalog_entry("split_pairs_f2").algebra())
-    for g, least in [(aff1_3, 93_177), (split_pairs, 3_165)]:
+    for g, least in [(aff1_3, 58_527), (split_pairs, 1_890), (circulant_13_1_5(), 871)]:
         monkeypatch.setattr(iso, "ISO_ROW_BUDGET", least - 1)
         with pytest.raises(CapExceeded):
             iso._search_order(g)
         monkeypatch.setattr(iso, "ISO_ROW_BUDGET", least)
         iso._search_order(g)
+
+
+def assert_charge_covers_the_rows_read(g):
+    counted = CountingGraph(g.n, g.rows)
+    iso._search_order(counted)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(iso, "ISO_ROW_BUDGET", counted.n * counted.reads - 1)
+        with pytest.raises(CapExceeded):
+            iso._search_order(counted)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graphs())
+def test_charge_covers_the_rows_read_hypothesis(g):
+    # a level gaining k' - k classes runs at most max(k' - k, 1) signature
+    # rounds, so a search is charged at least the rows its refinements read
+    assume(g.multipartite_parts is None)
+    assert_charge_covers_the_rows_read(g)
+
+
+def test_charge_covers_the_rows_read_on_pinned_graphs():
+    split_pairs = build_graph(catalog_entry("split_pairs_f2").algebra())
+    rng = random.Random(3)
+    graphs = [split_pairs, aff1_cubed(), circulant_13_1_5(), petersen(), cube(), c12(), three_k4()]
+    graphs += [relabel(split_pairs, rng.sample(range(split_pairs.n), split_pairs.n)) for _ in range(2)]
+    for g in graphs:
+        assert_charge_covers_the_rows_read(g)
 
 
 def test_witness_is_the_full_searchs_labeling(monkeypatch):
@@ -310,7 +368,7 @@ def test_isomorphism_budget_boundary_moves_outward(monkeypatch):
     relabelings = [relabel(g, rng.sample(range(g.n), g.n)) for _ in range(2)]
     monkeypatch.setattr(iso, "_CERT_CACHE", {})
     wants = [dict(zip(iso._canonical(g)[1], iso._search_order(h)[1])) for h in relabelings]
-    for h, least, want in zip(relabelings, (3165, 2580), wants):
+    for h, least, want in zip(relabelings, (1890, 1530), wants):
         monkeypatch.setattr(iso, "ISO_ROW_BUDGET", least - 1)
         with pytest.raises(CapExceeded):
             iso._search_order(h)
@@ -458,6 +516,18 @@ def test_complete_multipartite_graphs_over_the_cap_are_labeled():
         assert canonical_certificate(g) == canonical_certificate(h)
         check_witness(g, h, isomorphism(g, h))
     assert isomorphism(Graph(65, [0] * 65), complete_graph(65)) is None
+
+
+def test_certificate_cache_keeps_only_graphs_up_to_the_cap(monkeypatch):
+    # past ISO_CAP only the multipartite form runs, and recomputing it costs
+    # less than hashing and keeping the rows
+    monkeypatch.setattr(iso, "_CERT_CACHE", {})
+    big = complete_multipartite(*[5] * 13)
+    assert canonical_certificate(big) == b"K65:" + b",".join([b"5"] * 13)
+    assert iso._CERT_CACHE == {}
+    small = complete_multipartite(*[4] * 16)
+    assert canonical_certificate(small) == b"K64:" + b",".join([b"4"] * 16)
+    assert list(iso._CERT_CACHE) == [(64, small.rows)]
 
 
 def complement_of_circulant(n, steps):

@@ -15,7 +15,14 @@ refused() {
 
 lie-ncg verify
 lie-ncg verify --scope enumerate --n 3 --q 3
-lie-ncg enumerate --n 3 --q 2 --q 3
+# the orbit tables, byte for byte against their goldens
+out=$(mktemp)
+timeout 10 lie-ncg enumerate --n 3 --q 2 --q 3 > "$out"
+cat "$out"
+diff "$out" tests/golden/enumerate_n3_q2_q3.json
+timeout 10 lie-ncg enumerate --n 3 > "$out"
+diff "$out" tests/golden/enumerate_n3_q2.json
+rm -f "$out"
 lie-ncg analyze specs/split_pairs_f2.json --format json
 lie-ncg analyze specs/heisenberg_f4.json --format json
 lie-ncg compare specs/heisenberg_f5.json specs/heisenberg_f5.json

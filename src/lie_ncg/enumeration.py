@@ -12,16 +12,17 @@ Deduplication reduces modulo the GL(n, q) basis-change action
 T -> g^-1 T(g., g.), which is linear in T.  GL(n, q) is generated by at most
 three matrices (``_gl_generators``): the transvection I + E_01, the cyclic
 permutation of the basis and, for q > 2, diag(w, 1, ..., 1) with w a
-generator of F_q^*.  ``_LinearAction`` turns each of them into a linear map
-on the N = n * C(n, 2) coordinates of a tensor, built once per
-``orbit_partition`` or ``algebras_equivalent`` call from the images of the
-N unit tensors, each read off the 2 x 2 minors of the generator and a
-column of its inverse.  A tensor is coded as an int, and one generator's
-action is a table lookup per chunk of coordinates, a sum and a reduction
-modulo p.  Each new tensor's orbit is closed under the generators, so the
-work grows with the orbit times the two or three generators, not with
-|GL(n, q)|, and only each orbit's representative is built as a
-``LieAlgebra``.
+generator of F_q^*.  ``_LinearAction`` turns them into one linear map
+on the N = n * C(n, 2) coordinates of a tensor, into all their images
+packed side by side, built once per ``orbit_partition`` or
+``algebras_equivalent`` call from the images of the N unit tensors, each
+read off the 2 x 2 minors of a generator and a column of its inverse.  A
+tensor is coded as an int, and applying every generator is a table lookup
+per chunk of coordinates, a sum and an arithmetic reduction modulo p.  Each
+new tensor's orbit is closed under the generators, so the work grows with
+the orbit times the two or three generators, not with |GL(n, q)|, and only
+each orbit's representative is built as a ``LieAlgebra``.  The walk stops
+once the orbits cover every Lie tensor, counted from the c_12 masks.
 """
 
 from __future__ import annotations
@@ -52,9 +53,9 @@ def tensor_key(table, n):
     return tuple(tuple(table[p]) for p in combinations(range(n), 2))
 
 
-def _c12_solutions(field, c01, c02):
-    """Every c_12 that makes (c_01, c_02, c_12) a Lie structure on F_q^3, in
-    ascending order.
+def _c12_mask(field, c01, c02):
+    """The bitmask of every c_12, by index, that makes (c_01, c_02, c_12) a
+    Lie structure on F_q^3.
 
     The Jacobi sum of the one triple (0, 1, 2) is bilinear in the structure
     constants; with c = c_12 it is
@@ -74,8 +75,23 @@ def _c12_solutions(field, c01, c02):
         row[r] = add[row[r]][t]
         rows.append(V.code(row))
     cube = field.q**3
-    found = V.solutions(rows) >> cube & (1 << cube) - 1
-    return sorted(V.digits[c][:3] for c in bits(found))
+    return V.solutions(rows) >> cube & (1 << cube) - 1
+
+
+def _c12_solutions(field, c01, c02):
+    """Every c_12 that makes (c_01, c_02, c_12) a Lie structure on F_q^3, in
+    ascending order: the members of ``_c12_mask``."""
+    digits = vector_space(field, 3).digits
+    return sorted(digits[c] for c in bits(_c12_mask(field, c01, c02)))
+
+
+def _lie_tensor_count(n, field):
+    """The number of Lie structures on F_q^n: every tensor for n <= 2, and
+    for n = 3 the members of each (c_01, c_02) pair's ``_c12_mask``."""
+    if n < 3:
+        return field.q ** (n * (n - 1) // 2 * n)
+    vectors = list(product(field.elements(), repeat=3))
+    return sum(_c12_mask(field, c01, c02).bit_count() for c01, c02 in product(vectors, repeat=2))
 
 
 def _structure_tensors(n, field):
@@ -147,9 +163,8 @@ def _multiplicative_order(mul, a):
     return order
 
 
-# Bounds on the entries of one lookup table of ``_LinearAction``.
+# Bound on the entries of one lookup table of ``_LinearAction``.
 _CHUNK_ENTRIES = 64
-_REDUCE_ENTRIES = 1024
 
 
 class _LinearAction:
@@ -160,12 +175,17 @@ class _LinearAction:
     Its key gives coordinate i the bits [i * k * w, (i + 1) * k * w): one
     w-bit slot per base-p digit of the coordinate's code (q = p^k), so adding
     two keys adds their F_p digits slot by slot.  A generator maps a tensor
-    to the sum of its coordinates' images, so its map is one table per chunk
-    of consecutive coordinates, from the chunk's bits to the image of those
-    coordinates alone.  One action is a lookup per chunk, a sum, and a
-    reduction of every slot modulo p: an AND with each slot's low bit for
-    p = 2, one lookup per group of slots otherwise.  The slots are wide
-    enough that the sum of one entry per chunk does not carry.
+    to the sum of its coordinates' images, so all of them together are one
+    table per chunk of consecutive coordinates, from the chunk's bits to the
+    packed images of those coordinates alone, generator g's image at bit
+    g * N * k * w.  Applying every generator is a lookup per chunk, a sum, a
+    reduction of every slot modulo p, and a shift and a mask per generator.
+    The slots are wide enough that the sum of one entry per chunk, at most
+    top = max(chunks, 2) * (p - 1) in a slot, does not carry.  For p = 2 the
+    reduction is an AND with each slot's low bit.  For odd p each slot has a
+    guard bit above top, w = top.bit_length() + 1, and top // p rounds each
+    subtract p from every slot holding p or more: adding 2^(w-1) - p to each
+    slot sets its guard bit exactly then, without a carry.
 
     The tables are built once per instance from the images of the N unit
     tensors under each generator g, which rewrites a tensor in the basis of
@@ -182,58 +202,47 @@ class _LinearAction:
         while q ** (per_chunk + 1) <= _CHUNK_ENTRIES:
             per_chunk += 1
         starts = range(0, size, per_chunk)
+        gens = _gl_generators(n, field)
         top = max(len(starts), 2) * (p - 1)  # the largest slot of a sum
-        w = top.bit_length()
-        slots = size * k
-        self.pairs, self.width = pairs, k * w
+        w = top.bit_length() + (p > 2)
+        self.pairs, self.width, self.p = pairs, k * w, p
         # the slots of each element code hold its base-p digits
         self.code_bits = [sum(c // p**j % p << j * w for j in range(k)) for c in range(q)]
-        shifts = [start * self.width for start in starts]
+        self.key_mask = (1 << size * self.width) - 1
+        self.shifts = [g * size * self.width for g in range(len(gens))]
         self.mask = (1 << per_chunk * self.width) - 1
-        self.groups = None
-        if p == 2:
-            self.low = sum(1 << j * w for j in range(slots))
-        else:
-            group = 1
-            while (top + 1) ** (group + 1) <= _REDUCE_ENTRIES:
-                group += 1
-            reduced = {0: 0}
-            for j in range(group):
-                reduced = {s << j * w | key: s % p << j * w | red
-                           for key, red in reduced.items() for s in range(top + 1)}
-            self.reduce_table, self.group_mask = reduced, (1 << group * w) - 1
-            self.groups = range(0, slots * w, group * w)
+        self.ones = sum(1 << j * w for j in range(len(gens) * size * k))
+        self.rounds, self.guard = top // p, w - 1
+        self.offset = self.ones * ((1 << w - 1) - p)
         add, mul, neg = field.add_table, field.mul_table, field.neg_table
-        self.maps = []
-        for g, ginv in _gl_generators(n, field):
-            # singles[i][v]: the key of v times the image of unit tensor i
-            singles = []
-            for a, b in pairs:
+        # singles[i][v]: the packed keys of v times each image of unit tensor i
+        singles = [[0] * q for _ in range(size)]
+        for shift, (g, ginv) in zip(self.shifts, gens):
+            for i, (a, b) in enumerate(pairs):
                 minors = [add[mul[g[a][c]][g[b][d]]][neg[mul[g[b][c]][g[a][d]]]] for c, d in pairs]
                 for r in range(n):
                     moved = [[mul[det][row[r]] for row in ginv] for det in minors]
-                    singles.append([self.encode([[m[x] for x in vec] for vec in moved])
-                                    for m in mul])
-            tables = []
-            for start in starts:
-                table = {0: 0}
-                for i in range(start, min(start + per_chunk, size)):
-                    shift = (i - start) * self.width
-                    table = {self.code_bits[v] << shift | chunk: self.reduce(image + single)
-                             for chunk, image in table.items()
-                             for v, single in enumerate(singles[i])}
-                tables.append(table)
-            self.maps.append(list(zip(tables, shifts)))
+                    for v, m in enumerate(mul):
+                        image = self.encode([[m[x] for x in vec] for vec in moved])
+                        singles[i * n + r][v] |= image << shift
+        self.tables = []
+        for start in starts:
+            table = {0: 0}
+            for i in range(start, min(start + per_chunk, size)):
+                shift = (i - start) * self.width
+                table = {self.code_bits[v] << shift | chunk: self.reduce(image + single)
+                         for chunk, image in table.items()
+                         for v, single in enumerate(singles[i])}
+            self.tables.append((table, start * self.width))
 
     def reduce(self, total):
         """``total`` with every slot taken modulo p."""
-        if self.groups is None:
-            return total & self.low
-        table, mask = self.reduce_table, self.group_mask
-        out = 0
-        for shift in self.groups:
-            out |= table[total >> shift & mask] << shift
-        return out
+        if self.p == 2:
+            return total & self.ones
+        ones, offset, guard, p = self.ones, self.offset, self.guard, self.p
+        for _ in range(self.rounds):
+            total -= ((total + offset) >> guard & ones) * p
+        return total
 
     def encode(self, tensor):
         """The key of a tensor given as its coefficient vectors, in the order
@@ -246,8 +255,9 @@ class _LinearAction:
     def images(self, key):
         """The keys of the images of ``key`` under each generator, in the
         order of ``_gl_generators``."""
-        mask, reduce = self.mask, self.reduce
-        return [reduce(sum([t[key >> s & mask] for t, s in tables])) for tables in self.maps]
+        mask, keys = self.mask, self.key_mask
+        total = self.reduce(sum([t[key >> s & mask] for t, s in self.tables]))
+        return [total >> s & keys for s in self.shifts]
 
     def orbit(self, key):
         """Keys of the GL(n, q) orbit of ``key``, found by closing {key}
@@ -279,13 +289,18 @@ def algebras_equivalent(L1, L2):
 def orbit_partition(n, field):
     """GL-orbits of the Jacobi tensors: list of (representative LieAlgebra,
     orbit_size), representatives in first-seen enumeration order.  Only the
-    representatives are built as algebras."""
+    representatives are built as algebras.  GL maps Lie tensors to Lie
+    tensors, so the walk stops once the orbits found cover all
+    ``_lie_tensor_count`` of them."""
     _check_scope(n, field)
     action = _LinearAction(n, field)
     pairs = action.pairs
+    total = _lie_tensor_count(n, field)
     seen = set()
     orbits = []
     for tensor in _structure_tensors(n, field):
+        if len(seen) == total:
+            break
         key = action.encode(tensor)
         if key in seen:
             continue

@@ -19,6 +19,7 @@ from lie_ncg.enumeration import (
     _c12_solutions,
     _gl_generators,
     _LinearAction,
+    _lie_tensor_count,
     _structure_tensors,
     algebras_equivalent,
     jacobi_tensors,
@@ -229,6 +230,38 @@ def test_gl_generators_close_the_orbits_of_the_elementary_set(monkeypatch):
     assert [len(orbit) for orbit in got] == [1, 1260, 63, 945, 1260, 756, 756, 63, 3024]
 
 
+@pytest.mark.parametrize("n,q", SHAPES + [(3, 4), (3, 5)])
+def test_lie_tensor_count_matches_the_stream(n, q):
+    # q^(n C(n, 2)) for n <= 2, the popcounts of the c_12 masks for n = 3
+    f = field_new(q)
+    assert _lie_tensor_count(n, f) == len(list(_structure_tensors(n, f)))
+
+
+@pytest.mark.parametrize("q, drawn, sizes", [
+    (2, 37, [1, 42, 7, 21, 14, 7, 28]),
+    (3, 171, [1, 312, 26, 156, 156, 78, 208, 26, 468]),
+    # past the scope, the sizes that closing an orbit from every tensor gives
+    # in test_gl_generators_close_the_orbits_of_the_elementary_set
+    (4, 527, [1, 1260, 63, 945, 1260, 756, 756, 63, 3024]),
+])
+def test_orbit_partition_stops_once_its_orbits_cover_every_tensor(monkeypatch, q, drawn, sizes):
+    # the last new orbit opens at tensor drawn - 2, counting from 0; the next
+    # tensor drawn finds the orbits covering all 120, 1431 or 8128 Lie
+    # tensors, so the walk stops there, where walking the whole stream draws
+    # all of them
+    stream, count = enumeration._structure_tensors, [0]
+
+    def counting(n, field):
+        for tensor in stream(n, field):
+            count[0] += 1
+            yield tensor
+
+    monkeypatch.setattr(enumeration, "_structure_tensors", counting)
+    monkeypatch.setattr(enumeration, "ENUM_MAX_Q", 4)
+    assert [size for _L, size in orbit_partition(3, field_new(q))] == sizes
+    assert count == [drawn]
+
+
 @pytest.mark.parametrize("q, count", [(2, 120), (3, 1431)])
 def test_solved_tensors_are_not_checked_again(monkeypatch, q, count):
     # the c_12 solve is the Jacobi check (compared with the filter above), so
@@ -270,7 +303,8 @@ def test_algebras_equivalent_is_bounded_by_the_scope():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (2, 9), (3, 4), (3, 5), (4, 2)]),
+@given(st.sampled_from([(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (2, 8), (2, 9), (2, 25), (2, 27),
+                        (3, 4), (3, 5), (4, 2)]),
        st.data())
 def test_linear_action_matches_transform_by_methods_hypothesis(shape, data):
     # on any tensor, Lie or not, each generator's table-driven action is the
@@ -289,6 +323,23 @@ def test_linear_action_matches_transform_by_methods_hypothesis(shape, data):
         for g, _ginv in _gl_generators(n, f)
     ]
     assert action.images(action.encode(tensor_key(table, n))) == want
+
+
+@pytest.mark.parametrize("n,q", [(n, q) for n in (2, 3) for q in FIELD_ORDERS])
+@settings(max_examples=20, deadline=None)
+@given(st.data())
+def test_reduce_matches_each_slot_mod_p_hypothesis(n, q, data):
+    # a packed sum of one table entry per chunk holds at most
+    # top = max(chunks, 2) * (p - 1) in each slot of each generator's key;
+    # reduce takes every slot modulo p, as % does one slot at a time
+    f = field_new(q)
+    action = _LinearAction(n, f)
+    p, w = f.p, action.width // f.k
+    top = max(len(action.tables), 2) * (p - 1)
+    slots = len(action.shifts) * n * len(action.pairs) * f.k
+    values = data.draw(st.lists(st.integers(0, top), min_size=slots, max_size=slots))
+    total = sum(v << j * w for j, v in enumerate(values))
+    assert action.reduce(total) == sum(v % p << j * w for j, v in enumerate(values))
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (2, 4), (2, 9)])

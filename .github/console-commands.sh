@@ -15,8 +15,11 @@ refused() {
 
 lie-ncg verify
 lie-ncg verify --scope enumerate --n 3 --q 3
-# the orbit tables, byte for byte against their goldens
 out=$(mktemp)
+# the same run as JSON lines, byte for byte against its golden
+timeout 10 lie-ncg verify --scope enumerate --n 3 --q 3 --format json > "$out"
+diff "$out" tests/golden/verify_enumerate_n3_q3.jsonl
+# the orbit tables, byte for byte against their goldens
 timeout 10 lie-ncg enumerate --n 3 --q 2 --q 3 > "$out"
 cat "$out"
 diff "$out" tests/golden/enumerate_n3_q2_q3.json

@@ -22,7 +22,8 @@ per chunk of coordinates, a sum and an arithmetic reduction modulo p.  Each
 new tensor's orbit is closed under the generators, so the work grows with
 the orbit times the two or three generators, not with |GL(n, q)|, and only
 each orbit's representative is built as a ``LieAlgebra``.  The walk stops
-once the orbits cover every Lie tensor, counted from the c_12 masks.
+once the orbits cover every Lie tensor, counted in closed form by
+``_lie_tensor_count``.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ def tensor_key(table, n):
     return tuple(tuple(table[p]) for p in combinations(range(n), 2))
 
 
-def _c12_mask(field, c01, c02):
-    """The bitmask of every c_12, by index, that makes (c_01, c_02, c_12) a
-    Lie structure on F_q^3.
+def _c12_solutions(field, c01, c02):
+    """Every c_12 that makes (c_01, c_02, c_12) a Lie structure on F_q^3, in
+    ascending order.
 
     The Jacobi sum of the one triple (0, 1, 2) is bilinear in the structure
     constants; with c = c_12 it is
@@ -75,23 +76,31 @@ def _c12_mask(field, c01, c02):
         row[r] = add[row[r]][t]
         rows.append(V.code(row))
     cube = field.q**3
-    return V.solutions(rows) >> cube & (1 << cube) - 1
-
-
-def _c12_solutions(field, c01, c02):
-    """Every c_12 that makes (c_01, c_02, c_12) a Lie structure on F_q^3, in
-    ascending order: the members of ``_c12_mask``."""
+    found = V.solutions(rows) >> cube & (1 << cube) - 1
     digits = vector_space(field, 3).digits
-    return sorted(digits[c] for c in bits(_c12_mask(field, c01, c02)))
+    return sorted(digits[c] for c in bits(found))
 
 
 def _lie_tensor_count(n, field):
-    """The number of Lie structures on F_q^n: every tensor for n <= 2, and
-    for n = 3 the members of each (c_01, c_02) pair's ``_c12_mask``."""
+    """The number of Lie structures on F_q^n: every one of the q^(n C(n, 2))
+    tensors for n <= 2, and 2q^6 - q^3 for n = 3, in every characteristic.
+
+    For n = 3 write [x, y] = M cross(x, y), with the cross product
+    cross(e_0, e_1) = e_2 and its cyclic shifts, so M's columns are c_12,
+    -c_02 and c_01.  The Jacobi sum of e_0, e_1, e_2 is then -M w with
+    w = sum_i cross(e_i, M e_i) = sum_(i<j) (M_ji - M_ij) cross(e_i, e_j),
+    so Jacobi is M w = 0, and w depends only on M - M^T.  Each M is S + N_w
+    for exactly one symmetric S, with N_w the strictly upper triangular
+    matrix of the same w.  For w = 0, M = S and all q^6 choices of S work.
+    For w != 0, say w_k != 0, the map S -> S w is onto F_q^3, as
+    E_kk w = w_k e_k and (E_ik + E_ki) w = w_k e_i + w_i e_k; so the affine
+    equation S w = -N_w w has q^3 solutions among the q^6 symmetric S.  The
+    total is q^6 + (q^3 - 1) q^3.
+    """
+    q = field.q
     if n < 3:
-        return field.q ** (n * (n - 1) // 2 * n)
-    vectors = list(product(field.elements(), repeat=3))
-    return sum(_c12_mask(field, c01, c02).bit_count() for c01, c02 in product(vectors, repeat=2))
+        return q ** (n * (n - 1) // 2 * n)
+    return 2 * q**6 - q**3
 
 
 def _structure_tensors(n, field):

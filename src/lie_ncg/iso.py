@@ -200,9 +200,10 @@ def _canonical(g, target=None):
         code, order = _search_order(g, target)
         certificate = f"G{g.n}:" + ",".join(map(str, code))
     else:
-        parts = sorted(parts, key=lambda p: (len(p), p[0]))
-        order = [v for part in parts for v in part]
-        certificate = f"K{g.n}:" + ",".join(str(len(part)) for part in parts)
+        # the parts come in least-vertex order, which a stable sort keeps
+        parts = sorted(parts, key=len)
+        order = list(chain.from_iterable(parts))
+        certificate = f"K{g.n}:" + ",".join(map(str, map(len, parts)))
         code = None
     result = (certificate.encode(), order, code)
     if order is not None and g.n <= ISO_CAP and len(_CERT_CACHE) < 4096:

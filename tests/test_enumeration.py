@@ -230,9 +230,11 @@ def test_gl_generators_close_the_orbits_of_the_elementary_set(monkeypatch):
     assert [len(orbit) for orbit in got] == [1, 1260, 63, 945, 1260, 756, 756, 63, 3024]
 
 
-@pytest.mark.parametrize("n,q", SHAPES + [(3, 4), (3, 5)])
+@pytest.mark.parametrize("n,q", SHAPES + [(3, 4), (3, 5), (3, 7), (3, 8)])
 def test_lie_tensor_count_matches_the_stream(n, q):
-    # q^(n C(n, 2)) for n <= 2, the popcounts of the c_12 masks for n = 3
+    # q^(n C(n, 2)) for n <= 2 and the closed form 2q^6 - q^3 for n = 3,
+    # against the c_12 solves in characteristics 2, 3, 5 and 7 and over the
+    # extensions F_4 and F_8 of degree 2 and 3
     f = field_new(q)
     assert _lie_tensor_count(n, f) == len(list(_structure_tensors(n, f)))
 

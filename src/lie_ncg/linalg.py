@@ -26,10 +26,12 @@ Every algebra on F_q^dim shares the one ``VectorSpace``, so the work that
 depends only on the space and its input is memoized there, once per
 distinct input for all of them: ``VectorSpace.linear_map``, the table
 x -> sum_k x_k images[k] over element indices (the rows of ad(x) are
-``dim`` such tables), keyed by the images, and ``VectorSpace.rank``, keyed
-by the rows.  Each memo stops taking entries at a fixed bound
-(``LINEAR_MAP_MEMO_ENTRIES`` and ``RANK_MEMO_KEYS``) and then computes
-without storing.
+``dim`` such tables), keyed by the images; ``VectorSpace.rank``, keyed
+by the rows; and ``VectorSpace.graphs``, which ``ncg.build_graph`` fills
+with the rows and facts of each non-commuting graph, keyed by the center
+and centralizer masks.  Each memo stops taking entries at a fixed bound
+(``LINEAR_MAP_MEMO_ENTRIES``, ``RANK_MEMO_KEYS`` and
+``ncg.GRAPH_MEMO_BYTES``) and then computes without storing.
 
 Everything is exact and deterministic.
 """
@@ -106,6 +108,8 @@ class VectorSpace:
         self._perps = {}
         self._maps = {}
         self._ranks = {}
+        # ncg.build_graph's graph cores, kept by centralizer family
+        self.graphs = {}
 
     def code(self, vec):
         """The element index of the coordinate tuple ``vec``."""

@@ -9,6 +9,15 @@ masks (``VectorSpace.solutions``), a row is its complement moved to vertex
 positions, and rows are shared along each line {cx : c != 0}, which
 ``VectorSpace.line`` names.  The graph keeps each vertex's element index,
 and its coordinate tuple is read from the shared digit table.
+
+The graph is fixed by the center Z and the centralizers C(x), as x and y
+are adjacent exactly when y is not in C(x).  So ``build_graph`` memoizes
+it per space (``VectorSpace.graphs``), keyed by Z's mask and the mask of
+each line's centralizer: many algebras share one centralizer family (the
+1569 of the criterion-1 pool have 47), and each of them gets its own
+``NcGraph``, with its own algebra and labels, over one shared set of rows
+and facts.  The memo is bounded by GRAPH_MEMO_BYTES per space and holds no
+algebra, and Lem2.2's centralizer orders, ranks of ad(x), never read it.
 """
 
 from __future__ import annotations
@@ -18,6 +27,10 @@ from functools import cached_property
 from .errors import AbelianAlgebra
 from .graphs import Graph
 from .linalg import bits
+
+# a space stops keeping build_graph's cores once this many bytes of them
+# could be held at its worst case: two cores at the default element cap
+GRAPH_MEMO_BYTES = 1 << 24
 
 
 class NcGraph(Graph):
@@ -54,10 +67,34 @@ def build_graph(L):
     complement of C(x) with the central bits dropped, one shift per run of
     vertices between consecutive central indices.  Rows are found per line
     {cx : c != 0}, on element indices: C(cx) = C(x), so the first vertex of
-    a line runs ``solutions`` once and its row is kept under the line's
-    ``space.line`` entry.  Every member of x + Z has the same C(x) too, so
-    rows are also kept per centralizer mask, one per twin class of the graph
-    and the only sharing left at q = 2, where every line is a single vertex.
+    a line runs ``solutions`` once.  Every member of x + Z has the same C(x)
+    too, so rows are also kept per centralizer mask, one per twin class of
+    the graph and the only sharing left at q = 2, where every line is a
+    single vertex.
+
+    The graph is memoized on its centralizer family, in ``space.graphs``:
+    the key is Z's mask and the mask of C(x) of each line outside Z, in the
+    order of the lines' first vertices.  Within one space, Z fixes the
+    vertices and their lines, and each line's mask fixes its rows, so the
+    key fixes the graph.  (It holds more than the graph needs: Z is the AND
+    of the masks, and as y is in C(x) exactly when x is in C(y), any one
+    mask follows from the others.)  The masks are solved on every call.  A
+    new key builds the rows and the ``Graph`` facts and keeps them as a
+    core: ``n``, ``rows``, ``indices``, ``degrees``, ``twin_classes`` and
+    ``multipartite_parts``.  A known key gives a new ``NcGraph`` of L over
+    that core, which nothing mutates; it renders its own vertices and
+    labels from L, and the memo holds no algebra.
+    ``Instance.centralizer_orders`` ranks ad(x) by elimination and never
+    reads the memo, so Lem2.2 still compares the rows with centralizers
+    found another way.
+
+    A space stops keeping cores once it holds GRAPH_MEMO_BYTES of them at
+    its worst case: at most (q^dim - 1)/(q - 1) + 1 masks and q^dim - 1
+    rows of q^dim bits, each charged q^dim/8 + 256 bytes for the int, its
+    tuple slot and the vertex's index, degree and twin-class entry.  At the
+    default element cap, F_2^12, that is 8191 x 768 bytes, 6.3 MB a core
+    (aff1^6 has 4095 lines of 4096-bit masks and 4095 distinct rows), so a
+    space keeps two of them; over F_3^3 it keeps 1619.
 
     Raises AbelianAlgebra when the center is all of L (the graph would be
     null) and CapExceeded when q^dim exceeds the element cap.
@@ -74,21 +111,33 @@ def build_graph(L):
         if z_next > z + 1:
             runs.append((z + 1, (1 << (z_next - z - 1)) - 1, offset))
             offset += z_next - z - 1
+    indices = [x for first, run, _ in runs for x in range(first, first + run.bit_length())]
     solutions, ad_rows, line = V.solutions, L.ad_rows, V.line
-    rows_by_centralizer, row_of = {}, {}
-    indices, rows = [], []
-    for first, run, _ in runs:
-        for x in range(first, first + run.bit_length()):
-            row = row_of.get(line[x])
-            if row is None:
-                commuting = solutions(ad_rows[x])
-                row = rows_by_centralizer.get(commuting)
-                if row is None:
-                    row = 0
-                    for start, mask, shift in runs:
-                        row |= (~commuting >> start & mask) << shift
-                    rows_by_centralizer[commuting] = row
-                row_of[line[x]] = row
-            indices.append(x)
-            rows.append(row)
-    return NcGraph(len(indices), rows, indices, L)
+    # C(x) of each line, solved at its first vertex, in first-vertex order
+    commuting = {}
+    for x in indices:
+        if line[x] not in commuting:
+            commuting[line[x]] = solutions(ad_rows[x])
+    key = (L.center_mask, *commuting.values())
+    memo = V.graphs
+    core = memo.get(key)
+    if core is not None:
+        g = NcGraph.__new__(NcGraph)
+        vars(g).update(core)
+        g.algebra = L
+        return g
+    row_of = {}  # per centralizer mask
+    for mask in commuting.values():
+        if mask not in row_of:
+            row = 0
+            for start, run, shift in runs:
+                row |= (~mask >> start & run) << shift
+            row_of[mask] = row
+    g = NcGraph(len(indices), [row_of[commuting[line[x]]] for x in indices], indices, L)
+    order = L.order
+    worst = ((order - 1) // (L.field.q - 1) + order) * (order // 8 + 256)
+    if (len(memo) + 1) * worst <= GRAPH_MEMO_BYTES:
+        core = dict(vars(g))
+        del core["algebra"]
+        memo[key] = core
+    return g

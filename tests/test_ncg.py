@@ -1,6 +1,7 @@
 """Non-commuting graph construction."""
 
 import random
+import sys
 import time
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from lie_ncg.errors import AbelianAlgebra, CapExceeded
 from lie_ncg.gf import field_new
 from lie_ncg.graphs import (
+    Graph,
     connectivity,
     girth,
     hamiltonian_cycle,
@@ -21,7 +23,7 @@ from lie_ncg.io import load_spec, parse_spec_dict
 from lie_ncg.enumeration import _c12_solutions
 from lie_ncg.liealg import LieAlgebra, algebra_from_spec
 from lie_ncg.linalg import VectorSpace, vector_space
-from lie_ncg.ncg import build_graph
+from lie_ncg.ncg import GRAPH_MEMO_BYTES, build_graph
 from lie_ncg.verifier import catalog_instances, check_all_statements, enumeration_instances
 
 import oracles
@@ -130,10 +132,10 @@ def test_one_solve_per_line_outside_the_center(monkeypatch, name, lines):
 
 
 @st.composite
-def lie_tensors_over_extension_fields(draw):
-    """A random Lie structure of dim 2 or 3 over F_4, F_8 or F_9; in dim 3,
-    c_12 is drawn from the solutions of the Jacobi identity."""
-    f = field_new(draw(st.sampled_from([4, 8, 9])))
+def lie_tensors(draw, qs):
+    """A random Lie structure of dim 2 or 3 over F_q, q drawn from ``qs``;
+    in dim 3, c_12 is drawn from the solutions of the Jacobi identity."""
+    f = field_new(draw(st.sampled_from(qs)))
     dim = draw(st.integers(2, 3))
     vector = st.tuples(*[st.integers(0, f.q - 1)] * dim)
     c01 = draw(vector)
@@ -146,11 +148,70 @@ def lie_tensors_over_extension_fields(draw):
 
 
 @settings(max_examples=25, deadline=None)
-@given(lie_tensors_over_extension_fields())
+@given(lie_tensors([4, 8, 9]))
 def test_build_graph_matches_bracket_oracle_over_extension_fields(L):
     assume(not L.is_abelian())
     g, want = build_graph(L), oracles.graph_by_brackets(L)
     assert (g.rows, g.vertices) == (want.rows, want.vertices)
+
+
+def _random_basis(draw, L):
+    """L rewritten by ``oracles.transform_by_methods`` in a drawn basis."""
+    f, n = L.field, L.dim
+    g = draw(
+        st.lists(st.sampled_from(range(f.q)), min_size=n * n, max_size=n * n)
+        .map(lambda e: tuple(tuple(e[i * n:(i + 1) * n]) for i in range(n)))
+        .filter(lambda m: oracles.mat_inv(f, m) is not None)
+    )
+    return LieAlgebra(f, n, oracles.transform_by_methods(L, g, oracles.mat_inv(f, g)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(lie_tensors([2, 3, 4, 5, 7, 8, 9]), st.data())
+def test_graph_memo_is_exact(L, data):
+    # L in two random bases, built from an empty memo (the first on a miss,
+    # the second on a miss unless its graph is the first's), then again
+    # from a copy and from a copy with other basis names: every build is
+    # the graph from brackets, and each copy shares the rows but has its own
+    # algebra and labels.  A key that leaves out what tells the two bases
+    # apart shows as a shared core whose rows differ from the brackets.
+    assume(not L.is_abelian())
+    memo = L.space.graphs
+    memo.clear()
+    pairs = []
+    for M in (_random_basis(data.draw, L), _random_basis(data.draw, L)):
+        want = oracles.graph_by_brackets(M)
+        algebras = (M, LieAlgebra(M.field, M.dim, M.structure),
+                    LieAlgebra(M.field, M.dim, M.structure, basis_names="xyz"[:M.dim]))
+        graphs = [build_graph(N) for N in algebras]
+        for N, g in zip(algebras, graphs):
+            assert g.algebra is N
+            assert (g.rows, g.vertices) == (want.rows, want.vertices)
+            assert g.labels == tuple(N.element_label(v) for v in want.vertices)
+        first, copy, renamed = graphs
+        assert copy.rows is first.rows and renamed.rows is first.rows
+        assert renamed.labels != first.labels
+        pairs.append((first.indices, first.rows))
+    assert len(memo) == len(set(pairs))
+
+
+def test_pool_builds_one_graph_per_labeled_graph(monkeypatch):
+    # the 1569 algebras of the criterion-1 pool have 47 labeled graphs; from
+    # empty memos each is built once, and every other algebra shares its core
+    algebras = [inst.L for inst in catalog_instances()]
+    for n in (2, 3):
+        for q in (2, 3):
+            algebras.extend(inst.L for inst in enumeration_instances(n, q))
+    assert len(algebras) == 1569
+    for V in {id(L.space): L.space for L in algebras}.values():
+        monkeypatch.setattr(V, "graphs", {})
+    built = []
+    init = Graph.__init__
+    monkeypatch.setattr(Graph, "__init__", lambda g, n, rows: built.append(n) or init(g, n, rows))
+    graphs = [build_graph(L) for L in algebras]
+    assert all(g.algebra is L for L, g in zip(algebras, graphs))
+    distinct = {(id(L.space), g.indices, g.rows) for L, g in zip(algebras, graphs)}
+    assert len(built) == len(distinct) == 47
 
 
 def _heisenberg_plus_abelian_f2(dim):
@@ -173,14 +234,15 @@ def test_build_graph_is_bounded_by_the_element_cap():
     assert (g.rows, g.vertices, g.labels) == (want.rows, want.vertices, want.labels)
 
 
-def _aff1_sum_f2():
+def _aff1_sum_f2(perm=tuple(range(12))):
     """aff1 summed 6 times over F_2: [x_i, y_i] = y_i, dim 12, trivial
-    center, and 4095 vertices with 4095 different centralizers."""
+    center, and 4095 vertices with 4095 different centralizers; x_i and y_i
+    are basis vectors perm[2i] and perm[2i + 1]."""
     structure = {}
     for i in range(6):
         value = [0] * 12
-        value[2 * i + 1] = 1
-        structure[2 * i, 2 * i + 1] = tuple(value)
+        value[perm[2 * i + 1]] = 1  # [y_i, x_i] = -y_i = y_i over F_2
+        structure[tuple(sorted(perm[2 * i:2 * i + 2]))] = tuple(value)
     return LieAlgebra(field_new(2), 12, structure)
 
 
@@ -212,6 +274,37 @@ def test_hamiltonian_cycle_at_the_element_cap():
     cyc = hamiltonian_cycle(g)
     assert time.perf_counter() - start < 2
     assert oracles.is_hamilton_cycle(g, cyc)
+
+
+def _held_bytes(memo):
+    """The bytes of every distinct object the memo reaches, by
+    ``sys.getsizeof``."""
+    seen, stack, total = set(), [memo], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) not in seen:
+            seen.add(id(obj))
+            total += sys.getsizeof(obj)
+            if isinstance(obj, dict):
+                stack += [*obj.keys(), *obj.values()]
+            elif isinstance(obj, (tuple, list)):
+                stack += obj
+    return total
+
+
+def test_graph_memo_stays_within_its_bound(monkeypatch):
+    # aff1^6 over F_2 at the element cap in five bases: five labeled graphs,
+    # each core charged 6.3 MB of the space's 16 MB, so the space keeps two
+    V = _aff1_sum_f2().space
+    monkeypatch.setattr(V, "graphs", {})
+    rng = random.Random(44)
+    perms = [list(range(12))] + [rng.sample(range(12), 12) for _ in range(4)]
+    graphs = [build_graph(_aff1_sum_f2(perm)) for perm in perms]
+    assert len({g.rows for g in graphs}) == 5
+    assert len(V.graphs) == 2
+    assert _held_bytes(V.graphs) <= GRAPH_MEMO_BYTES
+    again = build_graph(_aff1_sum_f2(perms[1]))
+    assert again.rows is graphs[1].rows and again.n == 4095
 
 
 def test_abelian_algebra_rejected():

@@ -7,16 +7,15 @@ statement in the registry fires with a non-vacuous hypothesis somewhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .liealg import AlgebraSpec, algebra_from_spec
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    spec: AlgebraSpec
-    provenance: str
+class CatalogEntry(namedtuple("CatalogEntry", "name spec provenance")):
+    """A named AlgebraSpec and where the algebra comes from."""
+
+    __slots__ = ()
 
     def algebra(self):
         return algebra_from_spec(self.spec)

@@ -27,9 +27,12 @@ depends only on the space and its input is memoized there, once per
 distinct input for all of them: ``VectorSpace.linear_map``, the table
 x -> sum_k x_k images[k] over element indices (the rows of ad(x) are
 ``dim`` such tables), keyed by the images; ``VectorSpace.rank``, keyed
-by the rows; and ``VectorSpace.graphs``, which ``ncg.build_graph`` fills
-with the rows and facts of each non-commuting graph, keyed by the center
-and centralizer masks.  Each memo stops taking entries at a fixed bound
+by the set of the rows' ``line`` representatives, which fixes their span,
+so ad(x), ad(cx) and any matrix whose rows differ from its rows by
+scalars, order or zero rows share one elimination; and
+``VectorSpace.graphs``, which ``ncg.build_graph`` fills with the rows and
+facts of each non-commuting graph, keyed by the center and centralizer
+masks.  Each memo stops taking entries at a fixed bound
 (``LINEAR_MAP_MEMO_ENTRIES``, ``RANK_MEMO_KEYS`` and
 ``ncg.GRAPH_MEMO_BYTES``) and then computes without storing.
 
@@ -44,9 +47,10 @@ from operator import mul
 # the linear-map memo stops taking tables once it holds this many entries,
 # that is 32 tables at the default element cap q^dim = 4096
 LINEAR_MAP_MEMO_ENTRIES = 1 << 17
-# the rank memo stops taking keys once it holds this many; enumerating
-# n = 3, q = 3 ranks 6578 distinct ad(x) matrices
-RANK_MEMO_KEYS = 8192
+# the rank memo stops taking keys once it holds this many, about 3 MB at
+# the default element cap; the 3-row matrices over F_3^3 have 469 keys, and
+# the ad(x) of the 1569 algebras of the criterion-1 pool have 336
+RANK_MEMO_KEYS = 4096
 
 
 def bits(mask):
@@ -149,14 +153,17 @@ class VectorSpace:
         return table
 
     def rank(self, rows):
-        """The rank of index-coded rows, by ``_eliminate``, kept under
-        ``tuple(rows)`` until the memo holds ``RANK_MEMO_KEYS`` keys.  A key
-        is at most 12 indices at the default element cap, about 0.5 KB with
-        its ints and its dict slot, so the memo stays near 4 MB per space."""
-        key = tuple(rows)
+        """The rank of index-coded rows, by ``_eliminate``, kept under the
+        set of their ``line`` representatives until the memo holds
+        ``RANK_MEMO_KEYS`` keys.  ``line[r]`` is a nonzero multiple of r and
+        ``line[0]`` is 0, so the key fixes the span of the rows, and with it
+        the rank.  A key is a frozenset of at most 12 of the line table's own
+        ints at the default element cap, 728 bytes, and 0.76 KB with its
+        dict slot, so the memo stays within 3.2 MB per space."""
+        key = frozenset(map(self.line.__getitem__, rows))
         r = self._ranks.get(key)
         if r is None:
-            r = self._eliminate(key)
+            r = self._eliminate(rows)
             if len(self._ranks) < RANK_MEMO_KEYS:
                 self._ranks[key] = r
         return r

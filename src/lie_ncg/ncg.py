@@ -17,7 +17,8 @@ each line's centralizer: many algebras share one centralizer family (the
 1569 of the criterion-1 pool have 47), and each of them gets its own
 ``NcGraph``, with its own algebra and labels, over one shared set of rows
 and facts.  The memo is bounded by GRAPH_MEMO_BYTES per space and holds no
-algebra, and Lem2.2's centralizer orders, ranks of ad(x), never read it.
+algebra, and Lem2.2's centralizer orders, ranks of ad(x) memoized by the
+lines of its rows (``VectorSpace.rank``), never read it or any mask.
 """
 
 from __future__ import annotations

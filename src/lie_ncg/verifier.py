@@ -21,7 +21,6 @@ over the edges, so no graph walk is needed.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from operator import add, itemgetter
 
@@ -153,14 +152,18 @@ SCOPES = {
 # -- reports ------------------------------------------------------------------
 
 
-@dataclass
 class TheoremReport:
-    statement_id: str
-    quote: str
-    instances_checked: int = 0
-    vacuous_count: int = 0
-    failures: list = dc_field(default_factory=list)
-    notes: list = dc_field(default_factory=list)
+    """One statement's outcome over a list of instances: how many were
+    checked, how many were vacuous, and (instance name, text) failures."""
+
+    def __init__(self, statement_id, quote, instances_checked=0, vacuous_count=0,
+                 failures=None, notes=None):
+        self.statement_id = statement_id
+        self.quote = quote
+        self.instances_checked = instances_checked
+        self.vacuous_count = vacuous_count
+        self.failures = [] if failures is None else failures
+        self.notes = [] if notes is None else notes
 
     @property
     def status(self):
@@ -294,22 +297,22 @@ def check_statement(statement_id, instances):
     if statement_id not in STATEMENTS:
         raise UnknownStatement(f"no statement registered under id {statement_id!r}")
     quote, hypothesis, conclusion, failure = STATEMENTS[statement_id]
-    report = TheoremReport(statement_id=statement_id, quote=quote)
-    report.instances_checked = len(instances)
+    vacuous = 0
+    failures = []
     for inst in instances:
         try:
             if hypothesis is not None and not hypothesis(inst):
-                report.vacuous_count += 1
+                vacuous += 1
             elif not conclusion(inst):
                 text = failure if isinstance(failure, str) else failure(inst)
-                report.failures.append((inst.name, text))
+                failures.append((inst.name, text))
         except Undecided as exc:
-            report.failures.append((inst.name, str(exc)))
-    return report
+            failures.append((inst.name, str(exc)))
+    return TheoremReport(statement_id, quote, len(instances), vacuous, failures, [])
 
 
 def check_all_statements(instances, statement_ids=None):
-    ids = STATEMENT_IDS if statement_ids is None else tuple(statement_ids)
+    ids = STATEMENT_IDS if statement_ids is None else statement_ids
     return [check_statement(sid, instances) for sid in ids]
 
 

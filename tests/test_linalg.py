@@ -1,6 +1,9 @@
 """Rank, kernel masks, bases and spans over small fields, on
 index-coded vectors of F_q^dim."""
 
+from functools import reduce
+from itertools import combinations, product
+
 from hypothesis import given, settings, strategies as st
 
 from lie_ncg.gf import FIELD_CAP, field_new, prime_power_decomposition
@@ -156,20 +159,64 @@ def test_memos_stop_growing_at_their_bounds():
         table = V.linear_map((v, 5) + (0,) * 10)
         assert len(V._maps) == min(v, full)
         assert table == tuple((v if x & 1 else 0) ^ (5 if x & 2 else 0) for x in range(4096))
-    # every triple of rows of F_3^3, in turn, past the rank memo's bound
-    V = VectorSpace(field_new(3), 3)
-    keys = [(a, b, c) for a in range(27) for b in range(27) for c in range(27)]
-    for i, key in enumerate(keys[: RANK_MEMO_KEYS + 40]):
-        r = V.rank(key)
+    # triples of distinct lines of F_3^4, each a different set of lines and
+    # so a different key, in turn past the rank memo's bound; each row is 1
+    # or 2 times the line's vector with first nonzero coordinate 1
+    F = oracles.arithmetic(3)
+    V = VectorSpace(field_new(3), 4)
+    lines = [v for v in product(range(3), repeat=4) if any(v) and next(a for a in v if a) == 1]
+    triples = list(combinations(lines, 3))
+    assert len(triples) >= RANK_MEMO_KEYS + 40
+
+    def coded(rows, c):
+        return [V.code(tuple(F.mul(c, a) for a in r)) for r in rows]
+
+    for i, rows in enumerate(triples[: RANK_MEMO_KEYS + 40]):
+        r = V.rank(coded(rows, 1 + i % 2))
         assert len(V._ranks) == min(i + 1, RANK_MEMO_KEYS)
         if i >= RANK_MEMO_KEYS - 40:
-            rows = [V.digits[v] for v in key]
-            assert r == len(oracles.rref_by_methods(V.field, rows)[0]), key
+            assert r == len(oracles.rref_by_methods(V.field, rows)[0]), rows
     assert len(V._ranks) == RANK_MEMO_KEYS
-    # the stored answers still hold
-    for key in keys[:: len(keys) // 50]:
-        rows = [V.digits[v] for v in key]
-        assert V.rank(key) == len(oracles.rref_by_methods(V.field, rows)[0]), key
+    # the stored answers still hold, for the rows reversed and scaled the
+    # other way
+    for i in range(0, RANK_MEMO_KEYS, RANK_MEMO_KEYS // 50):
+        rows = triples[i]
+        want = len(oracles.rref_by_methods(V.field, rows)[0])
+        assert V.rank(coded(rows[::-1], 2 - i % 2)) == want, rows
+    assert len(V._ranks) == RANK_MEMO_KEYS
+
+
+# the shapes of PERP_SHAPES over the fields of order at most 9, up to dim 4
+RANK_SHAPES = [(q, dim) for q, dim in PERP_SHAPES if q <= 9 and dim <= 4]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(RANK_SHAPES), st.data())
+def test_rank_is_kept_per_span_of_the_rows(shape, data):
+    # rows moved to a random basis of F_q^dim, each scaled by a random
+    # nonzero scalar, shuffled and padded with zero rows rank as the oracle
+    # ranks them, and so does every prefix, on the space's one memo, which
+    # every example fills; prefixes share their first row, so a key that
+    # leaves out some row's line serves one of them a wrong rank
+    q, dim = shape
+    F = oracles.arithmetic(q)
+    V = vector_space(field_new(q), dim)
+    vector = st.tuples(*[st.integers(0, q - 1)] * dim)
+    rows = data.draw(st.lists(vector, max_size=dim + 1))
+    g = data.draw(
+        st.lists(vector, min_size=dim, max_size=dim)
+        .filter(lambda m: oracles.mat_inv(V.field, m) is not None)
+    )
+    moved = [tuple(reduce(F.add, map(F.mul, r, col), 0) for col in zip(*g)) for r in rows]
+    scalars = data.draw(st.lists(st.integers(1, q - 1), min_size=len(rows), max_size=len(rows)))
+    scaled = [tuple(F.mul(c, a) for a in r) for c, r in zip(scalars, moved)]
+    zeros = [(0,) * dim] * data.draw(st.integers(0, 2))
+    padded = data.draw(st.permutations(scaled + zeros))
+    for k in range(len(padded) + 1):
+        want = len(oracles.rref_by_methods(V.field, padded[:k])[0])
+        assert V.rank([V.code(r) for r in padded[:k]]) == want, padded[:k]
+    # a basis change keeps the rank
+    assert V.rank([V.code(r) for r in rows]) == want
 
 
 @st.composite

@@ -223,6 +223,18 @@ def test_lem22_calls_centralizer_order_once_per_line_with_element_indices(monkey
         assert len(mine) == g.n // (inst.q - 1), inst.name
 
 
+def test_every_ad_of_the_pool_ranks_as_the_oracle(monkeypatch):
+    # every element of every pool algebra, on spaces of this test's own, so
+    # the rank memo fills here: a key first ranked for one ad(x) serves
+    # every later matrix whose rows lie on the same lines
+    monkeypatch.setattr(liealg, "vector_space", cache(VectorSpace))
+    for inst in _pool():
+        L = inst.L
+        for x, vec in enumerate(oracles.elements(L)):
+            reduced, _ = oracles.rref_by_methods(L.field, oracles.ad_matrix_by_methods(L, vec))
+            assert L.space.rank(L.ad_rows[x]) == len(reduced), (inst.name, vec)
+
+
 @pytest.mark.parametrize("name", ["heisenberg_f4", "heisenberg_f5", "aff1_f4"])
 def test_one_rank_per_line_outside_the_center(monkeypatch, name):
     calls, eliminations = [], []
@@ -240,11 +252,25 @@ def test_one_rank_per_line_outside_the_center(monkeypatch, name):
     center = len(oracles.brute_center(L))
     lines = (L.order - center) // (L.field.q - 1)
     assert len(calls) == lines
-    # one elimination per distinct ad(x) ranked, so one per line when the
-    # center is trivial; ad(x + z) = ad(x) for z in the center, so lines
-    # whose first vertices differ by a central element share one
-    assert sorted(eliminations) == sorted(set(calls))
-    assert len(eliminations) == lines if center == 1 else len(eliminations) < lines
+    # one elimination per distinct set of the rows' lines, in the order the
+    # sets are first ranked, each line named by its multiple with first
+    # nonzero coordinate 1, scaled by method calls.  With a trivial center
+    # that is one per line here; in the Heisenberg algebras, whose center is
+    # a line, ad(ax + by + cz) is the same for every c, so lines whose ad(x)
+    # differ only by a scalar share one elimination
+    q, F = L.field.q, oracles.arithmetic(L.field.q)
+
+    def row_lines(rows):
+        out = set()
+        for v in rows:
+            d = [v // q**i % q for i in range(L.dim)]
+            lead = F.inverse(next((a for a in d if a), 1))
+            out.add(tuple(F.mul(lead, a) for a in d))
+        return frozenset(out)
+
+    keys = list(dict.fromkeys(map(row_lines, calls)))
+    assert list(map(row_lines, eliminations)) == keys
+    assert len(keys) == lines if center == 1 else len(keys) < len(set(calls))
     assert orders == [L.centralizer_order(x) for x in inst.graph.indices]
     eliminations.clear()
     again = Instance(name, algebra_from_spec(load_spec(SPECS / f"{name}.json")))

@@ -40,15 +40,25 @@ lie-ncg compare specs/split_pairs_f2.json specs/split_pairs_f2_basis.json
 lie-ncg compare specs/heisenberg_f2.json specs/l2_f2.json
 lie-ncg compare specs/aff1_f3.json specs/heisenberg_f2.json
 lie-ncg verify --scope enumerate --n 2 --q 3
-# each statement alone gives its line of the catalog golden, so no row
-# depends on a fact that another row computed first
-for id in $(python -c 'from lie_ncg.verifier import STATEMENT_IDS; print(*STATEMENT_IDS)'); do
-  want=$(grep -F "\"statement_id\": \"$id\"" tests/golden/verify.jsonl)
-  got=$(lie-ncg verify --statement "$id" --format json)
+# Runs one statement alone as `lie-ncg verify ... --statement ID` and checks
+# its output against that statement's line of a golden.
+alone() {
+  local golden=$1 id=$2 want got
+  shift 2
+  want=$(grep -F "\"statement_id\": \"$id\"" "$golden")
+  got=$(lie-ncg verify "$@" --statement "$id" --format json)
   if [ "$got" != "$want" ]; then
-    printf 'verify --statement %s differs from its golden line\n%s\n' "$id" "$got" >&2
-    exit 1
+    printf 'verify %s --statement %s differs from its golden line\n%s\n' "$*" "$id" "$got" >&2
+    return 1
   fi
+}
+# each statement alone gives its line of the catalog golden and of the
+# (3, 2) enumeration golden, so no row depends on a fact that another row
+# computed first, on its own algebra or on another algebra of its
+# centralizer family, which shares the graph's facts
+for id in $(python -c 'from lie_ncg.verifier import STATEMENT_IDS; print(*STATEMENT_IDS)'); do
+  alone tests/golden/verify.jsonl "$id"
+  alone tests/golden/verify_enumerate_n3_q2.jsonl "$id" --scope enumerate --n 3 --q 2
 done
 lie-ncg analyze specs/heisenberg_f5.json --format json
 lie-ncg validate specs/l2_f2.json

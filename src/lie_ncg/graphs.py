@@ -12,26 +12,32 @@ complete multipartite shape or more than 3n - 6 edges.  A graph without
 them raises ``Undecided``; nothing here walks the graph.
 The twin classes, the vertices grouped by row once in ``Graph.__init__``,
 are that shape's parts when it has one (``Graph.multipartite_parts``), and
-the invariants answer from the parts: ``Graph.diameter``, ``is_planar`` and
+the invariants answer from the parts: ``diameter``, ``is_planar`` and
 ``is_outerplanar`` by closed forms in the part sizes, ``is_hamiltonian``
 below Dirac's bound, ``is_complete_bipartite`` by counting parts, and the
 canonical labeling in ``iso`` by ordering them.
 
-``Graph.diameter``, once per graph, is the one place connectedness is
+Each invariant the statements read is a ``fact``: computed on its first
+read and kept in ``Graph.facts``, a dict of values by name that holds no
+vertex name.  ``ncg.build_graph`` gives every graph of one centralizer
+family the same dict, so those graphs compute each fact once between them;
+a bare Graph has its own.  A fact that raises keeps nothing.
+
+``diameter``, once per facts dict, is the one place connectedness is
 decided, and refuses the empty graph; ``connectivity`` and ``is_eulerian``
 read it.  ``components`` is the one union-find, over any vertex pairs: the
 canonical search reads automorphism orbits off it, and Cor2.11's tree test
-the classes of a graph's edges, where ``Graph.diameter`` would leave a tree
+the classes of a graph's edges, where ``diameter`` would leave a tree
 undecided.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import update_wrapper
 
 from .errors import CapExceeded, EmptyGraph, Undecided
-from .linalg import bits
+from .linalg import bits, first_read
 
 DOMINATION_CAP = 32
 
@@ -63,6 +69,8 @@ class Graph:
         self.twin_classes = list(classes.values())
         multipartite = all(n - self.degrees[c[0]] == len(c) for c in self.twin_classes)
         self.multipartite_parts = self.twin_classes if multipartite else None
+        # the invariants read so far, by name (``fact``)
+        self.facts = {}
 
     @classmethod
     def from_edges(cls, n, edges):
@@ -74,40 +82,7 @@ class Graph:
             rows[v] |= 1 << u
         return cls(n, rows)
 
-    @cached_property
-    def diameter(self):
-        """The largest distance between two vertices, inf when the graph is
-        disconnected; the empty graph raises EmptyGraph.
-
-        A complete multipartite graph with one part has no edges; with two or
-        more it is connected, and two vertices of one part are at distance 2
-        through any vertex of another, so the diameter is 1 when every part
-        is a single vertex and 2 otherwise.  Any other graph has diameter at
-        most 2 exactly when every non-adjacent pair of distinct vertices has
-        a common neighbour, as in every non-commuting graph (Prop2.6); it is
-        then 2, since the graph is not complete.  Twins have equal rows, so
-        the first vertex of each twin class is checked against each of its
-        non-neighbours, itself among them; a graph that fails the check
-        raises Undecided.
-        """
-        if self.n == 0:
-            raise EmptyGraph("diameter of the empty graph is undefined")
-        parts = self.multipartite_parts
-        if parts is not None:
-            if len(parts) == 1:
-                return 0 if self.n == 1 else INF
-            return 1 if len(parts) == self.n else 2
-        rows, full = self.rows, (1 << self.n) - 1
-        for twins in self.twin_classes:
-            row = rows[twins[0]]
-            if not all(row & rows[w] for w in bits(full & ~row)):
-                raise Undecided(
-                    f"diameter of a graph with two non-adjacent vertices and no common "
-                    f"neighbour ({self!r})"
-                )
-        return 2
-
-    @cached_property
+    @first_read
     def neighbours(self):
         """Each vertex's neighbours as an ascending tuple, listed once per
         graph on first read; only the canonical search's refinement reads
@@ -127,14 +102,76 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count()})"
 
 
+# -- facts ---------------------------------------------------------------------
+
+
+def fact(body):
+    """``body``, an invariant read from a graph's rows alone, kept in the
+    graph's ``facts`` dict under its name: computed on the first read and
+    looked up after.  Every ``NcGraph`` of one centralizer family holds one
+    such dict while its space's memo keeps their core (``ncg.build_graph``),
+    so they read one value; a bare Graph has its own.  A body that raises,
+    Undecided or EmptyGraph, keeps nothing, so every read raises again.  As
+    with ``linalg.first_read``, two threads may both compute a fact, and
+    keep one value."""
+    name = body.__name__
+
+    def read(g):
+        facts = g.facts
+        try:
+            return facts[name]
+        except KeyError:
+            pass
+        value = facts[name] = body(g)
+        return value
+
+    return update_wrapper(read, body)
+
+
 # -- connectivity and girth ----------------------------------------------------
 
 
+@fact
+def diameter(g):
+    """The largest distance between two vertices, inf when the graph is
+    disconnected; the empty graph raises EmptyGraph.
+
+    A complete multipartite graph with one part has no edges; with two or
+    more it is connected, and two vertices of one part are at distance 2
+    through any vertex of another, so the diameter is 1 when every part
+    is a single vertex and 2 otherwise.  Any other graph has diameter at
+    most 2 exactly when every non-adjacent pair of distinct vertices has
+    a common neighbour, as in every non-commuting graph (Prop2.6); it is
+    then 2, since the graph is not complete.  Twins have equal rows, so
+    the first vertex of each twin class is checked against each of its
+    non-neighbours, itself among them; a graph that fails the check
+    raises Undecided.
+    """
+    if g.n == 0:
+        raise EmptyGraph("diameter of the empty graph is undefined")
+    parts = g.multipartite_parts
+    if parts is not None:
+        if len(parts) == 1:
+            return 0 if g.n == 1 else INF
+        return 1 if len(parts) == g.n else 2
+    rows, full = g.rows, (1 << g.n) - 1
+    for twins in g.twin_classes:
+        row = rows[twins[0]]
+        if not all(row & rows[w] for w in bits(full & ~row)):
+            raise Undecided(
+                f"diameter of a graph with two non-adjacent vertices and no common "
+                f"neighbour ({g!r})"
+            )
+    return 2
+
+
+@fact
 def connectivity(g):
-    """(is_connected, diameter), read from ``Graph.diameter``: decided for a
+    """(is_connected, diameter), read from ``diameter``: decided for a
     complete multipartite graph and for one of diameter at most 2, and
     Undecided otherwise; the empty graph raises EmptyGraph there."""
-    return g.diameter != INF, g.diameter
+    d = diameter(g)
+    return d != INF, d
 
 
 def components(n, pairs):
@@ -156,6 +193,7 @@ def components(n, pairs):
     return [find(v) for v in range(n)]
 
 
+@fact
 def girth(g):
     """3 when two adjacent vertices have a common neighbour.
 
@@ -178,16 +216,19 @@ def is_regular(g):
     return len(set(g.degrees)) <= 1
 
 
+@fact
 def is_complete(g):
     return all(d == g.n - 1 for d in g.degrees)
 
 
+@fact
 def is_eulerian(g):
     """Every degree even and the graph connected, the second read from
-    ``Graph.diameter``, which raises EmptyGraph on the empty graph."""
-    return all(d % 2 == 0 for d in g.degrees) and g.diameter != INF
+    ``diameter``, which raises EmptyGraph on the empty graph."""
+    return all(d % 2 == 0 for d in g.degrees) and diameter(g) != INF
 
 
+@fact
 def is_complete_bipartite(g):
     """Complete multipartite with exactly two parts."""
     parts = g.multipartite_parts
@@ -225,6 +266,7 @@ def hamiltonian_cycle(g):
     return c
 
 
+@fact
 def is_hamiltonian(g):
     """True by Dirac's condition, n >= 3 and 2 * min degree >= n, which
     every non-commuting graph meets: |C(x)| <= |L|/q for x outside the
@@ -273,11 +315,13 @@ def _planar(g, apex):
     raise Undecided(f"{what} of a sparse graph not complete multipartite ({g!r})")
 
 
+@fact
 def is_planar(g):
     """Exact planarity, where the part sizes or the edge count decide it."""
     return _planar(g, apex=0)
 
 
+@fact
 def is_outerplanar(g):
     """Planarity of the graph plus an apex vertex adjacent to every vertex:
     with n + 1 vertices and m + n edges, the edge bound reads m > 2n - 3."""

@@ -27,19 +27,24 @@ The tables behind ``ad_rows`` and the ranks are memoized on the shared
 their tables, and every ad(x) whose rows lie on one set of lines, such as
 ad(x) and c ad(x), shares one elimination: over the criterion-1 pool,
 19,155 ranks run 336.  The rank memo is keyed by those lines and never
-reads a centralizer mask.
+reads a centralizer mask.  The verifier's centralizer orders are each
+algebra's own: the graph facts that one centralizer family shares
+(``graphs.fact``) never include them, so every algebra still calls
+``centralizer_order`` once per line.  ``space``, ``ad_rows`` and
+``center_mask`` are computed on first read and kept on the algebra
+(``linalg.first_read``).
 """
 
 from __future__ import annotations
 
 import os
 from collections import namedtuple
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations
 
 from .errors import CapExceeded, JacobiViolation, LieNcgError
 from .gf import field_new
-from .linalg import vector_space
+from .linalg import first_read, vector_space
 
 DEFAULT_ELEMENT_CAP = 4096
 
@@ -149,14 +154,14 @@ class LieAlgebra:
 
     # -- derived structure --------------------------------------------------
 
-    @cached_property
+    @first_read
     def space(self):
         """The index tables of F_q^dim (``linalg.VectorSpace``), fetched
         once per algebra after the element cap is checked."""
         check_element_cap(self.order)
         return vector_space(self.field, self.dim)
 
-    @cached_property
+    @first_read
     def ad_rows(self):
         """Per element index x, the rows of ad(x), the matrix of y -> [x, y],
         as element indices.  Row r of ad(x) is sum_k x_k (row r of ad(e_k)),
@@ -184,7 +189,7 @@ class LieAlgebra:
             raise LieNcgError(f"{x!r} is not an int element index in 0..{self.order - 1}")
         return self.field.q ** (self.dim - V.rank(self.ad_rows[x]))
 
-    @cached_property
+    @first_read
     def center_mask(self):
         """Z(L), the common kernel of every ad(e_k), as a bitmask over
         element indices."""

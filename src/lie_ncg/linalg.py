@@ -36,6 +36,9 @@ masks.  Each memo stops taking entries at a fixed bound
 (``LINEAR_MAP_MEMO_ENTRIES``, ``RANK_MEMO_KEYS`` and
 ``ncg.GRAPH_MEMO_BYTES``) and then computes without storing.
 
+``first_read`` is the package's one descriptor for a fact computed the
+first time an object is asked for it and then kept on the object.
+
 Everything is exact and deterministic.
 """
 
@@ -51,6 +54,26 @@ LINEAR_MAP_MEMO_ENTRIES = 1 << 17
 # the default element cap; the 3-row matrices over F_3^3 have 469 keys, and
 # the ad(x) of the 1569 algebras of the criterion-1 pool have 336
 RANK_MEMO_KEYS = 4096
+
+
+class first_read:
+    """A method read as an attribute: computed on the first read and kept in
+    the instance's ``__dict__``, which every later read finds before this
+    descriptor.  ``functools.cached_property`` does the same, but takes a
+    lock on every first read on Python 3.10-3.11.  Two threads that read
+    at once may both compute the fact; it is deterministic, so both keep
+    the same value."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 def bits(mask):

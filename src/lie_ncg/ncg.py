@@ -16,22 +16,27 @@ it per space (``VectorSpace.graphs``), keyed by Z's mask and the mask of
 each line's centralizer: many algebras share one centralizer family (the
 1569 of the criterion-1 pool have 47), and each of them gets its own
 ``NcGraph``, with its own algebra and labels, over one shared set of rows
-and facts.  The memo is bounded by GRAPH_MEMO_BYTES per space and holds no
-algebra, and Lem2.2's centralizer orders, ranks of ad(x) memoized by the
-lines of its rows (``VectorSpace.rank``), never read it or any mask.
+and one shared ``Graph.facts`` dict, so each invariant (``graphs.fact``)
+is computed once per family.  The memo is bounded by GRAPH_MEMO_BYTES per
+space and holds no algebra, label or vertex tuple, and Lem2.2's
+centralizer orders, ranks of ad(x) memoized by the lines of its rows
+(``VectorSpace.rank``), never read it or any mask.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-
 from .errors import AbelianAlgebra
 from .graphs import Graph
-from .linalg import bits
+from .linalg import bits, first_read
 
 # a space stops keeping build_graph's cores once this many bytes of them
 # could be held at its worst case: two cores at the default element cap
 GRAPH_MEMO_BYTES = 1 << 24
+# the worst-case bytes of one core's facts dict (``graphs.fact``): twelve
+# names, each holding a bool, a small int, inf, a 2-tuple or a frozenset
+# of at most two figure ids, 1.9 KB as sys.getsizeof counts the dict, its
+# keys, its values and their items
+FACTS_BYTES = 2048
 
 
 class NcGraph(Graph):
@@ -47,12 +52,12 @@ class NcGraph(Graph):
         self.indices = tuple(indices)
         self.algebra = algebra
 
-    @cached_property
+    @first_read
     def vertices(self):
         digits = self.algebra.space.digits
         return tuple(digits[x] for x in self.indices)
 
-    @cached_property
+    @first_read
     def labels(self):
         return tuple(self.algebra.element_label(v) for v in self.vertices)
 
@@ -81,10 +86,12 @@ def build_graph(L):
     of the masks, and as y is in C(x) exactly when x is in C(y), any one
     mask follows from the others.)  The masks are solved on every call.  A
     new key builds the rows and the ``Graph`` facts and keeps them as a
-    core: ``n``, ``rows``, ``indices``, ``degrees``, ``twin_classes`` and
-    ``multipartite_parts``.  A known key gives a new ``NcGraph`` of L over
-    that core, which nothing mutates; it renders its own vertices and
-    labels from L, and the memo holds no algebra.
+    core: ``n``, ``rows``, ``indices``, ``degrees``, ``twin_classes``,
+    ``multipartite_parts`` and the ``facts`` dict.  A known key gives a new
+    ``NcGraph`` of L over that core; nothing mutates the core but the facts
+    dict, which each fact fills on its first read by any graph of the
+    family.  The graph renders its own vertices and labels from L, and the
+    memo holds no algebra.
     ``Instance.centralizer_orders`` ranks ad(x) by elimination and never
     reads the memo, so Lem2.2 still compares the rows with centralizers
     found another way.
@@ -92,10 +99,11 @@ def build_graph(L):
     A space stops keeping cores once it holds GRAPH_MEMO_BYTES of them at
     its worst case: at most (q^dim - 1)/(q - 1) + 1 masks and q^dim - 1
     rows of q^dim bits, each charged q^dim/8 + 256 bytes for the int, its
-    tuple slot and the vertex's index, degree and twin-class entry.  At the
-    default element cap, F_2^12, that is 8191 x 768 bytes, 6.3 MB a core
-    (aff1^6 has 4095 lines of 4096-bit masks and 4095 distinct rows), so a
-    space keeps two of them; over F_3^3 it keeps 1619.
+    tuple slot and the vertex's index, degree and twin-class entry, plus
+    FACTS_BYTES for the facts dict.  At the default element cap, F_2^12,
+    that is 8191 x 768 + 2048 bytes, 6.3 MB a core (aff1^6 has 4095 lines
+    of 4096-bit masks and 4095 distinct rows), so a space keeps two of
+    them; over F_3^3 it keeps 1352.
 
     Raises AbelianAlgebra when the center is all of L (the graph would be
     null) and CapExceeded when q^dim exceeds the element cap.
@@ -136,7 +144,7 @@ def build_graph(L):
             row_of[mask] = row
     g = NcGraph(len(indices), [row_of[commuting[line[x]]] for x in indices], indices, L)
     order = L.order
-    worst = ((order - 1) // (L.field.q - 1) + order) * (order // 8 + 256)
+    worst = ((order - 1) // (L.field.q - 1) + order) * (order // 8 + 256) + FACTS_BYTES
     if (len(memo) + 1) * worst <= GRAPH_MEMO_BYTES:
         core = dict(vars(g))
         del core["algebra"]

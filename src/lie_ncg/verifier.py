@@ -4,11 +4,16 @@ Every claim checked here is one row of ``STATEMENTS`` under a stable id
 (Lem2.2, Prop2.5, ...): a one-line restatement, a hypothesis (None for a
 claim on every graph), a conclusion and a failure text.  Hypothesis and
 conclusion read facts off an ``Instance``, the fact sheet of one algebra,
-which computes each fact the first time a row reads it: on the algebra
-side the center, the derived subalgebra, the centralizer orders (by rank)
-and q; on the graph side the graph, a dominating vertex and ``figures``,
-the ids of the reference graphs F1-F5 it is isomorphic to, matched once
-per instance.  One loop, ``check_statement``, runs a row over a scope of
+which computes each fact the first time a row reads it and keeps it
+(``linalg.first_read``): on the algebra side the center, the derived
+subalgebra, the centralizer orders (by rank) and q; on the graph side the
+graph, a dominating vertex and ``figures``, the ids of the reference
+graphs F1-F5 it is isomorphic to.  Every graph-side fact, the invariants
+of ``graphs`` and this module's dominating vertex, figures and tree test,
+is a ``graphs.fact`` of the rows, so the algebras of one centralizer
+family, which share their graph's facts, compute it once between them;
+the algebra-side facts, Lem2.2's centralizer ranks among them, stay each
+algebra's own.  One loop, ``check_statement``, runs a row over a scope of
 algebras (the built-in catalog, or every Jacobi-satisfying structure
 tensor of a small shape) and produces a TheoremReport.  An instance whose
 hypothesis is false is a vacuous pass, tallied separately so a hypothesis
@@ -21,7 +26,6 @@ over the edges, so no graph walk is needed.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from functools import cached_property
 from operator import add, itemgetter
 
 from . import graphs
@@ -30,7 +34,7 @@ from .enumeration import _check_scope, algebras_equivalent, jacobi_tensors, orbi
 from .errors import LieNcgError, Undecided, UnknownStatement
 from .gf import field_new, prime_factors, prime_power_decomposition
 from .iso import canonical_certificate, isomorphism
-from .linalg import bits
+from .linalg import bits, first_read
 from .ncg import build_graph
 from .refgraphs import figure_graph
 
@@ -43,34 +47,35 @@ _FIGURES = {fid: figure_graph(fid) for fid in ("F1", "F2", "F3", "F4", "F5")}
 
 class Instance:
     """The fact sheet of one algebra under test: each fact is computed the
-    first time a statement reads it, and kept where that costs more than a
-    lookup."""
+    first time a statement reads it and kept on the instance.  The graph's
+    own facts are read through ``graphs.fact``, so every instance of one
+    centralizer family computes each of them once between them."""
 
     def __init__(self, name, algebra):
         self.name = name
         self.L = algebra
 
-    @cached_property
+    @first_read
     def graph(self):
         return build_graph(self.L)
 
-    @cached_property
+    @first_read
     def center(self):
         return self.L.center()
 
-    @property
+    @first_read
     def dim_center(self):
         return len(self.center)
 
-    @property
+    @first_read
     def center_order(self):
         return self.q**self.dim_center
 
-    @cached_property
+    @first_read
     def dim_derived(self):
         return len(self.L.derived_subalgebra())
 
-    @cached_property
+    @first_read
     def centralizer_orders(self):
         """|C_L(v)| per vertex, one ``LieAlgebra.centralizer_order`` per line
         {cv : c != 0}, on the graph's element indices: ad(cv) is c ad(v), so
@@ -78,7 +83,7 @@ class Instance:
         ``space.line`` entry for the rest.  The orders are ranks from row
         reduction, while build_graph intersects hyperplane bitmasks, so
         Lem2.2 compares the graph's rows with centralizers found another
-        way."""
+        way.  They are the algebra's own: no other instance reads them."""
         line, centralizer_order = self.L.space.line, self.L.centralizer_order
         orders = {}
         out = []
@@ -89,33 +94,42 @@ class Instance:
             out.append(order)
         return out
 
-    @property
+    @first_read
     def q(self):
         return self.L.field.q
 
-    @property
+    @first_read
     def order(self):
         return self.L.order
 
-    @cached_property
+    @first_read
     def has_dominating_vertex(self):
-        # gamma == 1 is equivalent to a vertex adjacent to all others, so the
-        # full domination search is not needed for this predicate
-        return self.graph.n - 1 in self.graph.degrees
+        return _has_dominating_vertex(self.graph)
 
-    @property
+    @first_read
     def trivial_center_f2(self):
         return self.center_order == 1 and self.q == 2
 
-    @property
+    @first_read
     def dim3_f2(self):
         return self.L.dim == 3 and self.q == 2
 
-    @cached_property
+    @first_read
     def figures(self):
-        """The ids of the ``_FIGURES`` the graph is isomorphic to, each
-        matched once per instance."""
-        return {fid for fid, ref in _FIGURES.items() if isomorphism(self.graph, ref) is not None}
+        return _figures(self.graph)
+
+
+@graphs.fact
+def _has_dominating_vertex(g):
+    # gamma == 1 is equivalent to a vertex adjacent to all others, so the
+    # full domination search is not needed for this predicate
+    return g.n - 1 in g.degrees
+
+
+@graphs.fact
+def _figures(g):
+    """The ids of the ``_FIGURES`` the graph is isomorphic to."""
+    return frozenset(fid for fid, ref in _FIGURES.items() if isomorphism(g, ref) is not None)
 
 
 def catalog_instances():
@@ -156,6 +170,9 @@ class TheoremReport:
     """One statement's outcome over a list of instances: how many were
     checked, how many were vacuous, and (instance name, text) failures."""
 
+    __slots__ = ("statement_id", "quote", "instances_checked", "vacuous_count", "failures",
+                 "notes")
+
     def __init__(self, statement_id, quote, instances_checked=0, vacuous_count=0,
                  failures=None, notes=None):
         self.statement_id = statement_id
@@ -190,6 +207,7 @@ class TheoremReport:
 Statement = namedtuple("Statement", "quote hypothesis conclusion failure")
 
 
+@graphs.fact
 def _is_tree(g):
     """n - 1 edges and no cycle, that is n - 1 edges leaving one class under
     ``graphs.components`` over the edges."""
@@ -294,9 +312,10 @@ def check_statement(statement_id, instances):
     raises Undecided, because its graph lacks what an invariant is read
     from, fails the instance with the error text.
     """
-    if statement_id not in STATEMENTS:
+    row = STATEMENTS.get(statement_id)
+    if row is None:
         raise UnknownStatement(f"no statement registered under id {statement_id!r}")
-    quote, hypothesis, conclusion, failure = STATEMENTS[statement_id]
+    quote, hypothesis, conclusion, failure = row
     vacuous = 0
     failures = []
     for inst in instances:
@@ -304,16 +323,17 @@ def check_statement(statement_id, instances):
             if hypothesis is not None and not hypothesis(inst):
                 vacuous += 1
             elif not conclusion(inst):
-                text = failure if isinstance(failure, str) else failure(inst)
-                failures.append((inst.name, text))
+                failures.append((inst.name, failure if isinstance(failure, str) else failure(inst)))
         except Undecided as exc:
             failures.append((inst.name, str(exc)))
-    return TheoremReport(statement_id, quote, len(instances), vacuous, failures, [])
+    return TheoremReport(statement_id, quote, len(instances), vacuous, failures)
 
 
 def check_all_statements(instances, statement_ids=None):
-    ids = STATEMENT_IDS if statement_ids is None else statement_ids
-    return [check_statement(sid, instances) for sid in ids]
+    reports = []
+    for sid in STATEMENT_IDS if statement_ids is None else statement_ids:
+        reports.append(check_statement(sid, instances))
+    return reports
 
 
 # -- figure reproduction ------------------------------------------------------

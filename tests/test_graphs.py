@@ -14,6 +14,7 @@ from lie_ncg.graphs import (
     Graph,
     components,
     connectivity,
+    diameter,
     domination_number,
     girth,
     hamiltonian_cycle,
@@ -109,9 +110,9 @@ def test_connectivity_and_diameter():
     for g in (path(5), cycle(6), disjoint_triangles()):
         with pytest.raises(Undecided):
             connectivity(g)
-    # Graph.diameter refuses the empty graph, and connectivity and
-    # is_eulerian read it
-    for read in (lambda g: g.diameter, connectivity, is_eulerian):
+    # diameter refuses the empty graph, and connectivity and is_eulerian
+    # read it
+    for read in (diameter, connectivity, is_eulerian):
         with pytest.raises(EmptyGraph):
             read(Graph(0, []))
 

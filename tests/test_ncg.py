@@ -3,18 +3,26 @@
 import random
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
-from lie_ncg.errors import AbelianAlgebra, CapExceeded
+from lie_ncg import verifier
+from lie_ncg.errors import AbelianAlgebra, CapExceeded, LieNcgError
 from lie_ncg.gf import field_new
 from lie_ncg.graphs import (
     Graph,
     connectivity,
+    diameter,
     girth,
     hamiltonian_cycle,
+    is_complete,
+    is_complete_bipartite,
+    is_eulerian,
+    is_hamiltonian,
+    is_outerplanar,
     is_planar,
     is_regular,
     property_report,
@@ -166,35 +174,64 @@ def _random_basis(draw, L):
     return LieAlgebra(f, n, oracles.transform_by_methods(L, g, oracles.mat_inv(f, g)))
 
 
-@settings(max_examples=30, deadline=None)
+# the facts graphs.fact keeps per centralizer family, the verifier's among them
+SHARED_FACTS = (
+    connectivity, diameter, girth, is_complete, is_complete_bipartite, is_eulerian,
+    is_hamiltonian, is_outerplanar, is_planar, verifier._figures,
+    verifier._has_dominating_vertex, verifier._is_tree,
+)
+
+
+def _outcome(fact, g):
+    """The value of ``fact`` on g, or the type and text of the error it
+    raises."""
+    try:
+        return fact(g)
+    except LieNcgError as exc:
+        return type(exc), str(exc)
+
+
+# without a shrink phase: a failing example is reported as drawn, since
+# each shrink step reruns the bracket oracle on shapes up to F_9^3
+@settings(max_examples=30, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(lie_tensors([2, 3, 4, 5, 7, 8, 9]), st.data())
 def test_graph_memo_is_exact(L, data):
     # L in random bases, two, or four where q^dim <= 27 and the oracle is
     # cheap, each built on the space's memo, then again from a copy and
     # from a copy with other basis names: every build is the graph from
-    # brackets, and each copy shares the rows but has its own algebra and
-    # labels.  The memo is kept across examples, so a key that leaves out
-    # what tells two labeled graphs apart, from this example or an earlier
-    # one, shows as a shared core whose rows differ from the brackets.
+    # brackets, and each copy shares the rows and the facts but has its own
+    # algebra and labels.  The memo is kept across examples, so a key that
+    # leaves out what tells two labeled graphs apart, from this example or
+    # an earlier one, shows as a shared core whose rows or facts differ
+    # from the brackets.  Each graph reads the shared facts in an order of
+    # its own, and each must equal the fact of a fresh Graph on the
+    # oracle's rows; two bases share a facts dict only with their rows.
     assume(not L.is_abelian())
     memo = L.space.graphs
     before = len(memo)
-    pairs = []
+    pairs, facts = [], []
     for _ in range(4 if L.order <= 27 else 2):
         M = _random_basis(data.draw, L)
         want = oracles.graph_by_brackets(M)
+        fresh = Graph(want.n, want.rows)
         algebras = (M, LieAlgebra(M.field, M.dim, M.structure),
                     LieAlgebra(M.field, M.dim, M.structure, basis_names="xyz"[:M.dim]))
         graphs = [build_graph(N) for N in algebras]
         for N, g in zip(algebras, graphs):
             assert g.algebra is N
             assert (g.rows, g.vertices) == (want.rows, want.vertices)
+            for fact in data.draw(st.permutations(SHARED_FACTS)):
+                assert _outcome(fact, g) == _outcome(fact, fresh), fact.__name__
             assert g.labels == tuple(N.element_label(v) for v in want.vertices)
         first, copy, renamed = graphs
         assert copy.rows is first.rows and renamed.rows is first.rows
+        assert copy.facts is first.facts and renamed.facts is first.facts
+        # the facts hold values alone: no algebra, vertex or label
+        assert {type(v) for v in first.facts.values()} <= {bool, int, float, tuple, frozenset}
         assert renamed.labels != first.labels
         pairs.append((first.indices, first.rows))
-    assert len(memo) - before <= len(set(pairs))
+        facts.append(first.facts)
+    assert len(memo) - before <= len(set(pairs)) == len(set(map(id, facts)))
 
 
 def test_pool_builds_one_graph_per_labeled_graph(monkeypatch):
@@ -214,6 +251,38 @@ def test_pool_builds_one_graph_per_labeled_graph(monkeypatch):
     assert all(g.algebra is L for L, g in zip(algebras, graphs))
     distinct = {(id(L.space), g.indices, g.rows) for L, g in zip(algebras, graphs)}
     assert len(built) == len(distinct) == 47
+
+
+def test_pool_computes_each_fact_once_per_family(monkeypatch):
+    # from empty memos, every statement over the 1569 algebras of the
+    # criterion-1 pool reads the shared facts off 47 centralizer families:
+    # each fact's body runs 47 times, not once per algebra, and each
+    # family's facts are those of a fresh Graph on its rows
+    instances = catalog_instances()
+    for n in (2, 3):
+        for q in (2, 3):
+            instances.extend(enumeration_instances(n, q))
+    for V in {id(inst.L.space): inst.L.space for inst in instances}.values():
+        monkeypatch.setattr(V, "graphs", {})
+    names = {fact.__wrapped__.__code__: fact.__name__ for fact in SHARED_FACTS}
+    runs = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            runs[names[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        reports = check_all_statements(instances)
+    finally:
+        sys.setprofile(None)
+    assert all(report.status == "pass" for report in reports)
+    assert runs == {fact.__name__: 47 for fact in SHARED_FACTS}
+    families = {id(inst.graph.facts): inst.graph for inst in instances}
+    assert len(families) == 47
+    for g in families.values():
+        fresh = Graph(g.n, g.rows)
+        assert g.facts == {fact.__name__: fact(fresh) for fact in SHARED_FACTS}
 
 
 def _heisenberg_plus_abelian_f2(dim):
@@ -296,7 +365,8 @@ def _held_bytes(memo):
 
 def test_graph_memo_stays_within_its_bound(monkeypatch):
     # aff1^6 over F_2 at the element cap in five bases: five labeled graphs,
-    # each core charged 6.3 MB of the space's 16 MB, so the space keeps two
+    # each core charged 6.3 MB of the space's 16 MB, so the space keeps two,
+    # which hold every shared fact when the bound is measured
     V = _aff1_sum_f2().space
     monkeypatch.setattr(V, "graphs", {})
     rng = random.Random(44)
@@ -304,6 +374,10 @@ def test_graph_memo_stays_within_its_bound(monkeypatch):
     graphs = [build_graph(_aff1_sum_f2(perm)) for perm in perms]
     assert len({g.rows for g in graphs}) == 5
     assert len(V.graphs) == 2
+    for g in graphs[:2]:  # the two kept, the first built
+        for fact in SHARED_FACTS:
+            fact(g)
+    assert all(len(core["facts"]) == len(SHARED_FACTS) for core in V.graphs.values())
     assert _held_bytes(V.graphs) <= GRAPH_MEMO_BYTES
     again = build_graph(_aff1_sum_f2(perms[1]))
     assert again.rows is graphs[1].rows and again.n == 4095

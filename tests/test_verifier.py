@@ -5,7 +5,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from functools import cache, cached_property
+from functools import cache
 from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
@@ -20,7 +20,7 @@ from lie_ncg.graphs import Graph
 from lie_ncg.io import load_spec
 from lie_ncg.iso import isomorphism
 from lie_ncg.liealg import LieAlgebra, algebra_from_spec
-from lie_ncg.linalg import VectorSpace, bits
+from lie_ncg.linalg import VectorSpace, bits, first_read
 from lie_ncg.ncg import build_graph
 from lie_ncg.refgraphs import FIGURE_IDS, figure_graph
 from lie_ncg.verifier import (
@@ -84,7 +84,7 @@ def test_rows_tying_graph_and_algebra_read_a_fact_of_each_side():
     # so pass on every instance whatever the program computes
     facts = {"L"} | {
         name for name, value in vars(Instance).items()
-        if isinstance(value, (property, cached_property))
+        if isinstance(value, (property, first_read))
     }
     assert facts == GRAPH_FACTS | ALGEBRA_FACTS, "unclassified Instance facts"
     instances = catalog_instances() + enumeration_instances(3, 2)
@@ -511,6 +511,9 @@ FAILURE_BRANCHES = [
 
 @pytest.mark.parametrize("patches, run, expected", FAILURE_BRANCHES)
 def test_failure_branch_is_recorded(patches, run, expected, monkeypatch):
+    # spaces of this test's own, so a patched reference figure meets no
+    # figure ids that a shared core kept from an earlier test
+    monkeypatch.setattr(liealg, "vector_space", cache(VectorSpace))
     for name, value in patches.items():
         monkeypatch.setattr(verifier, name, value)
     assert run() == expected
@@ -602,7 +605,8 @@ def test_figures_are_reproduced_by_enumeration():
 def test_figures_fail_with_the_proposition_failures(monkeypatch):
     # the figure counts and failures are Prop3.2-3.4's, so an F1 reference
     # that matches nothing (K_{3,3}, on 6 vertices) fails Prop3.2, and
-    # Thm3.5, on each F1 instance
+    # Thm3.5, on each F1 instance; on spaces of this test's own, as above
+    monkeypatch.setattr(liealg, "vector_space", cache(VectorSpace))
     monkeypatch.setitem(verifier._FIGURES, "F1", figure_graph("F6"))
     report = check_figures()
     assert report.status == "fail" and report.instances_checked == 119 + 2

@@ -12,25 +12,23 @@ Deduplication reduces modulo the GL(n, q) basis-change action
 T -> g^-1 T(g., g.), which is linear in T.  GL(n, q) is generated by at most
 three matrices (``_gl_generators``): the transvection I + E_01, the cyclic
 permutation of the basis and, for q > 2, diag(w, 1, ..., 1) with w a
-generator of F_q^*.  ``_LinearAction`` turns them into one linear map
-on the N = n * C(n, 2) coordinates of a tensor, into all their images
-packed side by side, built once per ``orbit_partition`` or
-``algebras_equivalent`` call from the images of the N unit tensors, each
-read off the 2 x 2 minors of a generator and a column of its inverse.  A
-tensor is coded as an int, and applying every generator is a table lookup
-per chunk of coordinates, a sum and an arithmetic reduction modulo p.  Each
-new tensor's orbit is closed under the generators, so the work grows with
-the orbit times the two or three generators, not with |GL(n, q)|, and only
-each orbit's representative is built as a ``LieAlgebra``.  The walk stops
-once the orbits cover every Lie tensor, counted in closed form by
-``_lie_tensor_count``.
+generator of F_q^*.  ``_LinearAction`` turns them into one linear map on the
+N = n * C(n, 2) coordinates of a tensor, into all their images packed side
+by side, read off the images of the N unit tensors.  A tensor is coded as an
+int, and applying every generator is a table lookup per chunk of
+coordinates, a sum and an arithmetic reduction modulo p.  The tables and the
+orbits are built once per shape, not per ``orbit_partition`` or
+``algebras_equivalent`` call: ``_orbit_index`` closes each new tensor's orbit
+under the generators, so the work grows with the orbit, not |GL(n, q)|, and
+stops once the orbits cover every Lie tensor, counted by ``_lie_tensor_count``.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, product
 
-from .errors import CapExceeded
+from .errors import CapExceeded, JacobiViolation
 from .liealg import LieAlgebra
 from .linalg import bits, vector_space
 
@@ -268,53 +266,55 @@ class _LinearAction:
         total = self.reduce(sum([t[key >> s & mask] for t, s in self.tables]))
         return [total >> s & keys for s in self.shifts]
 
-    def orbit(self, key):
-        """Keys of the GL(n, q) orbit of ``key``, found by closing {key}
-        under the generators."""
-        orbit = {key}
-        stack = [key]
+
+@cache
+def _orbit_index(n, field):
+    """The GL(n, q) orbits of the Lie tensors on F_q^n: the ``_LinearAction``,
+    a dict from each Lie tensor's key to its orbit's number, and each orbit's
+    (representative tensor, size) in first-seen enumeration order.  GL maps
+    Lie tensors to Lie tensors, so the walk stops once the orbits cover all
+    ``_lie_tensor_count`` of them.  The scope is not checked."""
+    action = _LinearAction(n, field)
+    total = _lie_tensor_count(n, field)
+    orbit_of, orbits = {}, []
+    for tensor in _structure_tensors(n, field):
+        if len(orbit_of) == total:
+            break
+        key = action.encode(tensor)
+        if key in orbit_of:
+            continue
+        number, before, stack = len(orbits), len(orbit_of), [key]
+        orbit_of[key] = number
         while stack:
-            for image in self.images(stack.pop()):
-                if image not in orbit:
-                    orbit.add(image)
+            for image in action.images(stack.pop()):
+                if image not in orbit_of:
+                    orbit_of[image] = number
                     stack.append(image)
-        return orbit
+        orbits.append((tensor, len(orbit_of) - before))
+    return action, orbit_of, orbits
 
 
 def algebras_equivalent(L1, L2):
     """True iff some GL basis change carries L1's structure onto L2's.
 
     L1's shape is checked against the enumeration scope first, as the orbit
-    closed here can be as large as those ``orbit_partition`` closes."""
+    index walked for it grows with the shape.  An algebra whose tensor is in
+    no orbit fails the Jacobi identity, and raises ``JacobiViolation``."""
     _check_scope(L1.dim, L1.field)
     if L1.field != L2.field or L1.dim != L2.dim:
         return False
-    n = L1.dim
-    action = _LinearAction(n, L1.field)
-    target = action.encode(tensor_key(L2.structure, n))
-    return target in action.orbit(action.encode(tensor_key(L1.structure, n)))
+    action, orbit_of, _orbits = _orbit_index(L1.dim, L1.field)
+    numbers = [orbit_of.get(action.encode(tensor_key(L.structure, L.dim))) for L in (L1, L2)]
+    if None in numbers:
+        raise JacobiViolation((L1, L2)[numbers.index(None)].jacobi_failure())
+    return numbers[0] == numbers[1]
 
 
 def orbit_partition(n, field):
     """GL-orbits of the Jacobi tensors: list of (representative LieAlgebra,
-    orbit_size), representatives in first-seen enumeration order.  Only the
-    representatives are built as algebras.  GL maps Lie tensors to Lie
-    tensors, so the walk stops once the orbits found cover all
-    ``_lie_tensor_count`` of them."""
+    orbit_size), representatives in first-seen enumeration order, read off
+    ``_orbit_index``.  Only the representatives are built as algebras."""
     _check_scope(n, field)
-    action = _LinearAction(n, field)
-    pairs = action.pairs
-    total = _lie_tensor_count(n, field)
-    seen = set()
-    orbits = []
-    for tensor in _structure_tensors(n, field):
-        if len(seen) == total:
-            break
-        key = action.encode(tensor)
-        if key in seen:
-            continue
-        orbit = action.orbit(key)
-        seen |= orbit
-        orbits.append((LieAlgebra(field, n, dict(zip(pairs, tensor)), validate=False),
-                       len(orbit)))
-    return orbits
+    action, _orbit_of, orbits = _orbit_index(n, field)
+    return [(LieAlgebra(field, n, dict(zip(action.pairs, tensor)), validate=False), size)
+            for tensor, size in orbits]

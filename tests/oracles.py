@@ -361,10 +361,10 @@ def gl_matrices(n, field):
     return mats
 
 
-def full_gl_orbits(n, field):
-    """GL(n, q)-orbits of the Jacobi tensors as (representative key, size),
-    representatives in first-seen enumeration order, each orbit found by
-    applying every matrix of GL(n, q)."""
+def full_gl_orbit_sets(n, field):
+    """GL(n, q)-orbits of the Jacobi tensors as (representative key, the set
+    of the orbit's keys), representatives in first-seen enumeration order,
+    each orbit found by applying every matrix of GL(n, q)."""
     gls = [(g, mat_inv(field, g)) for g in gl_matrices(n, field)]
     seen = set()
     orbits = []
@@ -374,8 +374,13 @@ def full_gl_orbits(n, field):
             continue
         orbit = {tensor_key(transform_by_methods(L, g, ginv), n) for g, ginv in gls}
         seen |= orbit
-        orbits.append((key, len(orbit)))
+        orbits.append((key, orbit))
     return orbits
+
+
+def full_gl_orbits(n, field):
+    """``full_gl_orbit_sets`` with each orbit given by its size."""
+    return [(key, len(orbit)) for key, orbit in full_gl_orbit_sets(n, field)]
 
 
 def elementary_gl_generators(n, field):

@@ -26,7 +26,7 @@ from lie_ncg.enumeration import (
     orbit_partition,
     tensor_key,
 )
-from lie_ncg.errors import CapExceeded
+from lie_ncg.errors import CapExceeded, JacobiViolation
 from lie_ncg.gf import FIELD_CAP, field_new, prime_power_decomposition
 from lie_ncg.graphs import property_report
 from lie_ncg.iso import canonical_certificate
@@ -37,6 +37,7 @@ from oracles import (
     arithmetic,
     catalog_entry,
     elementary_gl_generators,
+    full_gl_orbit_sets,
     full_gl_orbits,
     gl_matrices,
     jacobi_failure_by_methods,
@@ -183,10 +184,16 @@ def test_orbit_sizes_partition_dim2():
 
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (3, 3)])
 def test_orbit_partition_matches_full_gl_orbits(n, q):
-    # the generator closure finds the same orbits as applying all of GL(n, q)
+    # the generator closure finds the same orbits as applying all of GL(n, q),
+    # and the index gives two Lie tensors one orbit number exactly when they
+    # share a full orbit: both number the orbits in first-seen order
     f = field_new(q)
+    full = full_gl_orbit_sets(n, f)
     got = [(tensor_key(L.structure, n), size) for L, size in orbit_partition(n, f)]
-    assert got == full_gl_orbits(n, f)
+    assert got == [(key, len(orbit)) for key, orbit in full]
+    action, orbit_of, _orbits = enumeration._orbit_index(n, f)
+    assert orbit_of == {action.encode(key): i for i, (_rep, orbit) in enumerate(full)
+                        for key in orbit}
 
 
 @pytest.mark.parametrize("n,q", SHAPES)
@@ -208,26 +215,14 @@ def test_orbit_sizes_dim3_f3_frozen():
 
 
 def test_gl_generators_close_the_orbits_of_the_elementary_set(monkeypatch):
-    # the 8128 Lie tensors of (3, 4), past the enumeration scope: closing
-    # each orbit under _gl_generators and under every transvection and
-    # diagonal gives the same partition
+    # the 8128 Lie tensors of (3, 4), past the enumeration scope: the orbit
+    # index walked under _gl_generators and under every transvection and
+    # diagonal is the same, uncached so each walk runs
     f = field_new(4)
-
-    def partition():
-        action = _LinearAction(3, f)
-        seen, orbits = set(), []
-        for tensor in _structure_tensors(3, f):
-            key = action.encode(tensor)
-            if key not in seen:
-                orbit = action.orbit(key)
-                seen |= orbit
-                orbits.append(orbit)
-        return orbits
-
-    got = partition()
+    _action, orbit_of, orbits = enumeration._orbit_index.__wrapped__(3, f)
     monkeypatch.setattr(enumeration, "_gl_generators", elementary_gl_generators)
-    assert partition() == got
-    assert [len(orbit) for orbit in got] == [1, 1260, 63, 945, 1260, 756, 756, 63, 3024]
+    assert enumeration._orbit_index.__wrapped__(3, f)[1:] == (orbit_of, orbits)
+    assert [size for _tensor, size in orbits] == [1, 1260, 63, 945, 1260, 756, 756, 63, 3024]
 
 
 @pytest.mark.parametrize("n,q", SHAPES + [(3, 4), (3, 5), (3, 7), (3, 8)])
@@ -242,15 +237,16 @@ def test_lie_tensor_count_matches_the_stream(n, q):
 @pytest.mark.parametrize("q, drawn, sizes", [
     (2, 37, [1, 42, 7, 21, 14, 7, 28]),
     (3, 171, [1, 312, 26, 156, 156, 78, 208, 26, 468]),
-    # past the scope, the sizes that closing an orbit from every tensor gives
-    # in test_gl_generators_close_the_orbits_of_the_elementary_set
+    # past the scope, the sizes of the orbit index walked under the
+    # elementary set in test_gl_generators_close_the_orbits_of_the_elementary_set
     (4, 527, [1, 1260, 63, 945, 1260, 756, 756, 63, 3024]),
 ])
-def test_orbit_partition_stops_once_its_orbits_cover_every_tensor(monkeypatch, q, drawn, sizes):
+def test_orbit_partition_stops_once_its_orbits_cover_every_tensor(monkeypatch, fresh_memos, q,
+                                                                   drawn, sizes):
     # the last new orbit opens at tensor drawn - 2, counting from 0; the next
     # tensor drawn finds the orbits covering all 120, 1431 or 8128 Lie
     # tensors, so the walk stops there, where walking the whole stream draws
-    # all of them
+    # all of them; on an empty orbit index, so the walk runs here
     stream, count = enumeration._structure_tensors, [0]
 
     def counting(n, field):
@@ -265,9 +261,10 @@ def test_orbit_partition_stops_once_its_orbits_cover_every_tensor(monkeypatch, q
 
 
 @pytest.mark.parametrize("q, count", [(2, 120), (3, 1431)])
-def test_solved_tensors_are_not_checked_again(monkeypatch, q, count):
+def test_solved_tensors_are_not_checked_again(monkeypatch, fresh_memos, q, count):
     # the c_12 solve is the Jacobi check (compared with the filter above), so
-    # neither the stream nor the orbit representatives call jacobi_failure
+    # neither the stream nor the orbit representatives call jacobi_failure;
+    # on an empty orbit index, so the walk runs here
     def fail(self):
         raise AssertionError("jacobi_failure called")
 
@@ -294,7 +291,9 @@ def test_algebras_equivalent():
 
 
 def test_algebras_equivalent_is_bounded_by_the_scope():
-    # aff1 + aff1 against aff1 + F_3^2: unbounded, closing the orbit took 16 s
+    # aff1 + aff1 against aff1 + F_3^2: the scope check comes before the
+    # shape's orbit index is walked; closing L1's orbit alone took 16 s
+    # before the check
     f3 = field_new(3)
     aff1_aff1 = LieAlgebra(f3, 4, {(0, 1): (0, 1, 0, 0), (2, 3): (0, 0, 0, 1)})
     aff1_abelian = LieAlgebra(f3, 4, {(0, 1): (0, 1, 0, 0)})
@@ -354,6 +353,32 @@ def test_tensor_keys_are_distinct(n, q):
     assert len({action.encode(t) for t in tensors}) == len(tensors)
 
 
+def test_one_orbit_walk_per_shape(monkeypatch, fresh_memos):
+    # one orbit_partition and the 49 equivalences of its 7 representatives
+    # build one _LinearAction between them: the shape's index is walked once
+    # and read after that
+    built, init = [], _LinearAction.__init__
+    monkeypatch.setattr(_LinearAction, "__init__",
+                        lambda self, n, field: built.append((n, field.q)) or init(self, n, field))
+    reps = [L for L, _size in orbit_partition(3, field_new(2))]
+    pairs = list(product(range(len(reps)), repeat=2))
+    assert [algebras_equivalent(reps[i], reps[j]) for i, j in pairs] == [i == j for i, j in pairs]
+    assert len(pairs) == 49 and built == [(3, 2)]
+
+
+def test_algebras_equivalent_refuses_a_non_lie_tensor():
+    # only validate=False builds a tensor that is in no orbit; the first such
+    # algebra's failing triple is raised, not a KeyError
+    f = field_new(2)
+    bad = LieAlgebra(f, 3, {(0, 2): (0, 0, 1), (1, 2): (0, 1, 0)}, validate=False)
+    lie = LieAlgebra(f, 3, {(0, 1): (0, 0, 1)})
+    assert bad.jacobi_failure() == (0, 1, 2)
+    for L1, L2 in ((bad, lie), (lie, bad), (bad, bad)):
+        with pytest.raises(JacobiViolation) as info:
+            algebras_equivalent(L1, L2)
+        assert info.value.triple == (0, 1, 2)
+
+
 def test_algebras_equivalent_matches_full_gl_orbits_dim2_f3():
     # every ordered pair of the 9 structure tensors on F_3^2, against the
     # orbits all 48 matrices of GL(2, 3) give
@@ -406,6 +431,7 @@ def test_import_builds_no_generator_tables():
         "sys.setprofile(None)\n"
         "assert 'lie_ncg.enumeration' in sys.modules\n"
         "assert sys.modules['lie_ncg.linalg'].vector_space.cache_info().currsize == 0\n"
+        "assert sys.modules['lie_ncg.enumeration']._orbit_index.cache_info().currsize == 0\n"
         "print(calls)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}

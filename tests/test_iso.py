@@ -223,10 +223,9 @@ def test_pool_relabelings_keep_certificate_hypothesis(rng):
 
 
 @pytest.mark.parametrize("make", [petersen, cube, c12, three_k4])
-def test_high_symmetry_graphs_are_fast(make, monkeypatch):
+def test_high_symmetry_graphs_are_fast(make, fresh_memos):
     # vertex-transitive and not complete multipartite, so every labeling goes
     # through the search; without automorphism pruning 3K_4 takes over 20 s
-    monkeypatch.setattr(iso, "_CERT_CACHE", {})
     g = make()
     assert g.multipartite_parts is None
     rng = random.Random(11)
@@ -278,9 +277,8 @@ def test_labeling_matches_exhaustive_search():
         assert certificate == oracles.certificate_by_rows(g, order), g.rows
 
 
-def test_node_budget(monkeypatch):
+def test_node_budget(monkeypatch, fresh_memos):
     g = build_graph(catalog_entry("split_pairs_f2").algebra())
-    monkeypatch.setattr(iso, "_CERT_CACHE", {})
     monkeypatch.setattr(iso, "ISO_ROW_BUDGET", 10)
     with pytest.raises(CapExceeded):
         canonical_certificate(g)
@@ -345,13 +343,13 @@ def test_charge_covers_the_rows_read_on_pinned_graphs():
         assert_charge_covers_the_rows_read(g)
 
 
-def test_witness_is_the_full_searchs_labeling(monkeypatch):
+def test_witness_is_the_full_searchs_labeling(fresh_memos):
     # g2's search stops at the first leaf matching g1's code, which is the
     # leaf the full search keeps, so the witness composes the same labelings
     rng = random.Random(17)
     split_pairs = build_graph(catalog_entry("split_pairs_f2").algebra())
     for g in (split_pairs, petersen(), cube(), c12(), three_k4()):
-        monkeypatch.setattr(iso, "_CERT_CACHE", {})
+        fresh_memos()
         for _ in range(5):
             h = relabel(g, rng.sample(range(g.n), g.n))
             witness = isomorphism(g, h)
@@ -359,14 +357,13 @@ def test_witness_is_the_full_searchs_labeling(monkeypatch):
             check_witness(g, h, witness)
 
 
-def test_isomorphism_budget_boundary_moves_outward(monkeypatch):
+def test_isomorphism_budget_boundary_moves_outward(monkeypatch, fresh_memos):
     # with g's certificate cached, h's search stops at its first leaf
     # matching g's code, so isomorphism answers at a budget where the full
     # search of h is refused
     g = build_graph(catalog_entry("split_pairs_f2").algebra())
     rng = random.Random(3)
     relabelings = [relabel(g, rng.sample(range(g.n), g.n)) for _ in range(2)]
-    monkeypatch.setattr(iso, "_CERT_CACHE", {})
     wants = [dict(zip(iso._canonical(g)[1], iso._search_order(h)[1])) for h in relabelings]
     for h, least, want in zip(relabelings, (1890, 1530), wants):
         monkeypatch.setattr(iso, "ISO_ROW_BUDGET", least - 1)
@@ -386,8 +383,7 @@ def test_isomorphism_budget_boundary_moves_outward(monkeypatch):
     ],
     ids=["K_1,2,3", "K_3,3", "K_5", "empty_4", "empty_0"],
 )
-def test_multipartite_certificate_matches_row_code(g, monkeypatch):
-    monkeypatch.setattr(iso, "_CERT_CACHE", {})
+def test_multipartite_certificate_matches_row_code(g, fresh_memos):
     assert g.multipartite_parts is not None
     h = relabel(g, random.Random(g.n).sample(range(g.n), g.n))
     codes = []
@@ -450,7 +446,7 @@ def test_non_isomorphic_same_degree_sequence():
     + [(disjoint_cycles(2 * k, 3), disjoint_cycles(k, 6)) for k in (2, 4, 8)],
     ids=["rook_shrikhande", "3K4_K4+Q3", "4C3_2C6", "8C3_4C6", "16C3_8C6"],
 )
-def test_non_isomorphic_pairs_that_both_need_the_search(g1, g2, monkeypatch):
+def test_non_isomorphic_pairs_that_both_need_the_search(g1, g2, fresh_memos):
     # equal degree sequences and neither complete multipartite, so the search
     # of the second graph runs with the first graph's code as its target;
     # networkx is the oracle, and no search may hit its cap
@@ -458,7 +454,7 @@ def test_non_isomorphic_pairs_that_both_need_the_search(g1, g2, monkeypatch):
     assert g1.multipartite_parts is None and g2.multipartite_parts is None
     assert not nx.is_isomorphic(oracles.to_networkx(g1), oracles.to_networkx(g2))
     for a, b in ((g1, g2), (g2, g1)):
-        monkeypatch.setattr(iso, "_CERT_CACHE", {})
+        fresh_memos()
         assert isomorphism(a, b) is None
         # b's entry is its full search's result, also where a's code stopped
         # that search below it
@@ -518,10 +514,9 @@ def test_complete_multipartite_graphs_over_the_cap_are_labeled():
     assert isomorphism(Graph(65, [0] * 65), complete_graph(65)) is None
 
 
-def test_certificate_cache_keeps_only_graphs_up_to_the_cap(monkeypatch):
+def test_certificate_cache_keeps_only_graphs_up_to_the_cap(fresh_memos):
     # past ISO_CAP only the multipartite form runs, and recomputing it costs
     # less than hashing and keeping the rows
-    monkeypatch.setattr(iso, "_CERT_CACHE", {})
     big = complete_multipartite(*[5] * 13)
     assert canonical_certificate(big) == b"K65:" + b",".join([b"5"] * 13)
     assert iso._CERT_CACHE == {}

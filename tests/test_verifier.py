@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 from collections import Counter
-from functools import cache
 from itertools import combinations
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,7 +12,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lie_ncg import liealg, verifier
+from lie_ncg import verifier
 from lie_ncg.errors import UnknownStatement
 from lie_ncg.gf import field_new
 from lie_ncg.graphs import Graph
@@ -223,11 +222,10 @@ def test_lem22_calls_centralizer_order_once_per_line_with_element_indices(monkey
         assert len(mine) == g.n // (inst.q - 1), inst.name
 
 
-def test_every_ad_of_the_pool_ranks_as_the_oracle(monkeypatch):
+def test_every_ad_of_the_pool_ranks_as_the_oracle(fresh_memos):
     # every element of every pool algebra, on spaces of this test's own, so
     # the rank memo fills here: a key first ranked for one ad(x) serves
     # every later matrix whose rows lie on the same lines
-    monkeypatch.setattr(liealg, "vector_space", cache(VectorSpace))
     for inst in _pool():
         L = inst.L
         for x, vec in enumerate(oracles.elements(L)):
@@ -236,15 +234,15 @@ def test_every_ad_of_the_pool_ranks_as_the_oracle(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["heisenberg_f4", "heisenberg_f5", "aff1_f4"])
-def test_one_rank_per_line_outside_the_center(monkeypatch, name):
+def test_one_rank_per_line_outside_the_center(monkeypatch, fresh_memos, name):
     calls, eliminations = [], []
     rank, eliminate = VectorSpace.rank, VectorSpace._eliminate
     monkeypatch.setattr(VectorSpace, "rank", lambda V, rows: calls.append(rows) or rank(V, rows))
     monkeypatch.setattr(
         VectorSpace, "_eliminate", lambda V, rows: eliminations.append(rows) or eliminate(V, rows)
     )
-    # spaces of this test's own, so the first instance finds the rank memo empty
-    monkeypatch.setattr(liealg, "vector_space", cache(VectorSpace))
+    # spaces of this test's own (fresh_memos), so the first instance finds
+    # the rank memo empty
     L = algebra_from_spec(load_spec(SPECS / f"{name}.json"))
     inst = Instance(name, L)
     assert inst.graph.n and calls == []
@@ -277,10 +275,9 @@ def test_one_rank_per_line_outside_the_center(monkeypatch, name):
     assert again.centralizer_orders == orders and eliminations == []
 
 
-def test_lem22_reports_a_wrong_centralizer_with_both_memos_warm(monkeypatch):
+def test_lem22_reports_a_wrong_centralizer_with_both_memos_warm(monkeypatch, fresh_memos):
     # a first pass over spaces of this test's own fills each space's
     # linear-map and rank memos
-    monkeypatch.setattr(liealg, "vector_space", cache(VectorSpace))
     assert check_statement("Lem2.2", _pool()).status == "pass"
     instances = _pool()
     target = instances[-1]
@@ -510,10 +507,9 @@ FAILURE_BRANCHES = [
 
 
 @pytest.mark.parametrize("patches, run, expected", FAILURE_BRANCHES)
-def test_failure_branch_is_recorded(patches, run, expected, monkeypatch):
+def test_failure_branch_is_recorded(patches, run, expected, monkeypatch, fresh_memos):
     # spaces of this test's own, so a patched reference figure meets no
     # figure ids that a shared core kept from an earlier test
-    monkeypatch.setattr(liealg, "vector_space", cache(VectorSpace))
     for name, value in patches.items():
         monkeypatch.setattr(verifier, name, value)
     assert run() == expected
@@ -602,11 +598,10 @@ def test_figures_are_reproduced_by_enumeration():
     assert "F3: realized by 49 structure tensors" in notes
 
 
-def test_figures_fail_with_the_proposition_failures(monkeypatch):
+def test_figures_fail_with_the_proposition_failures(monkeypatch, fresh_memos):
     # the figure counts and failures are Prop3.2-3.4's, so an F1 reference
     # that matches nothing (K_{3,3}, on 6 vertices) fails Prop3.2, and
     # Thm3.5, on each F1 instance; on spaces of this test's own, as above
-    monkeypatch.setattr(liealg, "vector_space", cache(VectorSpace))
     monkeypatch.setitem(verifier._FIGURES, "F1", figure_graph("F6"))
     report = check_figures()
     assert report.status == "fail" and report.instances_checked == 119 + 2

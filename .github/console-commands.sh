@@ -105,8 +105,8 @@ for pin in \
 done
 rm -f "$spec" "$out"
 # [u, v] = 2u + v over F_3, aff1 in another basis: its degree shape makes
-# compare ask algebras_equivalent, which closes aff1's orbit and finds this
-# other tensor in it
+# compare ask algebras_equivalent, which finds both tensors in one orbit of
+# the (2, 3) orbit index
 spec=$(mktemp)
 out=$(mktemp)
 printf '{"q": 3, "dim": 2, "basis": ["u", "v"], "brackets": [%s]}\n' \

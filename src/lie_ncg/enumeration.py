@@ -47,11 +47,6 @@ def _check_scope(n, field, least=1):
         )
 
 
-def tensor_key(table, n):
-    """Hashable canonical encoding of a structure table."""
-    return tuple(tuple(table[p]) for p in combinations(range(n), 2))
-
-
 def _c12_solutions(field, c01, c02):
     """Every c_12 that makes (c_01, c_02, c_12) a Lie structure on F_q^3, in
     ascending order.
@@ -178,7 +173,7 @@ class _LinearAction:
     """The generators of GL(n, q) as linear maps on structure tensors coded
     as ints.
 
-    A tensor has N = n * C(n, 2) coordinates, in the order of ``tensor_key``.
+    A tensor has N = n * C(n, 2) coordinates, in basis-pair order.
     Its key gives coordinate i the bits [i * k * w, (i + 1) * k * w): one
     w-bit slot per base-p digit of the coordinate's code (q = p^k), so adding
     two keys adds their F_p digits slot by slot.  A generator maps a tensor
@@ -252,8 +247,8 @@ class _LinearAction:
         return total
 
     def encode(self, tensor):
-        """The key of a tensor given as its coefficient vectors, in the order
-        of ``tensor_key``."""
+        """The key of a tensor given as its coefficient vectors, in
+        basis-pair order."""
         key = 0
         for i, c in enumerate([c for vec in tensor for c in vec]):
             key |= self.code_bits[c] << i * self.width
@@ -304,7 +299,7 @@ def algebras_equivalent(L1, L2):
     if L1.field != L2.field or L1.dim != L2.dim:
         return False
     action, orbit_of, _orbits = _orbit_index(L1.dim, L1.field)
-    numbers = [orbit_of.get(action.encode(tensor_key(L.structure, L.dim))) for L in (L1, L2)]
+    numbers = [orbit_of.get(action.encode(L.structure.values())) for L in (L1, L2)]
     if None in numbers:
         raise JacobiViolation((L1, L2)[numbers.index(None)].jacobi_failure())
     return numbers[0] == numbers[1]

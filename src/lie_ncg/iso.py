@@ -190,7 +190,7 @@ def _canonical(g, target=None):
     ``target`` stops below it gives labeling None and is not cached, nor is
     a graph over ISO_CAP vertices: only the multipartite form labels it,
     which costs less than hashing and keeping its rows."""
-    cached = _CERT_CACHE.get((g.n, g.rows)) if g.n <= ISO_CAP else None
+    cached = _CERT_CACHE.get(g.rows) if g.n <= ISO_CAP else None
     if cached is not None:
         return cached
     parts = g.multipartite_parts
@@ -207,7 +207,7 @@ def _canonical(g, target=None):
         code = None
     result = (certificate.encode(), order, code)
     if order is not None and g.n <= ISO_CAP and len(_CERT_CACHE) < 4096:
-        _CERT_CACHE[(g.n, g.rows)] = result
+        _CERT_CACHE[g.rows] = result
     return result
 
 

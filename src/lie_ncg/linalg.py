@@ -31,8 +31,8 @@ by the set of the rows' ``line`` representatives, which fixes their span,
 so ad(x), ad(cx) and any matrix whose rows differ from its rows by
 scalars, order or zero rows share one elimination; and
 ``VectorSpace.graphs``, which ``ncg.build_graph`` fills with the rows and
-facts of each non-commuting graph, keyed by the center and centralizer
-masks.  Each memo stops taking entries at a fixed bound
+facts of each non-commuting graph, keyed by the centralizer masks of the
+lines outside the center.  Each memo stops taking entries at a fixed bound
 (``LINEAR_MAP_MEMO_ENTRIES``, ``RANK_MEMO_KEYS`` and
 ``ncg.GRAPH_MEMO_BYTES``) and then computes without storing.
 

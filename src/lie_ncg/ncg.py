@@ -10,17 +10,17 @@ positions, and rows are shared along each line {cx : c != 0}, which
 ``VectorSpace.line`` names.  The graph keeps each vertex's element index,
 and its coordinate tuple is read from the shared digit table.
 
-The graph is fixed by the center Z and the centralizers C(x), as x and y
-are adjacent exactly when y is not in C(x).  So ``build_graph`` memoizes
-it per space (``VectorSpace.graphs``), keyed by Z's mask and the mask of
-each line's centralizer: many algebras share one centralizer family (the
-1569 of the criterion-1 pool have 47), and each of them gets its own
-``NcGraph``, with its own algebra and labels, over one shared set of rows
-and one shared ``Graph.facts`` dict, so each invariant (``graphs.fact``)
-is computed once per family.  The memo is bounded by GRAPH_MEMO_BYTES per
-space and holds no algebra, label or vertex tuple, and Lem2.2's
-centralizer orders, ranks of ad(x) memoized by the lines of its rows
-(``VectorSpace.rank``), never read it or any mask.
+The graph is fixed by the centralizers C(x), as x and y are adjacent
+exactly when y is not in C(x), and the center Z is their AND.  So
+``build_graph`` memoizes it per space (``VectorSpace.graphs``), keyed by
+the mask of each line's centralizer alone: many algebras share one
+centralizer family (the 1569 of the criterion-1 pool have 47), and each of
+them gets its own ``NcGraph``, with its own algebra and labels, over one
+shared set of rows and one shared ``Graph.facts`` dict, so each invariant
+(``graphs.fact``) is computed once per family.  The memo is bounded by
+GRAPH_MEMO_BYTES per space and holds no algebra, label or vertex tuple,
+and Lem2.2's centralizer orders, ranks of ad(x) memoized by the lines of
+its rows (``VectorSpace.rank``), never read it or any mask.
 """
 
 from __future__ import annotations
@@ -72,26 +72,25 @@ def build_graph(L):
     row of ad(x) annihilates Z, so C(x) contains Z; the row is the
     complement of C(x) with the central bits dropped, one shift per run of
     vertices between consecutive central indices.  Rows are found per line
-    {cx : c != 0}, on element indices: C(cx) = C(x), so the first vertex of
-    a line runs ``solutions`` once.  Every member of x + Z has the same C(x)
-    too, so rows are also kept per centralizer mask, one per twin class of
-    the graph and the only sharing left at q = 2, where every line is a
-    single vertex.
+    {cx : c != 0}, on element indices: C(cx) = C(x), so ``solutions`` runs
+    once per line, at its representative (``space.line``).  Every member of
+    x + Z has the same C(x) too, so rows are also kept per centralizer mask,
+    one per twin class of the graph and the only sharing left at q = 2,
+    where every line is a single vertex.
 
     The graph is memoized on its centralizer family, in ``space.graphs``:
-    the key is Z's mask and the mask of C(x) of each line outside Z, in the
-    order of the lines' first vertices.  Within one space, Z fixes the
-    vertices and their lines, and each line's mask fixes its rows, so the
-    key fixes the graph.  (It holds more than the graph needs: Z is the AND
-    of the masks, and as y is in C(x) exactly when x is in C(y), any one
-    mask follows from the others.)  The masks are solved on every call.  A
-    new key builds the rows and the ``Graph`` facts and keeps them as a
-    core: ``n``, ``rows``, ``indices``, ``degrees``, ``twin_classes``,
-    ``multipartite_parts`` and the ``facts`` dict.  A known key gives a new
-    ``NcGraph`` of L over that core; nothing mutates the core but the facts
-    dict, which each fact fills on its first read by any graph of the
-    family.  The graph renders its own vertices and labels from L, and the
-    memo holds no algebra.
+    the key is the mask of C(x) of each line outside Z, in the index order
+    of the lines' representatives.  Z is the AND of those masks.  Within one
+    space, Z fixes the vertices and their lines, and each line's mask fixes
+    its rows, so the key fixes the graph.  The masks are solved on every
+    call, and the key is looked up before any vertex is laid out.  A known
+    key gives a new ``NcGraph`` of L over its core.  Only a new key reads
+    Z's bits, lays out the vertices, builds the rows and the ``Graph`` facts
+    and keeps them as a core: ``n``, ``rows``, ``indices``, ``degrees``,
+    ``twin_classes``, ``multipartite_parts`` and the ``facts`` dict.
+    Nothing mutates the core but the facts dict, which each fact fills on
+    its first read by any graph of the family.  The graph renders its own
+    vertices and labels from L, and the memo holds no algebra.
     ``Instance.centralizer_orders`` ranks ad(x) by elimination and never
     reads the memo, so Lem2.2 still compares the rows with centralizers
     found another way.
@@ -111,7 +110,20 @@ def build_graph(L):
     if L.is_abelian():
         raise AbelianAlgebra("abelian algebra: the non-commuting graph has no vertices")
     V = L.space  # checks the element cap before any table is built
-    center = list(bits(L.center_mask))
+    Z = L.center_mask
+    solutions, ad_rows, line = V.solutions, L.ad_rows, V.line
+    # C(x) of each line outside Z, solved at its representative, in index order
+    commuting = {x: solutions(ad_rows[x])
+                 for x in range(1, L.order) if line[x] == x and not Z >> x & 1}
+    memo = V.graphs
+    key = tuple(commuting.values())
+    core = memo.get(key)
+    if core is not None:
+        g = NcGraph.__new__(NcGraph)
+        vars(g).update(core)
+        g.algebra = L
+        return g
+    center = list(bits(Z))
     # each run of vertices between central indices z < z' as (first index,
     # mask of its length, its offset among the vertices)
     runs = []
@@ -121,20 +133,6 @@ def build_graph(L):
             runs.append((z + 1, (1 << (z_next - z - 1)) - 1, offset))
             offset += z_next - z - 1
     indices = [x for first, run, _ in runs for x in range(first, first + run.bit_length())]
-    solutions, ad_rows, line = V.solutions, L.ad_rows, V.line
-    # C(x) of each line, solved at its first vertex, in first-vertex order
-    commuting = {}
-    for x in indices:
-        if line[x] not in commuting:
-            commuting[line[x]] = solutions(ad_rows[x])
-    key = (L.center_mask, *commuting.values())
-    memo = V.graphs
-    core = memo.get(key)
-    if core is not None:
-        g = NcGraph.__new__(NcGraph)
-        vars(g).update(core)
-        g.algebra = L
-        return g
     row_of = {}  # per centralizer mask
     for mask in commuting.values():
         if mask not in row_of:

@@ -29,6 +29,7 @@ complete multipartite parts as the cliques of the complement, and the
 conjecture table by comparing every pair of instances.  ``edges`` and
 ``to_networkx`` hand a graph to networkx, the oracle for the other graph
 invariants.  ``has_edge`` and ``catalog_entry`` are lookups the tests share,
+``tensor_key`` codes a structure table as a hashable key,
 ``complete_graph`` builds K_n for them, and ``LabeledGraph`` gives a Graph
 vertex names for the exports.
 """
@@ -41,13 +42,17 @@ from xml.sax.saxutils import escape
 import networkx as nx
 
 from lie_ncg.catalog import builtin_catalog
-from lie_ncg.enumeration import tensor_key
 from lie_ncg.gf import REDUCTION_POLYNOMIALS
 from lie_ncg.graphs import Graph
 from lie_ncg.iso import canonical_certificate
 from lie_ncg.liealg import LieAlgebra
 from lie_ncg.linalg import bits
 from lie_ncg.ncg import NcGraph
+
+
+def tensor_key(table, n):
+    """Hashable canonical encoding of a structure table."""
+    return tuple(tuple(table[p]) for p in combinations(range(n), 2))
 
 
 def has_edge(g, u, v):

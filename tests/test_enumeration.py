@@ -24,7 +24,6 @@ from lie_ncg.enumeration import (
     algebras_equivalent,
     jacobi_tensors,
     orbit_partition,
-    tensor_key,
 )
 from lie_ncg.errors import CapExceeded, JacobiViolation
 from lie_ncg.gf import FIELD_CAP, field_new, prime_power_decomposition
@@ -43,6 +42,7 @@ from oracles import (
     jacobi_failure_by_methods,
     jacobi_tensors_by_filter,
     mat_inv,
+    tensor_key,
     transform_by_methods,
 )
 

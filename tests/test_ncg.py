@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
 
-from lie_ncg import verifier
+from lie_ncg import ncg, verifier
 from lie_ncg.errors import AbelianAlgebra, CapExceeded, LieNcgError
 from lie_ncg.gf import field_new
 from lie_ncg.graphs import (
@@ -30,7 +30,7 @@ from lie_ncg.graphs import (
 from lie_ncg.io import load_spec, parse_spec_dict
 from lie_ncg.enumeration import _c12_solutions
 from lie_ncg.liealg import LieAlgebra, algebra_from_spec
-from lie_ncg.linalg import VectorSpace, vector_space
+from lie_ncg.linalg import VectorSpace, bits, vector_space
 from lie_ncg.ncg import GRAPH_MEMO_BYTES, build_graph
 from lie_ncg.verifier import catalog_instances, check_all_statements, enumeration_instances
 
@@ -251,6 +251,22 @@ def test_pool_builds_one_graph_per_labeled_graph(monkeypatch):
     assert all(g.algebra is L for L, g in zip(algebras, graphs))
     distinct = {(id(L.space), g.indices, g.rows) for L, g in zip(algebras, graphs)}
     assert len(built) == len(distinct) == 47
+
+
+def test_memo_hit_lays_out_no_vertex(monkeypatch, fresh_memos):
+    # the centralizer masks alone are the key, looked up first: an algebra
+    # of a known family reads neither Z's bits nor any vertex
+    L = algebra_from_spec(load_spec(SPECS / "heisenberg_f3.json"))
+    renamed = LieAlgebra(L.field, L.dim, L.structure, basis_names=("a", "b", "c"))
+    read = []
+    monkeypatch.setattr(ncg, "bits", lambda mask: read.append(mask) or bits(mask))
+    first = build_graph(L)
+    assert read == [L.center_mask]
+    read.clear()
+    g = build_graph(renamed)
+    assert read == []
+    assert (g.rows, g.indices, g.algebra) == (first.rows, first.indices, renamed)
+    assert g.labels != first.labels
 
 
 def test_pool_computes_each_fact_once_per_family(monkeypatch):

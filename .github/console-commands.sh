@@ -19,9 +19,11 @@ out=$(mktemp)
 # the same run as JSON lines, byte for byte against its golden
 timeout 10 lie-ncg verify --scope enumerate --n 3 --q 3 --format json > "$out"
 diff "$out" tests/golden/verify_enumerate_n3_q3.jsonl
-# and the two other shapes with a golden, (3, 2) and (2, 3)
+# and the three other shapes with a golden, (3, 2), (2, 2) and (2, 3)
 timeout 10 lie-ncg verify --scope enumerate --n 3 --q 2 --format json > "$out"
 diff "$out" tests/golden/verify_enumerate_n3_q2.jsonl
+timeout 10 lie-ncg verify --scope enumerate --n 2 --q 2 --format json > "$out"
+diff "$out" tests/golden/verify_enumerate_n2_q2.jsonl
 timeout 10 lie-ncg verify --scope enumerate --n 2 --q 3 --format json > "$out"
 diff "$out" tests/golden/verify_enumerate_n2_q3.jsonl
 # the orbit tables, byte for byte against their goldens

@@ -3,16 +3,16 @@
 Every claim checked here is one row of ``STATEMENTS`` under a stable id
 (Lem2.2, Prop2.5, ...): a one-line restatement, a hypothesis (None for a
 claim on every graph), a conclusion and a failure text.  Hypothesis and
-conclusion read facts off an ``Instance``, the fact sheet of one algebra,
-which computes each fact the first time a row reads it and keeps it
-(``linalg.first_read``): on the algebra side the center, the derived
-subalgebra, the centralizer orders (by rank) and q; on the graph side the
-graph, a dominating vertex and ``figures``, the ids of the reference
-graphs F1-F5 it is isomorphic to.  Every graph-side fact, the invariants
-of ``graphs`` and this module's dominating vertex, figures and tree test,
-is a ``graphs.fact`` of the rows, so the algebras of one centralizer
-family, which share their graph's facts, compute it once between them;
-the algebra-side facts, Lem2.2's centralizer ranks among them, stay each
+conclusion read facts off an ``Instance``, the fact sheet of one algebra:
+its q and |L|, and five facts it computes the first time a row reads them
+and keeps (``linalg.first_read``), on the algebra side the center, its
+order, the derived dimension and the centralizer orders (by rank), on the
+graph side the graph.  Every fact of the graph, the invariants of
+``graphs`` and this module's dominating vertex, figures (the ids of the
+reference graphs F1-F5 it is isomorphic to) and tree test, is a
+``graphs.fact`` read off ``graph``, so the algebras of one centralizer
+family, which share their graph's facts, compute it once between them; the
+algebra-side facts, Lem2.2's centralizer ranks among them, stay each
 algebra's own.  One loop, ``check_statement``, runs a row over a scope of
 algebras (the built-in catalog, or every Jacobi-satisfying structure
 tensor of a small shape) and produces a TheoremReport.  An instance whose
@@ -46,14 +46,17 @@ _FIGURES = {fid: figure_graph(fid) for fid in ("F1", "F2", "F3", "F4", "F5")}
 
 
 class Instance:
-    """The fact sheet of one algebra under test: each fact is computed the
-    first time a statement reads it and kept on the instance.  The graph's
-    own facts are read through ``graphs.fact``, so every instance of one
-    centralizer family computes each of them once between them."""
+    """The fact sheet of one algebra under test: its name, the algebra, q
+    and |L|, and five facts, each computed the first time a statement reads
+    it and kept on the instance.  The graph's own facts are read through
+    ``graphs.fact`` off ``graph``, so every instance of one centralizer
+    family computes each of them once between them."""
 
     def __init__(self, name, algebra):
         self.name = name
         self.L = algebra
+        self.q = algebra.field.q
+        self.order = algebra.order
 
     @first_read
     def graph(self):
@@ -64,12 +67,8 @@ class Instance:
         return self.L.center()
 
     @first_read
-    def dim_center(self):
-        return len(self.center)
-
-    @first_read
     def center_order(self):
-        return self.q**self.dim_center
+        return self.q ** len(self.center)
 
     @first_read
     def dim_derived(self):
@@ -93,30 +92,6 @@ class Instance:
                 order = orders[line[x]] = centralizer_order(x)
             out.append(order)
         return out
-
-    @first_read
-    def q(self):
-        return self.L.field.q
-
-    @first_read
-    def order(self):
-        return self.L.order
-
-    @first_read
-    def has_dominating_vertex(self):
-        return _has_dominating_vertex(self.graph)
-
-    @first_read
-    def trivial_center_f2(self):
-        return self.center_order == 1 and self.q == 2
-
-    @first_read
-    def dim3_f2(self):
-        return self.L.dim == 3 and self.q == 2
-
-    @first_read
-    def figures(self):
-        return _figures(self.graph)
 
 
 @graphs.fact
@@ -234,11 +209,11 @@ STATEMENTS = {
                          lambda i: graphs.connectivity(i.graph)[1] != graphs.INF, "diameter inf"),
     "Thm2.8": Statement(
         "a complete graph forces a trivial center and q = 2",
-        lambda i: graphs.is_complete(i.graph), lambda i: i.trivial_center_f2,
+        lambda i: graphs.is_complete(i.graph), lambda i: i.center_order == 1 and i.q == 2,
         lambda i: f"complete graph but |Z|={i.center_order}, q={i.q}"),
     "Cor2.9": Statement(
         "nontrivial center or q > 2 forces diameter exactly 2",
-        lambda i: not i.trivial_center_f2, lambda i: graphs.connectivity(i.graph)[1] == 2,
+        lambda i: i.center_order > 1 or i.q > 2, lambda i: graphs.connectivity(i.graph)[1] == 2,
         lambda i: f"diameter {graphs.connectivity(i.graph)[1]}"),
     "Lem2.10": Statement("every vertex has degree at least 2", None,
                          lambda i: min(i.graph.degrees) >= 2,
@@ -259,46 +234,48 @@ STATEMENTS = {
                           "complete bipartite"),
     "Prop2.16": Statement(
         "domination number 1 forces a trivial center and q = 2",
-        lambda i: i.has_dominating_vertex, lambda i: i.trivial_center_f2,
+        lambda i: _has_dominating_vertex(i.graph), lambda i: i.center_order == 1 and i.q == 2,
         lambda i: f"domination number 1 but |Z|={i.center_order}, q={i.q}"),
     "Thm2.18": Statement(
         "domination number 1 iff some vertex has a centralizer of order 2", None,
-        lambda i: i.has_dominating_vertex == (2 in i.centralizer_orders),
-        lambda i: f"gamma==1 is {i.has_dominating_vertex} but existence of |C(x)|=2 is "
+        lambda i: _has_dominating_vertex(i.graph) == (2 in i.centralizer_orders),
+        lambda i: f"gamma==1 is {_has_dominating_vertex(i.graph)} but existence of |C(x)|=2 is "
                   f"{2 in i.centralizer_orders}"),
     # a non-existence: the hypothesis is the forbidden combination and the
     # conclusion is false, so every instance without it is vacuous
     "Lem3.1": Statement(
         "no 3-dimensional algebra over F_2 has derived dimension 1 and trivial center",
-        lambda i: i.dim3_f2 and i.dim_derived == 1 and i.dim_center == 0, lambda i: False,
+        lambda i: i.L.dim == 3 and i.q == 2 and i.dim_derived == 1 and i.center_order == 1,
+        lambda i: False,
         "forbidden combination (dim 3, q=2, derived dim 1, trivial center) exists"),
     "Prop3.2": Statement(
         "dim 3, q=2, trivial center, derived dimension 2 gives the F1 graph",
-        lambda i: i.dim3_f2 and i.dim_center == 0 and i.dim_derived == 2,
-        lambda i: "F1" in i.figures, "graph not isomorphic to the F1 reference"),
+        lambda i: i.L.dim == 3 and i.q == 2 and i.center_order == 1 and i.dim_derived == 2,
+        lambda i: "F1" in _figures(i.graph), "graph not isomorphic to the F1 reference"),
     "Prop3.3": Statement(
         "dim 3, q=2, trivial center, derived dimension 3 gives K_7",
-        lambda i: i.dim3_f2 and i.dim_center == 0 and i.dim_derived == 3,
-        lambda i: "F2" in i.figures, "graph not isomorphic to K_7"),
+        lambda i: i.L.dim == 3 and i.q == 2 and i.center_order == 1 and i.dim_derived == 3,
+        lambda i: "F2" in _figures(i.graph), "graph not isomorphic to K_7"),
     "Prop3.4": Statement(
         "dim 3, q=2, 1-dimensional center gives derived dimension 1 and the F3 graph",
-        lambda i: i.dim3_f2 and i.dim_center == 1,
-        lambda i: i.dim_derived == 1 and "F3" in i.figures,
+        lambda i: i.L.dim == 3 and i.q == 2 and i.center_order == i.q,
+        lambda i: i.dim_derived == 1 and "F3" in _figures(i.graph),
         lambda i: f"derived dimension {i.dim_derived} != 1" if i.dim_derived != 1
                   else "graph not isomorphic to the F3 reference"),
     "Thm3.5": Statement(
-        "every dim-3 algebra over F_2 has graph F1, F2 or F3", lambda i: i.dim3_f2,
-        lambda i: i.figures & {"F1", "F2", "F3"}, "graph matches none of the F1/F2/F3 references"),
+        "every dim-3 algebra over F_2 has graph F1, F2 or F3",
+        lambda i: i.L.dim == 3 and i.q == 2, lambda i: _figures(i.graph) & {"F1", "F2", "F3"},
+        "graph matches none of the F1/F2/F3 references"),
     "Thm3.7": Statement(
         "the graph is planar iff it is K_3 or the octahedron", None,
-        lambda i: graphs.is_planar(i.graph) == bool(i.figures & {"F3", "F4"}),
+        lambda i: graphs.is_planar(i.graph) == bool(_figures(i.graph) & {"F3", "F4"}),
         lambda i: "planar graph that is neither K_3 nor the octahedron"
                   if graphs.is_planar(i.graph) else "reference-shaped graph reported nonplanar"),
     "Thm3.8": Statement(
         "the graph is outerplanar iff it is K_3", None,
-        lambda i: graphs.is_outerplanar(i.graph) == ("F4" in i.figures),
+        lambda i: graphs.is_outerplanar(i.graph) == ("F4" in _figures(i.graph)),
         lambda i: f"outerplanar={graphs.is_outerplanar(i.graph)} but "
-                  f"K_3-shaped={'F4' in i.figures}"),
+                  f"K_3-shaped={'F4' in _figures(i.graph)}"),
 }
 
 STATEMENT_IDS = tuple(STATEMENTS)

@@ -7,6 +7,7 @@ l2_f2``, ``compare aff1_f3 heisenberg_f2`` (two non-isomorphic graphs),
 second graph is labeled by the search and not read from the cache),
 ``verify --format json``,
 ``verify --scope enumerate --n 3 --q 2 --format json``,
+``verify --scope enumerate --n 2 --q 2 --format json``,
 ``verify --scope enumerate --n 2 --q 3 --format json``,
 ``verify --scope enumerate --n 3 --q 3 --format json``,
 ``enumerate --n 3 --q 2`` and ``enumerate --n 3 --q 2 --q 3``.  The
@@ -55,7 +56,7 @@ def _cases():
          ["compare", "specs/split_pairs_f2.json", "specs/split_pairs_f2_basis.json"])
     )
     cases.append(("verify.jsonl", ["verify", "--format", "json"]))
-    for n, q in ((3, 2), (2, 3), (3, 3)):
+    for n, q in ((3, 2), (2, 2), (2, 3), (3, 3)):
         cases.append(
             (f"verify_enumerate_n{n}_q{q}.jsonl",
              ["verify", "--scope", "enumerate", "--n", str(n), "--q", str(q),

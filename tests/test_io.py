@@ -110,6 +110,13 @@ def test_load_spec_from_file(tmp_path):
         load_spec(deep)
 
 
+def test_catalog_entries_match_their_spec_files():
+    # ``verify`` reads the built-in catalog, while ``analyze``, ``compare``
+    # and ``export`` read the spec files: the two copies must agree
+    for entry in builtin_catalog():
+        assert load_spec(SPECS / f"{entry.name}.json") == entry.spec, entry.name
+
+
 def test_exports_are_byte_deterministic():
     g = build_graph(catalog_entry("heisenberg_f2").algebra())
     for render in (export_dot, export_graphml, export_json):

@@ -57,11 +57,8 @@ def test_statement_registry_shape():
 
 # an Instance's facts by the side they are computed from: the graph, or the
 # algebra (its center, derived subalgebra, centralizer ranks and field)
-GRAPH_FACTS = {"graph", "has_dominating_vertex", "figures"}
-ALGEBRA_FACTS = {
-    "L", "q", "order", "center", "dim_center", "center_order", "dim_derived",
-    "centralizer_orders", "trivial_center_f2", "dim3_f2",
-}
+GRAPH_FACTS = {"graph"}
+ALGEBRA_FACTS = {"L", "q", "order", "center", "center_order", "dim_derived", "centralizer_orders"}
 # the statements that tie the graph to the algebra
 TIED = ("Lem2.2", "Thm2.8", "Cor2.9", "Prop2.14", "Prop2.16", "Thm2.18", "Prop3.2", "Prop3.3",
         "Prop3.4", "Thm3.5")
@@ -81,12 +78,11 @@ class _Recording:
 def test_rows_tying_graph_and_algebra_read_a_fact_of_each_side():
     # a row that read one side only could compare a fact with itself, and
     # so pass on every instance whatever the program computes
-    facts = {"L"} | {
-        name for name, value in vars(Instance).items()
-        if isinstance(value, (property, first_read))
+    instances = catalog_instances() + enumeration_instances(3, 2)
+    facts = set(vars(instances[0])) - {"name"} | {
+        name for name, value in vars(Instance).items() if isinstance(value, first_read)
     }
     assert facts == GRAPH_FACTS | ALGEBRA_FACTS, "unclassified Instance facts"
-    instances = catalog_instances() + enumeration_instances(3, 2)
     for sid, (_, hypothesis, conclusion, _) in STATEMENTS.items():
         read, fired = set(), 0
         for inst in instances:
@@ -98,6 +94,19 @@ def test_rows_tying_graph_and_algebra_read_a_fact_of_each_side():
         assert read <= facts, (sid, read - facts)
         if sid in TIED:
             assert fired and read & GRAPH_FACTS and read & ALGEBRA_FACTS, (sid, read)
+
+
+def test_fact_sheet_keeps_no_graph_fact():
+    # every statement read on a dim-3 algebra over F_2 and on a catalog one:
+    # the sheet keeps the algebra's own numbers and the graph, and each fact
+    # of the graph stays in the graph's ``graphs.fact``s, kept once per
+    # centralizer family and not again per instance
+    instances = enumeration_instances(3, 2)[:1] + catalog_instances()
+    for report in check_all_statements(instances):
+        assert report.status == "pass", (report.statement_id, report.failures)
+    for inst in instances:
+        assert set(vars(inst)) == {"name", "L", "q", "order", "graph", "center", "center_order",
+                                   "dim_derived", "centralizer_orders"}, inst.name
 
 
 def test_unknown_statement():
@@ -336,11 +345,14 @@ def test_report_status_rules():
 
 def _statement(sid, **facts):
     """The failures ``check_statement`` records on one fake instance: an
-    ``Instance`` with the given facts as class attributes, so the facts
-    derived from them, such as ``figures``, are still computed."""
-    return lambda: check_statement(
-        sid, [type("Fake", (Instance,), facts)("fake", facts.get("L"))]
-    ).failures
+    ``Instance`` with the given facts as class attributes, made without
+    ``__init__``, which reads the algebra's field.  The graph's own facts,
+    such as its figures, are still computed from the given graph."""
+    def run():
+        fake = Instance.__new__(type("Fake", (Instance,), facts))
+        fake.name = "fake"
+        return check_statement(sid, [fake]).failures
+    return run
 
 
 def _fake_algebra(q, order):
@@ -436,25 +448,25 @@ FAILURE_BRANCHES = [
     pytest.param({}, _statement("Prop2.14", dim_derived=1, q=2, L=SimpleNamespace(dim=3),
                                 graph=SimpleNamespace(degrees=(4, 6, 4))),
                  [("fake", "degrees [4, 6] != 4")], id="Prop2.14"),
-    pytest.param({}, _statement("Prop2.16", has_dominating_vertex=True, center_order=2, q=2),
+    pytest.param({}, _statement("Prop2.16", graph=K3, center_order=2, q=2),
                  [("fake", "domination number 1 but |Z|=2, q=2")], id="Prop2.16"),
-    pytest.param({}, _statement("Thm2.18", has_dominating_vertex=False, centralizer_orders=[4, 2]),
+    pytest.param({}, _statement("Thm2.18", graph=C6, centralizer_orders=[4, 2]),
                  [("fake", "gamma==1 is False but existence of |C(x)|=2 is True")],
                  id="Thm2.18"),
     pytest.param({}, _statement("Lem3.1", L=SimpleNamespace(dim=3), q=2, dim_derived=1,
-                                dim_center=0),
+                                center_order=1),
                  [("fake", "forbidden combination (dim 3, q=2, derived dim 1, trivial center) "
                            "exists")], id="Lem3.1"),
-    pytest.param({}, _statement("Prop3.2", L=SimpleNamespace(dim=3), q=2, dim_center=0,
+    pytest.param({}, _statement("Prop3.2", L=SimpleNamespace(dim=3), q=2, center_order=1,
                                 dim_derived=2, graph=K4),
                  [("fake", "graph not isomorphic to the F1 reference")], id="Prop3.2"),
-    pytest.param({}, _statement("Prop3.3", L=SimpleNamespace(dim=3), q=2, dim_center=0,
+    pytest.param({}, _statement("Prop3.3", L=SimpleNamespace(dim=3), q=2, center_order=1,
                                 dim_derived=3, graph=K4),
                  [("fake", "graph not isomorphic to K_7")], id="Prop3.3"),
-    pytest.param({}, _statement("Prop3.4", L=SimpleNamespace(dim=3), q=2, dim_center=1,
+    pytest.param({}, _statement("Prop3.4", L=SimpleNamespace(dim=3), q=2, center_order=2,
                                 dim_derived=2),
                  [("fake", "derived dimension 2 != 1")], id="Prop3.4"),
-    pytest.param({}, _statement("Prop3.4", L=SimpleNamespace(dim=3), q=2, dim_center=1,
+    pytest.param({}, _statement("Prop3.4", L=SimpleNamespace(dim=3), q=2, center_order=2,
                                 dim_derived=1, graph=K4),
                  [("fake", "graph not isomorphic to the F3 reference")], id="Prop3.4-figure"),
     pytest.param({}, _statement("Thm3.5", L=SimpleNamespace(dim=3), q=2, graph=K4),
@@ -580,11 +592,11 @@ def test_gamma_one_iff_both_directions():
     # aff1_f2: K_3, gamma 1, and |C(x)| = 2 for every vertex
     inst = Instance("aff1_f2", catalog_entry("aff1_f2").algebra())
     assert check_statement("Thm2.18", [inst]).status == "pass"
-    assert inst.has_dominating_vertex
+    assert verifier._has_dominating_vertex(inst.graph)
     # heisenberg_f3: 18-regular on 24 vertices, no dominating vertex and
     # every centralizer has order 9
     inst = Instance("heisenberg_f3", catalog_entry("heisenberg_f3").algebra())
-    assert not inst.has_dominating_vertex
+    assert not verifier._has_dominating_vertex(inst.graph)
     assert set(inst.centralizer_orders) == {9}
     assert check_statement("Thm2.18", [inst]).status == "pass"
 

@@ -5,8 +5,6 @@ non-nilpotent algebras, and both small derived-subalgebra dimensions, so each
 statement in the registry fires with a non-vacuous hypothesis somewhere.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .liealg import AlgebraSpec, algebra_from_spec

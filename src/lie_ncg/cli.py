@@ -1,7 +1,5 @@
 """Command-line front end: lie-ncg validate|analyze|export|verify|compare|enumerate."""
 
-from __future__ import annotations
-
 import argparse
 import json
 import os

@@ -23,8 +23,6 @@ under the generators, so the work grows with the orbit, not |GL(n, q)|, and
 stops once the orbits cover every Lie tensor, counted by ``_lie_tensor_count``.
 """
 
-from __future__ import annotations
-
 from functools import cache
 from itertools import combinations, product
 

@@ -14,8 +14,6 @@ once, and those tables are its only arithmetic: the kernels in
 (``add_table[a][b]``, ``mul_table[a]`` as the map x -> a*x).
 """
 
-from __future__ import annotations
-
 from functools import cache
 
 from .errors import NotPrimePower, UnsupportedField
@@ -149,10 +147,4 @@ def field_new(q):
     if pk is None:
         raise NotPrimePower(f"{q} is not a prime power")
     p, k = pk
-    if k == 1:
-        poly = ()
-    else:
-        if q not in REDUCTION_POLYNOMIALS:
-            raise UnsupportedField(f"no reduction polynomial shipped for q={q}")
-        poly = REDUCTION_POLYNOMIALS[q]
-    return Field(q, p, k, poly)
+    return Field(q, p, k, REDUCTION_POLYNOMIALS[q] if k > 1 else ())

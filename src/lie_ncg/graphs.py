@@ -31,8 +31,6 @@ the classes of a graph's edges, where ``diameter`` would leave a tree
 undecided.
 """
 
-from __future__ import annotations
-
 import math
 from functools import update_wrapper
 
@@ -108,12 +106,12 @@ class Graph:
 def fact(body):
     """``body``, an invariant read from a graph's rows alone, kept in the
     graph's ``facts`` dict under its name: computed on the first read and
-    looked up after.  Every ``NcGraph`` of one centralizer family holds one
-    such dict while its space's memo keeps their core (``ncg.build_graph``),
-    so they read one value; a bare Graph has its own.  A body that raises,
-    Undecided or EmptyGraph, keeps nothing, so every read raises again.  As
-    with ``linalg.first_read``, two threads may both compute a fact, and
-    keep one value."""
+    looked up after.  Every ``NcGraph`` of one centralizer family is made
+    from the one ``Graph`` its space's memo keeps (``ncg.build_graph``) and
+    holds that Graph's dict, so they read one value; any other Graph has
+    its own.  A body that raises, Undecided or EmptyGraph, keeps nothing,
+    so every read raises again.  As with ``linalg.first_read``, two threads
+    may both compute a fact, and keep one value."""
     name = body.__name__
 
     def read(g):

@@ -11,8 +11,6 @@ neighbours of higher label from its own row, and a twin class, the
 vertices of one shared row, reads that row once for all its members.
 """
 
-from __future__ import annotations
-
 import json
 from bisect import bisect
 from itertools import compress

@@ -26,8 +26,6 @@ CapExceeded once its levels are charged over ``ISO_ROW_BUDGET`` rows, never
 fewer than their refinements read.
 """
 
-from __future__ import annotations
-
 from itertools import chain
 
 from .errors import CapExceeded

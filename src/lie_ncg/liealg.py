@@ -35,14 +35,13 @@ algebra's own: the graph facts that one centralizer family shares
 (``linalg.first_read``).
 """
 
-from __future__ import annotations
-
 import os
 from collections import namedtuple
 from functools import cache
 from itertools import combinations
 
-from .errors import CapExceeded, JacobiViolation, LieNcgError
+from .errors import (CapExceeded, DuplicateBracket, JacobiViolation, LieNcgError, ParseError,
+                     SelfBracketNonzero, UnknownBasisName)
 from .gf import field_new
 from .linalg import first_read, vector_space
 
@@ -254,8 +253,6 @@ def algebra_from_spec(spec):
     costs about dim^5 steps, so an algebra past the element cap raises
     CapExceeded before it runs.
     """
-    from .errors import DuplicateBracket, ParseError, SelfBracketNonzero, UnknownBasisName
-
     field = field_new(spec.q)
     names = list(spec.basis)
     if len(names) != spec.dim or len(set(names)) != len(names):

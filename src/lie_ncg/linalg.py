@@ -30,19 +30,18 @@ x -> sum_k x_k images[k] over element indices (the rows of ad(x) are
 by the set of the rows' ``line`` representatives, which fixes their span,
 so ad(x), ad(cx) and any matrix whose rows differ from its rows by
 scalars, order or zero rows share one elimination; and
-``VectorSpace.graphs``, which ``ncg.build_graph`` fills with the rows and
-facts of each non-commuting graph, keyed by the centralizer masks of the
-lines outside the center.  Each memo stops taking entries at a fixed bound
-(``LINEAR_MAP_MEMO_ENTRIES``, ``RANK_MEMO_KEYS`` and
-``ncg.GRAPH_MEMO_BYTES``) and then computes without storing.
+``VectorSpace.graphs``, which ``ncg.build_graph`` fills with each
+centralizer family's bare ``Graph``, its rows and facts, and its vertices'
+indices, keyed by the centralizer masks of the lines outside the center.
+Each memo stops taking entries at a fixed bound (``LINEAR_MAP_MEMO_ENTRIES``,
+``RANK_MEMO_KEYS`` and ``ncg.GRAPH_MEMO_BYTES``) and then computes without
+storing.
 
 ``first_read`` is the package's one descriptor for a fact computed the
 first time an object is asked for it and then kept on the object.
 
 Everything is exact and deterministic.
 """
-
-from __future__ import annotations
 
 from functools import cache
 from operator import mul
@@ -135,7 +134,7 @@ class VectorSpace:
         self._perps = {}
         self._maps = {}
         self._ranks = {}
-        # ncg.build_graph's graph cores, kept by centralizer family
+        # ncg.build_graph's (Graph, indices) pairs, kept by centralizer family
         self.graphs = {}
 
     def code(self, vec):

@@ -14,25 +14,24 @@ The graph is fixed by the centralizers C(x), as x and y are adjacent
 exactly when y is not in C(x), and the center Z is their AND.  So
 ``build_graph`` memoizes it per space (``VectorSpace.graphs``), keyed by
 the mask of each line's centralizer alone: many algebras share one
-centralizer family (the 1569 of the criterion-1 pool have 47), and each of
-them gets its own ``NcGraph``, with its own algebra and labels, over one
-shared set of rows and one shared ``Graph.facts`` dict, so each invariant
+centralizer family (the 1569 of the criterion-1 pool have 47).  The memo
+keeps each family's bare ``Graph`` and its vertices' indices, and each
+algebra gets its own ``NcGraph`` made from them, with its own algebra and
+labels over the family's rows and ``Graph.facts`` dict, so each invariant
 (``graphs.fact``) is computed once per family.  The memo is bounded by
 GRAPH_MEMO_BYTES per space and holds no algebra, label or vertex tuple,
 and Lem2.2's centralizer orders, ranks of ad(x) memoized by the lines of
 its rows (``VectorSpace.rank``), never read it or any mask.
 """
 
-from __future__ import annotations
-
 from .errors import AbelianAlgebra
 from .graphs import Graph
 from .linalg import bits, first_read
 
-# a space stops keeping build_graph's cores once this many bytes of them
-# could be held at its worst case: two cores at the default element cap
+# a space stops keeping build_graph's families once this many bytes of them
+# could be held at its worst case: two families at the default element cap
 GRAPH_MEMO_BYTES = 1 << 24
-# the worst-case bytes of one core's facts dict (``graphs.fact``): twelve
+# the worst-case bytes of one family's facts dict (``graphs.fact``): twelve
 # names, each holding a bool, a small int, inf, a 2-tuple or a frozenset
 # of at most two figure ids, 1.9 KB as sys.getsizeof counts the dict, its
 # keys, its values and their items
@@ -42,14 +41,17 @@ FACTS_BYTES = 2048
 class NcGraph(Graph):
     """A Graph whose vertices carry the algebra elements that produced them.
 
+    Made from a bare ``graph`` of the same rows, whose state it takes over:
+    its rows, degrees, twin classes, parts and ``facts`` dict are the same
+    objects, so every ``NcGraph`` of one centralizer family shares them.
     ``indices`` are the vertices' element indices, ascending.  The
     coordinate tuples (``vertices``) are read from the algebra's digit table
     and the labels rendered from the algebra, each the first time it is read.
     """
 
-    def __init__(self, n, rows, indices, algebra):
-        super().__init__(n, rows)
-        self.indices = tuple(indices)
+    def __init__(self, graph, indices, algebra):
+        vars(self).update(vars(graph))
+        self.indices = indices
         self.algebra = algebra
 
     @first_read
@@ -83,24 +85,24 @@ def build_graph(L):
     of the lines' representatives.  Z is the AND of those masks.  Within one
     space, Z fixes the vertices and their lines, and each line's mask fixes
     its rows, so the key fixes the graph.  The masks are solved on every
-    call, and the key is looked up before any vertex is laid out.  A known
-    key gives a new ``NcGraph`` of L over its core.  Only a new key reads
-    Z's bits, lays out the vertices, builds the rows and the ``Graph`` facts
-    and keeps them as a core: ``n``, ``rows``, ``indices``, ``degrees``,
-    ``twin_classes``, ``multipartite_parts`` and the ``facts`` dict.
-    Nothing mutates the core but the facts dict, which each fact fills on
-    its first read by any graph of the family.  The graph renders its own
-    vertices and labels from L, and the memo holds no algebra.
+    call, and the key is looked up before any vertex is laid out.  Only a
+    new key reads Z's bits, lays out the vertices and builds the family's
+    bare ``Graph`` on their rows, kept with the vertices' indices.  A known
+    key and a new one alike give ``NcGraph(graph, indices, L)``, which
+    shares the Graph's rows, degrees, twin classes, parts and ``facts``
+    dict.  Nothing mutates the family but the facts dict, which each fact
+    fills on its first read by any graph of the family.  The graph renders
+    its own vertices and labels from L, and the memo holds no algebra.
     ``Instance.centralizer_orders`` ranks ad(x) by elimination and never
     reads the memo, so Lem2.2 still compares the rows with centralizers
     found another way.
 
-    A space stops keeping cores once it holds GRAPH_MEMO_BYTES of them at
+    A space stops keeping families once it holds GRAPH_MEMO_BYTES of them at
     its worst case: at most (q^dim - 1)/(q - 1) + 1 masks and q^dim - 1
     rows of q^dim bits, each charged q^dim/8 + 256 bytes for the int, its
     tuple slot and the vertex's index, degree and twin-class entry, plus
     FACTS_BYTES for the facts dict.  At the default element cap, F_2^12,
-    that is 8191 x 768 + 2048 bytes, 6.3 MB a core (aff1^6 has 4095 lines
+    that is 8191 x 768 + 2048 bytes, 6.3 MB a family (aff1^6 has 4095 lines
     of 4096-bit masks and 4095 distinct rows), so a space keeps two of
     them; over F_3^3 it keeps 1352.
 
@@ -117,12 +119,9 @@ def build_graph(L):
                  for x in range(1, L.order) if line[x] == x and not Z >> x & 1}
     memo = V.graphs
     key = tuple(commuting.values())
-    core = memo.get(key)
-    if core is not None:
-        g = NcGraph.__new__(NcGraph)
-        vars(g).update(core)
-        g.algebra = L
-        return g
+    family = memo.get(key)
+    if family is not None:
+        return NcGraph(*family, L)
     center = list(bits(Z))
     # each run of vertices between central indices z < z' as (first index,
     # mask of its length, its offset among the vertices)
@@ -132,7 +131,7 @@ def build_graph(L):
         if z_next > z + 1:
             runs.append((z + 1, (1 << (z_next - z - 1)) - 1, offset))
             offset += z_next - z - 1
-    indices = [x for first, run, _ in runs for x in range(first, first + run.bit_length())]
+    indices = tuple(x for first, run, _ in runs for x in range(first, first + run.bit_length()))
     row_of = {}  # per centralizer mask
     for mask in commuting.values():
         if mask not in row_of:
@@ -140,11 +139,9 @@ def build_graph(L):
             for start, run, shift in runs:
                 row |= (~mask >> start & run) << shift
             row_of[mask] = row
-    g = NcGraph(len(indices), [row_of[commuting[line[x]]] for x in indices], indices, L)
+    family = Graph(len(indices), [row_of[commuting[line[x]]] for x in indices]), indices
     order = L.order
     worst = ((order - 1) // (L.field.q - 1) + order) * (order // 8 + 256) + FACTS_BYTES
     if (len(memo) + 1) * worst <= GRAPH_MEMO_BYTES:
-        core = dict(vars(g))
-        del core["algebra"]
-        memo[key] = core
-    return g
+        memo[key] = family
+    return NcGraph(*family, L)

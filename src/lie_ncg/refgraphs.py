@@ -6,8 +6,6 @@ drawings of the octahedron, and F6/F7 are copies of K_{3,3}.  Nothing reads
 the names: ``figure_graph`` numbers them and builds an unnamed Graph.
 """
 
-from __future__ import annotations
-
 from .graphs import Graph
 
 FIGURE_EDGES = {

@@ -23,8 +23,6 @@ hypothesis, so both directions are checked on every instance.  Cor2.11's
 over the edges, so no graph walk is needed.
 """
 
-from __future__ import annotations
-
 from collections import Counter, namedtuple
 from operator import add, itemgetter
 

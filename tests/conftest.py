@@ -11,7 +11,7 @@ from lie_ncg.linalg import VectorSpace
 @pytest.fixture
 def fresh_memos(monkeypatch):
     """Give the test empty process-wide memos: vector spaces of its own for
-    ``liealg``, so their rank and linear-map memos and the graph cores kept
+    ``liealg``, so their rank and linear-map memos and the family graphs kept
     on them start empty, an empty certificate cache and an empty orbit
     index.  The fixture's value empties them again when called."""
 

@@ -30,8 +30,10 @@ conjecture table by comparing every pair of instances.  ``edges`` and
 ``to_networkx`` hand a graph to networkx, the oracle for the other graph
 invariants.  ``has_edge`` and ``catalog_entry`` are lookups the tests share,
 ``tensor_key`` codes a structure table as a hashable key,
-``complete_graph`` builds K_n for them, and ``LabeledGraph`` gives a Graph
-vertex names for the exports.
+``complete_graph``, ``complete_multipartite``, ``cycle`` and ``petersen``
+build K_n, K_{n_1, ..., n_k}, C_n and the Petersen graph for them,
+``pool_instances`` gives fresh instances of the criterion-1 pool, and
+``LabeledGraph`` gives a Graph vertex names for the exports.
 """
 
 import json
@@ -48,6 +50,7 @@ from lie_ncg.iso import canonical_certificate
 from lie_ncg.liealg import LieAlgebra
 from lie_ncg.linalg import bits
 from lie_ncg.ncg import NcGraph
+from lie_ncg.verifier import catalog_instances, enumeration_instances
 
 
 def tensor_key(table, n):
@@ -64,6 +67,35 @@ def complete_graph(n):
     """K_n: every vertex adjacent to every other."""
     full = (1 << n) - 1
     return Graph(n, [full & ~(1 << v) for v in range(n)])
+
+
+def complete_multipartite(*sizes):
+    """K_{sizes}: vertices adjacent exactly when in different parts."""
+    part = [k for k, size in enumerate(sizes) for _ in range(size)]
+    n = len(part)
+    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if part[u] != part[v]])
+
+
+def cycle(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, 5 + i) for i in range(5)]
+    return Graph.from_edges(10, outer + inner + spokes)
+
+
+def pool_instances():
+    """New instances of the criterion-1 pool on each call: every catalog
+    algebra, then every non-abelian structure tensor for q in {2, 3} and,
+    within each q, n in {2, 3}; 1569 in all."""
+    instances = catalog_instances()
+    for q in (2, 3):
+        for n in (2, 3):
+            instances.extend(enumeration_instances(n, q))
+    return instances
 
 
 class LabeledGraph(Graph):
@@ -310,7 +342,7 @@ def graph_by_brackets(L):
             if L._bracket(vertices[a], vertices[b]) != zero:
                 rows[a] |= 1 << b
                 rows[b] |= 1 << a
-    return NcGraph(n, rows, indices, L)
+    return NcGraph(Graph(n, rows), tuple(indices), L)
 
 
 def jacobi_failure_by_methods(field, n, table):

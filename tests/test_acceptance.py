@@ -20,7 +20,6 @@ from lie_ncg.verifier import (
     catalog_instances,
     check_all_statements,
     check_figures,
-    enumeration_instances,
     iso_consequences,
 )
 
@@ -34,11 +33,7 @@ _STATE = {}
 def pool():
     if "pool" not in _STATE:
         start = time.perf_counter()
-        instances = catalog_instances()
-        for q in (2, 3):
-            for n in (2, 3):
-                instances.extend(enumeration_instances(n, q))
-        _STATE["pool"] = instances
+        _STATE["pool"] = oracles.pool_instances()
         _STATE["build_seconds"] = time.perf_counter() - start
     return _STATE["pool"]
 

@@ -31,27 +31,17 @@ from lie_ncg.linalg import bits
 from lie_ncg.verifier import _is_tree
 
 import oracles
-from oracles import complete_graph, has_edge
+from oracles import complete_graph, complete_multipartite, cycle, has_edge, petersen
 
 INF = math.inf
-
-
-def cycle(n):
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path(n):
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def complete_multipartite(sizes):
-    part = [i for i, size in enumerate(sizes) for _ in range(size)]
-    n = len(part)
-    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if part[u] != part[v]])
-
-
 def complete_bipartite(a, b):
-    return complete_multipartite((a, b))
+    return complete_multipartite(a, b)
 
 
 def octahedron():
@@ -59,13 +49,6 @@ def octahedron():
     return Graph.from_edges(
         6, [(u, v) for u in range(6) for v in range(u + 1, 6) if v != u + 3]
     )
-
-
-def petersen():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, 5 + i) for i in range(5)]
-    return Graph.from_edges(10, outer + inner + spokes)
 
 
 def disjoint_triangles():
@@ -365,7 +348,7 @@ def test_is_hamiltonian_complete_multipartite_matches_exact():
     # every multiset of 2 to 4 parts of 1 to 4 vertices, Dirac or not
     for k in (2, 3, 4):
         for sizes in combinations_with_replacement(range(1, 5), k):
-            g = complete_multipartite(sizes)
+            g = complete_multipartite(*sizes)
             assert is_hamiltonian(g) == (oracles.hamiltonian_cycle_exhaustive(g) is not None), sizes
 
 
@@ -434,7 +417,7 @@ def test_complete_multipartite_closed_forms_match_networkx():
         for sizes in combinations_with_replacement(range(1, 6), k):
             if sum(sizes) > 16:
                 continue
-            base = complete_multipartite(sizes)
+            base = complete_multipartite(*sizes)
             perm = rng.sample(range(base.n), base.n)
             g = Graph.from_edges(base.n, [(perm[u], perm[v]) for u, v in oracles.edges(base)])
             assert g.multipartite_parts is not None
@@ -589,7 +572,7 @@ def test_property_report_disconnected_and_capped():
     # the oracle's backtracking, with no connectedness shortcut, runs out of
     # paths inside the first K_7
     assert oracles.hamiltonian_cycle_exhaustive(two_k7) is None
-    big = complete_multipartite((11, 11, 11))
+    big = complete_multipartite(11, 11, 11)
     assert property_report(big)["domination_number"] == "skipped"
     with pytest.raises(Undecided):
         property_report(disjoint_triangles())

@@ -16,21 +16,9 @@ from lie_ncg.graphs import Graph
 from lie_ncg.iso import canonical_certificate, isomorphism, refine_colors
 from lie_ncg.liealg import LieAlgebra
 from lie_ncg.ncg import build_graph
-from lie_ncg.verifier import catalog_instances, enumeration_instances
 
 import oracles
-from oracles import catalog_entry, complete_graph, has_edge
-
-
-def cycle(n):
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def petersen():
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, 5 + i) for i in range(5)]
-    return Graph.from_edges(10, outer + inner + spokes)
+from oracles import catalog_entry, complete_graph, complete_multipartite, cycle, has_edge, petersen
 
 
 def cube():
@@ -99,22 +87,12 @@ class CountingGraph(Graph):
         return super().neighbours
 
 
-def complete_multipartite(*sizes):
-    part = [k for k, size in enumerate(sizes) for _ in range(size)]
-    n = len(part)
-    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if part[u] != part[v]])
-
-
 @cache
 def pool_graphs():
     """The distinct labeled graphs of the catalog and of every enumerated
     non-abelian algebra with dim <= 3 and q in {2, 3}."""
-    instances = catalog_instances()
-    for q in (2, 3):
-        for n in (2, 3):
-            instances.extend(enumeration_instances(n, q))
     distinct = {}
-    for inst in instances:
+    for inst in oracles.pool_instances():
         distinct.setdefault(inst.graph.rows, (inst.name, inst.graph))
     return list(distinct.values())
 

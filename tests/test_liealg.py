@@ -18,7 +18,6 @@ from lie_ncg.errors import (
 from lie_ncg.gf import FIELD_CAP, field_new, prime_power_decomposition
 from lie_ncg.io import load_spec
 from lie_ncg.liealg import AlgebraSpec, LieAlgebra, algebra_from_spec
-from lie_ncg.verifier import catalog_instances, enumeration_instances
 
 import oracles
 from oracles import catalog_entry
@@ -267,10 +266,7 @@ def test_is_nilpotent():
 
 def test_center_derived_and_nilpotency_match_method_call_oracles():
     # the 1569-algebra pool of criterion 1 and every spec
-    algebras = [inst.L for inst in catalog_instances()]
-    for n in (2, 3):
-        for q in (2, 3):
-            algebras.extend(inst.L for inst in enumeration_instances(n, q))
+    algebras = [inst.L for inst in oracles.pool_instances()]
     assert len(algebras) == 1569
     algebras.extend(algebra_from_spec(load_spec(path)) for path in sorted(SPECS.glob("*.json")))
     nilpotent = []

@@ -1,5 +1,6 @@
 """Non-commuting graph construction."""
 
+import ast
 import random
 import sys
 import time
@@ -31,13 +32,14 @@ from lie_ncg.io import load_spec, parse_spec_dict
 from lie_ncg.enumeration import _c12_solutions
 from lie_ncg.liealg import LieAlgebra, algebra_from_spec
 from lie_ncg.linalg import VectorSpace, bits, vector_space
-from lie_ncg.ncg import GRAPH_MEMO_BYTES, build_graph
+from lie_ncg.ncg import FACTS_BYTES, GRAPH_MEMO_BYTES, NcGraph, build_graph
 from lie_ncg.verifier import catalog_instances, check_all_statements, enumeration_instances
 
 import oracles
 from oracles import catalog_entry, has_edge
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+SRC = Path(__file__).resolve().parent.parent / "src" / "lie_ncg"
 
 
 def graph_of(name):
@@ -98,10 +100,7 @@ def test_adjacency_matches_bracket_definition():
 def test_build_graph_matches_bracket_oracle():
     """Rows from centralizers equal rows from pairwise brackets, so Lem2.2
     (deg = |L| - |C(x)|) is not checked against its own construction."""
-    algebras = [inst.L for inst in catalog_instances()]
-    for n in (2, 3):
-        for q in (2, 3):
-            algebras.extend(inst.L for inst in enumeration_instances(n, q))
+    algebras = [inst.L for inst in oracles.pool_instances()]
     assert len(algebras) == 1569
     algebras.extend(algebra_from_spec(load_spec(path)) for path in sorted(SPECS.glob("*.json")))
     # F_3^2 on e0, e1 and [x, y] = z on e2, e3, e4: the center, spanned by
@@ -202,7 +201,7 @@ def test_graph_memo_is_exact(L, data):
     # brackets, and each copy shares the rows and the facts but has its own
     # algebra and labels.  The memo is kept across examples, so a key that
     # leaves out what tells two labeled graphs apart, from this example or
-    # an earlier one, shows as a shared core whose rows or facts differ
+    # an earlier one, shows as a shared family whose rows or facts differ
     # from the brackets.  Each graph reads the shared facts in an order of
     # its own, and each must equal the fact of a fresh Graph on the
     # oracle's rows; two bases share a facts dict only with their rows.
@@ -236,11 +235,8 @@ def test_graph_memo_is_exact(L, data):
 
 def test_pool_builds_one_graph_per_labeled_graph(monkeypatch):
     # the 1569 algebras of the criterion-1 pool have 47 labeled graphs; from
-    # empty memos each is built once, and every other algebra shares its core
-    algebras = [inst.L for inst in catalog_instances()]
-    for n in (2, 3):
-        for q in (2, 3):
-            algebras.extend(inst.L for inst in enumeration_instances(n, q))
+    # empty memos each is built once, and every other algebra shares its family
+    algebras = [inst.L for inst in oracles.pool_instances()]
     assert len(algebras) == 1569
     for V in {id(L.space): L.space for L in algebras}.values():
         monkeypatch.setattr(V, "graphs", {})
@@ -269,15 +265,34 @@ def test_memo_hit_lays_out_no_vertex(monkeypatch, fresh_memos):
     assert g.labels != first.labels
 
 
+def test_every_graph_is_made_from_its_familys_graph(monkeypatch, fresh_memos):
+    # from empty memos, the 1569 algebras of the criterion-1 pool build 47
+    # bare family Graphs, which the memo keeps, and every NcGraph, on a hit
+    # or a miss, is made from one by NcGraph.__init__ and shares its rows
+    # and facts dict
+    algebras = [inst.L for inst in oracles.pool_instances()]
+    made, built = [], []
+    init, graph_init = NcGraph.__init__, Graph.__init__
+    monkeypatch.setattr(NcGraph, "__init__", lambda g, *args: made.append(g) or init(g, *args))
+    monkeypatch.setattr(Graph, "__init__",
+                        lambda g, n, rows: built.append(g) or graph_init(g, n, rows))
+    graphs = [build_graph(L) for L in algebras]
+    assert len(made) == 1569 and len(built) == 47
+    spaces = {id(L.space): L.space for L in algebras}
+    families = {(key, graph.rows): graph
+                for key, V in spaces.items() for graph, _ in V.graphs.values()}
+    assert {id(graph) for graph in families.values()} == set(map(id, built))
+    for L, g in zip(algebras, graphs):
+        family = families[id(L.space), g.rows]
+        assert g.rows is family.rows and g.facts is family.facts
+
+
 def test_pool_computes_each_fact_once_per_family(monkeypatch):
     # from empty memos, every statement over the 1569 algebras of the
     # criterion-1 pool reads the shared facts off 47 centralizer families:
     # each fact's body runs 47 times, not once per algebra, and each
     # family's facts are those of a fresh Graph on its rows
-    instances = catalog_instances()
-    for n in (2, 3):
-        for q in (2, 3):
-            instances.extend(enumeration_instances(n, q))
+    instances = oracles.pool_instances()
     for V in {id(inst.L.space): inst.L.space for inst in instances}.values():
         monkeypatch.setattr(V, "graphs", {})
     names = {fact.__wrapped__.__code__: fact.__name__ for fact in SHARED_FACTS}
@@ -372,7 +387,9 @@ def _held_bytes(memo):
         if id(obj) not in seen:
             seen.add(id(obj))
             total += sys.getsizeof(obj)
-            if isinstance(obj, dict):
+            if isinstance(obj, Graph):
+                stack.append(vars(obj))
+            elif isinstance(obj, dict):
                 stack += [*obj.keys(), *obj.values()]
             elif isinstance(obj, (tuple, list)):
                 stack += obj
@@ -381,7 +398,7 @@ def _held_bytes(memo):
 
 def test_graph_memo_stays_within_its_bound(monkeypatch):
     # aff1^6 over F_2 at the element cap in five bases: five labeled graphs,
-    # each core charged 6.3 MB of the space's 16 MB, so the space keeps two,
+    # each family charged 6.3 MB of the space's 16 MB, so the space keeps two,
     # which hold every shared fact when the bound is measured
     V = _aff1_sum_f2().space
     monkeypatch.setattr(V, "graphs", {})
@@ -393,10 +410,34 @@ def test_graph_memo_stays_within_its_bound(monkeypatch):
     for g in graphs[:2]:  # the two kept, the first built
         for fact in SHARED_FACTS:
             fact(g)
-    assert all(len(core["facts"]) == len(SHARED_FACTS) for core in V.graphs.values())
+    assert all(len(graph.facts) == len(SHARED_FACTS) for graph, _ in V.graphs.values())
     assert _held_bytes(V.graphs) <= GRAPH_MEMO_BYTES
     again = build_graph(_aff1_sum_f2(perms[1]))
     assert again.rows is graphs[1].rows and again.n == 4095
+
+
+def test_facts_bytes_bounds_every_family_facts_dict(fresh_memos):
+    # every graphs.fact of the package is one of SHARED_FACTS, and once all
+    # of them are read, each of the pool's 47 family facts dicts holds at
+    # most the FACTS_BYTES that the memo's charge counts for it
+    decorated = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and any(
+                getattr(d, "id", None) == "fact" or getattr(d, "attr", None) == "fact"
+                for d in node.decorator_list
+            ):
+                decorated.add((f"lie_ncg.{path.stem}", node.name))
+    assert decorated == {(fact.__module__, fact.__name__) for fact in SHARED_FACTS}
+    families = {}
+    for inst in oracles.pool_instances():
+        families.setdefault(id(inst.graph.facts), inst.graph)
+    assert len(families) == 47
+    for g in families.values():
+        for fact in SHARED_FACTS:
+            fact(g)
+        assert len(g.facts) == len(SHARED_FACTS)
+        assert _held_bytes(g.facts) <= FACTS_BYTES
 
 
 def test_abelian_algebra_rejected():

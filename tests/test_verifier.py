@@ -140,10 +140,7 @@ def test_center_is_computed_once_per_algebra(monkeypatch):
 def _pool():
     """Every instance of the criterion-1 pool: the catalog and every
     non-abelian structure tensor for n, q in {2, 3}."""
-    instances = catalog_instances()
-    for q in (2, 3):
-        for n in (2, 3):
-            instances.extend(enumeration_instances(n, q))
+    instances = oracles.pool_instances()
     assert len(instances) == 1569
     return instances
 
@@ -521,7 +518,7 @@ FAILURE_BRANCHES = [
 @pytest.mark.parametrize("patches, run, expected", FAILURE_BRANCHES)
 def test_failure_branch_is_recorded(patches, run, expected, monkeypatch, fresh_memos):
     # spaces of this test's own, so a patched reference figure meets no
-    # figure ids that a shared core kept from an earlier test
+    # figure ids that a shared family graph kept from an earlier test
     for name, value in patches.items():
         monkeypatch.setattr(verifier, name, value)
     assert run() == expected
